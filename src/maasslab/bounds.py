@@ -10,9 +10,10 @@ says so explicitly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from functools import lru_cache
-from typing import Mapping
+
+import numpy as np
 
 from . import dde
 from .errors import InvalidInputError
@@ -21,18 +22,65 @@ from .errors import InvalidInputError
 _WEIGHTS = {2: (2.0, -2.0), 3: (1.0, -3.0)}
 
 
+def _frozen(values, dtype) -> np.ndarray:
+    arr = np.asarray(values, dtype=dtype)
+    if arr.flags.writeable:       # a copy: never freeze an array the caller holds
+        arr = arr.copy()
+    arr.flags.writeable = False
+    return arr
+
+
+def freeze_coefficients(obj) -> None:
+    """Check and freeze the ps/lams fields of a frozen dataclass instance.
+
+    This is the one form of coefficient data: read-only arrays of
+    strictly increasing int64 primes ps and the float64 eigenvalues lams
+    at them.  Arrays already in this form are kept as they are, so a
+    record and the FormMeta built from it share their data.
+    """
+    try:
+        ps = _frozen(obj.ps, np.int64)
+        lams = _frozen(obj.lams, np.float64)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidInputError(f"bad coefficient arrays: {exc}") from exc
+    if ps.ndim != 1 or lams.shape != ps.shape:
+        raise InvalidInputError(
+            f"ps and lams must be 1-d of equal length, got shapes "
+            f"{ps.shape} and {lams.shape}")
+    steps = np.flatnonzero(np.diff(ps) <= 0)
+    if steps.size:
+        raise InvalidInputError(
+            f"primes not strictly increasing at {int(ps[steps[0] + 1])}")
+    object.__setattr__(obj, "ps", ps)
+    object.__setattr__(obj, "lams", lams)
+
+
+def fields_equal(a, b):
+    """Dataclass value equality that compares array fields elementwise."""
+    if type(a) is not type(b):
+        return NotImplemented
+    return all(np.array_equal(getattr(a, f.name), getattr(b, f.name))
+               for f in fields(a))
+
+
 @dataclass(frozen=True)
 class FormMeta:
-    """Level, spectral parameter and optional coefficient table of a form."""
+    """Level, spectral parameter and optional coefficient arrays of a form."""
 
     level: int
     spectral_parameter: float
-    coefficients: Mapping[int, float] | None = None
+    ps: np.ndarray = field(default=(), compare=False)
+    lams: np.ndarray = field(default=(), compare=False)
     label: str | None = None
 
+    __eq__ = fields_equal
+
     def __post_init__(self):
-        if self.level < 1:
-            raise InvalidInputError(f"level must be >= 1, got {self.level}")
+        # the level meets int64 prime arrays in the scans' level masks
+        if not 1 <= self.level <= np.iinfo(np.int64).max:
+            raise InvalidInputError(
+                f"level must lie in [1, 2^63 - 1], got {self.level}")
+        freeze_coefficients(self)
 
 
 def conductor(meta: FormMeta) -> float:

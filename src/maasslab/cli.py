@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -179,7 +178,7 @@ def _cmd_density_report(args) -> int:
         records = [ingest.fetch(lab, coverage=args.coverage,
                                 cache_dir=args.cache_dir) for lab in labels]
         family = density.FormFamily([r.to_form_meta() for r in records])
-        report = density.exceptional_scan(family, args.x, threads=args.threads)
+        report = density.exceptional_scan(family, args.x)
         _emit_payload(json.loads(report.to_json()), args)
         return EXIT_OK
     bound = density.density_lower_bound(args.m, args.formula)
@@ -261,10 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
                        default=None,
                        help="output format (scalars default to json, grids to csv)")
         p.add_argument("--out", help="write output to this path instead of stdout")
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                       help="random seed (dimensionless integer)")
-        p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                       help="worker threads for partitionable scans (count)")
 
     p = sub.add_parser("solve-dde", help="integrate a delay differential equation")
     p.add_argument("--chi0", type=float, required=True,
@@ -314,6 +309,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="weight on primes up to y (dimensionless)")
     p.add_argument("--chi1", type=float, default=-2.0,
                    help="weight beyond y (dimensionless, negative)")
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED,
+                   help="random seed (dimensionless integer)")
     common(p)
     p.set_defaults(func=_cmd_sieve_verify)
 
@@ -345,6 +342,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="number of sampled local data (count)")
     p.add_argument("--nu-max", type=float, default=satake.KIM_SARNAK_NU,
                    help="largest non-tempered deviation (in (0, 7/64])")
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED,
+                   help="random seed (dimensionless integer)")
     common(p)
     p.set_defaults(func=_cmd_identity_check)
 

@@ -14,7 +14,6 @@ that pointwise largeness into the density bounds 1 - 1/(26 + 9m).
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -147,7 +146,8 @@ def pigeonhole_intersection(d1: Fraction, d2: Fraction) -> Fraction:
 def _triples_from_eigenvalues(ps: np.ndarray, lams: np.ndarray
                               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized (A, |A3|^2, A4) from real eigenvalues via the literal
-    parameter sums (trigonometric for tempered, hyperbolic beyond)."""
+    parameter sums (trigonometric for tempered, hyperbolic beyond); the
+    test oracle for the polynomial route of exceptional_scan."""
     mod = np.abs(lams)
     a2 = lams * lams - 1.0
     a3sq = np.empty_like(a2)
@@ -172,98 +172,62 @@ def _triples_from_eigenvalues(ps: np.ndarray, lams: np.ndarray
     return a2, a3sq, a4
 
 
-def exceptional_scan(family: FormFamily, X: int,
-                     table: sieve.SieveTable | None = None,
-                     threads: int = 1) -> DensityReport:
+def exceptional_scan(family: FormFamily, X: int) -> DensityReport:
     """Scan primes up to X, count those where every member violates the
     Ramanujan bound, and average the Chebyshev weight.
 
     Primes dividing any member's level are excluded.  Missing
-    coefficients raise DataGapError listing the gaps.  At every
-    exceptional prime the weight is checked against the (1 + 9m + 25)^2
-    threshold.
+    coefficients raise DataGapError listing the gaps, member by member
+    in increasing p.  At every exceptional prime the weight is checked
+    against the (1 + 9m + 25)^2 threshold.
     """
     if X < 2:
         raise InvalidInputError(f"X must be >= 2, got {X}")
-    primes = (table.primes[table.primes <= X] if table is not None
-              else sieve.primes_upto(X))
-    level_prod = 1
+    primes = sieve.primes_upto(X)
+    # one mask per level: a product of the levels could overflow int64
     for mem in family.members:
-        level_prod *= mem.level
-    mask = np.array([level_prod % int(p) != 0 for p in primes], dtype=bool)
-    primes = primes[mask]
+        primes = primes[mem.level % primes != 0]
 
-    lam_rows = []
+    rows = []
     gaps = []
     for mem in family.members:
-        coeffs = mem.coefficients or {}
-        row = np.empty(primes.size)
-        for i, p in enumerate(primes.tolist()):
-            if p in coeffs:
-                row[i] = coeffs[p]
-            else:
-                gaps.append((mem.label or f"level-{mem.level}", p))
-        if gaps:
-            continue
-        lam_rows.append(row)
+        idx = np.searchsorted(mem.ps, primes)
+        found = idx < mem.ps.size
+        found[found] = mem.ps[idx[found]] == primes[found]
+        gaps.extend((mem.label or f"level-{mem.level}", p)
+                    for p in primes[~found].tolist())
+        rows.append(mem.lams[idx[found]])
     if gaps:
         raise DataGapError(
             f"missing coefficients at {len(gaps)} primes "
             f"(first: {gaps[:5]})", gaps=gaps)
 
-    def scan_chunk(lo_hi: tuple[int, int]) -> tuple[float, np.ndarray, np.ndarray]:
-        lo, hi = lo_hi
-        a2_sum = np.zeros(hi - lo)
-        a4_first = None
-        non_rp_all = np.ones(hi - lo, dtype=bool)
-        for j, row in enumerate(lam_rows):
-            lams = row[lo:hi]
-            a2, _, a4 = _triples_from_eigenvalues(primes[lo:hi], lams)
-            a2_sum += a2
-            if j == 0:
-                a4_first = a4
-            non_rp_all &= np.abs(lams) > 2.0 + RAMANUJAN_GUARD
-        linear = 1.0 + 3.0 * a2_sum + 5.0 * a4_first
-        u_vals = linear * linear
-        return float(np.sum(u_vals)), non_rp_all, u_vals
+    # A = lam^2 - 1, and A^2 = A4 + A + 1 gives A4 = lam^4 - 3 lam^2 + 1
+    squares = [lams * lams for lams in rows]
+    a_sum = sum(sq - 1.0 for sq in squares)
+    a4_first = squares[0] * squares[0] - 3.0 * squares[0] + 1.0
+    linear = 1.0 + 3.0 * a_sum + 5.0 * a4_first
+    u_vals = linear * linear
+
+    non_rp_all = np.ones(primes.size, dtype=bool)
+    for lams in rows:
+        non_rp_all &= np.abs(lams) > 2.0 + RAMANUJAN_GUARD
+    threshold = (1.0 + 9.0 * family.m + 25.0) ** 2
+    exceptional = np.flatnonzero(non_rp_all)
+    low = exceptional[u_vals[exceptional] <= threshold - 1e-6]
+    if low.size:
+        p, u_p = int(primes[low[0]]), float(u_vals[low[0]])
+        raise CrossCheckError(
+            f"exceptional prime {p} has U = {u_p} <= {threshold}")
 
     n = primes.size
-    threshold = (1.0 + 9.0 * family.m + 25.0) ** 2
-    if n == 0:
-        return DensityReport(X=X, pi_X=0, exceptional_count=0,
-                             running_mean_U=float("nan"), implied_upper=0.0,
-                             theory_bound=1.0 / (26 + 9 * family.m),
-                             assumptions=family.assumptions())
-    # fixed chunk size: identical partitioning (and float summation
-    # order) no matter how many workers run the chunks
-    chunk = 4096
-    bounds_list = [(lo, min(lo + chunk, n)) for lo in range(0, n, chunk)]
-    if threads > 1 and len(bounds_list) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            results = list(ex.map(scan_chunk, bounds_list))
-    else:
-        results = [scan_chunk(b) for b in bounds_list]
-
-    u_total = 0.0
-    exceptional: list[int] = []
-    for (lo, hi), (s, non_rp, u_vals) in zip(bounds_list, results):
-        u_total += s
-        idx = np.flatnonzero(non_rp)
-        for i in idx:
-            p = int(primes[lo + i])
-            u_p = float(u_vals[i])
-            if u_p <= threshold - 1e-6:
-                raise CrossCheckError(
-                    f"exceptional prime {p} has U = {u_p} <= {threshold}")
-            exceptional.append(p)
-
     return DensityReport(
-        X=X, pi_X=n, exceptional_count=len(exceptional),
-        running_mean_U=u_total / n,
-        implied_upper=len(exceptional) / n,
+        X=X, pi_X=n, exceptional_count=exceptional.size,
+        running_mean_U=float(np.sum(u_vals)) / n if n else float("nan"),
+        implied_upper=exceptional.size / n if n else 0.0,
         theory_bound=1.0 / (26 + 9 * family.m),
         assumptions=family.assumptions(),
-        exceptional_primes=exceptional)
+        exceptional_primes=primes[exceptional].tolist())
 
 
 def pnt_trend(stream: Mapping[int, float], x_grid: Sequence[int]) -> list[dict]:

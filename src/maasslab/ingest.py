@@ -1,27 +1,27 @@
 """Client and cache for Maass-form coefficient data.
 
 Records carry (level, spectral parameter, Hecke eigenvalues a_p at
-unramified primes).  Built-in deterministic fixtures let every consumer
-run without network access; remote fetches hit an endpoint configured
-through the environment and fall back to the local cache when the
-network is down.  Cache files are one JSON document per record, written
-atomically (temp file + rename).
+unramified primes as the read-only arrays ps and lams).  Built-in
+deterministic fixtures let every consumer run without network access;
+remote fetches hit an endpoint configured through the environment and
+fall back to the local cache when the network is down.  Cache files
+are one JSON document per record, written atomically (temp file +
+rename).
 """
 
 from __future__ import annotations
 
 import json
-import math
 import os
 import tempfile
 import zlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import satake, sieve
-from .bounds import FormMeta
+from .bounds import FormMeta, fields_equal, freeze_coefficients
 from .errors import CacheParseError, InvalidInputError, RemoteUnavailableError
 
 SCHEMA_VERSION = 1
@@ -41,25 +41,26 @@ class Finding:
 
 @dataclass(frozen=True)
 class CoeffRecord:
-    """One form's coefficient data: strictly increasing unramified primes."""
+    """One form's coefficient data: eigenvalues lams at the primes ps."""
 
     label: str
     level: int
     spectral_parameter: float
-    coefficients: tuple[tuple[int, float], ...]
+    ps: np.ndarray = field(compare=False)
+    lams: np.ndarray = field(compare=False)
     fetched_at: str
     source: str             # "remote" | "fixture"
 
-    def coverage(self) -> int:
-        return self.coefficients[-1][0] if self.coefficients else 0
+    __eq__ = fields_equal
+    __post_init__ = freeze_coefficients
 
-    def as_mapping(self) -> dict[int, float]:
-        return {p: a for p, a in self.coefficients}
+    def coverage(self) -> int:
+        return int(self.ps[-1]) if self.ps.size else 0
 
     def to_form_meta(self) -> FormMeta:
         return FormMeta(level=self.level,
                         spectral_parameter=self.spectral_parameter,
-                        coefficients=self.as_mapping(), label=self.label)
+                        ps=self.ps, lams=self.lams, label=self.label)
 
     def to_json_dict(self) -> dict:
         return {
@@ -67,7 +68,8 @@ class CoeffRecord:
             "label": self.label,
             "level": self.level,
             "spectral_parameter": self.spectral_parameter,
-            "coefficients": [[p, a] for p, a in self.coefficients],
+            "coefficients": [[p, a] for p, a in
+                             zip(self.ps.tolist(), self.lams.tolist())],
             "fetched_at": self.fetched_at,
             "source": self.source,
         }
@@ -103,53 +105,41 @@ def generate_fixture(label: str, coverage: int = DEFAULT_COVERAGE) -> CoeffRecor
         raise InvalidInputError(f"unknown fixture label {label!r}")
     entry = FIXTURE_MANIFEST[label]
     level = entry["level"]
-    ps = [int(p) for p in sieve.primes_upto(coverage) if level % int(p) != 0]
+    ps = sieve.primes_upto(coverage)
+    ps = ps[level % ps != 0]
     rng = np.random.default_rng(_fixture_seed(label))
-    thetas = satake.sato_tate_angles(rng, len(ps))
-    coeffs = []
-    for p, th in zip(ps, thetas.tolist()):
-        nu = entry["nontempered"].get(p)
-        if nu is not None:
-            coeffs.append((p, p ** nu + p ** (-nu)))
-        else:
-            coeffs.append((p, 2.0 * math.cos(th)))
+    lams = 2.0 * np.cos(satake.sato_tate_angles(rng, ps.size))
+    for p, nu in entry["nontempered"].items():
+        lams[ps == p] = p ** nu + p ** (-nu)
     return CoeffRecord(label=label, level=level,
                        spectral_parameter=entry["spectral_parameter"],
-                       coefficients=tuple(coeffs),
+                       ps=ps, lams=lams,
                        fetched_at=FIXTURE_TIMESTAMP, source="fixture")
 
 
-def validate(record: CoeffRecord, reference_primes=None) -> list[Finding]:
+def validate(record: CoeffRecord) -> list[Finding]:
     """Findings for a record: envelope violations are errors, coverage
     gaps warnings, ramified-prime entries informational."""
     findings: list[Finding] = []
-    prev = 0
-    for p, a in record.coefficients:
-        if p <= prev:
-            findings.append(Finding("error", "ordering", p,
-                                    f"primes not strictly increasing at {p}"))
-        prev = p
-        if record.level % p == 0:
+    ps, lams = record.ps, record.lams
+    ramified = record.level % ps == 0
+    above = ~ramified
+    envelope, _ = satake.kim_sarnak_envelope(ps[above])
+    above[above] = np.abs(lams[above]) > envelope + 1e-12
+    for i in np.flatnonzero(ramified | above).tolist():
+        p = int(ps[i])
+        if ramified[i]:
             findings.append(Finding("info", "ramified", p,
                                     f"p = {p} divides the level; excluded from scans"))
-            continue
-        envelope, _ = satake.kim_sarnak_envelope(int(p))
-        if abs(a) > envelope + 1e-12:
+        else:
+            bound, _ = satake.kim_sarnak_envelope(p)
             findings.append(Finding(
                 "error", "envelope", p,
-                f"|a_p| = {abs(a)} exceeds the bound {envelope} at p = {p}"))
-    coverage = record.coverage()
-    if coverage:
-        ref = (reference_primes if reference_primes is not None
-               else sieve.primes_upto(coverage))
-        have = {p for p, _ in record.coefficients}
-        for p in ref.tolist() if hasattr(ref, "tolist") else ref:
-            p = int(p)
-            if record.level % p == 0:
-                continue
-            if p not in have:
-                findings.append(Finding("warning", "gap", p,
-                                        f"missing coefficient at p = {p}"))
+                f"|a_p| = {abs(float(lams[i]))} exceeds the bound {bound} at p = {p}"))
+    ref = sieve.primes_upto(record.coverage())
+    missing = np.setdiff1d(ref[record.level % ref != 0], ps)
+    findings.extend(Finding("warning", "gap", p, f"missing coefficient at p = {p}")
+                    for p in missing.tolist())
     return findings
 
 
@@ -197,7 +187,7 @@ def _record_from_json_dict(doc: dict) -> CoeffRecord:
     if doc["schema"] != SCHEMA_VERSION:
         raise CacheParseError(
             f"schema version {doc['schema']} unsupported", field="schema")
-    coeffs = []
+    ps, lams = [], []
     prev = 0
     for item in doc["coefficients"]:
         if (not isinstance(item, list) or len(item) != 2
@@ -205,16 +195,17 @@ def _record_from_json_dict(doc: dict) -> CoeffRecord:
                 or not isinstance(item[1], (int, float))):
             raise CacheParseError(
                 f"bad coefficient entry {item!r}", field="coefficients")
-        p, a = int(item[0]), float(item[1])
+        p = item[0]
         if p <= prev:
             raise CacheParseError(
                 f"primes not strictly increasing at {p}", field="coefficients")
         prev = p
-        coeffs.append((p, a))
+        ps.append(p)
+        lams.append(item[1])
     return CoeffRecord(
         label=doc["label"], level=doc["level"],
         spectral_parameter=float(doc["spectral_parameter"]),
-        coefficients=tuple(coeffs), fetched_at=doc["fetched_at"],
+        ps=ps, lams=lams, fetched_at=doc["fetched_at"],
         source=doc.get("source", "remote"))
 
 
@@ -230,17 +221,26 @@ def read_cache(label: str, cache_dir=None) -> CoeffRecord | None:
 
 
 def _fetch_remote(label: str, coverage: int, endpoint: str) -> CoeffRecord:
-    import requests
+    import http.client
+    import urllib.parse
+    import urllib.request
 
     from datetime import datetime, timezone
-    resp = requests.get(endpoint, params={"label": label, "coverage": coverage},
-                        timeout=30)
-    resp.raise_for_status()
-    doc = resp.json()
-    doc.setdefault("fetched_at",
-                   datetime.now(timezone.utc).isoformat(timespec="seconds"))
-    doc.setdefault("source", "remote")
-    doc.setdefault("schema", SCHEMA_VERSION)
+    query = urllib.parse.urlencode({"label": label, "coverage": coverage})
+    url = endpoint + ("&" if "?" in endpoint else "?") + query
+    try:
+        with urllib.request.urlopen(url, timeout=30) as resp:
+            body = resp.read()
+    except http.client.HTTPException as exc:    # broken reply: a network failure
+        raise ConnectionError(f"bad HTTP reply from {endpoint!r}: {exc}") from exc
+    try:
+        doc = json.loads(body)
+    except ValueError as exc:
+        raise CacheParseError(f"remote document is not valid JSON: {exc}") from exc
+    if isinstance(doc, dict):
+        doc.setdefault("fetched_at",
+                       datetime.now(timezone.utc).isoformat(timespec="seconds"))
+        doc.setdefault("schema", SCHEMA_VERSION)
     return replace(_record_from_json_dict(doc), source="remote")
 
 
@@ -259,21 +259,17 @@ def fetch(label: str, coverage: int = DEFAULT_COVERAGE, cache_dir=None,
         write_cache(record, cache_dir)
         return record
     endpoint = endpoint or os.environ.get(ENDPOINT_ENV)
+    reason = f"no endpoint configured ({ENDPOINT_ENV} unset)"
     if endpoint:
         try:
             record = _fetch_remote(label, coverage, endpoint)
-        except Exception:
-            cached = read_cache(label, cache_dir)
-            if cached is not None:
-                return cached
-            raise RemoteUnavailableError(
-                f"endpoint {endpoint!r} unreachable and no cached record "
-                f"for {label!r}")
-        write_cache(record, cache_dir)
-        return record
+        except OSError as exc:      # network failure: fall back to the cache
+            reason = f"endpoint {endpoint!r} unreachable ({exc})"
+        else:
+            write_cache(record, cache_dir)
+            return record
     cached = read_cache(label, cache_dir)
     if cached is not None:
         return cached
     raise RemoteUnavailableError(
-        f"no endpoint configured ({ENDPOINT_ENV} unset) and no cached "
-        f"record for {label!r}")
+        f"{reason} and no cached record for {label!r}")

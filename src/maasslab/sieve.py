@@ -96,12 +96,6 @@ class SieveTable:
     def is_squarefree(self, n: int) -> bool:
         return bool(self.squarefree[int(n)])
 
-    def radical(self, n: int) -> int:
-        r = 1
-        for p in self.factor(n):
-            r *= p
-        return r
-
     def prime_count(self, x: float) -> int:
         """pi(x) over the stored primes."""
         return int(np.searchsorted(self.primes, x, side="right"))
@@ -110,8 +104,10 @@ class SieveTable:
 def build_table(limit: int, allow_large: bool = False) -> SieveTable:
     """Build factorization tables up to limit.
 
-    Limits above 10^7 need allow_large=True and are capped at 2*10^8;
-    their spf array covers only the dense prefix.
+    Limits above 10^7 need allow_large=True and are capped at 2*10^8.
+    Nothing is segmented: only the spf array stops at 10^7, while the
+    prime sieve and the squarefree flags are full limit+1 arrays (about
+    400 MB at 2*10^8).
     """
     if limit < 2:
         raise InvalidInputError(f"limit must be >= 2, got {limit}")
@@ -455,14 +451,9 @@ def lower_bound_check(b: MultFuncSpec, h: MultFuncSpec, z: float, q: int,
                 f"h(p) = {h.prime_value(p)}", witness=("g", p))
 
     base = values_upto(h, z_int, q, table)
-    seen: set[int] = set()
     for r in range(1, z_int + 1):
         if not table.is_squarefree(r):
             continue
-        rad = r
-        if rad in seen:
-            continue
-        seen.add(rad)
         vals = base.copy()
         for p in table.factor(r):
             if q % p != 0:

@@ -179,7 +179,8 @@ def test_criterion_10_exceptional_prime_logic(tmp_path):
     ok_mixed = rep.exceptional_primes == manifest_common
     for p in rep.exceptional_primes:
         triples = [satake.sym_coeffs(
-            satake.SatakeLocal.from_eigenvalue(p, r.as_mapping()[p]))
+            satake.SatakeLocal.from_eigenvalue(
+                p, float(r.lams[np.searchsorted(r.ps, p)])))
             for r in recs]
         ok_mixed = ok_mixed and density.chebyshev_weight(triples, 2) > 1936.0
 

@@ -26,6 +26,8 @@ def test_conductor_uses_absolute_spectral_parameter():
 def test_form_meta_rejects_bad_level():
     with pytest.raises(InvalidInputError):
         FormMeta(0, 1.0)
+    with pytest.raises(InvalidInputError):
+        FormMeta(2 ** 63, 1.0)
 
 
 def test_two_form_exponent_exact():

@@ -1,4 +1,5 @@
 import json
+import os
 
 from maasslab import cli
 
@@ -142,7 +143,27 @@ def test_help_exists_for_every_subcommand(capsys):
         code = cli.main([sub, "--help"])
         out = capsys.readouterr().out
         assert code == 0
-        assert "--seed" in out or "--label" in out
+        assert "--format" in out
+
+
+def test_density_scan_output_independent_of_cpu_count(tmp_path, capsys,
+                                                      monkeypatch):
+    outs = []
+    for cpus in (1, 64):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        code, out, _ = run_cli(capsys, "density-report", "--scan-labels",
+                               "fixture-mixed-1,fixture-mixed-2",
+                               "--cache-dir", str(tmp_path))
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1]
+
+
+def test_seed_only_on_seeded_subcommands(capsys):
+    for sub, seeded in (("sieve-verify", True), ("identity-check", True),
+                        ("density-report", False), ("fetch", False)):
+        cli.main([sub, "--help"])
+        assert ("--seed" in capsys.readouterr().out) == seeded
 
 
 def test_out_flag_writes_file(tmp_path, capsys):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from maasslab import density, satake, sieve
+from maasslab import density, ingest, satake, sieve
 from maasslab.bounds import FormMeta
 from maasslab.density import FormFamily
 from maasslab.errors import DataGapError, InvalidInputError
@@ -100,16 +100,16 @@ def test_pigeonhole_rejects_out_of_range():
 
 def _family_from_eigenvalues(streams, levels=(1, 1)):
     members = []
-    for lab, (lvl, coeffs) in enumerate(zip(levels, streams)):
+    for lab, (lvl, (ps, lams)) in enumerate(zip(levels, streams)):
         members.append(FormMeta(level=lvl, spectral_parameter=1.0 + lab,
-                                coefficients=coeffs, label=f"m{lab}"))
+                                ps=ps, lams=lams, label=f"m{lab}"))
     return FormFamily(members)
 
 
 def _tempered_stream(ps, seed):
+    """(ps, lams) with Sato-Tate eigenvalues; lams is a fresh writable copy."""
     rng = np.random.default_rng(seed)
-    thetas = satake.sato_tate_angles(rng, len(ps))
-    return {int(p): 2.0 * math.cos(t) for p, t in zip(ps, thetas)}
+    return ps, 2.0 * np.cos(satake.sato_tate_angles(rng, len(ps)))
 
 
 def test_exceptional_scan_all_tempered():
@@ -124,19 +124,21 @@ def test_exceptional_scan_all_tempered():
 
 def test_exceptional_scan_constructed_pair():
     ps = sieve.primes_upto(10 ** 4)
-    s1 = _tempered_stream(ps, 3)
-    s2 = _tempered_stream(ps, 4)
+    _, l1 = _tempered_stream(ps, 3)
+    _, l2 = _tempered_stream(ps, 4)
     for p in (11, 101):
-        s1[p] = p ** 0.1 + p ** -0.1
-        s2[p] = -(p ** 0.09 + p ** -0.09)
-    fam = _family_from_eigenvalues([s1, s2])
+        i = int(np.searchsorted(ps, p))
+        l1[i] = p ** 0.1 + p ** -0.1
+        l2[i] = -(p ** 0.09 + p ** -0.09)
+    fam = _family_from_eigenvalues([(ps, l1), (ps, l2)])
     rep = density.exceptional_scan(fam, 10 ** 4)
     assert rep.exceptional_primes == [11, 101]
     assert rep.exceptional_count == 2
     # the scan itself verifies U > 44^2 at each; recompute independently
     for p in (11, 101):
-        t1 = satake.sym_coeffs(satake.SatakeLocal.from_eigenvalue(p, s1[p]))
-        t2 = satake.sym_coeffs(satake.SatakeLocal.from_eigenvalue(p, s2[p]))
+        i = int(np.searchsorted(ps, p))
+        t1 = satake.sym_coeffs(satake.SatakeLocal.from_eigenvalue(p, l1[i]))
+        t2 = satake.sym_coeffs(satake.SatakeLocal.from_eigenvalue(p, l2[i]))
         assert density.chebyshev_weight([t1, t2], 2) > 1936.0
 
 
@@ -169,10 +171,8 @@ def test_exceptional_scan_mean_matches_quadrature_oracle():
     fam = _family_from_eigenvalues(
         [_tempered_stream(ps, 7), _tempered_stream(ps, 8)])
     rep = density.exceptional_scan(fam, 10 ** 5)
-    lams1 = np.array([fam.members[0].coefficients[int(p)] for p in ps])
-    a2, _, a4 = density._triples_from_eigenvalues(ps, lams1)
-    lams2 = np.array([fam.members[1].coefficients[int(p)] for p in ps])
-    b2, _, _ = density._triples_from_eigenvalues(ps, lams2)
+    a2, _, a4 = density._triples_from_eigenvalues(ps, fam.members[0].lams)
+    b2, _, _ = density._triples_from_eigenvalues(ps, fam.members[1].lams)
     u_vals = (1 + 3 * a2 + 3 * b2 + 5 * a4) ** 2
     tol = 4 * float(np.std(u_vals)) / math.sqrt(len(ps))
     assert abs(rep.running_mean_U - mean_u) < tol
@@ -180,22 +180,41 @@ def test_exceptional_scan_mean_matches_quadrature_oracle():
 
 def test_exceptional_scan_reports_gaps():
     ps = sieve.primes_upto(1000)
-    s1 = _tempered_stream(ps, 9)
-    del s1[997]
-    fam = _family_from_eigenvalues([s1, _tempered_stream(ps, 10)])
+    _, l1 = _tempered_stream(ps, 9)
+    keep = (ps != 997) & (ps != 13)
+    _, l2 = _tempered_stream(ps, 10)
+    fam = _family_from_eigenvalues([(ps[keep], l1[keep]), (ps[:-1], l2[:-1])])
     with pytest.raises(DataGapError) as exc:
         density.exceptional_scan(fam, 1000)
-    assert ("m0", 997) in exc.value.gaps
+    assert exc.value.gaps == [("m0", 13), ("m0", 997), ("m1", 997)]
 
 
-def test_exceptional_scan_threaded_deterministic():
-    ps = sieve.primes_upto(10 ** 4)
+def test_exceptional_scan_levels_beyond_int64_product():
+    # the product of these levels overflows int64; only 2 and 3 divide any
+    ps = sieve.primes_upto(1000)
+    big = 2 ** 62
     fam = _family_from_eigenvalues(
-        [_tempered_stream(ps, 11), _tempered_stream(ps, 12)])
-    a = density.exceptional_scan(fam, 10 ** 4, threads=1)
-    b = density.exceptional_scan(fam, 10 ** 4, threads=4)
-    assert a.running_mean_U == b.running_mean_U
-    assert a.exceptional_primes == b.exceptional_primes
+        [_tempered_stream(ps, 11), _tempered_stream(ps, 12)],
+        levels=(big, 3 * 2 ** 40))
+    rep = density.exceptional_scan(fam, 1000)
+    assert rep.pi_X == len(ps) - 2
+
+
+def test_exceptional_scan_polynomial_route_matches_oracle(tmp_path):
+    # the fixture pair has non-tempered primes 11, 101, 499 and 997
+    recs = [ingest.fetch(lab, cache_dir=tmp_path)
+            for lab in ("fixture-mixed-1", "fixture-mixed-2")]
+    fam = FormFamily([r.to_form_meta() for r in recs])
+    rep = density.exceptional_scan(fam, 10 ** 4)
+    ps = sieve.primes_upto(10 ** 4)
+    ps = ps[(6 % ps != 0) & (10 % ps != 0)]
+    lams = [r.lams[np.searchsorted(r.ps, ps)] for r in recs]
+    assert any(np.abs(lam).max() > 2.0 for lam in lams)
+    a2, _, a4 = density._triples_from_eigenvalues(ps, lams[0])
+    b2, _, _ = density._triples_from_eigenvalues(ps, lams[1])
+    oracle = float(np.mean((1 + 3 * a2 + 3 * b2 + 5 * a4) ** 2))
+    assert rep.pi_X == len(ps)
+    assert rep.running_mean_U == pytest.approx(oracle, rel=1e-13)
 
 
 def test_density_report_json_schema():

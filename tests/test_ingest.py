@@ -1,9 +1,14 @@
 import dataclasses
+import hashlib
+import http.server
 import json
+import threading
 
+import numpy as np
 import pytest
 
 from maasslab import density, ingest
+from maasslab.bounds import FormMeta
 from maasslab.errors import (CacheParseError, InvalidInputError,
                              RemoteUnavailableError)
 from maasslab.ingest import FIXTURE_MANIFEST, CoeffRecord
@@ -12,12 +17,12 @@ from maasslab.ingest import FIXTURE_MANIFEST, CoeffRecord
 def test_tempered_fixture_all_within_bound(tmp_path):
     rec = ingest.fetch("fixture-tempered-1", coverage=10 ** 4, cache_dir=tmp_path)
     assert rec.source == "fixture"
-    assert all(abs(a) <= 2.0 for _, a in rec.coefficients)
+    assert np.all(np.abs(rec.lams) <= 2.0)
 
 
 def test_mixed_fixture_matches_manifest(tmp_path):
     rec = ingest.fetch("fixture-mixed-1", cache_dir=tmp_path)
-    big = sorted(p for p, a in rec.coefficients if abs(a) > 2.0)
+    big = rec.ps[np.abs(rec.lams) > 2.0].tolist()
     assert big == sorted(FIXTURE_MANIFEST["fixture-mixed-1"]["nontempered"])
     assert len(big) == 3
 
@@ -31,7 +36,7 @@ def test_fixture_respects_envelope(tmp_path):
 
 def test_fixture_omits_ramified_primes(tmp_path):
     rec = ingest.fetch("fixture-mixed-1", cache_dir=tmp_path)  # level 6
-    ps = {p for p, _ in rec.coefficients}
+    ps = set(rec.ps.tolist())
     assert 2 not in ps and 3 not in ps and 5 in ps
 
 
@@ -75,7 +80,7 @@ def test_unknown_label_falls_back_to_cache(tmp_path, monkeypatch):
 
 def test_validate_flags_envelope_violation():
     rec = CoeffRecord(label="bad", level=1, spectral_parameter=1.0,
-                      coefficients=((2, 2.1), (3, 0.5), (5, 1.0)),
+                      ps=[2, 3, 5], lams=[2.1, 0.5, 1.0],
                       fetched_at="x", source="fixture")
     findings = ingest.validate(rec)
     errors = [f for f in findings if f.severity == "error"]
@@ -84,7 +89,7 @@ def test_validate_flags_envelope_violation():
 
 def test_validate_flags_coverage_gap():
     rec = CoeffRecord(label="gappy", level=1, spectral_parameter=1.0,
-                      coefficients=((2, 0.1), (5, 0.2), (7, 0.3)),
+                      ps=[2, 5, 7], lams=[0.1, 0.2, 0.3],
                       fetched_at="x", source="fixture")
     findings = ingest.validate(rec)
     gaps = [f for f in findings if f.kind == "gap"]
@@ -92,11 +97,13 @@ def test_validate_flags_coverage_gap():
 
 
 def test_validate_flags_ramified_entries():
-    rec = CoeffRecord(label="ram", level=6, spectral_parameter=1.0,
-                      coefficients=((2, 0.5), (5, 0.2), (7, 0.1)),
+    # 1 divides every level, so it is reported, not checked against the envelope
+    rec = CoeffRecord(label="ram", level=10, spectral_parameter=1.0,
+                      ps=[1, 2, 3, 11], lams=[0.5, 0.5, 2.2, 0.1],
                       fetched_at="x", source="fixture")
     findings = ingest.validate(rec)
-    assert any(f.kind == "ramified" and f.p == 2 for f in findings)
+    assert [(f.kind, f.p) for f in findings] == [
+        ("ramified", 1), ("ramified", 2), ("envelope", 3), ("gap", 7)]
 
 
 def test_schema_mismatch_reports_field(tmp_path):
@@ -155,4 +162,119 @@ def test_record_to_form_meta(tmp_path):
     rec = ingest.fetch("fixture-mixed-1", cache_dir=tmp_path)
     meta = rec.to_form_meta()
     assert meta.level == 6
-    assert meta.coefficients[11] > 2.0
+    assert meta.ps is rec.ps and meta.lams is rec.lams
+    assert meta.lams[np.searchsorted(meta.ps, 11)] > 2.0
+
+
+@pytest.mark.parametrize("make", [
+    lambda ps, lams: CoeffRecord(label="x", level=1, spectral_parameter=1.0,
+                                 ps=ps, lams=lams, fetched_at="x",
+                                 source="fixture"),
+    lambda ps, lams: FormMeta(1, 1.0, ps=ps, lams=lams),
+])
+def test_coefficient_arrays_checked_and_read_only(make):
+    for ps, lams in (([2, 5, 3], [0.1, 0.2, 0.3]), ([2, 3, 3], [0.1, 0.2, 0.3]),
+                     ([2, 3], [0.1, 0.2, 0.3]), ([[2, 3]], [[0.1, 0.2]])):
+        with pytest.raises(InvalidInputError):
+            make(ps, lams)
+    ps = np.array([2, 3, 5])
+    obj = make(ps, [0.1, 0.2, 0.3])
+    assert obj.ps.dtype == np.int64 and obj.lams.dtype == np.float64
+    with pytest.raises(ValueError):
+        obj.ps[0] = 7
+    with pytest.raises(ValueError):
+        obj.lams[0] = 7.0
+    ps[0] = 7                       # the caller's array is copied, not frozen
+    assert obj.ps[0] == 2
+    assert obj == make([2, 3, 5], [0.1, 0.2, 0.3])
+    assert obj != make([2, 3, 5], [0.1, 0.2, 0.4])
+
+
+# sha256 of the cache files written for each fixture at coverage 10^4
+FIXTURE_CACHE_SHA256 = {
+    "fixture-tempered-1": "f4e9570899e4e8ad2da72b719464004843823382ebd26d6c24b92b23059b331c",
+    "fixture-tempered-2": "3627423dc43438b420b7d6b5b35ccfa2ce96ed1e6bf940cf89f67d5684a12a9d",
+    "fixture-mixed-1": "df67aeb88ce455b7e3566ff9ab2a8abe789f110f3a916bbab97e8bd9fdae23c9",
+    "fixture-mixed-2": "303ac94867441f08e9634976d03678d0b4cc37a6e9cd09cf2292ae43583bba53",
+}
+
+
+def test_fixture_cache_bytes_pinned(tmp_path):
+    for label, digest in FIXTURE_CACHE_SHA256.items():
+        path = ingest.write_cache(ingest.generate_fixture(label, 10 ** 4), tmp_path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest, label
+
+
+def _cache_remote_copy(tmp_path):
+    rec = dataclasses.replace(ingest.generate_fixture("fixture-tempered-1"),
+                              label="remote-form-9", source="remote")
+    ingest.write_cache(rec, tmp_path)
+    return rec
+
+
+def test_fetch_network_error_falls_back_to_cache(tmp_path, monkeypatch):
+    rec = _cache_remote_copy(tmp_path)
+
+    def unreachable(*_):
+        raise OSError("connection refused")
+    monkeypatch.setattr(ingest, "_fetch_remote", unreachable)
+    got = ingest.fetch("remote-form-9", cache_dir=tmp_path,
+                       endpoint="http://127.0.0.1:1/coeffs")
+    assert got == rec
+
+
+def test_fetch_malformed_remote_document_propagates(tmp_path, monkeypatch):
+    _cache_remote_copy(tmp_path)
+
+    def malformed(*_):
+        raise CacheParseError("missing field 'level'", field="level")
+    monkeypatch.setattr(ingest, "_fetch_remote", malformed)
+    with pytest.raises(CacheParseError):
+        ingest.fetch("remote-form-9", cache_dir=tmp_path,
+                     endpoint="http://127.0.0.1:1/coeffs")
+
+
+@pytest.fixture
+def local_endpoint():
+    """A localhost HTTP server answering every GET with the body in
+    `bodies[0]`; yields (url, bodies, seen_paths)."""
+    bodies, seen = [b""], []
+
+    class Handler(http.server.BaseHTTPRequestHandler):
+        def do_GET(self):
+            seen.append(self.path)
+            self.send_response(200)
+            self.send_header("Content-Length", str(len(bodies[0])))
+            self.end_headers()
+            self.wfile.write(bodies[0])
+
+        def log_message(self, *_):
+            pass
+
+    server = http.server.HTTPServer(("127.0.0.1", 0), Handler)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield f"http://127.0.0.1:{server.server_port}/coeffs", bodies, seen
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+        assert not thread.is_alive()
+
+
+def test_fetch_remote_over_http(tmp_path, local_endpoint):
+    url, bodies, seen = local_endpoint
+    doc = ingest.generate_fixture("fixture-mixed-2", 1000).to_json_dict()
+    doc.update(label="remote-form-3", source="remote")
+    bodies[0] = json.dumps(doc).encode()
+    rec = ingest.fetch("remote-form-3", coverage=1000, cache_dir=tmp_path,
+                       endpoint=url)
+    assert seen == ["/coeffs?label=remote-form-3&coverage=1000"]
+    assert rec.source == "remote" and rec.to_json_dict() == doc
+    assert ingest.read_cache("remote-form-3", tmp_path) == rec
+
+    bodies[0] = b"{not json"
+    with pytest.raises(CacheParseError):
+        ingest.fetch("remote-form-3", coverage=1000, cache_dir=tmp_path,
+                     endpoint=url)
