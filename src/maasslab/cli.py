@@ -1,8 +1,8 @@
 """Command-line entry point wiring all modules.
 
 Subcommands: solve-dde, first-zero, sieve-verify, density-report, bound,
-identity-check, fetch.  JSON is the default output; CSV serves the grid
-outputs (DDE tables and asymptotic reports).  Every run echoes its
+identity-check, fetch.  JSON is the default output; CSV serves only the
+grid outputs (DDE tables and asymptotic reports).  Every run echoes its
 parsed configuration so output is reproducible from the header alone.
 
 Exit codes: 0 success, 1 check failure, 2 usage error, 3 data gap,
@@ -258,7 +258,8 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--format", choices=("json", "csv", "table"),
                        default=None,
-                       help="output format (scalars default to json, grids to csv)")
+                       help="output format (scalars: json, the default, or table; "
+                            "grids: csv, the default, json or table)")
         p.add_argument("--out", help="write output to this path instead of stdout")
 
     p = sub.add_parser("solve-dde", help="integrate a delay differential equation")
@@ -366,6 +367,12 @@ def main(argv=None) -> int:
     except SystemExit as exc:     # argparse uses 2 for usage errors already
         return int(exc.code or 0)
     try:
+        grid = (args.command == "solve-dde"
+                or getattr(args, "report", "") == "asymptotic")
+        if args.format == "csv" and not grid:
+            raise InvalidInputError(
+                f"--format csv is for grid outputs; {args.command} prints "
+                "a scalar payload, use --format json or --format table")
         return args.func(args)
     except (InvalidInputError, UnsupportedRangeError) as exc:
         print(f"error: invalid-input: {exc}", file=sys.stderr)

@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import spence
 
 from .errors import InvalidInputError, SignChangeNotFoundError, UnsupportedRangeError
 
@@ -208,8 +207,16 @@ def first_zero(spec: DdeSpec, tol: float = DEFAULT_FIRST_ZERO_TOL,
         step /= 2.0
 
 
+_LI2_COEFFS = tuple(1.0 / (k * k) for k in range(60, 0, -1))
+
+
 def _li2(x: float) -> float:
-    return float(spence(1.0 - x))
+    """Dilogarithm sum_{k<=60} x^k/k^2 by Horner's rule, for x = 1/t in
+    [1/3, 1/2]: the omitted tail is below 2^-60/60^2."""
+    s = 0.0
+    for c in _LI2_COEFFS:
+        s = s * x + c
+    return s * x
 
 
 def analytic_segment(spec: DdeSpec, u: float) -> float:
@@ -258,14 +265,16 @@ def analytic_segment(spec: DdeSpec, u: float) -> float:
 def closed_form_first_zero(spec: DdeSpec) -> float:
     """First zero of the closed-form segments, found by bisection on (1, 3]."""
     lo = None
-    grid = np.linspace(1.0, 3.0, 4001)
-    vals = [analytic_segment(spec, float(x)) for x in grid]
-    for a, b, fa, fb in zip(grid[:-1], grid[1:], vals[:-1], vals[1:]):
+    grid = np.linspace(1.0, 3.0, 4001).tolist()
+    fa = analytic_segment(spec, grid[0])
+    for a, b in zip(grid[:-1], grid[1:]):
+        fb = analytic_segment(spec, b)
         if fa == 0.0:
-            return float(a)
+            return a
         if (fa > 0) != (fb > 0):
-            lo, hi, f_lo = float(a), float(b), fa
+            lo, hi, f_lo = a, b, fa
             break
+        fa = fb
     if lo is None:
         raise SignChangeNotFoundError("no closed-form sign change on (1, 3]")
     for _ in range(200):

@@ -118,17 +118,23 @@ def generate_fixture(label: str, coverage: int = DEFAULT_COVERAGE) -> CoeffRecor
 
 
 def validate(record: CoeffRecord) -> list[Finding]:
-    """Findings for a record: envelope violations are errors, coverage
-    gaps warnings, ramified-prime entries informational."""
+    """Findings for a record: entries at non-primes and envelope
+    violations are errors, coverage gaps warnings, ramified-prime entries
+    informational."""
     findings: list[Finding] = []
     ps, lams = record.ps, record.lams
-    ramified = record.level % ps == 0
-    above = ~ramified
+    ref = sieve.primes_upto(record.coverage())
+    not_prime = ~np.isin(ps, ref, assume_unique=True)
+    ramified = ~not_prime & (record.level % ps == 0)
+    above = ~not_prime & ~ramified
     envelope, _ = satake.kim_sarnak_envelope(ps[above])
     above[above] = np.abs(lams[above]) > envelope + 1e-12
-    for i in np.flatnonzero(ramified | above).tolist():
+    for i in np.flatnonzero(not_prime | ramified | above).tolist():
         p = int(ps[i])
-        if ramified[i]:
+        if not_prime[i]:
+            findings.append(Finding("error", "not-prime", p,
+                                    f"entry at p = {p}, which is not a prime"))
+        elif ramified[i]:
             findings.append(Finding("info", "ramified", p,
                                     f"p = {p} divides the level; excluded from scans"))
         else:
@@ -136,7 +142,6 @@ def validate(record: CoeffRecord) -> list[Finding]:
             findings.append(Finding(
                 "error", "envelope", p,
                 f"|a_p| = {abs(float(lams[i]))} exceeds the bound {bound} at p = {p}"))
-    ref = sieve.primes_upto(record.coverage())
     missing = np.setdiff1d(ref[record.level % ref != 0], ps)
     findings.extend(Finding("warning", "gap", p, f"missing coefficient at p = {p}")
                     for p in missing.tolist())
@@ -174,14 +179,15 @@ def write_cache(record: CoeffRecord, cache_dir=None) -> Path:
 
 
 def _record_from_json_dict(doc: dict) -> CoeffRecord:
+    # exact types, not isinstance: JSON true/false load as bool, an int
     if not isinstance(doc, dict):
         raise CacheParseError("cache document is not an object", field=None)
-    for key, typ in (("schema", int), ("label", str), ("level", int),
-                     ("spectral_parameter", (int, float)),
-                     ("coefficients", list), ("fetched_at", str)):
+    for key, types in (("schema", (int,)), ("label", (str,)), ("level", (int,)),
+                       ("spectral_parameter", (int, float)),
+                       ("coefficients", (list,)), ("fetched_at", (str,))):
         if key not in doc:
             raise CacheParseError(f"missing field {key!r}", field=key)
-        if not isinstance(doc[key], typ):
+        if type(doc[key]) not in types:
             raise CacheParseError(
                 f"field {key!r} has type {type(doc[key]).__name__}", field=key)
     if doc["schema"] != SCHEMA_VERSION:
@@ -191,8 +197,8 @@ def _record_from_json_dict(doc: dict) -> CoeffRecord:
     prev = 0
     for item in doc["coefficients"]:
         if (not isinstance(item, list) or len(item) != 2
-                or not isinstance(item[0], int)
-                or not isinstance(item[1], (int, float))):
+                or type(item[0]) is not int
+                or type(item[1]) not in (int, float)):
             raise CacheParseError(
                 f"bad coefficient entry {item!r}", field="coefficients")
         p = item[0]

@@ -1,6 +1,6 @@
 """Brute-force laboratory for squarefree-supported multiplicative functions.
 
-Everything here is exact enumeration against a smallest-prime-factor
+Everything here is exact enumeration against a prime and squarefree
 table: threshold weights h (chi0 on primes up to a cutoff y, chi1
 beyond), coefficient tables, Dirichlet convolutions and their Moebius
 inversions, the partial sums H(t), the log-weighted sums, the Euler
@@ -14,8 +14,9 @@ integer-valued weights and sizes handled here.
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
 
@@ -25,7 +26,7 @@ from . import dde
 from .errors import (CrossCheckError, InvalidInputError, PreconditionError,
                      ResourceLimitError)
 
-DENSE_LIMIT = 10 ** 7
+LARGE_LIMIT = 10 ** 7      # table limits above this need allow_large=True
 HARD_LIMIT = 2 * 10 ** 8
 
 
@@ -49,38 +50,41 @@ def _squarefree_flags(limit: int, primes: np.ndarray) -> np.ndarray:
     return flags
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class SieveTable:
-    """Immutable factorization tables up to a limit.
+    """Immutable prime and squarefree tables up to a limit.
 
-    spf[n] is the smallest prime factor of n (dense range only); above
-    the dense range the table keeps primes and squarefree flags and
-    factors by trial division over the stored primes.
+    primes and squarefree are read-only arrays.  Factorizations come
+    from trial division over the stored primes; the primes up to
+    sqrt(limit), all that any n <= limit needs, are kept once as a tuple.
     """
 
     limit: int
-    spf: np.ndarray
     squarefree: np.ndarray
     primes: np.ndarray
-    dense_limit: int
+    _root_primes: tuple[int, ...] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.squarefree.flags.writeable = False
+        self.primes.flags.writeable = False
+        k = int(np.searchsorted(self.primes, math.isqrt(self.limit), side="right"))
+        object.__setattr__(self, "_root_primes", tuple(self.primes[:k].tolist()))
 
     def factor(self, n: int) -> dict[int, int]:
-        """Prime factorization {p: e}; O(log n) in the dense range."""
+        """Prime factorization {p: e}, primes ascending."""
         n = int(n)
         if not 1 <= n <= self.limit:
             raise InvalidInputError(f"n must lie in [1, {self.limit}], got {n}")
+        return self._trial_division(n)
+
+    def _trial_division(self, n: int) -> dict[int, int]:
+        """{p: e} by trial division over the stored primes; the cofactor
+        left at the end counts as one prime (exact for n <= limit^2)."""
+        primes = self._root_primes
+        if n > self.limit:
+            primes = itertools.chain(primes, map(int, self.primes[len(primes):]))
         out: dict[int, int] = {}
-        if n <= self.dense_limit:
-            while n > 1:
-                p = int(self.spf[n])
-                e = 0
-                while n % p == 0:
-                    n //= p
-                    e += 1
-                out[p] = e
-            return out
-        for p in self.primes:
-            p = int(p)
+        for p in primes:
             if p * p > n:
                 break
             if n % p == 0:
@@ -102,41 +106,23 @@ class SieveTable:
 
 
 def build_table(limit: int, allow_large: bool = False) -> SieveTable:
-    """Build factorization tables up to limit.
+    """Build the prime and squarefree tables up to limit.
 
     Limits above 10^7 need allow_large=True and are capped at 2*10^8.
-    Nothing is segmented: only the spf array stops at 10^7, while the
-    prime sieve and the squarefree flags are full limit+1 arrays (about
-    400 MB at 2*10^8).
+    Nothing is segmented: the prime sieve and the squarefree flags are
+    full limit+1 arrays (about 400 MB at 2*10^8).
     """
     if limit < 2:
         raise InvalidInputError(f"limit must be >= 2, got {limit}")
     if limit > HARD_LIMIT:
         raise ResourceLimitError(
             f"limit {limit} exceeds the hard cap {HARD_LIMIT}")
-    if limit > DENSE_LIMIT and not allow_large:
+    if limit > LARGE_LIMIT and not allow_large:
         raise ResourceLimitError(
-            f"limit {limit} exceeds {DENSE_LIMIT}; pass allow_large=True")
-
-    dense = min(limit, DENSE_LIMIT)
-    spf = np.zeros(dense + 1, dtype=np.int32)
-    for p in range(2, math.isqrt(dense) + 1):
-        if spf[p] == 0:
-            sl = spf[p * p::p]
-            sl[sl == 0] = p
-    ns = np.arange(dense + 1, dtype=np.int32)
-    unmarked = spf == 0
-    spf[unmarked] = ns[unmarked]
-    spf[0] = spf[1] = 0
-
-    if limit <= DENSE_LIMIT:
-        primes = np.flatnonzero(spf == ns).astype(np.int64)
-        primes = primes[primes >= 2]
-    else:
-        primes = primes_upto(limit)
-    squarefree = _squarefree_flags(limit, primes)
-    return SieveTable(limit=limit, spf=spf, squarefree=squarefree,
-                      primes=primes, dense_limit=dense)
+            f"limit {limit} exceeds {LARGE_LIMIT}; pass allow_large=True")
+    primes = primes_upto(limit)
+    return SieveTable(limit=limit, squarefree=_squarefree_flags(limit, primes),
+                      primes=primes)
 
 
 @dataclass(frozen=True)
@@ -231,23 +217,7 @@ class MultFuncSpec:
 def _coprimality_primes(q: int, table: SieveTable) -> list[int]:
     if q < 1:
         raise InvalidInputError(f"q must be >= 1, got {q}")
-    if q == 1:
-        return []
-    if q <= table.limit:
-        return sorted(table.factor(q))
-    out = []
-    qq = q
-    for p in table.primes:
-        p = int(p)
-        if p * p > qq:
-            break
-        if qq % p == 0:
-            out.append(p)
-            while qq % p == 0:
-                qq //= p
-    if qq > 1:
-        out.append(qq)
-    return out
+    return list(table._trial_division(q))
 
 
 def values_upto(spec: MultFuncSpec, t: float, q: int | None,

@@ -197,3 +197,18 @@ def test_table_format_renders_payload(capsys):
                            "--format", "table")
     assert code == 0
     assert "34/35" in out
+
+
+def test_csv_format_rejected_for_scalar_payloads(capsys):
+    for argv in (["bound", "--levels", "1,2", "--spectral", "1,2"],
+                 ["sieve-verify", "--limit", "1000"],
+                 ["first-zero", "--chi0", "1", "--chi1", "-3"],
+                 ["density-report", "--m", "2"]):
+        code, out, err = run_cli(capsys, *argv, "--format", "csv")
+        assert code == 2 and out == ""
+        assert "json" in err and "table" in err
+    code, out, _ = run_cli(capsys, "sieve-verify", "--limit", "1000",
+                           "--report", "asymptotic", "--y", "10",
+                           "--u-grid", "1.0", "--format", "csv")
+    assert code == 0
+    assert out.splitlines()[1] == "y,u,exact,predicted,rel_error"

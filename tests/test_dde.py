@@ -1,5 +1,10 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate
@@ -101,6 +106,23 @@ def test_analytic_third_segment_against_quadrature():
                 expected = (1 - kappa * math.log(2)) - kappa * val
             assert dde.analytic_segment(spec, u) == pytest.approx(
                 expected, abs=1e-12)
+
+
+def test_dilogarithm_series_against_mpmath():
+    for t in np.linspace(2.0, 3.0, 101):
+        x = 1.0 / float(t)
+        ref = float(mpmath.polylog(2, x))
+        assert abs(dde._li2(x) - ref) <= 1e-15 * ref
+
+
+def test_import_loads_no_scipy():
+    src = str(Path(dde.__file__).resolve().parents[1])
+    code = ("import sys, maasslab; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out.strip() == "[]"
 
 
 @pytest.mark.parametrize("spec", [TWO_FORM, THREE_FORM])

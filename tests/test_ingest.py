@@ -97,13 +97,38 @@ def test_validate_flags_coverage_gap():
 
 
 def test_validate_flags_ramified_entries():
-    # 1 divides every level, so it is reported, not checked against the envelope
+    # 1 divides every level but is no prime: an error, not a ramified entry
     rec = CoeffRecord(label="ram", level=10, spectral_parameter=1.0,
                       ps=[1, 2, 3, 11], lams=[0.5, 0.5, 2.2, 0.1],
                       fetched_at="x", source="fixture")
     findings = ingest.validate(rec)
     assert [(f.kind, f.p) for f in findings] == [
-        ("ramified", 1), ("ramified", 2), ("envelope", 3), ("gap", 7)]
+        ("not-prime", 1), ("ramified", 2), ("envelope", 3), ("gap", 7)]
+    assert findings[0].severity == "error"
+
+
+def _document(coefficients):
+    doc = ingest.generate_fixture("fixture-tempered-1", 10).to_json_dict()
+    return {**doc, "coefficients": coefficients}
+
+
+def test_json_booleans_rejected():
+    # JSON true/false load as Python bools, which are ints
+    for doc, field in ((_document([[True, 0.5], [4, 0.1], [5, 0.2]]), "coefficients"),
+                       (_document([[2, True], [3, 0.1]]), "coefficients"),
+                       ({**_document([[2, 0.5]]), "level": True}, "level")):
+        with pytest.raises(CacheParseError) as exc:
+            ingest._record_from_json_dict(doc)
+        assert exc.value.field == field
+
+
+def test_validate_reports_non_prime_entries():
+    rec = ingest._record_from_json_dict(_document([[4, 0.1], [5, 0.2]]))
+    assert rec.level == 5
+    findings = ingest.validate(rec)
+    assert [(f.severity, f.kind, f.p) for f in findings] == [
+        ("error", "not-prime", 4), ("info", "ramified", 5),
+        ("warning", "gap", 2), ("warning", "gap", 3)]
 
 
 def test_schema_mismatch_reports_field(tmp_path):

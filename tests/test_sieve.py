@@ -46,14 +46,14 @@ def test_prime_count_against_trial_division(table_small):
     assert table_small.prime_count(10 ** 3) == naive(10 ** 3)
 
 
-def test_spf_and_squarefree_flags(table_small):
+def test_factor_and_squarefree_flags(table_small):
     assert table_small.factor(90) == {2: 1, 3: 2, 5: 1}
     assert min(table_small.factor(90)) == 2
     assert not table_small.is_squarefree(90)
     assert table_small.is_squarefree(30)
 
 
-def test_spf_matches_trial_division(table_small):
+def test_factor_smallest_prime_matches_naive_division(table_small):
     rng = random.Random(5)
     for _ in range(1000):
         n = rng.randint(2, table_small.limit)
@@ -71,12 +71,48 @@ def test_build_table_resource_limits():
         sieve.build_table(1)
 
 
-def test_large_table_segmented_path():
-    t = sieve.build_table(2 * 10 ** 7, allow_large=True)
+def test_large_table_beyond_1e7(table_large):
+    t = table_large
     assert t.prime_count(10 ** 6) == 78498
     assert t.factor(2 * 10 ** 7 - 1) and not t.is_squarefree(18 * 10 ** 6)
-    big = 19999999  # prime above the dense prefix
+    big = 19999999  # prime above 10^7
     assert t.factor(big) == {big: 1}
+
+
+def test_coprimality_primes_beyond_table(table_small):
+    # 101 and 103 lie above sqrt(limit): found only by reading past the
+    # primes a factorization of n <= limit needs
+    q = 2 * 101 * 103
+    assert sieve._coprimality_primes(q, table_small) == [2, 101, 103]
+    vals = sieve.values_upto(MultFuncSpec.threshold(10, 2, -2), 500, q, table_small)
+    assert vals[101] == vals[103] == vals[303] == 0.0 and vals[107] == -2.0
+
+
+def test_table_arrays_read_only(table_small):
+    with pytest.raises(ValueError):
+        table_small.primes[0] = 4
+    with pytest.raises(ValueError):
+        table_small.squarefree[4] = True
+    assert table_small.primes[0] == 2 and not table_small.squarefree[4]
+
+
+@given(st.one_of(st.integers(1, 10 ** 7), st.integers(10 ** 7 + 1, 2 * 10 ** 7)))
+def test_factor_property_large_table(table_large, n):
+    fac = table_large.factor(n)
+    assert sorted(fac) == list(fac) and all(e >= 1 for e in fac.values())
+    assert all(table_large.prime_count(p) - table_large.prime_count(p - 1) == 1
+               for p in fac)
+    assert math.prod(p ** e for p, e in fac.items()) == n
+
+
+@given(st.integers(2, 300), st.sampled_from([1.0, 2.0, 3.0, 0.5]),
+       st.sampled_from([-1.0, -2.0, -3.0, -0.25]), st.sampled_from([1, 6, 30, 210]),
+       st.integers(1, 3000))
+def test_values_upto_property_matches_value(table_small, y, chi0, chi1, q, t):
+    spec = MultFuncSpec.threshold(y, chi0, chi1)
+    expected = [spec.value(n, table_small) if math.gcd(n, q) == 1 else 0.0
+                for n in range(1, t + 1)]
+    assert sieve.values_upto(spec, t, q, table_small)[1:].tolist() == expected
 
 
 def test_h_sum_hand_examples(table_small):
