@@ -30,17 +30,17 @@ def _frozen(values, dtype) -> np.ndarray:
     return arr
 
 
-def freeze_coefficients(obj) -> None:
-    """Check and freeze the ps/lams fields of a frozen dataclass instance.
+def checked_coefficients(ps, lams) -> tuple[np.ndarray, np.ndarray]:
+    """Check and freeze a pair of coefficient arrays.
 
     This is the one form of coefficient data: read-only arrays of
-    strictly increasing int64 primes ps and the float64 eigenvalues lams
-    at them.  Arrays already in this form are kept as they are, so a
-    record and the FormMeta built from it share their data.
+    strictly increasing int64 primes ps and the float64 values lams at
+    them.  Arrays already in this form are returned as they are; bad
+    input raises InvalidInputError.
     """
     try:
-        ps = _frozen(obj.ps, np.int64)
-        lams = _frozen(obj.lams, np.float64)
+        ps = _frozen(ps, np.int64)
+        lams = _frozen(lams, np.float64)
     except (TypeError, ValueError, OverflowError) as exc:
         raise InvalidInputError(f"bad coefficient arrays: {exc}") from exc
     if ps.ndim != 1 or lams.shape != ps.shape:
@@ -51,6 +51,13 @@ def freeze_coefficients(obj) -> None:
     if steps.size:
         raise InvalidInputError(
             f"primes not strictly increasing at {int(ps[steps[0] + 1])}")
+    return ps, lams
+
+
+def freeze_coefficients(obj) -> None:
+    """Check and freeze the ps/lams fields of a frozen dataclass instance;
+    a record and the FormMeta built from it share their data."""
+    ps, lams = checked_coefficients(obj.ps, obj.lams)
     object.__setattr__(obj, "ps", ps)
     object.__setattr__(obj, "lams", lams)
 

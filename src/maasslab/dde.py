@@ -23,7 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidInputError, SignChangeNotFoundError, UnsupportedRangeError
+from .errors import (InvalidInputError, NotConvergedError, SignChangeNotFoundError,
+                     UnsupportedRangeError)
 
 STEP_MIN = 1e-7
 STEP_MAX = 1e-2
@@ -153,6 +154,24 @@ def solve(spec: DdeSpec, u_max: float, step: float) -> PiecewiseSolution:
     return sol
 
 
+def _bisect(f, lo: float, hi: float) -> float:
+    """Zero of f on [lo, hi], where f(lo) = 0 or f changes sign, by
+    bisection down to an interval of 1e-15."""
+    f_lo = f(lo)
+    if f_lo == 0.0:
+        return lo
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        f_mid = f(mid)
+        if f_mid == 0.0 or hi - lo < 1e-15:
+            return mid
+        if (f_mid > 0) == (f_lo > 0):
+            lo, f_lo = mid, f_mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 def _locate_zero(sol: PiecewiseSolution) -> float | None:
     """First sign change among grid nodes, refined by bisection."""
     h = sol.grid_step
@@ -160,23 +179,10 @@ def _locate_zero(sol: PiecewiseSolution) -> float | None:
         if k == 0:
             continue
         sign_flip = np.nonzero(np.signbit(seg[1:]) != np.signbit(seg[:-1]))[0]
-        if sign_flip.size == 0:
-            continue
-        j = int(sign_flip[0])
-        lo, hi = k + j * h, k + (j + 1) * h
-        f_lo = _eval_cubic(sol.segments, h, lo)
-        if f_lo == 0.0:
-            return lo
-        for _ in range(200):
-            midp = 0.5 * (lo + hi)
-            f_mid = _eval_cubic(sol.segments, h, midp)
-            if f_mid == 0.0 or hi - lo < 1e-15:
-                return midp
-            if (f_mid > 0) == (f_lo > 0):
-                lo, f_lo = midp, f_mid
-            else:
-                hi = midp
-        return 0.5 * (lo + hi)
+        if sign_flip.size:
+            j = int(sign_flip[0])
+            return _bisect(lambda u: _eval_cubic(sol.segments, h, u),
+                           k + j * h, k + (j + 1) * h)
     return None
 
 
@@ -185,25 +191,29 @@ def first_zero(spec: DdeSpec, tol: float = DEFAULT_FIRST_ZERO_TOL,
     """Smallest u > 1 with sigma(u) = 0, to tolerance tol.
 
     Successive solves with halved integration steps are compared until
-    two estimates differ by less than tol.
+    two estimates differ by less than tol; NotConvergedError is raised
+    when the next halving would take the step below STEP_MIN first.
     """
     if tol < 1e-9:
         raise InvalidInputError(f"tol must be >= 1e-9, got {tol}")
     if not STEP_MIN <= initial_step <= STEP_MAX:
         raise InvalidInputError(f"initial_step out of [{STEP_MIN}, {STEP_MAX}]")
     step = initial_step
-    prev_est = None
+    estimates = []
     while True:
         sol = solve(spec, u_cap, step)
         est = sol.first_zero
         if est is None or est > u_cap:
             raise SignChangeNotFoundError(
                 f"no sign change of sigma below u = {u_cap} at step {step}")
-        if prev_est is not None and abs(est - prev_est) < tol:
+        if estimates and abs(est - estimates[-1]) < tol:
             return est
+        estimates.append(est)
         if step / 2.0 < STEP_MIN:
-            return est
-        prev_est = est
+            raise NotConvergedError(
+                f"first zero not within tol {tol}: last estimates "
+                f"{estimates[-2:]}, the last at step {step}; halving would go "
+                f"below STEP_MIN = {STEP_MIN}")
         step /= 2.0
 
 
@@ -264,26 +274,11 @@ def analytic_segment(spec: DdeSpec, u: float) -> float:
 
 def closed_form_first_zero(spec: DdeSpec) -> float:
     """First zero of the closed-form segments, found by bisection on (1, 3]."""
-    lo = None
     grid = np.linspace(1.0, 3.0, 4001).tolist()
     fa = analytic_segment(spec, grid[0])
     for a, b in zip(grid[:-1], grid[1:]):
         fb = analytic_segment(spec, b)
-        if fa == 0.0:
-            return a
-        if (fa > 0) != (fb > 0):
-            lo, hi, f_lo = a, b, fa
-            break
+        if fa == 0.0 or (fa > 0) != (fb > 0):
+            return _bisect(lambda u: analytic_segment(spec, u), a, b)
         fa = fb
-    if lo is None:
-        raise SignChangeNotFoundError("no closed-form sign change on (1, 3]")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        fm = analytic_segment(spec, mid)
-        if fm == 0.0 or hi - lo < 1e-15:
-            return mid
-        if (fm > 0) == (f_lo > 0):
-            lo, f_lo = mid, fm
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    raise SignChangeNotFoundError("no closed-form sign change on (1, 3]")

@@ -16,12 +16,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import sieve
-from .bounds import FormMeta
+from .bounds import FormMeta, checked_coefficients
 from .errors import CrossCheckError, DataGapError, InvalidInputError
 from .satake import CoeffTriple
 
@@ -230,25 +230,25 @@ def exceptional_scan(family: FormFamily, X: int) -> DensityReport:
         exceptional_primes=primes[exceptional].tolist())
 
 
-def pnt_trend(stream: Mapping[int, float], x_grid: Sequence[int]) -> list[dict]:
+def pnt_trend(ps: np.ndarray, values: np.ndarray,
+              x_grid: Sequence[int]) -> list[dict]:
     """Running averages sum_{p <= X} a_p / pi(X) along a grid of X values.
 
-    Report-only: trends toward 0 for first moments of the symmetric-power
-    coefficients and toward limits <= 1 for their normalized second
-    moments are expected, not asserted.
+    ps and values are coefficient arrays (strictly increasing primes and
+    the values a_p at them, checked by bounds.checked_coefficients) that
+    must cover every prime up to max(x_grid).  Report-only: trends
+    toward 0 for first moments of the symmetric-power coefficients and
+    toward limits <= 1 for their normalized second moments are expected,
+    not asserted.
     """
-    if not stream:
-        raise InvalidInputError("empty coefficient stream")
+    ps, values = checked_coefficients(ps, values)
     x_max = max(x_grid)
-    required = sieve.primes_upto(x_max)
-    missing = [int(p) for p in required if int(p) not in stream]
-    if missing:
+    missing = np.setdiff1d(sieve.primes_upto(x_max), ps, assume_unique=True)
+    if missing.size:
         raise InvalidInputError(
             f"stream must cover all primes <= {x_max}; missing "
-            f"{len(missing)} (first: {missing[:5]})")
-    ps = np.sort(np.fromiter((p for p in stream if p <= x_max), dtype=np.int64))
-    vals = np.array([stream[int(p)] for p in ps])
-    csum = np.cumsum(vals)
+            f"{missing.size} (first: {missing[:5].tolist()})")
+    csum = np.cumsum(values)
     rows = []
     for X in x_grid:
         k = int(np.searchsorted(ps, X, side="right"))

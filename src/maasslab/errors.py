@@ -17,6 +17,10 @@ class SignChangeNotFoundError(MaasslabError, RuntimeError):
     """No sign change was found below the configured cap."""
 
 
+class NotConvergedError(MaasslabError, RuntimeError):
+    """An iterative refinement stopped before meeting its tolerance."""
+
+
 class ResourceLimitError(MaasslabError, RuntimeError):
     """A requested computation exceeds the configured memory/size budget."""
 

@@ -22,7 +22,7 @@ from typing import Mapping
 
 import numpy as np
 
-from . import dde
+from . import bounds, dde
 from .errors import (CrossCheckError, InvalidInputError, PreconditionError,
                      ResourceLimitError)
 
@@ -70,12 +70,15 @@ class SieveTable:
         k = int(np.searchsorted(self.primes, math.isqrt(self.limit), side="right"))
         object.__setattr__(self, "_root_primes", tuple(self.primes[:k].tolist()))
 
-    def factor(self, n: int) -> dict[int, int]:
-        """Prime factorization {p: e}, primes ascending."""
+    def _in_range(self, n: int) -> int:
         n = int(n)
         if not 1 <= n <= self.limit:
             raise InvalidInputError(f"n must lie in [1, {self.limit}], got {n}")
-        return self._trial_division(n)
+        return n
+
+    def factor(self, n: int) -> dict[int, int]:
+        """Prime factorization {p: e}, primes ascending."""
+        return self._trial_division(self._in_range(n))
 
     def _trial_division(self, n: int) -> dict[int, int]:
         """{p: e} by trial division over the stored primes; the cofactor
@@ -98,7 +101,7 @@ class SieveTable:
         return out
 
     def is_squarefree(self, n: int) -> bool:
-        return bool(self.squarefree[int(n)])
+        return bool(self.squarefree[self._in_range(n)])
 
     def prime_count(self, x: float) -> int:
         """pi(x) over the stored primes."""
@@ -130,22 +133,27 @@ class MultFuncSpec:
     """A squarefree-supported multiplicative function.
 
     Kinds: threshold-weight (chi0 at primes <= y, chi1 beyond),
-    coefficient-table (explicit per-prime values, 0 where absent),
-    convolution (Dirichlet product of two specs) and moebius-quotient
-    (the g with numerator = weight * g).  The value at squarefree n is
-    the product of the prime values; non-squarefree n gives 0.
-    q is the default coprimality modulus: values at n with (n, q) > 1
-    are dropped by the summation operations.
+    coefficient-table (values at the primes of read-only sorted arrays
+    ps and values, 0 at primes absent from ps) and moebius-quotient (the
+    g with numerator = weight * g, so g(p) = numerator(p) - weight(p)).
+    prime_values is the one definition of each kind's values at primes;
+    the value at squarefree n is the product of the values at its prime
+    factors, and non-squarefree n gives 0.  q is the default coprimality
+    modulus: values at n with (n, q) > 1 are dropped by the summation
+    operations.
     """
 
     kind: str
     y: int = 0
     chi0: float = 0.0
     chi1: float = 0.0
-    table: Mapping[int, float] | None = None
+    ps: np.ndarray = field(default=(), compare=False)
+    values: np.ndarray = field(default=(), compare=False)
     left: "MultFuncSpec | None" = None
     right: "MultFuncSpec | None" = None
     q: int = 1
+
+    __eq__ = bounds.fields_equal
 
     @classmethod
     def threshold(cls, y: int, chi0: float, chi1: float, q: int = 1) -> "MultFuncSpec":
@@ -156,62 +164,55 @@ class MultFuncSpec:
 
     @classmethod
     def from_table(cls, values: Mapping[int, float], q: int = 1) -> "MultFuncSpec":
-        return cls(kind="coefficient-table", table=dict(values), q=int(q))
-
-    @classmethod
-    def convolution(cls, left: "MultFuncSpec", right: "MultFuncSpec",
-                    q: int = 1) -> "MultFuncSpec":
-        return cls(kind="convolution", left=left, right=right, q=int(q))
+        """Coefficient table from a mapping prime -> value, held as the
+        checked arrays of bounds.checked_coefficients."""
+        primes = sorted(values)
+        ps, vals = bounds.checked_coefficients(primes, [values[p] for p in primes])
+        return cls(kind="coefficient-table", ps=ps, values=vals, q=int(q))
 
     @classmethod
     def moebius_quotient(cls, numerator: "MultFuncSpec", weight: "MultFuncSpec",
                          q: int = 1) -> "MultFuncSpec":
         return cls(kind="moebius-quotient", left=numerator, right=weight, q=int(q))
 
-    def prime_value(self, p: int) -> float:
+    def prime_values(self, ps: np.ndarray) -> np.ndarray:
+        """Values at the primes ps (int64 array) as a float64 array."""
+        ps = np.asarray(ps, dtype=np.int64)
         if self.kind == "threshold-weight":
-            return self.chi0 if p <= self.y else self.chi1
+            return np.where(ps <= self.y, self.chi0, self.chi1)
         if self.kind == "coefficient-table":
-            return float(self.table.get(int(p), 0.0))
-        if self.kind == "convolution":
-            return self.left.prime_value(p) + self.right.prime_value(p)
+            idx = np.searchsorted(self.ps, ps)
+            found = idx < self.ps.size
+            found[found] = self.ps[idx[found]] == ps[found]
+            out = np.zeros(ps.shape)
+            out[found] = self.values[idx[found]]
+            return out
         if self.kind == "moebius-quotient":
-            return self.left.prime_value(p) - self.right.prime_value(p)
+            return self.left.prime_values(ps) - self.right.prime_values(ps)
         raise InvalidInputError(f"unknown spec kind {self.kind!r}")
 
+    def prime_value(self, p: int) -> float:
+        return float(self.prime_values([p])[0])
+
     def prime_value_exact(self, p: int) -> Fraction:
-        if self.kind == "threshold-weight":
-            return Fraction(self.chi0 if p <= self.y else self.chi1)
-        if self.kind == "coefficient-table":
-            return Fraction(self.table.get(int(p), 0.0))
-        if self.kind == "convolution":
-            return self.left.prime_value_exact(p) + self.right.prime_value_exact(p)
+        """The prime value as a rational; the quotient's difference is
+        taken exactly rather than in float64."""
         if self.kind == "moebius-quotient":
             return self.left.prime_value_exact(p) - self.right.prime_value_exact(p)
-        raise InvalidInputError(f"unknown spec kind {self.kind!r}")
+        return Fraction(self.prime_value(p))
 
     def value(self, n: int, table: SieveTable) -> float:
         """Multiplicative value at n; 0 off the squarefree support."""
-        n = int(n)
-        if n == 1:
-            return 1.0
         if not table.is_squarefree(n):
             return 0.0
-        v = 1.0
-        for p in table.factor(n):
-            v *= self.prime_value(p)
-        return v
+        factors = np.fromiter(table.factor(n), dtype=np.int64)
+        return math.prod(self.prime_values(factors).tolist(), start=1.0)
 
     def value_exact(self, n: int, table: SieveTable) -> Fraction:
-        n = int(n)
-        if n == 1:
-            return Fraction(1)
         if not table.is_squarefree(n):
             return Fraction(0)
-        v = Fraction(1)
-        for p in table.factor(n):
-            v *= self.prime_value_exact(p)
-        return v
+        return math.prod(map(self.prime_value_exact, table.factor(n)),
+                         start=Fraction(1))
 
 
 def _coprimality_primes(q: int, table: SieveTable) -> list[int]:
@@ -229,13 +230,8 @@ def values_upto(spec: MultFuncSpec, t: float, q: int | None,
     q_eff = spec.q if q is None else int(q)
     vals = np.where(table.squarefree[:t + 1], 1.0, 0.0)
     ps = table.primes[table.primes <= t]
-    if spec.kind == "threshold-weight":
-        weights = np.where(ps <= spec.y, spec.chi0, spec.chi1)
-        for p, w in zip(ps.tolist(), weights.tolist()):
-            vals[p::p] *= w
-    else:
-        for p in ps.tolist():
-            vals[p::p] *= spec.prime_value(p)
+    for p, w in zip(ps.tolist(), spec.prime_values(ps).tolist()):
+        vals[p::p] *= w
     for p in _coprimality_primes(q_eff, table):
         if p <= t:
             vals[p::p] = 0.0
@@ -292,8 +288,6 @@ def dirichlet_convolve(left: MultFuncSpec, right: MultFuncSpec, n: int,
                        table: SieveTable) -> Fraction:
     """Exact divisor-sum convolution sum_{d|n} left(d) * right(n/d)."""
     n = int(n)
-    if not 1 <= n <= table.limit:
-        raise InvalidInputError(f"n must lie in [1, {table.limit}], got {n}")
     total = Fraction(0)
     for d in _divisors(n, table):
         total += left.value_exact(d, table) * right.value_exact(n // d, table)
@@ -303,15 +297,9 @@ def dirichlet_convolve(left: MultFuncSpec, right: MultFuncSpec, n: int,
 def moebius_factor(b: MultFuncSpec, h: MultFuncSpec, n: int,
                    table: SieveTable) -> Fraction:
     """g(n) with b = h * g (Dirichlet); at primes g(p) = b(p) - h(p)."""
-    n = int(n)
-    if not 1 <= n <= table.limit:
-        raise InvalidInputError(f"n must lie in [1, {table.limit}], got {n}")
     if not table.is_squarefree(n):
         raise InvalidInputError(f"n must be squarefree, got {n}")
-    g = Fraction(1)
-    for p in table.factor(n):
-        g *= b.prime_value_exact(p) - h.prime_value_exact(p)
-    return g
+    return MultFuncSpec.moebius_quotient(b, h).value_exact(n, table)
 
 
 def euler_constant_c(a: int, truncation: int) -> tuple[float, float]:
@@ -412,18 +400,19 @@ def lower_bound_check(b: MultFuncSpec, h: MultFuncSpec, z: float, q: int,
     z_int = int(z)
     if not 2 <= z_int <= table.limit:
         raise InvalidInputError(f"z must lie in [2, {table.limit}], got {z}")
-    for p in table.primes[table.primes <= z_int].tolist():
-        if q % p == 0:
-            continue
-        if b.prime_value(p) - h.prime_value(p) < 0:
-            raise PreconditionError(
-                f"g(p) < 0 at p = {p}: b(p) = {b.prime_value(p)}, "
-                f"h(p) = {h.prime_value(p)}", witness=("g", p))
+    ps = table.primes[table.primes <= z_int]
+    ps = ps[~np.isin(ps, _coprimality_primes(q, table))]
+    b_ps, h_ps = b.prime_values(ps), h.prime_values(ps)
+    bad = np.flatnonzero(b_ps - h_ps < 0)
+    if bad.size:
+        i = bad[0]
+        p = int(ps[i])
+        raise PreconditionError(
+            f"g(p) < 0 at p = {p}: b(p) = {float(b_ps[i])}, "
+            f"h(p) = {float(h_ps[i])}", witness=("g", p))
 
     base = values_upto(h, z_int, q, table)
-    for r in range(1, z_int + 1):
-        if not table.is_squarefree(r):
-            continue
+    for r in np.flatnonzero(table.squarefree[:z_int + 1]).tolist():
         vals = base.copy()
         for p in table.factor(r):
             if q % p != 0:

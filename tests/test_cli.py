@@ -137,6 +137,14 @@ def test_usage_error_exit_code(capsys):
     assert "invalid-input" in err
 
 
+def test_first_zero_unconverged_exit_code(capsys, monkeypatch):
+    monkeypatch.setattr(cli.dde, "STEP_MIN", 1e-3)
+    code, out, err = run_cli(capsys, "first-zero", "--chi0", "2", "--chi1", "-2",
+                             "--tol", "1e-9", "--initial-step", "1e-3")
+    assert code == 1 and out == ""
+    assert err.startswith("error: NotConvergedError: first zero not within tol")
+
+
 def test_help_exists_for_every_subcommand(capsys):
     for sub in ("solve-dde", "first-zero", "sieve-verify", "density-report",
                 "bound", "identity-check", "fetch"):

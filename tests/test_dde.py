@@ -11,8 +11,8 @@ from scipy import integrate
 
 from maasslab import dde
 from maasslab.dde import DdeSpec
-from maasslab.errors import (InvalidInputError, SignChangeNotFoundError,
-                             UnsupportedRangeError)
+from maasslab.errors import (InvalidInputError, NotConvergedError,
+                             SignChangeNotFoundError, UnsupportedRangeError)
 
 TWO_FORM = DdeSpec(2.0, -2.0)
 THREE_FORM = DdeSpec(1.0, -3.0)
@@ -145,11 +145,13 @@ def test_numeric_matches_closed_form_on_third_segment():
 def test_first_zero_two_form():
     z = dde.first_zero(TWO_FORM, tol=1e-6)
     assert z == pytest.approx(2.23528, abs=1e-4)
+    assert z == pytest.approx(2.2352795913785237, abs=1e-15)   # pinned bisection
 
 
 def test_first_zero_three_form_matches_closed_form():
     z = dde.first_zero(THREE_FORM, tol=1e-7)
     assert z == pytest.approx(math.exp(0.25), abs=1e-5)
+    assert z == pytest.approx(1.28402541668774, abs=1e-15)   # pinned bisection
 
 
 def test_first_zero_kappa_two():
@@ -187,11 +189,25 @@ def test_first_zero_rejects_tiny_tol():
         dde.first_zero(TWO_FORM, tol=1e-12)
 
 
+def test_first_zero_unconverged_raises(monkeypatch):
+    # one solve at the smallest step: nothing to compare it with
+    monkeypatch.setattr(dde, "STEP_MIN", 1e-3)
+    with pytest.raises(NotConvergedError,
+                       match=r"\[2\.2352795\d*\], the last at step 0\.001"):
+        dde.first_zero(TWO_FORM, tol=1e-9, initial_step=1e-3)
+    # two solves that differ by more than tol
+    monkeypatch.setattr(dde, "STEP_MIN", 5e-3)
+    with pytest.raises(NotConvergedError,
+                       match=r"\[2\.235\d*, 2\.235\d*\], the last at step 0\.005"):
+        dde.first_zero(TWO_FORM, tol=1e-9, initial_step=1e-2)
+
+
 def test_closed_form_first_zero_values():
     assert dde.closed_form_first_zero(THREE_FORM) == pytest.approx(
         math.exp(0.25), abs=1e-12)
     z = dde.closed_form_first_zero(TWO_FORM)
     assert dde.analytic_segment(TWO_FORM, z) == pytest.approx(0.0, abs=1e-12)
+    assert z == pytest.approx(2.2352795913785175, abs=1e-15)   # pinned bisection
 
 
 def test_nodes_stream_monotone():

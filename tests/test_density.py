@@ -229,8 +229,7 @@ def test_density_report_json_schema():
 
 def test_pnt_trend_constant_stream():
     ps = sieve.primes_upto(10 ** 3)
-    stream = {int(p): 1.0 for p in ps}
-    rows = density.pnt_trend(stream, [10, 100, 1000])
+    rows = density.pnt_trend(ps, np.ones(ps.size), [10, 100, 1000])
     assert all(r["ratio"] == 1.0 for r in rows)
 
 
@@ -239,8 +238,7 @@ def test_pnt_trend_adjoint_stream_decreasing():
     rng = np.random.default_rng(2024)
     thetas = satake.sato_tate_angles(rng, len(ps))
     a_vals = 4 * np.cos(thetas) ** 2 - 1
-    stream = {int(p): float(a) for p, a in zip(ps, a_vals)}
-    rows = density.pnt_trend(stream, [10 ** 3, 10 ** 4, 10 ** 5])
+    rows = density.pnt_trend(ps, a_vals, [10 ** 3, 10 ** 4, 10 ** 5])
     ratios = [abs(r["ratio"]) for r in rows]
     assert ratios[2] < ratios[0]
     assert ratios[2] < 0.05
@@ -251,14 +249,29 @@ def test_pnt_trend_cube_second_moment():
     rng = np.random.default_rng(77)
     thetas = satake.sato_tate_angles(rng, len(ps))
     c = np.cos(thetas)
-    stream = {int(p): float(v) for p, v in zip(ps, (8 * c ** 3 - 4 * c) ** 2)}
-    rows = density.pnt_trend(stream, [10 ** 5])
+    rows = density.pnt_trend(ps, (8 * c ** 3 - 4 * c) ** 2, [10 ** 5])
     assert abs(rows[0]["ratio"] - 1.0) < 0.1
 
 
 def test_pnt_trend_requires_coverage():
-    with pytest.raises(InvalidInputError):
-        density.pnt_trend({2: 1.0, 3: 1.0}, [100])
+    with pytest.raises(InvalidInputError, match=r"missing 23 \(first: \[5, 7, 11"):
+        density.pnt_trend([2, 3], [1.0, 1.0], [100])
+    with pytest.raises(InvalidInputError, match="strictly increasing"):
+        density.pnt_trend([3, 2], [1.0, 1.0], [2])
+    with pytest.raises(InvalidInputError, match="no primes <= 1"):
+        density.pnt_trend([], [], [1])
+
+
+def test_pnt_trend_rows_against_brute_force():
+    # entries beyond the largest X are carried along and ignored
+    ps = sieve.primes_upto(2100)
+    values = np.random.default_rng(5).normal(size=ps.size)
+    rows = density.pnt_trend(ps, values, [2, 500, 2000])
+    for row in rows:
+        below = ps <= row["X"]
+        assert row["pi_X"] == np.count_nonzero(below)
+        assert row["ratio"] == pytest.approx(
+            sum(values[below].tolist()) / row["pi_X"], rel=1e-12)
 
 
 def test_family_assumption_recorded():

@@ -105,14 +105,72 @@ def test_factor_property_large_table(table_large, n):
     assert math.prod(p ** e for p, e in fac.items()) == n
 
 
-@given(st.integers(2, 300), st.sampled_from([1.0, 2.0, 3.0, 0.5]),
-       st.sampled_from([-1.0, -2.0, -3.0, -0.25]), st.sampled_from([1, 6, 30, 210]),
-       st.integers(1, 3000))
-def test_values_upto_property_matches_value(table_small, y, chi0, chi1, q, t):
-    spec = MultFuncSpec.threshold(y, chi0, chi1)
+def test_is_squarefree_range_checked():
+    table = sieve.build_table(10)
+    assert table.is_squarefree(10) and table.is_squarefree(1)
+    for n in (-1, 0, 11):
+        with pytest.raises(InvalidInputError, match=rf"\[1, 10\], got {n}$"):
+            table.is_squarefree(n)
+    with pytest.raises(InvalidInputError):
+        MultFuncSpec.threshold(5, 2, -2).value(-2, table)
+
+
+# small specs of every kind, each with an independent prime-value oracle
+# (the threshold rule or the dict itself) for brute-force comparisons
+_threshold_specs = st.builds(
+    lambda y, chi0, chi1: (MultFuncSpec.threshold(y, chi0, chi1),
+                           lambda p: chi0 if p <= y else chi1),
+    st.integers(2, 300), st.sampled_from([1.0, 2.0, 3.0, 0.5]),
+    st.sampled_from([-1.0, -2.0, -3.0, -0.25]))
+_table_specs = st.dictionaries(
+    st.sampled_from(sieve.primes_upto(400).tolist() + [401, 9973]),
+    st.floats(-4.0, 4.0, allow_nan=False), max_size=40).map(
+    lambda d: (MultFuncSpec.from_table(d), lambda p: d.get(p, 0.0)))
+_quotient_specs = st.tuples(_table_specs, _threshold_specs).map(
+    lambda ab: (MultFuncSpec.moebius_quotient(ab[0][0], ab[1][0]),
+                lambda p: ab[0][1](p) - ab[1][1](p)))
+
+
+@given(st.one_of(_threshold_specs, _table_specs, _quotient_specs),
+       st.sampled_from([1, 6, 30, 210]), st.integers(1, 3000))
+def test_values_upto_property_matches_value(table_small, spec_oracle, q, t):
+    spec, oracle = spec_oracle
     expected = [spec.value(n, table_small) if math.gcd(n, q) == 1 else 0.0
                 for n in range(1, t + 1)]
     assert sieve.values_upto(spec, t, q, table_small)[1:].tolist() == expected
+    ps = table_small.primes[:80]
+    assert spec.prime_values(ps).tolist() == [oracle(p) for p in ps.tolist()]
+
+
+@given(st.one_of(_threshold_specs, _table_specs),
+       st.one_of(_threshold_specs, _table_specs),
+       st.integers(2, 300), st.sampled_from([1, 2, 6, 35, 210]))
+def test_lower_bound_check_g_witness_property(table_small, b_spec, h_spec, z, q):
+    (b, b_at), (h, h_at) = b_spec, h_spec
+    bad = [p for p in table_small.primes[table_small.primes <= z].tolist()
+           if q % p != 0 and b_at(p) - h_at(p) < 0]
+    try:
+        sieve.lower_bound_check(b, h, z, q, table_small)
+        witness = None
+    except PreconditionError as exc:
+        witness = exc.witness
+    if bad:
+        assert witness == ("g", bad[0])
+    else:
+        assert witness is None or witness[0] != "g"
+
+
+def test_from_table_sorted_read_only_arrays():
+    spec = MultFuncSpec.from_table({5: 0.5, 2: -1.0, 3: 2.0})
+    assert spec.ps.tolist() == [2, 3, 5] and spec.values.tolist() == [-1.0, 2.0, 0.5]
+    assert not spec.ps.flags.writeable and not spec.values.flags.writeable
+    assert spec.prime_values([2, 3, 4, 5, 7]).tolist() == [-1.0, 2.0, 0.0, 0.5, 0.0]
+    assert spec == MultFuncSpec.from_table({2: -1.0, 3: 2.0, 5: 0.5})
+    assert spec != MultFuncSpec.from_table({2: -1.0, 3: 2.0, 5: 0.25})
+    assert spec != MultFuncSpec.from_table({2: -1.0, 3: 2.0, 5: 0.5}, q=6)
+    assert MultFuncSpec.from_table({}).prime_value(2) == 0.0
+    with pytest.raises(InvalidInputError):
+        MultFuncSpec.from_table({2: "x"})
 
 
 def test_h_sum_hand_examples(table_small):
