@@ -10,6 +10,7 @@ says so explicitly.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, fields
 from functools import lru_cache
 
@@ -30,6 +31,20 @@ def _frozen(values, dtype) -> np.ndarray:
     return arr
 
 
+def _integer_primes(ps):
+    """ps as given if its entries are integers; bools and floats raise
+    TypeError instead of being truncated by the int64 conversion."""
+    if isinstance(ps, np.ndarray):
+        kinds = {ps.dtype.type} if ps.size else set()
+    else:
+        kinds = set(map(type, ps))
+    bad = sorted(t.__name__ for t in kinds if not issubclass(t, numbers.Integral)
+                 or issubclass(t, (bool, np.bool_)))
+    if bad:
+        raise TypeError(f"primes must be integers, got {', '.join(bad)}")
+    return ps
+
+
 def checked_coefficients(ps, lams) -> tuple[np.ndarray, np.ndarray]:
     """Check and freeze a pair of coefficient arrays.
 
@@ -39,7 +54,7 @@ def checked_coefficients(ps, lams) -> tuple[np.ndarray, np.ndarray]:
     input raises InvalidInputError.
     """
     try:
-        ps = _frozen(ps, np.int64)
+        ps = _frozen(_integer_primes(ps), np.int64)
         lams = _frozen(lams, np.float64)
     except (TypeError, ValueError, OverflowError) as exc:
         raise InvalidInputError(f"bad coefficient arrays: {exc}") from exc

@@ -221,17 +221,41 @@ def _coprimality_primes(q: int, table: SieveTable) -> list[int]:
     return list(table._trial_division(q))
 
 
-def values_upto(spec: MultFuncSpec, t: float, q: int | None,
-                table: SieveTable) -> np.ndarray:
-    """Array v with v[n] = spec value at n for squarefree (n, q) = 1, else 0."""
+def _checked_t(t: float, table: SieveTable) -> int:
     t = int(t)
     if not 1 <= t <= table.limit:
         raise InvalidInputError(f"t must lie in [1, {table.limit}], got {t}")
+    return t
+
+
+def values_upto(spec: MultFuncSpec, t: float, q: int | None,
+                table: SieveTable) -> np.ndarray:
+    """Array v with v[n] = spec value at n for squarefree (n, q) = 1, else 0.
+
+    v starts as the squarefree flags and every multiple of each prime p
+    <= t is multiplied by the value at p.  The primes p <= sqrt(t) do so
+    one strided slice each.  A prime P > sqrt(t) divides n <= t at most
+    once and is then n's largest prime factor, so the large primes go
+    last, one cofactor j at a time: v[j * P] *= value(P) over all
+    P <= t // j in one indexed multiply (the indices are distinct).
+    Each v[n] thus takes its prime values in ascending order, the same
+    product as a loop over all primes, signed zeros included.
+    """
+    t = _checked_t(t, table)
     q_eff = spec.q if q is None else int(q)
     vals = np.where(table.squarefree[:t + 1], 1.0, 0.0)
-    ps = table.primes[table.primes <= t]
-    for p, w in zip(ps.tolist(), spec.prime_values(ps).tolist()):
+    ps = table.primes[:table.prime_count(t)]
+    ws = spec.prime_values(ps)
+    k = table.prime_count(math.isqrt(t))
+    for p, w in zip(ps[:k].tolist(), ws[:k].tolist()):
         vals[p::p] *= w
+    big, big_ws = ps[k:], ws[k:]
+    j = 1
+    while big.size:
+        vals[j * big] *= big_ws
+        j += 1
+        keep = int(np.searchsorted(big, t // j, side="right"))
+        big, big_ws = big[:keep], big_ws[:keep]
     for p in _coprimality_primes(q_eff, table):
         if p <= t:
             vals[p::p] = 0.0
@@ -256,13 +280,11 @@ def log_weighted_sum(spec: MultFuncSpec, x: float, q: int | None,
         return 0.0
     m = int(x)
     vals = values_upto(spec, m, q, table)
-    ns = np.arange(m + 1, dtype=np.float64)
-    ns[0] = 1.0
-    direct = float(np.dot(vals[1:], math.log(x) - np.log(ns[1:])))
+    logs = np.log(np.arange(1, m + 1, dtype=np.float64))   # log n, n = 1..m
+    direct = float(np.dot(vals[1:], math.log(x) - logs))
 
     H = np.cumsum(vals)
-    steps = np.log(ns[2:m + 1]) - np.log(ns[1:m])   # log((k+1)/k), k = 1..m-1
-    integral = float(np.dot(H[1:m], steps))
+    integral = float(np.dot(H[1:m], np.diff(logs)))   # log((k+1)/k), k = 1..m-1
     integral += float(H[m]) * (math.log(x) - math.log(m))
 
     scale = max(abs(direct), abs(integral), 1.0)
@@ -305,9 +327,19 @@ def moebius_factor(b: MultFuncSpec, h: MultFuncSpec, n: int,
 def euler_constant_c(a: int, truncation: int) -> tuple[float, float]:
     """Truncated Euler product c(a) and a bound on its log tail.
 
-    c(a) = (phi(a)/a)^2 * prod_{p not dividing a, p <= truncation}
-    (1 - 1/p)^2 (1 + 2/p).  Each omitted log factor is O(3/p^2), so the
-    tail bound returned is 3 / (truncation * log(truncation)).
+    With T = truncation, returns c_T(a) = (phi(a)/a)^2 * prod_{p not
+    dividing a, p <= T} (1 - 1/p)^2 (1 + 2/p) and the tail bound 3/T:
+    |log c(a) - log c_T(a)| < 3/T for the infinite product c(a)
+    (floating-point rounding of c_T(a) not counted).
+
+    Proof.  (1 - 1/p)^2 (1 + 2/p) = 1 - 3/p^2 + 2/p^3 lies in (0, 1), so
+    each omitted log factor is -log(1 - 3/p^2 + 2/p^3) > 0.  For p >= 3,
+    e^{-s} < 1 - s + s^2/2 at s = 3/p^2 gives e^{-3/p^2} < 1 - 3/p^2 +
+    9/(2 p^4) <= 1 - 3/p^2 + 2/p^3 (since p >= 9/4), so the factor is below
+    3/p^2; for p = 2 it is log 2 < 3/4 = 3/p^2, as e^{3/4} > 1 + 3/4 +
+    9/32 > 2.  Summing over the omitted primes p > T, a subset of the
+    integers n > T: sum_{n > T} 3/n^2 < 3 * integral_T^inf dx/x^2 = 3/T,
+    since 1/n^2 < integral_{n-1}^n dx/x^2.
     """
     if a < 1:
         raise InvalidInputError(f"a must be >= 1, got {a}")
@@ -323,8 +355,7 @@ def euler_constant_c(a: int, truncation: int) -> tuple[float, float]:
         mask &= ps != p
     psf = ps[mask].astype(np.float64)
     log_prod = float(np.sum(2.0 * np.log1p(-1.0 / psf) + np.log1p(2.0 / psf)))
-    tail = 3.0 / (truncation * math.log(truncation))
-    return val * math.exp(log_prod), tail
+    return val * math.exp(log_prod), 3.0 / truncation
 
 
 def euler_constant_c_exact(a: int, truncation: int) -> Fraction:
@@ -376,10 +407,12 @@ def asymptotic_report(y: int, u_grid: list[float], q: int,
     spec = MultFuncSpec.threshold(y, chi0, chi1, q=q)
     c_q, _ = euler_constant_c(q, c_truncation)
     sol = dde.solve(dde.DdeSpec(chi0, chi1), max(u_max, 1.0), 1e-4)
+    ts = [_checked_t(y ** u, table) for u in u_grid]
+    # one fill at the largest t: its prefixes are the arrays of the smaller t
+    vals = values_upto(spec, max(ts), q, table)
     rows = []
-    for u in u_grid:
-        t = y ** u
-        exact = h_sum(spec, t, q, table)
+    for u, t in zip(u_grid, ts):
+        exact = float(np.sum(vals[:t + 1]))
         sigma_u = sol.at(u) if u > 0 else 0.0
         predicted = c_q * sigma_u * math.log(y) * (y ** u)
         rel = abs(exact - predicted) / abs(predicted) if predicted != 0 else math.inf

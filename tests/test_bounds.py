@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from maasslab import bounds
@@ -28,6 +29,19 @@ def test_form_meta_rejects_bad_level():
         FormMeta(0, 1.0)
     with pytest.raises(InvalidInputError):
         FormMeta(2 ** 63, 1.0)
+
+
+def test_checked_coefficients_rejects_bool_and_float_primes():
+    # the int64 conversion would truncate these to [2, 5], [1, 3], ...
+    for ps in ([2.7, 5], [True, 3], [2, np.bool_(True)], np.array([2.0, 5.0]),
+               np.array([True, False]), np.array([2, 5], dtype=object), ["2", 5]):
+        with pytest.raises(InvalidInputError, match="primes must be integers"):
+            bounds.checked_coefficients(ps, [1.0, 2.0])
+    # integers of any width pass; p = 1 is left to ingest.validate to report
+    ps, lams = bounds.checked_coefficients([1, np.int64(2), np.uint8(5)], [1, 2, 3])
+    assert ps.tolist() == [1, 2, 5] and ps.dtype == np.int64
+    assert bounds.checked_coefficients(ps, lams)[0] is ps    # no copy
+    assert FormMeta(1, 1.0, ps=np.array([2, 3], dtype=np.int32), lams=[1, 2]).ps.tolist() == [2, 3]
 
 
 def test_two_form_exponent_exact():

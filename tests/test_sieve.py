@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -26,6 +27,19 @@ def recursive_h_sum(primes, t, q, prime_value):
                 continue
             stack.append((i + 1, prod * p, val * prime_value(p)))
     return total
+
+
+def values_upto_reference(spec, t, q, table):
+    """The per-prime loop values_upto replaced: every multiple of each
+    prime p <= t multiplied by the value at p, primes ascending."""
+    vals = np.where(table.squarefree[:t + 1], 1.0, 0.0)
+    ps = table.primes[table.primes <= t]
+    for p, w in zip(ps.tolist(), spec.prime_values(ps).tolist()):
+        vals[p::p] *= w
+    for p in ps.tolist():
+        if q % p == 0:
+            vals[p::p] = 0.0
+    return vals
 
 
 def test_build_table_small(table_small):
@@ -142,6 +156,35 @@ def test_values_upto_property_matches_value(table_small, spec_oracle, q, t):
     assert spec.prime_values(ps).tolist() == [oracle(p) for p in ps.tolist()]
 
 
+# t where the sqrt(t) split of values_upto moves: around primes, prime
+# squares and prime multiples of the coprimality moduli
+_split_ts = sorted({n + d for p in sieve.primes_upto(100).tolist()
+                    for n in (p * p, 6 * p, 30 * p, 210 * p) for d in (-1, 0, 1)
+                    if n + d <= 10 ** 4})
+_ts = st.one_of(st.integers(1, 10 ** 4), st.sampled_from(_split_ts),
+                st.sampled_from(sieve.primes_upto(10 ** 4).tolist()))
+
+
+@given(st.one_of(_threshold_specs, _table_specs, _quotient_specs),
+       st.sampled_from([1, 6, 30, 210]), _ts)
+def test_values_upto_bytes_match_per_prime_loop(table_small, spec_oracle, q, t):
+    # tobytes tells -0.0 from 0.0, which tolist comparisons cannot
+    spec, _ = spec_oracle
+    assert sieve.values_upto(spec, t, q, table_small).tobytes() == \
+        values_upto_reference(spec, t, q, table_small).tobytes()
+
+
+def test_values_upto_bytes_match_per_prime_loop_1e6(table_medium):
+    rng = np.random.default_rng(4)
+    ps = table_medium.primes[::3].tolist()
+    b = MultFuncSpec.from_table(dict(zip(ps, rng.choice([-2.0, -0.5, 0.0, 1.5], len(ps)))))
+    spec = MultFuncSpec.moebius_quotient(b, MultFuncSpec.threshold(1000, 2, -2))
+    for q in (1, 30):
+        got = sieve.values_upto(spec, 10 ** 6, q, table_medium)
+        assert got.tobytes() == values_upto_reference(spec, 10 ** 6, q, table_medium).tobytes()
+        assert np.signbit(got[got == 0.0]).any()
+
+
 @given(st.one_of(_threshold_specs, _table_specs),
        st.one_of(_threshold_specs, _table_specs),
        st.integers(2, 300), st.sampled_from([1, 2, 6, 35, 210]))
@@ -171,6 +214,9 @@ def test_from_table_sorted_read_only_arrays():
     assert MultFuncSpec.from_table({}).prime_value(2) == 0.0
     with pytest.raises(InvalidInputError):
         MultFuncSpec.from_table({2: "x"})
+    for bad in ({2.5: 1.0, 3: 2.0}, {True: 1.0, 3: 2.0}):   # not truncated to 2 or 1
+        with pytest.raises(InvalidInputError, match="primes must be integers"):
+            MultFuncSpec.from_table(bad)
 
 
 def test_h_sum_hand_examples(table_small):
@@ -227,6 +273,17 @@ def test_log_weighted_dual_routes_random(table_small):
         x = rng.uniform(2, 5000)
         spec = MultFuncSpec.threshold(y, chi0, chi1)
         sieve.log_weighted_sum(spec, x, 1, table_small)  # raises on mismatch
+
+
+@given(st.one_of(_threshold_specs, _table_specs, _quotient_specs),
+       st.sampled_from([1, 6, 30, 210]), st.floats(1.0, 3000.0))
+def test_log_weighted_sum_property_brute_force(table_small, spec_oracle, q, x):
+    spec, _ = spec_oracle
+    terms = [spec.value(n, table_small) * math.log(x / n)
+             for n in range(1, int(x) + 1) if math.gcd(n, q) == 1]
+    scale = sum(map(abs, terms)) + 1.0
+    assert sieve.log_weighted_sum(spec, x, q, table_small) == pytest.approx(
+        math.fsum(terms), rel=0, abs=1e-12 * scale)
 
 
 def test_dirichlet_convolve_at_prime(table_small):
@@ -302,6 +359,23 @@ def test_euler_constant_truncation_stability():
     assert 0 < tail6 < tail5
 
 
+def test_euler_tail_factor_bound_mpmath():
+    # the proven per-prime bound behind the 3/T tail:
+    # -log((1 - 1/p)^2 (1 + 2/p)) < 3/p^2
+    with mpmath.workdps(40):
+        for p in sieve.primes_upto(10 ** 4).tolist():
+            factor = -mpmath.log(1 - mpmath.mpf(3) / p ** 2 + mpmath.mpf(2) / p ** 3)
+            assert 0 < factor < mpmath.mpf(3) / p ** 2
+
+
+def test_euler_tail_bounds_tenfold_truncation():
+    for trunc in (10 ** 3, 10 ** 4):
+        c, tail = sieve.euler_constant_c(1, trunc)
+        c10, _ = sieve.euler_constant_c(1, 10 * trunc)
+        assert tail == 3 / trunc
+        assert 0 < math.log(c) - math.log(c10) <= tail
+
+
 def test_euler_constant_exact_ratio_law():
     rng = random.Random(23)
     small_primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
@@ -344,6 +418,19 @@ def test_asymptotic_report_trend(table_medium):
     err_100 = rows_100[0]["rel_error"]
     err_1000 = rows_1000[2]["rel_error"]
     assert err_1000 < err_100
+
+
+def test_asymptotic_report_rows_equal_h_sum(table_medium):
+    # one fill at the largest t serves every row, bit for bit
+    for y, weights, q in ((1000, (2.0, -2.0), 1), (997, (1.5, -0.75), 30),
+                          (50, (1.3, -2.7), 6)):
+        grid = [0.0, 0.5, 1.0, 1.25, 1.9] if y < 100 else [0.5, 1.0, 1.9]
+        rows = sieve.asymptotic_report(y, grid, q, weights, table_medium)
+        spec = MultFuncSpec.threshold(y, *weights)
+        assert [r["exact"] for r in rows] == [
+            sieve.h_sum(spec, y ** u, q, table_medium) for u in grid]
+    with pytest.raises(InvalidInputError, match="got 0$"):
+        sieve.asymptotic_report(100, [-0.5, 1.0], 1, (2.0, -2.0), table_medium)
 
 
 def test_asymptotic_positive_increasing_below_one(table_medium):
