@@ -33,7 +33,9 @@ def _frozen(values, dtype) -> np.ndarray:
 
 def _integer_primes(ps):
     """ps as given if its entries are integers; bools and floats raise
-    TypeError instead of being truncated by the int64 conversion."""
+    TypeError instead of being truncated by the int64 conversion, and
+    unsigned entries above 2^63 - 1 raise OverflowError instead of
+    wrapping to negatives."""
     if isinstance(ps, np.ndarray):
         kinds = {ps.dtype.type} if ps.size else set()
     else:
@@ -42,6 +44,10 @@ def _integer_primes(ps):
                  or issubclass(t, (bool, np.bool_)))
     if bad:
         raise TypeError(f"primes must be integers, got {', '.join(bad)}")
+    if isinstance(ps, np.ndarray) and ps.dtype.kind == "u" and ps.size:
+        big = ps[ps > np.iinfo(np.int64).max]
+        if big.size:
+            raise OverflowError(f"prime {int(big.flat[0])} exceeds 2^63 - 1")
     return ps
 
 

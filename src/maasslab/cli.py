@@ -37,8 +37,11 @@ def _config_dict(args: argparse.Namespace) -> dict:
     return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
 
 
-def _emit_payload(payload: dict, args) -> None:
-    """Scalar results: JSON by default, aligned key/value in table mode."""
+def _emit_payload(payload: dict, args, pairs_at: tuple[str, ...] = ()) -> None:
+    """Scalar results: JSON by default, aligned key/value in table mode.
+
+    pairs_at is the path of a coefficient-pair list in the JSON document,
+    rendered by ingest.json_text into the same bytes json.dumps gives."""
     fmt = getattr(args, "format", None) or "json"
     if fmt == "table":
         lines = ["# config: " + json.dumps(_config_dict(args), sort_keys=True)]
@@ -48,7 +51,8 @@ def _emit_payload(payload: dict, args) -> None:
         _write_out("\n".join(lines) + "\n", args)
         return
     doc = {"config": _config_dict(args), **payload}
-    text = json.dumps(doc, indent=2, sort_keys=True)
+    text = (ingest.json_text(doc, pairs_at) if pairs_at
+            else json.dumps(doc, indent=2, sort_keys=True))
     _write_out(text + "\n", args)
 
 
@@ -244,7 +248,7 @@ def _cmd_fetch(args) -> int:
                "findings": [{"severity": f.severity, "kind": f.kind,
                              "p": f.p, "message": f.message}
                             for f in findings]}
-    _emit_payload(payload, args)
+    _emit_payload(payload, args, pairs_at=("record", "coefficients"))
     return EXIT_OK if not errors else EXIT_FAIL
 
 

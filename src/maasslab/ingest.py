@@ -7,6 +7,10 @@ remote fetches hit an endpoint configured through the environment and
 fall back to the local cache when the network is down.  Cache files
 are one JSON document per record, written atomically (temp file +
 rename).
+
+Cache files and the `fetch` payload are byte-for-byte the output of
+json.dumps(sort_keys=True, indent=2); json_text produces it without
+json's pure-Python indent encoder.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ ENDPOINT_ENV = "MAASSLAB_ENDPOINT"
 CACHE_DIR_ENV = "MAASSLAB_CACHE_DIR"
 FIXTURE_TIMESTAMP = "2025-01-01T00:00:00Z"
 DEFAULT_COVERAGE = 10 ** 4
+_PAIRS_SENTINEL = "@@maasslab-coefficient-pairs@@"
 
 
 @dataclass(frozen=True)
@@ -142,7 +147,8 @@ def validate(record: CoeffRecord) -> list[Finding]:
             findings.append(Finding(
                 "error", "envelope", p,
                 f"|a_p| = {abs(float(lams[i]))} exceeds the bound {bound} at p = {p}"))
-    missing = np.setdiff1d(ref[record.level % ref != 0], ps)
+    missing = np.setdiff1d(ref[record.level % ref != 0], ps,
+                           assume_unique=True)
     findings.extend(Finding("warning", "gap", p, f"missing coefficient at p = {p}")
                     for p in missing.tolist())
     return findings
@@ -163,10 +169,48 @@ def _cache_path(label: str, cache_dir) -> Path:
     return _cache_dir(cache_dir) / f"{safe}.json"
 
 
+def json_text(doc: dict, path: tuple[str, ...]) -> str:
+    """json.dumps(doc, sort_keys=True, indent=2), character for character,
+    with the list of coefficient pairs at doc[path[0]][path[1]]...
+    rendered by json's C encoder.
+
+    With indent set, json runs a pure-Python encoder over every element;
+    here only the small document around the pairs takes that route.  The
+    compact rendering of the pairs is re-indented at its joints: ","
+    within and between pairs, and "],[" between pairs.  Numbers (NaN and
+    Infinity included) render without either, so this is exact for a
+    non-empty list of non-empty lists of numbers.  A list holding a
+    string, an empty or a nested list, or a document in which the
+    sentinel also occurs elsewhere, takes plain json.dumps.
+    """
+    def stub(node, keys):
+        return ({**node, keys[0]: stub(node[keys[0]], keys[1:])} if keys
+                else _PAIRS_SENTINEL)
+    pairs = doc
+    for key in path:
+        pairs = pairs[key]
+    compact = json.dumps(pairs, separators=(",", ":"))
+    skeleton = json.dumps(stub(doc, path), sort_keys=True, indent=2)
+    marker = json.dumps(_PAIRS_SENTINEL)
+    # with every item a list, one "[" per item rules out nested lists
+    if (not isinstance(pairs, list) or not all(type(p) is list for p in pairs)
+            or '"' in compact or "[]" in compact
+            or compact.count("[") != len(pairs) + 1
+            or skeleton.count(marker) != 1):
+        return json.dumps(doc, sort_keys=True, indent=2)
+    outer = "\n" + "  " * (len(path) + 1)     # pair brackets
+    inner = outer + "  "                       # numbers within a pair
+    body = compact[2:-2].replace(",", "," + inner).replace(
+        "]," + inner + "[", outer + "]," + outer + "[" + inner)
+    rendered = ("[" + outer + "[" + inner + body + outer + "]"
+                + outer[:-2] + "]")
+    return skeleton.replace(marker, rendered, 1)
+
+
 def write_cache(record: CoeffRecord, cache_dir=None) -> Path:
     """Atomic write: readers never observe a partial file."""
     path = _cache_path(record.label, cache_dir)
-    payload = json.dumps(record.to_json_dict(), sort_keys=True, indent=2)
+    payload = json_text(record.to_json_dict(), ("coefficients",))
     fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:

@@ -31,7 +31,13 @@ HARD_LIMIT = 2 * 10 ** 8
 
 
 def primes_upto(n: int) -> np.ndarray:
-    """Primes <= n as an int64 array (plain Eratosthenes)."""
+    """Primes <= n as an int64 array (plain Eratosthenes).
+
+    n above HARD_LIMIT raises ResourceLimitError before anything is
+    allocated: the sieve needs n + 1 bytes."""
+    if n > HARD_LIMIT:
+        raise ResourceLimitError(
+            f"primes up to {n} exceed the hard cap {HARD_LIMIT}")
     if n < 2:
         return np.empty(0, dtype=np.int64)
     flags = np.ones(n + 1, dtype=bool)
@@ -399,6 +405,10 @@ def asymptotic_report(y: int, u_grid: list[float], q: int,
     """
     if y < 2:
         raise InvalidInputError(f"y must be >= 2, got {y}")
+    bad_u = [u for u in u_grid if not u >= 0]
+    if bad_u:
+        raise InvalidInputError(
+            f"u must be >= 0, got u = {bad_u[0]} in the grid {u_grid}")
     chi0, chi1 = weights
     u_max = max(u_grid)
     if y ** u_max > table.limit:

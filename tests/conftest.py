@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from maasslab import sieve
@@ -16,3 +17,17 @@ def table_medium():
 @pytest.fixture(scope="session")
 def table_large():
     return sieve.build_table(2 * 10 ** 7, allow_large=True)
+
+
+@pytest.fixture
+def no_huge_ones(monkeypatch):
+    """np.ones that fails, without allocating, when asked for more than
+    sieve.HARD_LIMIT + 1 entries: a primes_upto call past the cap makes the
+    test fail instead of exhausting memory."""
+    real = np.ones
+
+    def ones(shape, *args, **kwargs):
+        assert np.prod(shape, dtype=object) <= sieve.HARD_LIMIT + 1, \
+            f"np.ones{(shape,)} past the cap"
+        return real(shape, *args, **kwargs)
+    monkeypatch.setattr(np, "ones", ones)

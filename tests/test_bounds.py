@@ -44,6 +44,15 @@ def test_checked_coefficients_rejects_bool_and_float_primes():
     assert FormMeta(1, 1.0, ps=np.array([2, 3], dtype=np.int32), lams=[1, 2]).ps.tolist() == [2, 3]
 
 
+def test_checked_coefficients_rejects_uint64_above_int64():
+    # the int64 conversion would wrap 2^63 + 5 to -9223372036854775803
+    with pytest.raises(InvalidInputError, match="9223372036854775813"):
+        bounds.checked_coefficients(np.array([2 ** 63 + 5], dtype=np.uint64), [1.0])
+    ps, _ = bounds.checked_coefficients(np.array([2, 2 ** 63 - 1], dtype=np.uint64),
+                                        [1.0, 2.0])
+    assert ps.tolist() == [2, 2 ** 63 - 1]
+
+
 def test_two_form_exponent_exact():
     assert bounds.least_prime_exponent(2) == 0.447374
 

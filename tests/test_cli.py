@@ -1,7 +1,8 @@
+import hashlib
 import json
 import os
 
-from maasslab import cli
+from maasslab import cli, ingest
 
 
 def run_cli(capsys, *argv):
@@ -102,6 +103,19 @@ def test_fetch_fixture(tmp_path, capsys):
     assert (tmp_path / "fixture-tempered-1.json").exists()
 
 
+# sha256 of `fetch --label fixture-mixed-1 --coverage 10000 --cache-dir cache`
+FETCH_STDOUT_SHA256 = "e9bc657851237e7a729b07f4397b7148ffb3ffc4e7eac29cc16c7f44783cb44d"
+
+
+def test_fetch_stdout_bytes_pinned(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)     # the config echo shows cache_dir as given
+    code, out, _ = run_cli(capsys, "fetch", "--label", "fixture-mixed-1",
+                           "--coverage", "10000", "--cache-dir", "cache")
+    assert code == 0
+    assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+    assert hashlib.sha256(out.encode()).hexdigest() == FETCH_STDOUT_SHA256
+
+
 def test_fetch_unknown_label_exit_code(tmp_path, capsys, monkeypatch):
     monkeypatch.delenv("MAASSLAB_ENDPOINT", raising=False)
     code, _, err = run_cli(capsys, "fetch", "--label", "nope",
@@ -188,6 +202,29 @@ def test_resource_limit_exit_code(capsys):
     code, _, err = run_cli(capsys, "sieve-verify", "--limit", "20000000")
     assert code == 4
     assert "resource-limit" in err
+
+
+def test_asymptotic_negative_u_names_u_and_grid(capsys):
+    code, out, err = run_cli(capsys, "sieve-verify", "--report", "asymptotic",
+                             "--y", "100", "--u-grid=-0.5,1.0", "--limit", "100000")
+    assert code == 2 and out == ""
+    assert err == ("error: invalid-input: u must be >= 0, got u = -0.5 "
+                   "in the grid [-0.5, 1.0]\n")
+
+
+def test_prime_sieve_past_cap_exit_code(tmp_path, capsys, monkeypatch, no_huge_ones):
+    code, _, err = run_cli(capsys, "density-report", "--scan-labels",
+                           "fixture-mixed-1,fixture-mixed-2", "--x", str(10 ** 12),
+                           "--cache-dir", str(tmp_path))
+    assert code == 4 and "resource-limit" in err
+    # one entry at a huge p would size validate's reference sieve at p + 1 bytes
+    far = ingest.CoeffRecord(label="far", level=1, spectral_parameter=1.0,
+                             ps=[2, 10 ** 12 + 39], lams=[0.1, 0.2],
+                             fetched_at="x", source="remote")
+    monkeypatch.setattr(ingest, "_fetch_remote", lambda *_: far)
+    code, out, err = run_cli(capsys, "fetch", "--label", "far", "--cache-dir",
+                             str(tmp_path), "--endpoint", "http://127.0.0.1:1/")
+    assert code == 4 and out == "" and "resource-limit" in err
 
 
 def test_table_format_renders_grid(capsys):

@@ -6,6 +6,7 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from maasslab import density, ingest
 from maasslab.bounds import FormMeta
@@ -303,3 +304,40 @@ def test_fetch_remote_over_http(tmp_path, local_endpoint):
     with pytest.raises(CacheParseError):
         ingest.fetch("remote-form-3", coverage=1000, cache_dir=tmp_path,
                      endpoint=url)
+
+
+_SENTINEL = ingest._PAIRS_SENTINEL
+_numbers = st.one_of(
+    st.integers(-2 ** 70, 2 ** 70),
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.sampled_from([float("nan"), float("inf"), -float("inf"), -0.0, 5e-324,
+                     2 ** 63, 2 ** 64 + 1]))
+_labels = st.one_of(
+    st.text(),
+    st.sampled_from([_SENTINEL, f'"{_SENTINEL}"', 'a"b\\c\\"',
+                     "\u00e9\u2713\U0001f600"]),
+    st.builds(lambda a, b: a + _SENTINEL + b, st.text(), st.text()))
+
+
+# lists that are not all number pairs take the plain json.dumps route
+_other_lists = st.one_of(
+    st.lists(st.lists(st.one_of(_numbers, st.text(max_size=3),
+                                st.sampled_from([",", "],[", None, True, {}])),
+                      min_size=1, max_size=3), min_size=1, max_size=5),
+    st.lists(st.one_of(_numbers, st.lists(
+        st.one_of(_numbers, st.lists(_numbers, max_size=2)), max_size=3)),
+        max_size=5))
+
+
+@given(pairs=st.one_of(st.lists(st.lists(_numbers, min_size=2, max_size=2),
+                                max_size=30), _other_lists),
+       label=_labels, level=st.integers(1, 10 ** 6))
+def test_json_text_matches_indented_json_dumps(pairs, label, level):
+    doc = {"schema": 1, "label": label, "level": level, "spectral_parameter": 1.5,
+           "coefficients": pairs, "fetched_at": label, "source": "remote"}
+    assert ingest.json_text(doc, ("coefficients",)) == json.dumps(
+        doc, sort_keys=True, indent=2)
+    payload = {"config": {"label": label, "cache_dir": None},
+               "findings": [{"message": label, "p": None}], "record": doc}
+    assert ingest.json_text(payload, ("record", "coefficients")) == json.dumps(
+        payload, sort_keys=True, indent=2)

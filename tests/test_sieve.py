@@ -85,6 +85,15 @@ def test_build_table_resource_limits():
         sieve.build_table(1)
 
 
+def test_primes_upto_capped_before_allocating(no_huge_ones):
+    for call in (lambda: sieve.primes_upto(sieve.HARD_LIMIT + 1),
+                 lambda: sieve.primes_upto(10 ** 12),
+                 lambda: sieve.euler_constant_c(1, 10 ** 12)):
+        with pytest.raises(ResourceLimitError, match="hard cap"):
+            call()
+    assert sieve.primes_upto(sieve.HARD_LIMIT // 10 ** 6).size == 46
+
+
 def test_large_table_beyond_1e7(table_large):
     t = table_large
     assert t.prime_count(10 ** 6) == 78498
@@ -429,8 +438,9 @@ def test_asymptotic_report_rows_equal_h_sum(table_medium):
         spec = MultFuncSpec.threshold(y, *weights)
         assert [r["exact"] for r in rows] == [
             sieve.h_sum(spec, y ** u, q, table_medium) for u in grid]
-    with pytest.raises(InvalidInputError, match="got 0$"):
-        sieve.asymptotic_report(100, [-0.5, 1.0], 1, (2.0, -2.0), table_medium)
+    for grid, bad in (([-0.5, 1.0], "-0.5"), ([1.0, float("nan")], "nan")):
+        with pytest.raises(InvalidInputError, match=f"u = {bad} in the grid"):
+            sieve.asymptotic_report(100, grid, 1, (2.0, -2.0), table_medium)
 
 
 def test_asymptotic_positive_increasing_below_one(table_medium):
