@@ -80,6 +80,21 @@ def _emit_grid(header: list[str], rows: list[tuple], args) -> None:
     _write_out("\n".join(lines) + "\n", args)
 
 
+def _comma_list(text: str, kind, option: str) -> list:
+    """The comma-separated items of an option's value, each converted by
+    kind (int or float); an item that does not convert is a usage error
+    naming the option and the item."""
+    out = []
+    for item in text.split(","):
+        try:
+            out.append(kind(item))
+        except ValueError:
+            raise InvalidInputError(
+                f"{option} takes comma-separated "
+                f"{'integers' if kind is int else 'numbers'}, got {item!r}") from None
+    return out
+
+
 def _csv_cell(v) -> str:
     if isinstance(v, float):
         return repr(v)
@@ -117,7 +132,7 @@ def _cmd_first_zero(args) -> int:
 def _cmd_sieve_verify(args) -> int:
     table = sieve.build_table(args.limit, allow_large=args.allow_large)
     if args.report == "asymptotic":
-        u_grid = [float(u) for u in args.u_grid.split(",")]
+        u_grid = _comma_list(args.u_grid, float, "--u-grid")
         rows = sieve.asymptotic_report(args.y, u_grid, args.q,
                                        (args.chi0, args.chi1), table)
         _emit_grid(["y", "u", "exact", "predicted", "rel_error"],
@@ -199,8 +214,8 @@ def _cmd_density_report(args) -> int:
 
 
 def _cmd_bound(args) -> int:
-    levels = [int(x) for x in args.levels.split(",")]
-    ts = [float(x) for x in args.spectral.split(",")]
+    levels = _comma_list(args.levels, int, "--levels")
+    ts = _comma_list(args.spectral, float, "--spectral")
     if len(levels) != len(ts):
         raise InvalidInputError(
             f"{len(levels)} levels but {len(ts)} spectral parameters")

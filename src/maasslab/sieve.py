@@ -14,6 +14,7 @@ integer-valued weights and sizes handled here.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -228,6 +229,8 @@ def _coprimality_primes(q: int, table: SieveTable) -> list[int]:
 
 
 def _checked_t(t: float, table: SieveTable) -> int:
+    if not math.isfinite(t):
+        raise InvalidInputError(f"t must lie in [1, {table.limit}], got {t}")
     t = int(t)
     if not 1 <= t <= table.limit:
         raise InvalidInputError(f"t must lie in [1, {table.limit}], got {t}")
@@ -280,8 +283,8 @@ def log_weighted_sum(spec: MultFuncSpec, x: float, q: int | None,
     The direct sum and the exact piecewise-constant integral of H(t)/t
     must agree to 1e-9 relative; disagreement raises CrossCheckError.
     """
-    if x < 1.0:
-        raise InvalidInputError(f"x must be >= 1, got {x}")
+    if not (math.isfinite(x) and x >= 1.0):
+        raise InvalidInputError(f"x must be finite and >= 1, got {x}")
     if x == 1.0:
         return 0.0
     m = int(x)
@@ -431,18 +434,184 @@ def asymptotic_report(y: int, u_grid: list[float], q: int,
     return rows
 
 
+def _partial_sums(base: np.ndarray, primes, length: int) -> np.ndarray:
+    """H_r(t) for t < length: the running sum of base[:length] with the
+    multiples of each prime of r zeroed."""
+    vals = base[:length].copy()
+    for p in primes:
+        vals[p::p] = 0.0
+    return np.cumsum(vals, out=vals)
+
+
+def _sweep_margin(base: np.ndarray, ws: np.ndarray, z: int) -> float:
+    """The margin M of lower_bound_check, or inf where the values ws of h
+    leave the range in which it is proven."""
+    k = z.bit_length()            # > log2 z >= the prime factors of any n <= z
+    nonzero = np.abs(ws[ws != 0])
+    if not np.all(np.isfinite(nonzero)):
+        return math.inf
+    w_max = float(np.max(nonzero, initial=1.0))      # W of the proof
+    w_min = float(np.min(nonzero, initial=1.0))
+    if (k + 1) * math.log2(w_max) > 900 or k * math.log2(w_min) < -900:
+        return math.inf
+    gamma = z * 2.0 ** -53 / (1 - z * 2.0 ** -53)
+    return 9 * w_max * gamma * float(np.sum(np.abs(base))) + 2.0 ** -1074
+
+
+def _children_minima(base: np.ndarray, s_primes: tuple, Ps: np.ndarray,
+                     Ws: np.ndarray, z: int) -> np.ndarray:
+    """min over 1 <= t <= z of the Buchstab estimate R_r(t) for each child
+    r = s P of the parent s: P in Ps (ascending, above the primes of s)
+    with h(P) in Ws.  See lower_bound_check."""
+    H = _partial_sums(base, s_primes, z + 1)
+    M = z // Ps
+    # Ps ascends, so the children with P <= sqrt(z), and those with a
+    # full block (2 P <= z), are prefixes
+    n_small = int(np.searchsorted(Ps, math.isqrt(z), side="right"))
+    n_full = int(np.searchsorted(Ps, z // 2, side="right"))
+    # two buffers: prefix and suffix minima of H_s first, then the levels
+    bufs = (np.empty(z + 1), np.empty(z + 1))
+    # t < P, where R_r(t) = H_s(t)
+    top = int(Ps[-1])
+    est = np.minimum.accumulate(H[1:top], out=bufs[0][1:top])[Ps - 2]
+    # the last block [M P, z], for P > sqrt(z) from suffix minima, with the
+    # factor H_r(M) = H_s(M) as M < P
+    suffix = np.minimum.accumulate(H[::-1], out=bufs[1][::-1])[::-1]
+    big = slice(n_small, None)
+    est[big] = np.minimum(
+        est[big], suffix[M[big] * Ps[big]] - Ws[big] * H[M[big]])
+    # the full blocks [m P, m P + P - 1], 0 < m < M: each is the union of
+    # the two windows of width 2^k = 2^floor(log2 P) at its ends, and
+    # level[i] = min H_s[i : i + 2^k] is built one k at a time, the two
+    # buffers alternating
+    level, n = H, z + 1
+    for k in range(1, int(Ps[n_full - 1]).bit_length() if n_full else 1):
+        width = 1 << k
+        n -= width // 2
+        level = np.minimum(level[:n], level[width // 2:width // 2 + n],
+                           out=bufs[k % 2][:n])
+        lo, hi = np.searchsorted(Ps, (width, 2 * width))
+        # P <= sqrt(z): H_r(m), m <= M, from the partial sums of r
+        for i in range(lo, min(hi, n_small)):
+            p, w, m = int(Ps[i]), Ws[i], int(M[i])
+            X = _partial_sums(base, s_primes + (p,), m + 1)
+            blocks = np.minimum(level[p:m * p:p], level[2 * p - width::p][:m - 1])
+            blocks -= w * X[1:m]
+            est[i] = min(est[i], blocks.min(), H[m * p:].min() - w * X[m])
+        # P > sqrt(z): H_r(m) = H_s(m), all blocks of the level at once
+        lo, hi = max(lo, n_small), min(hi, n_full)
+        if lo < hi:
+            counts = M[lo:hi] - 1
+            first = np.cumsum(counts) - counts
+            owner = np.repeat(np.arange(lo, hi), counts)
+            m = np.arange(owner.size) - first[owner - lo] + 1
+            starts = Ps[owner] * m
+            blocks = np.minimum(level[starts], level[starts + (Ps[owner] - width)])
+            blocks -= Ws[owner] * H[m]
+            est[lo:hi] = np.minimum(est[lo:hi], np.minimum.reduceat(blocks, first))
+    return est
+
+
+def _first_negative_modulus(base: np.ndarray, ps: np.ndarray, ws: np.ndarray,
+                            z: int) -> int | None:
+    """The smallest squarefree r <= z coprime to q with some H_r(t) < 0,
+    or None; base is values_upto(h, z, q), ps the primes <= z coprime to
+    q and ws the values of h there.  See lower_bound_check."""
+    if _partial_sums(base, (), z + 1)[1:].min() < 0:
+        return 1
+    margin = _sweep_margin(base, ws, z)
+    best = z + 1
+    parents = [(1, ())]
+    while parents:
+        s, s_primes = heapq.heappop(parents)
+        if s >= best:
+            break
+        lo = int(np.searchsorted(ps, s_primes[-1], side="right")) if s_primes else 0
+        hi = int(np.searchsorted(ps, (best - 1) // s, side="right"))
+        if lo >= hi:
+            continue
+        Ps = ps[lo:hi]
+        est = _children_minima(base, s_primes, Ps, ws[lo:hi], z)
+        for i in np.flatnonzero(est < margin).tolist():
+            r_primes = s_primes + (int(Ps[i]),)
+            if (est[i] < -margin
+                    or _partial_sums(base, r_primes, z + 1)[1:].min() < 0):
+                best = s * r_primes[-1]
+                break
+        # the children r = s P that are parents: r P' < best for the next
+        # prime P' after P
+        top = int(np.searchsorted(ps, math.isqrt(best // s), side="right")) + 1
+        for p, p_next in zip(ps[lo:top].tolist(), ps[lo + 1:top + 1].tolist()):
+            if s * p * p_next >= best:
+                break
+            heapq.heappush(parents, (s * p, s_primes + (p,)))
+    return best if best <= z else None
+
+
 def lower_bound_check(b: MultFuncSpec, h: MultFuncSpec, z: float, q: int,
                       table: SieveTable) -> bool:
     """Check S(z) >= sum of h(n) log(z/n) after verifying the preconditions.
 
-    Preconditions (verified by enumeration, violations raise
-    PreconditionError with a witness): g = b/h has g(p) >= 0 for all
-    primes p <= z with p coprime to q, and the partial sums of h stay
-    nonnegative for every coprimality modulus r*q with r <= z.
+    Preconditions (verified exactly, violations raise PreconditionError
+    with a witness): g = b/h has g(p) >= 0 for all primes p <= z with p
+    coprime to q, and the partial sums of h stay nonnegative for every
+    coprimality modulus r*q with r <= z.  The partial sums are those of
+    v = values_upto(h, z, q): H_r(t) = v[0] + ... + v[t] added in order
+    in float64, with v[n] taken as 0 where (n, r) > 1.  The witness is
+    (t, r) for the smallest squarefree r with min_t H_r(t) < 0 and the
+    first t of that minimum, as an r-by-r scan would report it.  A prime
+    of r that divides q changes nothing, so only r coprime to q are swept.
+
+    Sweep.  Each such r > 1 is s P with P its largest prime, and in exact
+    arithmetic the Buchstab identity H_r(t) = H_s(t) - h(P) H_r(floor(t/P))
+    holds, as the squarefree n coprime to s and divisible by P are the P m
+    with m squarefree and (m, r) = 1.  So H_r is H_s minus a constant on
+    each block [m P, m P + P - 1], and min_t H_r(t) = min over m of (min of
+    H_s over block m) - h(P) H_r(m), with H_r(0) = 0.  For P > sqrt(z),
+    m <= z/P < P and H_r(m) = H_s(m); for P <= sqrt(z), H_r(m) is summed
+    up to z // P.  The parents s (those with a child s P <= z) are visited
+    in ascending order from a heap, each with H_s in full and the block
+    minima of all its children from a doubling table of H_s built one
+    level at a time: O(z log z) per parent, against O(z) per r for the
+    scan.  Early exit: once s is at or above the smallest failing r
+    found, every r left is larger.  In float64 the minimum over the
+    blocks is an estimate R_r of min_t H_r(t) within a margin M (below):
+    R_r >= M passes r, R_r < -M fails it, and r in between takes its own
+    partial sums.  The witness t is read off the partial sums of the
+    failing r.
+
+    Margin.  Let u = 2^-53, gamma = z u / (1 - z u), A = sum |v[n]|,
+    W = max(1, |h(p)|) over the primes p <= z coprime to q, and
+    K = bit_length(z) > the number of prime factors of any n <= z.  If
+    every nonzero |h(p)| lies in [2^(-900/K), 2^(900/(K+1))], then
+    |R_r(t) - H_r(t)| <= 8.01 W gamma A + 2^-1074 for every t, and M is
+    9 W gamma A + 2^-1074 (its own few roundings stay inside the 9);
+    otherwise M = inf and every r takes its own partial sums.  Proof.
+    Let D_r(t) be the exact sum of the same floats v[n].  (a) A float
+    sum of t + 1 terms added in order is within gamma_t <= gamma times the
+    sum of their magnitudes, so |H_r(t) - D_r(t)| <= gamma A.  (b)
+    values_upto multiplies the prime values of n in ascending order from
+    1.0; every partial product lies between 2^-900 and 2^900 or is 0, so
+    nothing underflows or overflows and v[n] = e(n) (1 + theta) with
+    |theta| <= gamma, e(n) the exact product.  Then |v[P m] - h(P) v[m]|
+    <= 2 gamma |e(P m)| <= 2.001 gamma |v[P m]|, and summing over m' <= m
+    with (m', r) = 1, D_s(t) - D_r(t) = h(P) D_r(m) + E with |E| <=
+    2.001 gamma A.  (c) R_r(t) = fl(H_s(t) - fl(h(P) x)) with x = H_r(m) as
+    summed, so |x - D_r(m)| <= gamma A by (a) and |x| <= (1 + gamma) A.
+    The product's rounding costs at most u W (1 + gamma) A + 2^-1075
+    (underflow), W |x - D_r(m)| <= W gamma A, and the subtraction (exact
+    if subnormal) at most u (1 + gamma) (1 + W (1 + u)) A.  Adding (a)
+    for H_s(t) and for H_r(t), E, and these gives at most
+    (5.002 + 3.004 W) gamma A + 2^-1074 <= 8.01 W gamma A + 2^-1074,
+    since u <= gamma <= 2^-24 for z <= 2^28.  The estimate is exactly
+    min_t R_r(t): min is exact, and fl(a - c) is nondecreasing in a, so
+    subtracting after the block minimum gives the minimum of the
+    differences.  Hence min_t H_r(t) >= R_r - M >= 0 when R_r >= M, and
+    H_r(t) <= R_r + M < 0 at the argmin when R_r < -M.
     """
-    z_int = int(z)
-    if not 2 <= z_int <= table.limit:
+    if not (math.isfinite(z) and 2 <= int(z) <= table.limit):
         raise InvalidInputError(f"z must lie in [2, {table.limit}], got {z}")
+    z_int = int(z)
     ps = table.primes[table.primes <= z_int]
     ps = ps[~np.isin(ps, _coprimality_primes(q, table))]
     b_ps, h_ps = b.prime_values(ps), h.prime_values(ps)
@@ -455,17 +624,13 @@ def lower_bound_check(b: MultFuncSpec, h: MultFuncSpec, z: float, q: int,
             f"h(p) = {float(h_ps[i])}", witness=("g", p))
 
     base = values_upto(h, z_int, q, table)
-    for r in np.flatnonzero(table.squarefree[:z_int + 1]).tolist():
-        vals = base.copy()
-        for p in table.factor(r):
-            if q % p != 0:
-                vals[p::p] = 0.0
-        H = np.cumsum(vals)
+    r = _first_negative_modulus(base, ps, h_ps, z_int)
+    if r is not None:
+        H = _partial_sums(base, table.factor(r), z_int + 1)
         worst = int(np.argmin(H[1:])) + 1
-        if H[worst] < 0:
-            raise PreconditionError(
-                f"partial sum of h negative at t = {worst} for r = {r}",
-                witness=(worst, r))
+        raise PreconditionError(
+            f"partial sum of h negative at t = {worst} for r = {r}",
+            witness=(worst, r))
 
     lhs = log_weighted_sum(b, z, q, table)
     rhs = log_weighted_sum(h, z, q, table)

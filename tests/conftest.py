@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from maasslab import sieve
+
+# CI runs `pytest --hypothesis-profile=ci`: the same examples on every run,
+# and no per-example deadline on slow runners
+settings.register_profile("ci", derandomize=True, deadline=None)
 
 
 @pytest.fixture(scope="session")

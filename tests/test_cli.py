@@ -212,6 +212,24 @@ def test_asymptotic_negative_u_names_u_and_grid(capsys):
                    "in the grid [-0.5, 1.0]\n")
 
 
+def test_bound_bad_list_item_exit_code(capsys):
+    for argv, option, item in (
+            (["--levels", "5,x", "--spectral", "1,2"], "--levels", "'x'"),
+            (["--levels", "5,7", "--spectral", "1,2y"], "--spectral", "'2y'")):
+        code, out, err = run_cli(capsys, "bound", *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: invalid-input: ")
+        assert option in err and item in err
+
+
+def test_asymptotic_bad_u_grid_item_exit_code(capsys):
+    code, out, err = run_cli(capsys, "sieve-verify", "--report", "asymptotic",
+                             "--u-grid", "0.5,x", "--limit", "1000")
+    assert code == 2 and out == ""
+    assert err == ("error: invalid-input: --u-grid takes comma-separated "
+                   "numbers, got 'x'\n")
+
+
 def test_prime_sieve_past_cap_exit_code(tmp_path, capsys, monkeypatch, no_huge_ones):
     code, _, err = run_cli(capsys, "density-report", "--scan-labels",
                            "fixture-mixed-1,fixture-mixed-2", "--x", str(10 ** 12),

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -5,11 +6,11 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from maasslab import satake, sieve
-from maasslab.errors import (InvalidInputError, PreconditionError,
-                             ResourceLimitError)
+from maasslab.errors import (CrossCheckError, InvalidInputError,
+                             PreconditionError, ResourceLimitError)
 from maasslab.sieve import MultFuncSpec
 
 
@@ -509,6 +510,172 @@ def test_lower_bound_check_witness_on_violation(table_small):
     with pytest.raises(PreconditionError) as exc:
         sieve.lower_bound_check(b, h, 500, 1, table_small)
     assert exc.value.witness == ("g", 2)
+
+
+def positivity_sweep_reference(h, z, q, table):
+    """The r-by-r scan lower_bound_check replaced: for every squarefree
+    r <= z, the running sum of h's values with the multiples of r's
+    primes zeroed.  Returns the first (t, r) witness with its message, or
+    None."""
+    base = sieve.values_upto(h, z, q, table)
+    for r in np.flatnonzero(table.squarefree[:z + 1]).tolist():
+        vals = base.copy()
+        for p in table.factor(r):
+            if q % p != 0:
+                vals[p::p] = 0.0
+        H = np.cumsum(vals)
+        worst = int(np.argmin(H[1:])) + 1
+        if H[worst] < 0:
+            return ((worst, r),
+                    f"partial sum of h negative at t = {worst} for r = {r}")
+    return None
+
+
+def sweep_outcome(h, z, q, table):
+    """The positivity verdict of lower_bound_check(h, h, ...), whose g
+    check passes: the witness and message it raises, or None."""
+    try:
+        sieve.lower_bound_check(h, h, z, q, table)
+    except PreconditionError as exc:
+        return exc.witness, str(exc)
+    except CrossCheckError:    # raised after the sweep passed
+        pass
+    return None
+
+
+# thresholds up to y = 3000 pass the sweep at some z <= 3000, so the
+# parents and block minima are reached, not only r = 1
+_sweep_thresholds = st.builds(
+    lambda y, chi0, chi1, q: (MultFuncSpec.threshold(y, chi0, chi1), q),
+    st.integers(2, 3000), st.sampled_from([1.0, 2.0, 3.0, 0.5]),
+    st.sampled_from([-1.0, -2.0, -3.0, -0.25]), st.just(1))
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.one_of(_threshold_specs, _table_specs, _quotient_specs,
+                 _sweep_thresholds),
+       st.sampled_from([1, 2, 6, 30, 210]), st.integers(2, 3000))
+def test_positivity_sweep_matches_reference(table_small, spec_oracle, q, z):
+    spec = spec_oracle[0]
+    assert sweep_outcome(spec, z, q, table_small) == \
+        positivity_sweep_reference(spec, z, q, table_small)
+
+
+def test_positivity_sweep_matches_reference_grid(table_small):
+    # thresholds around the y where the sweep starts to pass at z = 3000,
+    # and non-integer tables that fail at deep r or pass
+    rng = np.random.default_rng(11)
+    ps = sieve.primes_upto(3000).tolist()
+    specs = [MultFuncSpec.threshold(y, chi0, -2.0)
+             for y in (100, 200, 300, 500) for chi0 in (2.0, 1.5)]
+    specs += [MultFuncSpec.from_table(dict(zip(ps, rng.choice(vals, len(ps)))))
+              for vals in ([1.5, 0.25, -0.75, 2.0], [0.3, 0.7, 1.1, -0.1])]
+    for spec in specs:
+        for q in (1, 2, 6, 30, 210):
+            assert sweep_outcome(spec, 3000, q, table_small) == \
+                positivity_sweep_reference(spec, 3000, q, table_small)
+
+
+def test_children_minima_equal_direct_estimate(table_small):
+    # the prefix, block and suffix minima give exactly the minimum over
+    # 1 <= t <= z of fl(H_s(t) - fl(h(P) H_r(t // P))), taken here t by t
+    # from the r-by-r partial sums
+    rng = np.random.default_rng(5)
+    primes = sieve.primes_upto(3000)
+    # threshold weights, one with non-integer noise, whose partial sums
+    # dip late: the minima sit below P, in the full blocks and in the last
+    # block, for P on both sides of sqrt(z)
+    noisy = np.where(primes <= 230, rng.choice([1.25, 1.75], primes.size),
+                     rng.choice([-1.75, -2.25], primes.size))
+    specs = (MultFuncSpec.from_table(dict(zip(primes.tolist(), noisy))),
+             MultFuncSpec.threshold(230, 1.5, -2.0))
+
+    def partial_sums(base, r_primes):
+        vals = base.copy()
+        for p in r_primes:
+            vals[p::p] = 0.0
+        return np.cumsum(vals)
+    for h, (z, q) in itertools.product(specs, ((3000, 1), (2047, 35), (1024, 6))):
+        base = sieve.values_upto(h, z, q, table_small)
+        ps = primes[(primes <= z) & (q % primes != 0)]
+        for s_primes in ((), (2,), (3,), (2, 5), (2, 5, 7), (5, 7)):
+            if any(q % p == 0 for p in s_primes):
+                continue
+            s = math.prod(s_primes)
+            Ps = ps[(ps > max(s_primes, default=1)) & (ps <= z // s)]
+            Ws = h.prime_values(Ps)
+            H_s = partial_sums(base, s_primes)
+            want = [float(np.min((H_s - w * partial_sums(base, s_primes + (P,))[
+                        np.arange(z + 1) // P])[1:]))
+                    for P, w in zip(Ps.tolist(), Ws)]
+            got = sieve._children_minima(base, s_primes, Ps, Ws, z)
+            assert got.tolist() == want
+
+
+def test_positivity_sweep_pinned_1e5(monkeypatch):
+    table = sieve.build_table(10 ** 5)
+    h = MultFuncSpec.threshold(500, 2, -2)
+    for z in (4000, 8000, 16000):
+        assert sieve.lower_bound_check(h, h, z, 1, table) is True
+    witness = ((23993, 210), "partial sum of h negative at t = 23993 for r = 210")
+    assert positivity_sweep_reference(h, 24000, 1, table) == witness
+    # early exit: the parents ascend, so only those below the witness get
+    # their full partial sums, and then the witness itself
+    full = []
+    real = sieve._partial_sums
+
+    def spy(base, primes, length):
+        if length == 24001:
+            full.append(math.prod(primes))
+        return real(base, primes, length)
+    monkeypatch.setattr(sieve, "_partial_sums", spy)
+    assert sweep_outcome(h, 24000, 1, table) == witness
+    assert full[-1] == 210 and max(full[:-1]) < 210
+
+
+def test_positivity_sweep_margin_fallback(table_small, monkeypatch):
+    full = []    # the r that get their own partial sums up to z
+    real = sieve._partial_sums
+
+    def spy(base, primes, length):
+        if length == len(base):
+            full.append(math.prod(primes))
+        return real(base, primes, length)
+    monkeypatch.setattr(sieve, "_partial_sums", spy)
+    # h(2) = -1 and h(p) = 1/2 at odd p: for odd r, H_r(t) = G(t) - G(t/2)
+    # with G increasing over the odd n, so min H_r = H_r(2) = 0 exactly,
+    # inside the float margin; even r have min H_r = 1
+    z = 2000
+    h = MultFuncSpec.from_table(
+        {p: (-1.0 if p == 2 else 0.5) for p in sieve.primes_upto(z).tolist()})
+    assert sweep_outcome(h, z, 1, table_small) is None
+    assert positivity_sweep_reference(h, z, 1, table_small) is None
+    assert 1999 in full               # no parent: its own sums, via the margin
+    assert 2 * 997 not in full        # certified by its estimate
+    # prime values outside the proven range (a NaN, one near 2^-1074):
+    # every r takes its own sums, with the scan's verdict
+    for h, q in itertools.product(
+            (MultFuncSpec.from_table({5: math.nan, 7: -5.0, 11: 1.0}),
+             MultFuncSpec.from_table({2: 0.5, 5: 5e-324})), (1, 6)):
+        full.clear()
+        got = sweep_outcome(h, 400, q, table_small)
+        assert got == positivity_sweep_reference(h, 400, q, table_small)
+        if got is None:
+            assert set(full) >= {r for r in range(1, 401) if math.gcd(r, q) == 1
+                                 and table_small.is_squarefree(r)}
+
+
+def test_non_finite_arguments_rejected(table_small):
+    h = MultFuncSpec.threshold(10, 2, -2)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(InvalidInputError, match="z must lie"):
+            sieve.lower_bound_check(h, h, bad, 1, table_small)
+        with pytest.raises(InvalidInputError, match="x must be finite"):
+            sieve.log_weighted_sum(h, bad, 1, table_small)
+        with pytest.raises(InvalidInputError, match="t must lie"):
+            sieve.h_sum(h, bad, 1, table_small)
+        with pytest.raises(InvalidInputError, match="t must lie"):
+            sieve.values_upto(h, bad, 1, table_small)
 
 
 def test_local_factor_cancellation_examples():
