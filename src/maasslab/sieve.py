@@ -497,6 +497,8 @@ def _children_minima(base: np.ndarray, s_primes: tuple, Ps: np.ndarray,
             X = _partial_sums(base, s_primes + (p,), m + 1)
             blocks = np.minimum(level[p:m * p:p], level[2 * p - width::p][:m - 1])
             blocks -= w * X[1:m]
+            # a NaN dropped by min leaves est[i] finite, below the
+            # margin inf that a NaN in h forces
             est[i] = min(est[i], blocks.min(), H[m * p:].min() - w * X[m])
         # P > sqrt(z): H_r(m) = H_s(m), all blocks of the level at once
         lo, hi = max(lo, n_small), min(hi, n_full)
@@ -532,7 +534,8 @@ def _first_negative_modulus(base: np.ndarray, ps: np.ndarray, ws: np.ndarray,
             continue
         Ps = ps[lo:hi]
         est = _children_minima(base, s_primes, Ps, ws[lo:hi], z)
-        for i in np.flatnonzero(est < margin).tolist():
+        # not est >= margin: a NaN estimate (NaN in H_s) is no proof
+        for i in np.flatnonzero(~(est >= margin)).tolist():
             r_primes = s_primes + (int(Ps[i]),)
             if (est[i] < -margin
                     or _partial_sums(base, r_primes, z + 1)[1:].min() < 0):
@@ -576,9 +579,9 @@ def lower_bound_check(b: MultFuncSpec, h: MultFuncSpec, z: float, q: int,
     scan.  Early exit: once s is at or above the smallest failing r
     found, every r left is larger.  In float64 the minimum over the
     blocks is an estimate R_r of min_t H_r(t) within a margin M (below):
-    R_r >= M passes r, R_r < -M fails it, and r in between takes its own
-    partial sums.  The witness t is read off the partial sums of the
-    failing r.
+    R_r >= M passes r, R_r < -M fails it, and r in between, or with R_r
+    NaN (a NaN in H_s), takes its own partial sums.  The witness t is read
+    off the partial sums of the failing r.
 
     Margin.  Let u = 2^-53, gamma = z u / (1 - z u), A = sum |v[n]|,
     W = max(1, |h(p)|) over the primes p <= z coprime to q, and

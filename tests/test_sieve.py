@@ -653,16 +653,22 @@ def test_positivity_sweep_margin_fallback(table_small, monkeypatch):
     assert 1999 in full               # no parent: its own sums, via the margin
     assert 2 * 997 not in full        # certified by its estimate
     # prime values outside the proven range (a NaN, one near 2^-1074):
-    # every r takes its own sums, with the scan's verdict
+    # every r below the witness takes its own sums, with the scan's verdict
     for h, q in itertools.product(
             (MultFuncSpec.from_table({5: math.nan, 7: -5.0, 11: 1.0}),
+             MultFuncSpec.from_table({2: -5.0, 29: math.nan}),
              MultFuncSpec.from_table({2: 0.5, 5: 5e-324})), (1, 6)):
         full.clear()
         got = sweep_outcome(h, 400, q, table_small)
         assert got == positivity_sweep_reference(h, 400, q, table_small)
-        if got is None:
-            assert set(full) >= {r for r in range(1, 401) if math.gcd(r, q) == 1
-                                 and table_small.is_squarefree(r)}
+        below = got[0][1] if got else 401
+        assert set(full) >= {r for r in range(1, below) if math.gcd(r, q) == 1
+                             and table_small.is_squarefree(r)}
+    # a NaN at p = 29 > sqrt(z) makes H_s NaN at the multiples of 29, but
+    # H_29 is finite with minimum -4: the NaN estimate is no proof
+    h = MultFuncSpec.from_table({2: -5.0, 29: math.nan})
+    assert sweep_outcome(h, 400, 1, table_small) == (
+        (2, 29), "partial sum of h negative at t = 2 for r = 29")
 
 
 def test_non_finite_arguments_rejected(table_small):
