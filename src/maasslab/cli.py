@@ -111,12 +111,16 @@ def _write_out(text: str, args) -> None:
 
 
 def _cmd_solve_dde(args) -> int:
+    if args.stride < 1:
+        raise InvalidInputError(f"--stride must be >= 1, got {args.stride}")
     spec = dde.DdeSpec(args.chi0, args.chi1)
     sol = dde.solve(spec, args.u_max, args.step)
     rows = []
-    for i, (u, sig) in enumerate(sol.nodes()):
-        if i % args.stride == 0 and u <= args.u_max + 1e-12:
-            rows.append((u, sig))
+    for i in range(0, sol._node_count(), args.stride):
+        u, sig = sol._node(i)
+        if u > args.u_max + 1e-12:
+            break                        # nodes() runs in increasing u
+        rows.append((u, sig))
     _emit_grid(["u", "sigma"], rows, args)
     return EXIT_OK
 

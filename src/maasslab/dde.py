@@ -23,13 +23,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (InvalidInputError, NotConvergedError, SignChangeNotFoundError,
-                     UnsupportedRangeError)
+from .errors import (InvalidInputError, NotConvergedError, ResourceLimitError,
+                     SignChangeNotFoundError, UnsupportedRangeError)
 
 STEP_MIN = 1e-7
 STEP_MAX = 1e-2
 DEFAULT_FIRST_ZERO_TOL = 1e-6
 DEFAULT_U_CAP = 10.0
+NODE_LIMIT = 2 * 10 ** 8     # grid nodes one call may hold: 1.6 GB of float64
 
 
 @dataclass(frozen=True)
@@ -40,9 +41,10 @@ class DdeSpec:
     chi1: float
 
     def __post_init__(self):
-        if not (self.chi0 > 0.0 > self.chi1):
+        if not (math.inf > self.chi0 > 0.0 > self.chi1 > -math.inf):
             raise InvalidInputError(
-                f"weights must satisfy chi0 > 0 > chi1, got ({self.chi0}, {self.chi1})")
+                "weights must be finite with chi0 > 0 > chi1, "
+                f"got ({self.chi0}, {self.chi1})")
 
     @property
     def initial_exponent(self) -> float:
@@ -74,10 +76,19 @@ class PiecewiseSolution:
 
     def nodes(self):
         """Yield (u, sigma(u)) grid pairs in increasing u, without duplicates."""
-        for k, seg in enumerate(self.segments):
-            start = 1 if k > 0 else 0
-            for j in range(start, seg.size):
-                yield k + j * self.grid_step, float(seg[j])
+        for i in range(self._node_count()):
+            yield self._node(i)
+
+    def _node_count(self) -> int:
+        return 1 + (self.segments[0].size - 1) * len(self.segments)
+
+    def _node(self, i: int) -> tuple[float, float]:
+        """Pair number i of nodes(): node 0 of segment 0, then nodes 1..n
+        of each segment k (node 0 of segment k > 0 repeats the end of
+        segment k - 1)."""
+        n = self.segments[0].size - 1
+        k, j = divmod(i - 1, n) if i else (0, -1)
+        return k + (j + 1) * self.grid_step, float(self.segments[k][j + 1])
 
 
 def _eval_cubic(segments: list[np.ndarray], h: float, u: float) -> float:
@@ -111,31 +122,35 @@ def _midpoints(seg: np.ndarray) -> np.ndarray:
     return mid
 
 
-def solve(spec: DdeSpec, u_max: float, step: float) -> PiecewiseSolution:
-    """Integrate sigma up to u_max with the given grid step.
+def _checked_end(name: str, u_end: float) -> int:
+    """Number of unit segments covering (0, u_end], at least two."""
+    if not 1.0 <= u_end < math.inf:
+        raise InvalidInputError(f"{name} must be finite and >= 1, got {u_end}")
+    return max(2, math.ceil(u_end))
 
-    The step is snapped to 1/n so that integer breakpoints are grid
-    nodes.  Output is reproducible bit-for-bit for a fixed step.
+
+def _segments(spec: DdeSpec, n: int, count: int):
+    """Yield sigma on the grid k + j/n, j = 0..n, of the unit segments
+    k = 0, 1, ..., count - 1, each computed from the one before.
+
+    The caller may hold all count segments, so count * (n + 1) nodes
+    above NODE_LIMIT raise ResourceLimitError before any is allocated.
     """
-    if u_max < 1.0:
-        raise InvalidInputError(f"u_max must be >= 1, got {u_max}")
-    if not STEP_MIN <= step <= STEP_MAX:
-        raise InvalidInputError(
-            f"step must lie in [{STEP_MIN}, {STEP_MAX}], got {step}")
     if spec.chi0 < 1.0:
         raise InvalidInputError(
             "integrator requires chi0 >= 1 (bounded initial segment)")
-    n = max(int(round(1.0 / step)), 2)
+    if count * (n + 1) > NODE_LIMIT:
+        raise ResourceLimitError(
+            f"DDE grid of {count} segments x {n + 1} nodes = {count * (n + 1)} "
+            f"nodes exceeds the cap {NODE_LIMIT}")
     h = 1.0 / n
     e0 = spec.initial_exponent
     kappa = spec.delay_coefficient
 
     xs0 = np.arange(n + 1) * h
-    segments = [xs0 ** e0 if e0 != 0.0 else np.ones(n + 1)]
-    n_seg = max(1, math.ceil(u_max) - 1) + 1
-
-    for k in range(1, n_seg):
-        prev = segments[k - 1]
+    prev = xs0 ** e0 if e0 != 0.0 else np.ones(n + 1)
+    yield prev
+    for k in range(1, count):
         us = k + np.arange(n + 1) * h
         g_nodes = -kappa * prev / us ** (e0 + 1.0)
         g_mid = -kappa * _midpoints(prev) / (us[:-1] + 0.5 * h) ** (e0 + 1.0)
@@ -146,12 +161,36 @@ def solve(spec: DdeSpec, u_max: float, step: float) -> PiecewiseSolution:
         f[1:] = f[0] + np.cumsum(incr)
         sigma = us ** e0 * f
         sigma[0] = prev[-1]              # exact continuity at the breakpoint
-        segments.append(sigma)
+        yield sigma
+        prev = sigma
 
-    sol = PiecewiseSolution(spec=spec, grid_step=h, segments=segments,
-                            u_max=float(u_max))
-    sol.first_zero = _locate_zero(sol)
-    return sol
+
+def _grid_size(name: str, step: float) -> int:
+    """Nodes per unit interval: the step snapped to 1/n, so that integer
+    breakpoints are grid nodes."""
+    if not STEP_MIN <= step <= STEP_MAX:
+        raise InvalidInputError(
+            f"{name} must lie in [{STEP_MIN}, {STEP_MAX}], got {step}")
+    return max(int(round(1.0 / step)), 2)
+
+
+def solve(spec: DdeSpec, u_max: float, step: float) -> PiecewiseSolution:
+    """Integrate sigma up to u_max with the given grid step.
+
+    The step is snapped to 1/n so that integer breakpoints are grid
+    nodes.  Output is reproducible bit-for-bit for a fixed step.
+    """
+    count = _checked_end("u_max", u_max)
+    n = _grid_size("step", step)
+    h = 1.0 / n
+    segments: list[np.ndarray] = []
+    zero = None
+    for seg in _segments(spec, n, count):
+        segments.append(seg)
+        if zero is None:
+            zero = _zero_in_last(segments, h)
+    return PiecewiseSolution(spec=spec, grid_step=h, segments=segments,
+                             u_max=float(u_max), first_zero=zero)
 
 
 def _bisect(f, lo: float, hi: float) -> float:
@@ -172,18 +211,21 @@ def _bisect(f, lo: float, hi: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def _locate_zero(sol: PiecewiseSolution) -> float | None:
-    """First sign change among grid nodes, refined by bisection."""
-    h = sol.grid_step
-    for k, seg in enumerate(sol.segments):
-        if k == 0:
-            continue
-        sign_flip = np.nonzero(np.signbit(seg[1:]) != np.signbit(seg[:-1]))[0]
-        if sign_flip.size:
-            j = int(sign_flip[0])
-            return _bisect(lambda u: _eval_cubic(sol.segments, h, u),
-                           k + j * h, k + (j + 1) * h)
-    return None
+def _zero_in_last(segments: list[np.ndarray], h: float) -> float | None:
+    """First sign change among the grid nodes of the last segment k >= 1,
+    refined by bisection; None when its nodes keep one sign.  The
+    bisection reads only segment k and, at u = k, the end of segment
+    k - 1, so later segments cannot move the zero."""
+    k = len(segments) - 1
+    if k == 0:
+        return None
+    seg = segments[k]
+    sign_flip = np.nonzero(np.signbit(seg[1:]) != np.signbit(seg[:-1]))[0]
+    if not sign_flip.size:
+        return None
+    j = int(sign_flip[0])
+    return _bisect(lambda u: _eval_cubic(segments, h, u),
+                   k + j * h, k + (j + 1) * h)
 
 
 def first_zero(spec: DdeSpec, tol: float = DEFAULT_FIRST_ZERO_TOL,
@@ -193,16 +235,25 @@ def first_zero(spec: DdeSpec, tol: float = DEFAULT_FIRST_ZERO_TOL,
     Successive solves with halved integration steps are compared until
     two estimates differ by less than tol; NotConvergedError is raised
     when the next halving would take the step below STEP_MIN first.
+    Each solve integrates one unit segment at a time and stops at the
+    first segment whose nodes change sign: the zero is the one solve()
+    finds on the whole grid up to u_cap, to the last bit.  The grid up
+    to u_cap must still fit NODE_LIMIT.
     """
-    if tol < 1e-9:
-        raise InvalidInputError(f"tol must be >= 1e-9, got {tol}")
-    if not STEP_MIN <= initial_step <= STEP_MAX:
-        raise InvalidInputError(f"initial_step out of [{STEP_MIN}, {STEP_MAX}]")
+    if not 1e-9 <= tol < math.inf:
+        raise InvalidInputError(f"tol must be finite and >= 1e-9, got {tol}")
+    n = _grid_size("initial_step", initial_step)
+    count = _checked_end("u_cap", u_cap)
     step = initial_step
     estimates = []
     while True:
-        sol = solve(spec, u_cap, step)
-        est = sol.first_zero
+        segments: list[np.ndarray] = []
+        est = None
+        for seg in _segments(spec, n, count):
+            segments.append(seg)
+            est = _zero_in_last(segments, 1.0 / n)
+            if est is not None:
+                break
         if est is None or est > u_cap:
             raise SignChangeNotFoundError(
                 f"no sign change of sigma below u = {u_cap} at step {step}")
@@ -215,6 +266,7 @@ def first_zero(spec: DdeSpec, tol: float = DEFAULT_FIRST_ZERO_TOL,
                 f"{estimates[-2:]}, the last at step {step}; halving would go "
                 f"below STEP_MIN = {STEP_MIN}")
         step /= 2.0
+        n = _grid_size("step", step)
 
 
 _LI2_COEFFS = tuple(1.0 / (k * k) for k in range(60, 0, -1))

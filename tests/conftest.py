@@ -36,3 +36,14 @@ def no_huge_ones(monkeypatch):
             f"np.ones{(shape,)} past the cap"
         return real(shape, *args, **kwargs)
     monkeypatch.setattr(np, "ones", ones)
+
+
+@pytest.fixture
+def no_dde_grid(monkeypatch):
+    """np.arange, np.ones and np.empty that fail before allocating: a
+    DDE grid refused past its cap must be refused before its first
+    segment exists."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("allocated before the cap check")
+    for name in ("arange", "ones", "empty"):
+        monkeypatch.setattr(np, name, refuse)

@@ -2,7 +2,9 @@ import hashlib
 import json
 import os
 
-from maasslab import cli, ingest
+import pytest
+
+from maasslab import cli, dde, ingest
 
 
 def run_cli(capsys, *argv):
@@ -243,6 +245,73 @@ def test_prime_sieve_past_cap_exit_code(tmp_path, capsys, monkeypatch, no_huge_o
     code, out, err = run_cli(capsys, "fetch", "--label", "far", "--cache-dir",
                              str(tmp_path), "--endpoint", "http://127.0.0.1:1/")
     assert code == 4 and out == "" and "resource-limit" in err
+
+
+def _solve_dde_full_walk(args):
+    """solve-dde as it walked every node of nodes(), kept as the oracle."""
+    sol = dde.solve(dde.DdeSpec(args.chi0, args.chi1), args.u_max, args.step)
+    rows = []
+    for i, (u, sig) in enumerate(sol.nodes()):
+        if i % args.stride == 0 and u <= args.u_max + 1e-12:
+            rows.append((u, sig))
+    cli._emit_grid(["u", "sigma"], rows, args)
+    return cli.EXIT_OK
+
+
+@pytest.mark.parametrize("argv", [
+    ["--chi0", "2", "--chi1", "-2", "--step", "1e-5", "--u-max", "3",
+     "--stride", "100"],
+    ["--chi0", "1", "--chi1", "-3", "--u-max", "3", "--step", "1e-4",
+     "--stride", "100", "--format", "json"],
+    ["--chi0", "2", "--chi1", "-2", "--u-max", "2.5", "--step", "1e-3",
+     "--stride", "7"],
+    ["--chi0", "1.5", "--chi1", "-2.5", "--u-max", "1.37", "--step", "3e-3",
+     "--stride", "1", "--format", "json"],
+    ["--chi0", "3", "--chi1", "-1", "--u-max", "4.2", "--step", "1e-2",
+     "--stride", "100000"],
+    ["--chi0", "2", "--chi1", "-2", "--u-max", "1", "--step", "1e-2",
+     "--stride", "25", "--format", "table"],
+])
+def test_solve_dde_bytes_match_full_walk(capsys, monkeypatch, argv):
+    code, out, _ = run_cli(capsys, "solve-dde", *argv)
+    assert code == 0
+    monkeypatch.setattr(cli, "_cmd_solve_dde", _solve_dde_full_walk)
+    assert run_cli(capsys, "solve-dde", *argv) == (0, out, "")
+
+
+def test_solve_dde_reads_only_emitted_nodes(capsys, monkeypatch):
+    read = []
+    node = dde.PiecewiseSolution._node
+    monkeypatch.setattr(dde.PiecewiseSolution, "_node",
+                        lambda sol, i: read.append(i) or node(sol, i))
+    code, out, _ = run_cli(capsys, "solve-dde", "--chi0", "2", "--chi1", "-2",
+                           "--step", "1e-5", "--u-max", "3", "--stride", "100")
+    assert code == 0 and len(out.splitlines()) == 2 + 3001
+    assert read == list(range(0, 300001, 100))
+
+
+@pytest.mark.parametrize("argv,name", [
+    (["first-zero", "--chi0", "2", "--chi1", "-2", "--u-cap", "inf"], "u_cap"),
+    (["first-zero", "--chi0", "2", "--chi1", "-2", "--u-cap", "nan"], "u_cap"),
+    (["first-zero", "--chi0", "2", "--chi1", "-2", "--tol", "nan"], "tol"),
+    (["first-zero", "--chi0", "inf", "--chi1", "-2"], "weights"),
+    (["solve-dde", "--chi0", "2", "--chi1", "-2", "--u-max", "inf"], "u_max"),
+    (["solve-dde", "--chi0", "2", "--chi1", "-2", "--u-max", "nan"], "u_max"),
+    (["solve-dde", "--chi0", "2", "--chi1", "-2", "--stride", "0"], "--stride"),
+    (["solve-dde", "--chi0", "2", "--chi1", "-2", "--stride", "-3"], "--stride"),
+])
+def test_dde_bad_arguments_exit_code(capsys, argv, name):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: invalid-input: ") and name in err
+
+
+def test_dde_grid_past_cap_exit_code(capsys, no_dde_grid):
+    code, out, err = run_cli(capsys, "solve-dde", "--chi0", "2", "--chi1", "-2",
+                             "--u-max", "1e5", "--step", "1e-7")
+    assert code == 4 and out == ""
+    assert err.startswith("error: resource-limit: ")
+    assert "1000000100000 nodes" in err and "cap 200000000" in err
 
 
 def test_table_format_renders_grid(capsys):

@@ -7,12 +7,14 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
 from maasslab import dde
 from maasslab.dde import DdeSpec
 from maasslab.errors import (InvalidInputError, NotConvergedError,
-                             SignChangeNotFoundError, UnsupportedRangeError)
+                             ResourceLimitError, SignChangeNotFoundError,
+                             UnsupportedRangeError)
 
 TWO_FORM = DdeSpec(2.0, -2.0)
 THREE_FORM = DdeSpec(1.0, -3.0)
@@ -215,3 +217,146 @@ def test_nodes_stream_monotone():
     us = [u for u, _ in sol.nodes()]
     assert us == sorted(us)
     assert len(us) == len(set(us))
+
+
+# The full-grid route that first_zero and nodes() replaced, kept as the
+# oracle: integrate every segment up to u_cap, then scan all of them for
+# the first sign change; walk every node in order.
+
+def solve_reference(spec, u_max, step):
+    """Segments and grid step of the one-pass method-of-steps loop."""
+    n = max(int(round(1.0 / step)), 2)
+    h = 1.0 / n
+    e0 = spec.initial_exponent
+    kappa = spec.delay_coefficient
+    xs0 = np.arange(n + 1) * h
+    segments = [xs0 ** e0 if e0 != 0.0 else np.ones(n + 1)]
+    n_seg = max(1, math.ceil(u_max) - 1) + 1
+    for k in range(1, n_seg):
+        prev = segments[k - 1]
+        us = k + np.arange(n + 1) * h
+        g_nodes = -kappa * prev / us ** (e0 + 1.0)
+        g_mid = -kappa * dde._midpoints(prev) / (us[:-1] + 0.5 * h) ** (e0 + 1.0)
+        incr = (h / 6.0) * (g_nodes[:-1] + 4.0 * g_mid + g_nodes[1:])
+        f = np.empty(n + 1)
+        f[0] = prev[-1] / float(k) ** e0
+        f[1:] = f[0] + np.cumsum(incr)
+        sigma = us ** e0 * f
+        sigma[0] = prev[-1]
+        segments.append(sigma)
+    return segments, h
+
+
+def locate_zero_reference(segments, h):
+    for k, seg in enumerate(segments):
+        if k == 0:
+            continue
+        sign_flip = np.nonzero(np.signbit(seg[1:]) != np.signbit(seg[:-1]))[0]
+        if sign_flip.size:
+            j = int(sign_flip[0])
+            return dde._bisect(lambda u: dde._eval_cubic(segments, h, u),
+                               k + j * h, k + (j + 1) * h)
+    return None
+
+
+def first_zero_reference(spec, tol, u_cap, initial_step):
+    step = initial_step
+    estimates = []
+    while True:
+        est = locate_zero_reference(*solve_reference(spec, u_cap, step))
+        if est is None or est > u_cap:
+            raise SignChangeNotFoundError(
+                f"no sign change of sigma below u = {u_cap} at step {step}")
+        if estimates and abs(est - estimates[-1]) < tol:
+            return est
+        estimates.append(est)
+        if step / 2.0 < dde.STEP_MIN:
+            raise NotConvergedError(
+                f"first zero not within tol {tol}: last estimates "
+                f"{estimates[-2:]}, the last at step {step}; halving would go "
+                f"below STEP_MIN = {dde.STEP_MIN}")
+        step /= 2.0
+
+
+def nodes_reference(sol):
+    for k, seg in enumerate(sol.segments):
+        for j in range(1 if k > 0 else 0, seg.size):
+            yield k + j * sol.grid_step, float(seg[j])
+
+
+def _outcome(fn, *args):
+    try:
+        return float.hex(fn(*args))
+    except (SignChangeNotFoundError, NotConvergedError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+@pytest.mark.parametrize("spec", [TWO_FORM, THREE_FORM, DdeSpec(1.5, -2.5),
+                                  DdeSpec(3.0, -1.0), DdeSpec(2.0, -0.5)])
+@pytest.mark.parametrize("u_max,step", [(1.0, 1e-2), (2.5, 1e-3), (3.0, 3e-3),
+                                        (4.2, 1e-3), (3.0, 1e-5)])
+def test_solve_bytes_match_reference(spec, u_max, step):
+    sol = dde.solve(spec, u_max, step)
+    segments, h = solve_reference(spec, u_max, step)
+    assert sol.grid_step == h and len(sol.segments) == len(segments)
+    for got, want in zip(sol.segments, segments):
+        assert got.tobytes() == want.tobytes()
+    want_zero = locate_zero_reference(segments, h)
+    assert (sol.first_zero is None and want_zero is None) or \
+        float.hex(sol.first_zero) == float.hex(want_zero)
+    assert [(float.hex(u), float.hex(v)) for u, v in sol.nodes()] == \
+        [(float.hex(u), float.hex(v)) for u, v in nodes_reference(sol)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(chi0=st.sampled_from([1.0, 1.5, 2.0, 3.0]),
+       chi1=st.floats(-4.0, -0.25),
+       tol=st.sampled_from([1e-9, 1e-8, 1e-7, 1e-6, 1e-5, 1e-3]),
+       initial_step=st.floats(1e-4, 1e-2),
+       u_cap=st.one_of(st.integers(1, 6).map(float), st.floats(1.0, 6.0)))
+def test_first_zero_bytes_match_full_grid_ladder(chi0, chi1, tol, initial_step,
+                                                 u_cap):
+    spec = DdeSpec(chi0, chi1)
+    # a coarser floor keeps every grid small; small tols then end unconverged
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dde, "STEP_MIN", 1e-5)
+        assert _outcome(dde.first_zero, spec, tol, u_cap, initial_step) == \
+            _outcome(first_zero_reference, spec, tol, u_cap, initial_step)
+
+
+def test_first_zero_stops_at_first_sign_change(monkeypatch):
+    taken = []
+    segments = dde._segments
+
+    def counted(spec, n, count):
+        taken.append(0)
+        for seg in segments(spec, n, count):
+            taken[-1] += 1
+            yield seg
+    monkeypatch.setattr(dde, "_segments", counted)
+    zero = dde.first_zero(TWO_FORM, tol=1e-6, initial_step=1e-5)
+    assert float.hex(zero) == float.hex(
+        first_zero_reference(TWO_FORM, 1e-6, dde.DEFAULT_U_CAP, 1e-5))
+    assert len(taken) >= 2 and set(taken) == {3}   # sigma on [0, 3), not to 10
+
+
+@pytest.mark.parametrize("call,name", [
+    (lambda v: dde.solve(TWO_FORM, v, 1e-3), "u_max"),
+    (lambda v: dde.first_zero(TWO_FORM, u_cap=v), "u_cap"),
+    (lambda v: dde.first_zero(TWO_FORM, tol=v), "tol"),
+    (lambda v: DdeSpec(v, -2.0), "weights"),
+    (lambda v: DdeSpec(2.0, -v), "weights"),
+])
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+def test_non_finite_arguments_rejected(call, name, value):
+    with pytest.raises(InvalidInputError, match=name):
+        call(value)
+
+
+def test_grid_capped_before_allocating(no_dde_grid):
+    with pytest.raises(ResourceLimitError,
+                       match=r"= 1000000100000 nodes exceeds the cap 200000000"):
+        dde.solve(TWO_FORM, 1e5, 1e-7)
+    with pytest.raises(ResourceLimitError,
+                       match=r"= 200000020 nodes exceeds the cap 200000000"):
+        dde.first_zero(TWO_FORM, u_cap=20.0, initial_step=1e-7)
