@@ -2,7 +2,7 @@
 equations and prime-density machinery for Maass forms."""
 
 from . import bounds, dde, density, errors, ingest, satake, sieve
-from .bounds import FormMeta, conductor, convexity_exponent, least_prime_bound, least_prime_exponent
+from .bounds import FormMeta, conductor, least_prime_bound, least_prime_exponent
 from .dde import DdeSpec, PiecewiseSolution, analytic_segment, first_zero, solve
 from .density import (DensityReport, FormFamily, chebyshev_weight,
                       density_lower_bound, exceptional_scan,

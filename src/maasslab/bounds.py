@@ -194,10 +194,3 @@ def least_prime_bound(metas: list[FormMeta]) -> BoundResult:
     det = exponent_detail(len(metas))
     return BoundResult(base=base, exponent=det.exponent,
                        source_zero=det.zero, u_used=det.u_used)
-
-
-def convexity_exponent(sigma: float) -> float:
-    """Exponent (1 - sigma)/2 of the conductor in the vertical-line bound."""
-    if not 0.0 < sigma < 1.0:
-        raise InvalidInputError(f"sigma must lie in (0, 1), got {sigma}")
-    return (1.0 - sigma) / 2.0

@@ -33,11 +33,11 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .errors import InvalidInputError
+from .sieve import prime_factors
 
 KIM_SARNAK_NU = 7.0 / 64.0
 
@@ -50,22 +50,6 @@ SAMPLE_MODES = ("sato-tate", "uniform-angle", "non-tempered")
 # prime pool cycled through by the samplers
 _SAMPLE_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
                   53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
-
-
-@lru_cache(maxsize=None)
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
 
 
 @dataclass(frozen=True)
@@ -168,7 +152,8 @@ class CoeffTriple:
 
 
 def _require_prime(p: int) -> None:
-    if not isinstance(p, (int, np.integer)) or not is_prime(int(p)):
+    if not (isinstance(p, (int, np.integer)) and p >= 2
+            and prime_factors(p) == {p: 1}):
         raise InvalidInputError(f"p must be prime, got {p!r}")
 
 

@@ -15,7 +15,6 @@ integer-valued weights and sizes handled here.
 from __future__ import annotations
 
 import heapq
-import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -29,6 +28,7 @@ from .errors import (CrossCheckError, InvalidInputError, PreconditionError,
 
 LARGE_LIMIT = 10 ** 7      # table limits above this need allow_large=True
 HARD_LIMIT = 2 * 10 ** 8
+TRIAL_LIMIT = 10 ** 7      # largest trial divisor prime_factors tries
 
 
 def primes_upto(n: int) -> np.ndarray:
@@ -49,6 +49,36 @@ def primes_upto(n: int) -> np.ndarray:
     return np.flatnonzero(flags).astype(np.int64)
 
 
+def prime_factors(n: int) -> dict[int, int]:
+    """Prime factorization {p: e} of the integer n >= 1, primes ascending.
+
+    Trial division by 2 and then the odd numbers up to sqrt of the
+    cofactor left; what remains above 1 is then prime.  A cofactor that
+    would need a trial divisor above TRIAL_LIMIT (two prime factors above
+    it, or one above its square) raises ResourceLimitError rather than
+    being counted as one prime.
+    """
+    if not isinstance(n, (int, np.integer)) or n < 1:
+        raise InvalidInputError(f"n must be an integer >= 1, got {n!r}")
+    x = int(n)
+    out: dict[int, int] = {}
+    p = 2
+    while p * p <= x:
+        if p > TRIAL_LIMIT:
+            raise ResourceLimitError(
+                f"factoring {n} needs trial divisors above {TRIAL_LIMIT}")
+        if x % p == 0:
+            e = 0
+            while x % p == 0:
+                x //= p
+                e += 1
+            out[p] = e
+        p += 1 if p == 2 else 2
+    if x > 1:
+        out[x] = 1
+    return out
+
+
 def _squarefree_flags(limit: int, primes: np.ndarray) -> np.ndarray:
     flags = np.ones(limit + 1, dtype=bool)
     flags[0] = False
@@ -61,21 +91,17 @@ def _squarefree_flags(limit: int, primes: np.ndarray) -> np.ndarray:
 class SieveTable:
     """Immutable prime and squarefree tables up to a limit.
 
-    primes and squarefree are read-only arrays.  Factorizations come
-    from trial division over the stored primes; the primes up to
-    sqrt(limit), all that any n <= limit needs, are kept once as a tuple.
+    primes and squarefree are read-only arrays.  factor(n) is
+    prime_factors(n) for n in [1, limit].
     """
 
     limit: int
     squarefree: np.ndarray
     primes: np.ndarray
-    _root_primes: tuple[int, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         self.squarefree.flags.writeable = False
         self.primes.flags.writeable = False
-        k = int(np.searchsorted(self.primes, math.isqrt(self.limit), side="right"))
-        object.__setattr__(self, "_root_primes", tuple(self.primes[:k].tolist()))
 
     def _in_range(self, n: int) -> int:
         n = int(n)
@@ -85,27 +111,7 @@ class SieveTable:
 
     def factor(self, n: int) -> dict[int, int]:
         """Prime factorization {p: e}, primes ascending."""
-        return self._trial_division(self._in_range(n))
-
-    def _trial_division(self, n: int) -> dict[int, int]:
-        """{p: e} by trial division over the stored primes; the cofactor
-        left at the end counts as one prime (exact for n <= limit^2)."""
-        primes = self._root_primes
-        if n > self.limit:
-            primes = itertools.chain(primes, map(int, self.primes[len(primes):]))
-        out: dict[int, int] = {}
-        for p in primes:
-            if p * p > n:
-                break
-            if n % p == 0:
-                e = 0
-                while n % p == 0:
-                    n //= p
-                    e += 1
-                out[p] = e
-        if n > 1:
-            out[n] = 1
-        return out
+        return prime_factors(self._in_range(n))
 
     def is_squarefree(self, n: int) -> bool:
         return bool(self.squarefree[self._in_range(n)])
@@ -222,10 +228,11 @@ class MultFuncSpec:
                          start=Fraction(1))
 
 
-def _coprimality_primes(q: int, table: SieveTable) -> list[int]:
+def _coprimality_primes(q: int) -> list[int]:
+    q = int(q)
     if q < 1:
         raise InvalidInputError(f"q must be >= 1, got {q}")
-    return list(table._trial_division(q))
+    return list(prime_factors(q))
 
 
 def _checked_t(t: float, table: SieveTable) -> int:
@@ -251,7 +258,7 @@ def values_upto(spec: MultFuncSpec, t: float, q: int | None,
     product as a loop over all primes, signed zeros included.
     """
     t = _checked_t(t, table)
-    q_eff = spec.q if q is None else int(q)
+    q_primes = _coprimality_primes(spec.q if q is None else q)
     vals = np.where(table.squarefree[:t + 1], 1.0, 0.0)
     ps = table.primes[:table.prime_count(t)]
     ws = spec.prime_values(ps)
@@ -265,7 +272,7 @@ def values_upto(spec: MultFuncSpec, t: float, q: int | None,
         j += 1
         keep = int(np.searchsorted(big, t // j, side="right"))
         big, big_ws = big[:keep], big_ws[:keep]
-    for p in _coprimality_primes(q_eff, table):
+    for p in q_primes:
         if p <= t:
             vals[p::p] = 0.0
     return vals
@@ -354,8 +361,8 @@ def euler_constant_c(a: int, truncation: int) -> tuple[float, float]:
         raise InvalidInputError(f"a must be >= 1, got {a}")
     if truncation < 10 ** 3:
         raise InvalidInputError(f"truncation must be >= 10^3, got {truncation}")
+    a_primes = prime_factors(a)
     ps = primes_upto(truncation)
-    a_primes = _prime_divisors(a)
     val = 1.0
     for p in a_primes:
         val *= (1.0 - 1.0 / p) ** 2
@@ -371,8 +378,8 @@ def euler_constant_c_exact(a: int, truncation: int) -> Fraction:
     """c(a) as an exact rational of the truncated product (small truncations)."""
     if a < 1:
         raise InvalidInputError(f"a must be >= 1, got {a}")
+    a_primes = prime_factors(a)
     ps = primes_upto(truncation)
-    a_primes = set(_prime_divisors(a))
     val = Fraction(1)
     for p in a_primes:
         val *= Fraction(p - 1, p) ** 2
@@ -381,21 +388,6 @@ def euler_constant_c_exact(a: int, truncation: int) -> Fraction:
             continue
         val *= Fraction(p - 1, p) ** 2 * Fraction(p + 2, p)
     return val
-
-
-def _prime_divisors(a: int) -> list[int]:
-    out = []
-    x = a
-    p = 2
-    while p * p <= x:
-        if x % p == 0:
-            out.append(p)
-            while x % p == 0:
-                x //= p
-        p += 1 if p == 2 else 2
-    if x > 1:
-        out.append(x)
-    return out
 
 
 def asymptotic_report(y: int, u_grid: list[float], q: int,
@@ -616,7 +608,7 @@ def lower_bound_check(b: MultFuncSpec, h: MultFuncSpec, z: float, q: int,
         raise InvalidInputError(f"z must lie in [2, {table.limit}], got {z}")
     z_int = int(z)
     ps = table.primes[table.primes <= z_int]
-    ps = ps[~np.isin(ps, _coprimality_primes(q, table))]
+    ps = ps[~np.isin(ps, _coprimality_primes(q))]
     b_ps, h_ps = b.prime_values(ps), h.prime_values(ps)
     bad = np.flatnonzero(b_ps - h_ps < 0)
     if bad.size:

@@ -120,15 +120,3 @@ def test_bound_json_payload():
     assert doc["implied_constant"] == "unspecified"
     assert set(doc) == {"base", "exponent", "implied_constant",
                         "source_zero", "U_used"}
-
-
-def test_convexity_exponent_window_edges():
-    assert bounds.convexity_exponent(23 / 32) == pytest.approx(9 / 64, abs=1e-15)
-    assert bounds.convexity_exponent(53 / 64) == pytest.approx(11 / 128, abs=1e-15)
-    assert bounds.convexity_exponent(1 - 1e-9) == pytest.approx(0.0, abs=1e-9)
-
-
-def test_convexity_exponent_rejects_out_of_range():
-    for sigma in (0.0, 1.0, -0.5, 2.0):
-        with pytest.raises(InvalidInputError):
-            bounds.convexity_exponent(sigma)

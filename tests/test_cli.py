@@ -232,6 +232,28 @@ def test_asymptotic_bad_u_grid_item_exit_code(capsys):
                    "numbers, got 'x'\n")
 
 
+def test_asymptotic_huge_q_exit_code(capsys):
+    # the prime 10^18 + 3 needs trial divisors far past sieve.TRIAL_LIMIT
+    code, out, err = run_cli(capsys, "sieve-verify", "--report", "asymptotic",
+                             "--limit", "1000", "--y", "10", "--u-grid", "0.5,1.0",
+                             "--q", "1000000000000000003")
+    assert code == 4 and out == ""
+    assert err.startswith("error: resource-limit:")
+    assert "1000000000000000003" in err
+
+
+# sha256 of the same report with `--q 30`
+ASYMPTOTIC_Q30_SHA256 = "869dda3b5b7f92e8304ab3c406295398f22490af225cd61a77644b3b032cc1d4"
+
+
+def test_asymptotic_q30_bytes_pinned(capsys):
+    code, out, _ = run_cli(capsys, "sieve-verify", "--report", "asymptotic",
+                           "--limit", "1000", "--y", "10", "--u-grid", "0.5,1.0",
+                           "--q", "30")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == ASYMPTOTIC_Q30_SHA256
+
+
 def test_prime_sieve_past_cap_exit_code(tmp_path, capsys, monkeypatch, no_huge_ones):
     code, _, err = run_cli(capsys, "density-report", "--scan-labels",
                            "fixture-mixed-1,fixture-mixed-2", "--x", str(10 ** 12),

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from maasslab import satake
+from maasslab import satake, sieve
 from maasslab.errors import InvalidInputError
 from maasslab.satake import KIM_SARNAK_NU, CoeffTriple, SatakeLocal
 
@@ -26,6 +26,21 @@ def test_adjoint_at_envelope_eigenvalue():
     s = SatakeLocal.from_eigenvalue(2, lam)
     assert satake.adjoint_coeff(s) == pytest.approx(lam * lam - 1.0, abs=1e-12)
     assert lam == pytest.approx(2.005750, abs=1e-6)
+
+
+def test_from_angle_accepts_exactly_the_primes():
+    primes = set(sieve.primes_upto(10 ** 4).tolist())
+    for p in range(10 ** 4 + 1):
+        for arg in (p, np.int64(p)):
+            if p in primes:
+                assert SatakeLocal.from_angle(arg, 1.0).p == p
+            else:
+                with pytest.raises(InvalidInputError, match="must be prime"):
+                    SatakeLocal.from_angle(arg, 1.0)
+    for bad in (True, False, 7.0, np.float64(7.0), "7"):
+        with pytest.raises(InvalidInputError, match="must be prime"):
+            SatakeLocal.from_angle(bad, 1.0)
+    assert SatakeLocal.from_angle(np.int32(9973), 1.0).p == 9973
 
 
 def test_adjoint_rejects_malformed_pair():

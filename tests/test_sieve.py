@@ -43,6 +43,32 @@ def values_upto_reference(spec, t, q, table):
     return vals
 
 
+def is_prime_mr(n):
+    """Independent oracle: Miller-Rabin with the bases 2, ..., 37,
+    deterministic for n < 3.3 * 10^24."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if n < 2:
+        return False
+    if n in bases:
+        return True
+    if any(n % b == 0 for b in bases):
+        return False
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in bases:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 def test_build_table_small(table_small):
     first = table_small.primes[:10].tolist()
     assert first == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
@@ -104,10 +130,10 @@ def test_large_table_beyond_1e7(table_large):
 
 
 def test_coprimality_primes_beyond_table(table_small):
-    # 101 and 103 lie above sqrt(limit): found only by reading past the
-    # primes a factorization of n <= limit needs
+    # q lies beyond the table and 101 and 103 above sqrt(limit): q's
+    # primes do not come from the table
     q = 2 * 101 * 103
-    assert sieve._coprimality_primes(q, table_small) == [2, 101, 103]
+    assert sieve._coprimality_primes(q) == [2, 101, 103]
     vals = sieve.values_upto(MultFuncSpec.threshold(10, 2, -2), 500, q, table_small)
     assert vals[101] == vals[103] == vals[303] == 0.0 and vals[107] == -2.0
 
@@ -127,6 +153,56 @@ def test_factor_property_large_table(table_large, n):
     assert all(table_large.prime_count(p) - table_large.prime_count(p - 1) == 1
                for p in fac)
     assert math.prod(p ** e for p, e in fac.items()) == n
+    assert sieve.prime_factors(n) == fac
+
+
+@given(st.one_of(st.integers(1, 10 ** 4), st.integers(1, 10 ** 10)))
+def test_prime_factors_property(n):
+    fac = sieve.prime_factors(n)
+    assert math.prod(p ** e for p, e in fac.items()) == n
+    assert sorted(fac) == list(fac) and all(e >= 1 for e in fac.values())
+    assert all(is_prime_mr(p) for p in fac)
+
+
+def test_prime_factors_tries_every_prime_divisor():
+    # p * q, q the prime after p, factors correctly only if p is tried
+    # as a trial divisor; this covers every prime up to 10^4
+    ps = sieve.primes_upto(10 ** 4 + 100).tolist()
+    for p, q in zip(ps, ps[1:]):
+        assert sieve.prime_factors(p * q) == {p: 1, q: 1}
+        assert sieve.prime_factors(p * p * q) == {p: 2, q: 1}
+
+
+def test_prime_factors_bounded_work():
+    p1, p2 = 10000019, 10000079      # consecutive primes above TRIAL_LIMIT
+    assert is_prime_mr(p1) and is_prime_mr(p2) and sieve.TRIAL_LIMIT < p1
+    # no table's factor() reaches the cap
+    assert math.isqrt(sieve.HARD_LIMIT) < sieve.TRIAL_LIMIT
+    with pytest.raises(ResourceLimitError, match=str(p1 * p2)):
+        sieve.prime_factors(p1 * p2)
+    assert sieve.prime_factors(2 ** 70) == {2: 70}
+    assert sieve.prime_factors(2 ** 40 * p1) == {2: 40, p1: 1}
+    assert sieve.prime_factors(1) == {}
+    assert sieve.prime_factors(np.int64(90)) == {2: 1, 3: 2, 5: 1}
+    for bad in (0, -6, 6.0, "6"):
+        with pytest.raises(InvalidInputError):
+            sieve.prime_factors(bad)
+
+
+def test_every_factoring_caller_is_capped(table_small, monkeypatch):
+    # a low cap keeps the refusals cheap: 1009 * 1013 and the prime 10211
+    # need trial divisors above 100
+    monkeypatch.setattr(sieve, "TRIAL_LIMIT", 100)
+    q = 1009 * 1013
+    spec = MultFuncSpec.threshold(10, 2, -2)
+    for n, call in ((q, lambda: sieve.values_upto(spec, 100, q, table_small)),
+                    (q, lambda: sieve.lower_bound_check(spec, spec, 100, q,
+                                                        table_small)),
+                    (q, lambda: sieve.euler_constant_c(q, 10 ** 3)),
+                    (q, lambda: sieve.euler_constant_c_exact(q, 10 ** 3)),
+                    (10211, lambda: satake.SatakeLocal.from_angle(10211, 1.0))):
+        with pytest.raises(ResourceLimitError, match=str(n)):
+            call()
 
 
 def test_is_squarefree_range_checked():
