@@ -153,6 +153,8 @@ def _cmd_sieve_verify(args) -> int:
     checks.append(("h_sum_y10_q6",
                    sieve.h_sum(spec10, 10, 6, table) == 5.0))
 
+    if args.samples < 1:
+        raise InvalidInputError(f"--samples must be >= 1, got {args.samples}")
     ok_routes = True
     for _ in range(args.samples):
         y = int(rng.integers(5, 200))
@@ -231,22 +233,20 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_identity_check(args) -> int:
+    if args.samples < 2:
+        raise InvalidInputError(f"--samples must be >= 2, got {args.samples}")
     per_mode = args.samples // 2
-    worst_sq = worst_cube = worst_exp = 0.0
+    b2, _, b4 = satake.sample_coeff_triples(per_mode, "sato-tate", args.seed + 1)
+    worst = np.zeros(3)           # np.maximum keeps a NaN residual
     for mode in ("sato-tate", "non-tempered"):
         a2, a3sq, a4 = satake.sample_coeff_triples(per_mode, mode, args.seed,
                                                    nu_max=args.nu_max)
-        worst_sq = max(worst_sq, float(np.max(np.abs(a2 * a2 - (a4 + a2 + 1)))))
-        worst_cube = max(worst_cube,
-                         float(np.max(np.abs(a2 * a4 - (a3sq - 1)))))
-        b2, b3sq, b4 = satake.sample_coeff_triples(per_mode, "sato-tate",
-                                                   args.seed + 1)
-        u_sq = (1 + 3 * a2 + 3 * b2 + 5 * a4) ** 2
-        u_exp = (-11 + 15 * a2 + 15 * b2 + 19 * a4 + 9 * b4
-                 + 18 * a2 * b2 + 30 * a4 * b2 + 30 * a3sq + 25 * a4 ** 2)
-        worst_exp = max(worst_exp, float(np.max(np.abs(u_sq - u_exp))))
+        residuals = (*satake.identity_residuals(a2, a3sq, a4),
+                     density.weight_residual(a2, a3sq, a4, b2, b4))
+        worst = np.maximum(worst, [np.max(r) for r in residuals])
+    worst_sq, worst_cube, worst_exp = worst.tolist()
     payload = {
-        "samples": args.samples,
+        "samples": 2 * per_mode,
         "max_square_identity_residual": worst_sq,
         "max_cube_identity_residual": worst_cube,
         "max_expansion_residual": worst_exp,

@@ -64,7 +64,6 @@ class PiecewiseSolution:
     spec: DdeSpec
     grid_step: float
     segments: list[np.ndarray]     # segment k holds sigma at k + j*grid_step
-    u_max: float
     first_zero: float | None = field(default=None)
 
     def at(self, u: float) -> float:
@@ -190,7 +189,7 @@ def solve(spec: DdeSpec, u_max: float, step: float) -> PiecewiseSolution:
         if zero is None:
             zero = _zero_in_last(segments, h)
     return PiecewiseSolution(spec=spec, grid_step=h, segments=segments,
-                             u_max=float(u_max), first_zero=zero)
+                             first_zero=zero)
 
 
 def _bisect(f, lo: float, hi: float) -> float:

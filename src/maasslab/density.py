@@ -94,18 +94,33 @@ def chebyshev_weight(coeffs: Sequence[CoeffTriple], m: int) -> float:
     if len(coeffs) != m:
         raise InvalidInputError(
             f"expected {m} coefficient triples, got {len(coeffs)}")
-    linear = 1.0 + 3.0 * sum(c.a2 for c in coeffs) + 5.0 * coeffs[0].a4
+    return _weight(sum(c.a2 for c in coeffs), coeffs[0].a4)
+
+
+def _weight(a_sum, a4_first):
+    """U from sum_j A_j and A4_1, given as floats or numpy arrays."""
+    linear = 1.0 + 3.0 * a_sum + 5.0 * a4_first
     return linear * linear
 
 
-def expansion_residual(coeffs: tuple[CoeffTriple, CoeffTriple]) -> float:
-    """|squared form - Hecke-identity expansion| for a pair of triples.
+def weight_residual(a2_1, a3_abs_sq_1, a4_1, a2_2, a4_2):
+    """|U - expansion| for two members, given the first member's A, |A3|^2
+    and A4 and the second's A and A4 (floats or numpy arrays).
 
     The expansion substitutes A^2 = A4 + A + 1 for both members and
     A*A4 = |A3|^2 - 1 for the first, leaving
     -11 + 15 A1 + 15 A2 + 19 A4_1 + 9 A4_2 + 18 A1 A2 + 30 A4_1 A2
     + 30 |A3_1|^2 + 25 A4_1^2.
     """
+    expanded = (-11.0 + 15.0 * a2_1 + 15.0 * a2_2 + 19.0 * a4_1
+                + 9.0 * a4_2 + 18.0 * a2_1 * a2_2 + 30.0 * a4_1 * a2_2
+                + 30.0 * a3_abs_sq_1 + 25.0 * a4_1 ** 2)
+    return abs(_weight(a2_1 + a2_2, a4_1) - expanded)
+
+
+def expansion_residual(coeffs: tuple[CoeffTriple, CoeffTriple]) -> float:
+    """weight_residual of a pair of triples, each of which must satisfy
+    the Hecke identities to 1e-10."""
     c1, c2 = coeffs
     for c in (c1, c2):
         r1, r2 = c.identity_residuals()
@@ -113,11 +128,7 @@ def expansion_residual(coeffs: tuple[CoeffTriple, CoeffTriple]) -> float:
             raise InvalidInputError(
                 f"coefficient triple violates the Hecke identities: "
                 f"residuals ({r1}, {r2})")
-    squared = chebyshev_weight((c1, c2), 2)
-    expanded = (-11.0 + 15.0 * c1.a2 + 15.0 * c2.a2 + 19.0 * c1.a4
-                + 9.0 * c2.a4 + 18.0 * c1.a2 * c2.a2 + 30.0 * c1.a4 * c2.a2
-                + 30.0 * c1.a3_abs_sq + 25.0 * c1.a4 ** 2)
-    return abs(squared - expanded)
+    return weight_residual(c1.a2, c1.a3_abs_sq, c1.a4, c2.a2, c2.a4)
 
 
 def density_lower_bound(m: int, variant: str = "paper") -> Fraction:
@@ -141,35 +152,6 @@ def pigeonhole_intersection(d1: Fraction, d2: Fraction) -> Fraction:
         if not 0 <= d <= 1:
             raise InvalidInputError(f"density out of [0, 1]: {d}")
     return max(d1 + d2 - 1, Fraction(0))
-
-
-def _triples_from_eigenvalues(ps: np.ndarray, lams: np.ndarray
-                              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized (A, |A3|^2, A4) from real eigenvalues via the literal
-    parameter sums (trigonometric for tempered, hyperbolic beyond); the
-    test oracle for the polynomial route of exceptional_scan."""
-    mod = np.abs(lams)
-    a2 = lams * lams - 1.0
-    a3sq = np.empty_like(a2)
-    a4 = np.empty_like(a2)
-
-    t = mod <= 2.0
-    # tempered: alpha/beta = e^{2i theta}, 2 cos(k theta) sums
-    c2 = np.clip(mod[t] ** 2 / 2.0 - 1.0, -1.0, 1.0)     # cos(2 theta)
-    two_theta = np.arccos(c2)
-    a3 = 2.0 * np.cos(1.5 * two_theta) + 2.0 * np.cos(0.5 * two_theta)
-    a3sq[t] = a3 * a3
-    a4[t] = 2.0 * np.cos(2.0 * two_theta) + 2.0 * c2 + 1.0
-
-    nt = ~t
-    if np.any(nt):
-        # non-tempered: alpha/beta = p^{2 nu}, hyperbolic sums in w = p^nu + p^-nu
-        w = mod[nt]
-        r = (w / 2.0 + np.sqrt(np.maximum(w * w / 4.0 - 1.0, 0.0))) ** 2
-        a3w = w ** 3 - 2.0 * w
-        a3sq[nt] = a3w * a3w
-        a4[nt] = r * r + r + 1.0 + 1.0 / r + 1.0 / (r * r)
-    return a2, a3sq, a4
 
 
 def exceptional_scan(family: FormFamily, X: int) -> DensityReport:
@@ -206,8 +188,7 @@ def exceptional_scan(family: FormFamily, X: int) -> DensityReport:
     squares = [lams * lams for lams in rows]
     a_sum = sum(sq - 1.0 for sq in squares)
     a4_first = squares[0] * squares[0] - 3.0 * squares[0] + 1.0
-    linear = 1.0 + 3.0 * a_sum + 5.0 * a4_first
-    u_vals = linear * linear
+    u_vals = _weight(a_sum, a4_first)
 
     non_rp_all = np.ones(primes.size, dtype=bool)
     for lams in rows:

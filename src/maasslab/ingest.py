@@ -54,7 +54,7 @@ class CoeffRecord:
     ps: np.ndarray = field(compare=False)
     lams: np.ndarray = field(compare=False)
     fetched_at: str
-    source: str             # "remote" | "fixture"
+    source: str             # "fixture" | "remote" | "cache-fallback"
 
     __eq__ = fields_equal
     __post_init__ = freeze_coefficients
@@ -299,8 +299,9 @@ def fetch(label: str, coverage: int = DEFAULT_COVERAGE, cache_dir=None,
     """Return a validated record for a label, refreshing the cache.
 
     Fixture labels are generated locally.  Other labels need an endpoint
-    (argument or environment); on network failure the cached copy is
-    returned when present, else RemoteUnavailableError is raised.
+    (argument or environment); without one, or on network failure, the
+    cached copy is returned with source "cache-fallback" when present,
+    else RemoteUnavailableError is raised.
     """
     if coverage < 2:
         raise InvalidInputError(f"coverage must be >= 2, got {coverage}")
@@ -320,6 +321,6 @@ def fetch(label: str, coverage: int = DEFAULT_COVERAGE, cache_dir=None,
             return record
     cached = read_cache(label, cache_dir)
     if cached is not None:
-        return cached
+        return replace(cached, source="cache-fallback")
     raise RemoteUnavailableError(
         f"{reason} and no cached record for {label!r}")

@@ -146,9 +146,23 @@ class CoeffTriple:
     a4: float
 
     def identity_residuals(self) -> tuple[float, float]:
-        r1 = abs(self.a2 * self.a2 - (self.a4 + self.a2 + 1.0))
-        r2 = abs(self.a2 * self.a4 - (self.a3_abs_sq - 1.0))
-        return r1, r2
+        return identity_residuals(self.a2, self.a3_abs_sq, self.a4)
+
+
+def identity_residuals(a2, a3_abs_sq, a4):
+    """Residuals |A^2 - (A4 + A + 1)| and |A*A4 - (|A3|^2 - 1)| of the two
+    Hecke identities; the arguments are floats or numpy arrays."""
+    return (abs(a2 * a2 - (a4 + a2 + 1.0)),
+            abs(a2 * a4 - (a3_abs_sq - 1.0)))
+
+
+def _coeff_sums(alpha, beta):
+    """(A, |A3|^2, A4) of the pair (alpha, beta): complex scalars or arrays."""
+    r = alpha / beta
+    a2 = (r + 1.0 + 1.0 / r).real
+    a3 = alpha ** 3 + alpha ** 2 * beta + alpha * beta ** 2 + beta ** 3
+    a4 = (r * r + r + 1.0 + 1.0 / r + 1.0 / (r * r)).real
+    return a2, abs(a3) ** 2, a4
 
 
 def _require_prime(p: int) -> None:
@@ -170,8 +184,7 @@ def adjoint_coeff(s: SatakeLocal) -> float:
     """
     s.validate()
     from_eigenvalue = abs(s.lam) ** 2 - 1.0
-    r = s.alpha / s.beta
-    from_params = (r + 1.0 + 1.0 / r).real
+    from_params = _coeff_sums(s.alpha, s.beta)[0]
     if abs(from_eigenvalue - from_params) > 1e-12 * max(1.0, abs(from_params)):
         raise InvalidInputError(
             f"eigenvalue route {from_eigenvalue} and parameter route "
@@ -182,12 +195,7 @@ def adjoint_coeff(s: SatakeLocal) -> float:
 def sym_coeffs(s: SatakeLocal) -> CoeffTriple:
     """Coefficient triple (A, |A3|^2, A4) from the literal parameter sums."""
     s.validate()
-    a, b = s.alpha, s.beta
-    r = a / b
-    a2 = (r + 1.0 + 1.0 / r).real
-    a3 = a ** 3 + a ** 2 * b + a * b ** 2 + b ** 3
-    a4 = (r * r + r + 1.0 + 1.0 / r + 1.0 / (r * r)).real
-    return CoeffTriple(a2=a2, a3_abs_sq=abs(a3) ** 2, a4=a4)
+    return CoeffTriple(*_coeff_sums(s.alpha, s.beta))
 
 
 def check_hecke_identities(s: SatakeLocal) -> tuple[float, float]:
@@ -230,8 +238,9 @@ def sato_tate_angles(rng: np.random.Generator, count: int) -> np.ndarray:
 
 
 def _sample_parameters(count: int, mode: str, seed: int,
-                       nu_max: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Draw (p, alpha, beta) arrays for the requested mode; u is fixed to 1."""
+                       nu_max: float) -> tuple[np.ndarray, np.ndarray]:
+    """Draw the primes and the angles theta (tempered modes) or the
+    deviations nu (non-tempered) for the requested mode."""
     if count < 1:
         raise InvalidInputError(f"count must be >= 1, got {count}")
     if mode not in SAMPLE_MODES:
@@ -243,17 +252,10 @@ def _sample_parameters(count: int, mode: str, seed: int,
         np.arange(count) % len(_SAMPLE_PRIMES)]
     if mode == "non-tempered":
         # 1 - random() is in (0, 1], keeping nu strictly positive
-        nus = nu_max * (1.0 - rng.random(count))
-        alpha = ps.astype(np.float64) ** nus + 0j
-        beta = ps.astype(np.float64) ** (-nus) + 0j
-        return ps, alpha, beta
+        return ps, nu_max * (1.0 - rng.random(count))
     if mode == "sato-tate":
-        thetas = sato_tate_angles(rng, count)
-    else:
-        thetas = rng.random(count) * math.pi
-    alpha = np.exp(1j * thetas)
-    beta = np.exp(-1j * thetas)
-    return ps, alpha, beta
+        return ps, sato_tate_angles(rng, count)
+    return ps, rng.random(count) * math.pi
 
 
 def sample_satake(count: int, mode: str, seed: int,
@@ -264,19 +266,10 @@ def sample_satake(count: int, mode: str, seed: int,
     uniform-angle draws theta uniformly on [0, pi]; non-tempered draws
     nu uniformly on (0, nu_max].  The unit factor is 1 throughout.
     """
-    ps, alpha, beta = _sample_parameters(count, mode, seed, nu_max)
-    out = []
-    if mode == "non-tempered":
-        nus = np.log(alpha.real) / np.log(ps)
-        for p, nu in zip(ps.tolist(), nus.tolist()):
-            out.append(SatakeLocal(p=p, lam=complex(p ** nu + p ** (-nu)),
-                                   u=1.0 + 0.0j, tempered=False, theta_or_nu=nu))
-        return out
-    thetas = np.arccos(np.clip(alpha.real, -1.0, 1.0))
-    for p, th in zip(ps.tolist(), thetas.tolist()):
-        out.append(SatakeLocal(p=p, lam=complex(2.0 * math.cos(th)),
-                               u=1.0 + 0.0j, tempered=True, theta_or_nu=th))
-    return out
+    ps, draws = _sample_parameters(count, mode, seed, nu_max)
+    make = (SatakeLocal.from_deviation if mode == "non-tempered"
+            else SatakeLocal.from_angle)
+    return [make(p, x) for p, x in zip(ps.tolist(), draws.tolist())]
 
 
 def sample_coeff_triples(count: int, mode: str, seed: int,
@@ -284,12 +277,11 @@ def sample_coeff_triples(count: int, mode: str, seed: int,
                          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized (A, |A3|^2, A4) arrays from the literal parameter sums.
 
-    Same distributions and seeding as sample_satake; used for bulk
-    identity sweeps where constructing objects would dominate runtime.
+    Same draws as sample_satake; used for bulk identity sweeps where
+    constructing objects would dominate runtime.
     """
-    _, alpha, beta = _sample_parameters(count, mode, seed, nu_max)
-    r = alpha / beta
-    a2 = (r + 1.0 + 1.0 / r).real
-    a3 = alpha ** 3 + alpha ** 2 * beta + alpha * beta ** 2 + beta ** 3
-    a4 = (r * r + r + 1.0 + 1.0 / r + 1.0 / (r * r)).real
-    return a2, np.abs(a3) ** 2, a4
+    ps, draws = _sample_parameters(count, mode, seed, nu_max)
+    if mode == "non-tempered":
+        pf = ps.astype(np.float64)
+        return _coeff_sums(pf ** draws + 0j, pf ** (-draws) + 0j)
+    return _coeff_sums(np.exp(1j * draws), np.exp(-1j * draws))

@@ -48,6 +48,49 @@ def test_identity_check_passes(capsys):
     assert doc["max_expansion_residual"] < 1e-9
 
 
+# sha256 of `identity-check` at its defaults (10^5 samples, seed 1729)
+IDENTITY_CHECK_STDOUT_SHA256 = (
+    "4b4962034fd5e7f777b8a73cc21b1df336d18790084789cef9487679912d5592")
+
+
+def test_identity_check_stdout_bytes_pinned(capsys):
+    code, out, _ = run_cli(capsys, "identity-check")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == IDENTITY_CHECK_STDOUT_SHA256
+
+
+def test_identity_check_reports_pairs_swept(capsys):
+    code, out, _ = run_cli(capsys, "identity-check", "--samples", "7",
+                           "--seed", "7")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["samples"] == 6 and doc["config"]["samples"] == 7
+
+
+@pytest.mark.parametrize("argv", [
+    ("identity-check", "--samples", "1"), ("identity-check", "--samples", "-4"),
+    ("sieve-verify", "--limit", "1000", "--samples", "0"),
+    ("sieve-verify", "--limit", "1000", "--samples", "-5"),
+])
+def test_sample_count_below_minimum_is_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: invalid-input: --samples must be >= ")
+
+
+@pytest.mark.parametrize("module,name,broken", [
+    ("density", "weight_residual", lambda *_: 1.0),
+    ("density", "weight_residual", lambda *_: float("nan")),
+    ("satake", "identity_residuals", lambda *_: (1.0, 1.0)),
+])
+def test_identity_check_runs_the_library_formulas(capsys, monkeypatch,
+                                                  module, name, broken):
+    monkeypatch.setattr(getattr(cli, module), name, broken)
+    code, out, _ = run_cli(capsys, "identity-check", "--samples", "100")
+    assert code == 1
+    assert json.loads(out)["passed"] is False
+
+
 def test_output_byte_identical_between_runs(capsys):
     _, first, _ = run_cli(capsys, "density-report", "--m", "3")
     _, second, _ = run_cli(capsys, "density-report", "--m", "3")

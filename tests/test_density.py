@@ -57,11 +57,21 @@ def test_expansion_residual_rejects_inconsistent_triple():
 
 def test_expansion_residual_bulk_sweep():
     a2, a3, a4 = satake.sample_coeff_triples(50000, "sato-tate", 12)
-    b2, _, b4 = satake.sample_coeff_triples(50000, "non-tempered", 13)
-    u_sq = (1 + 3 * a2 + 3 * b2 + 5 * a4) ** 2
-    u_exp = (-11 + 15 * a2 + 15 * b2 + 19 * a4 + 9 * b4 + 18 * a2 * b2
-             + 30 * a4 * b2 + 30 * a3 + 25 * a4 ** 2)
-    assert float(np.max(np.abs(u_sq - u_exp))) < 1e-9
+    b2, b3, b4 = satake.sample_coeff_triples(50000, "non-tempered", 13)
+    residual = density.weight_residual(a2, a3, a4, b2, b4)
+    assert float(np.max(residual)) < 1e-9
+    # the array route and the per-pair route give the same float
+    for i in range(0, 50000, 4999):
+        pair = (CoeffTriple(float(a2[i]), float(a3[i]), float(a4[i])),
+                CoeffTriple(float(b2[i]), float(b3[i]), float(b4[i])))
+        assert density.expansion_residual(pair) == residual[i]
+
+
+def test_weight_residual_off_the_identities():
+    # (1 + 3*4 + 5)^2 = 324 against the expansion's 312, exactly
+    assert density.weight_residual(1.0, 1.0, 1.0, 3.0, 5.0) == 12.0
+    columns = [np.array([x, x]) for x in (1.0, 1.0, 1.0, 3.0, 5.0)]
+    assert density.weight_residual(*columns).tolist() == [12.0, 12.0]
 
 
 def test_density_lower_bound_values():
@@ -110,6 +120,16 @@ def _tempered_stream(ps, seed):
     """(ps, lams) with Sato-Tate eigenvalues; lams is a fresh writable copy."""
     rng = np.random.default_rng(seed)
     return ps, 2.0 * np.cos(satake.sato_tate_angles(rng, len(ps)))
+
+
+def _parameter_route(ps, lams):
+    """(A, A4) arrays through the per-prime parameter route
+    sym_coeffs(SatakeLocal.from_eigenvalue(p, lam)), independent of the
+    polynomial route of exceptional_scan."""
+    triples = [satake.sym_coeffs(satake.SatakeLocal.from_eigenvalue(p, lam))
+               for p, lam in zip(ps.tolist(), lams.tolist())]
+    return (np.array([t.a2 for t in triples]),
+            np.array([t.a4 for t in triples]))
 
 
 def test_exceptional_scan_all_tempered():
@@ -171,8 +191,8 @@ def test_exceptional_scan_mean_matches_quadrature_oracle():
     fam = _family_from_eigenvalues(
         [_tempered_stream(ps, 7), _tempered_stream(ps, 8)])
     rep = density.exceptional_scan(fam, 10 ** 5)
-    a2, _, a4 = density._triples_from_eigenvalues(ps, fam.members[0].lams)
-    b2, _, _ = density._triples_from_eigenvalues(ps, fam.members[1].lams)
+    a2, a4 = _parameter_route(ps, fam.members[0].lams)
+    b2, _ = _parameter_route(ps, fam.members[1].lams)
     u_vals = (1 + 3 * a2 + 3 * b2 + 5 * a4) ** 2
     tol = 4 * float(np.std(u_vals)) / math.sqrt(len(ps))
     assert abs(rep.running_mean_U - mean_u) < tol
@@ -210,8 +230,8 @@ def test_exceptional_scan_polynomial_route_matches_oracle(tmp_path):
     ps = ps[(6 % ps != 0) & (10 % ps != 0)]
     lams = [r.lams[np.searchsorted(r.ps, ps)] for r in recs]
     assert any(np.abs(lam).max() > 2.0 for lam in lams)
-    a2, _, a4 = density._triples_from_eigenvalues(ps, lams[0])
-    b2, _, _ = density._triples_from_eigenvalues(ps, lams[1])
+    a2, a4 = _parameter_route(ps, lams[0])
+    b2, _ = _parameter_route(ps, lams[1])
     oracle = float(np.mean((1 + 3 * a2 + 3 * b2 + 5 * a4) ** 2))
     assert rep.pi_X == len(ps)
     assert rep.running_mean_U == pytest.approx(oracle, rel=1e-13)

@@ -76,7 +76,7 @@ def test_unknown_label_falls_back_to_cache(tmp_path, monkeypatch):
     cached = dataclasses.replace(rec, label="remote-form-7", source="remote")
     ingest.write_cache(cached, tmp_path)
     got = ingest.fetch("remote-form-7", cache_dir=tmp_path)
-    assert got == cached
+    assert got == dataclasses.replace(cached, source="cache-fallback")
 
 
 def test_validate_flags_envelope_violation():
@@ -246,7 +246,7 @@ def test_fetch_network_error_falls_back_to_cache(tmp_path, monkeypatch):
     monkeypatch.setattr(ingest, "_fetch_remote", unreachable)
     got = ingest.fetch("remote-form-9", cache_dir=tmp_path,
                        endpoint="http://127.0.0.1:1/coeffs")
-    assert got == rec
+    assert got == dataclasses.replace(rec, source="cache-fallback")
 
 
 def test_fetch_malformed_remote_document_propagates(tmp_path, monkeypatch):

@@ -166,6 +166,35 @@ def test_sample_matches_vectorized_triples():
         assert t.a4 == pytest.approx(float(a4[i]), abs=1e-10)
 
 
+@pytest.mark.parametrize("mode", satake.SAMPLE_MODES)
+def test_sample_satake_keeps_the_drawn_parameters(mode):
+    samples = satake.sample_satake(300, mode, 11, nu_max=0.1)
+    rng = np.random.default_rng(11)
+    if mode == "sato-tate":
+        drawn = satake.sato_tate_angles(rng, 300)
+    elif mode == "uniform-angle":
+        drawn = rng.random(300) * math.pi
+    else:
+        drawn = 0.1 * (1.0 - rng.random(300))
+    assert [s.theta_or_nu for s in samples] == drawn.tolist()
+    assert {s.tempered for s in samples} == {mode != "non-tempered"}
+    pool = satake._SAMPLE_PRIMES
+    assert [s.p for s in samples] == [pool[i % len(pool)] for i in range(300)]
+    a2, a3sq, a4 = satake.sample_coeff_triples(300, mode, 11, nu_max=0.1)
+    for s, want in zip(samples, zip(a2, a3sq, a4)):
+        t = satake.sym_coeffs(s)
+        assert (t.a2, t.a3_abs_sq, t.a4) == pytest.approx(want, abs=1e-12)
+
+
+def test_identity_residuals_take_floats_and_arrays():
+    assert satake.identity_residuals(3.0, 16.0, 5.0) == (0.0, 0.0)
+    assert satake.identity_residuals(0.0, 1.0, 0.0) == (1.0, 0.0)
+    r1, r2 = satake.identity_residuals(np.array([3.0, 0.0]),
+                                       np.array([16.0, 2.0]),
+                                       np.array([5.0, -1.0]))
+    assert r1.tolist() == [0.0, 0.0] and r2.tolist() == [0.0, 1.0]
+
+
 def test_sample_rejects_bad_arguments():
     with pytest.raises(InvalidInputError):
         satake.sample_satake(0, "sato-tate", 1)
