@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field, fields
 from functools import lru_cache
 
@@ -75,9 +76,27 @@ def checked_coefficients(ps, lams) -> tuple[np.ndarray, np.ndarray]:
     return ps, lams
 
 
-def freeze_coefficients(obj) -> None:
-    """Check and freeze the ps/lams fields of a frozen dataclass instance;
-    a record and the FormMeta built from it share their data."""
+# the scalar fields FormMeta and CoeffRecord share: name -> (test, requirement);
+# the level meets int64 prime arrays in the scans' level masks
+_FIELD_CHECKS = {
+    "level": (lambda n: 1 <= n <= np.iinfo(np.int64).max, "lie in [1, 2^63 - 1]"),
+    "spectral_parameter": (lambda t: abs(t) <= sys.float_info.max, "be finite"),
+}
+
+
+def check_field(name: str, value) -> None:
+    """InvalidInputError unless value is valid as the named field of a form."""
+    test, requirement = _FIELD_CHECKS[name]
+    if not test(value):
+        raise InvalidInputError(f"{name} must {requirement}, got {value}")
+
+
+def check_form_fields(obj) -> None:
+    """__post_init__ of FormMeta and CoeffRecord: check the level and the
+    spectral parameter, then check and freeze ps/lams; a record and the
+    FormMeta built from it share their data."""
+    for name in _FIELD_CHECKS:
+        check_field(name, getattr(obj, name))
     ps, lams = checked_coefficients(obj.ps, obj.lams)
     object.__setattr__(obj, "ps", ps)
     object.__setattr__(obj, "lams", lams)
@@ -102,13 +121,7 @@ class FormMeta:
     label: str | None = None
 
     __eq__ = fields_equal
-
-    def __post_init__(self):
-        # the level meets int64 prime arrays in the scans' level masks
-        if not 1 <= self.level <= np.iinfo(np.int64).max:
-            raise InvalidInputError(
-                f"level must lie in [1, 2^63 - 1], got {self.level}")
-        freeze_coefficients(self)
+    __post_init__ = check_form_fields
 
 
 def conductor(meta: FormMeta) -> float:

@@ -33,26 +33,22 @@ EXIT_NETWORK = 5
 
 
 def _config_dict(args: argparse.Namespace) -> dict:
-    skip = {"func"}
-    return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
+    return {k: v for k, v in vars(args).items() if k != "func"}
 
 
-def _emit_payload(payload: dict, args, pairs_at: tuple[str, ...] = ()) -> None:
-    """Scalar results: JSON by default, aligned key/value in table mode.
+def _config_line(args) -> str:
+    return "# config: " + json.dumps(_config_dict(args), sort_keys=True)
 
-    pairs_at is the path of a coefficient-pair list in the JSON document,
-    rendered by ingest.json_text into the same bytes json.dumps gives."""
-    fmt = getattr(args, "format", None) or "json"
-    if fmt == "table":
-        lines = ["# config: " + json.dumps(_config_dict(args), sort_keys=True)]
+
+def _emit_payload(payload: dict, args) -> None:
+    """Scalar results: one line of JSON by default, aligned key/value in
+    table mode."""
+    if (getattr(args, "format", None) or "json") == "table":
         width = max(len(k) for k in payload)
-        for k, v in payload.items():
-            lines.append(f"{k:<{width}}  {v}")
-        _write_out("\n".join(lines) + "\n", args)
-        return
-    doc = {"config": _config_dict(args), **payload}
-    text = (ingest.json_text(doc, pairs_at) if pairs_at
-            else json.dumps(doc, indent=2, sort_keys=True))
+        text = "\n".join([_config_line(args),
+                          *(f"{k:<{width}}  {v}" for k, v in payload.items())])
+    else:
+        text = json.dumps({"config": _config_dict(args), **payload}, sort_keys=True)
     _write_out(text + "\n", args)
 
 
@@ -63,21 +59,13 @@ def _emit_grid(header: list[str], rows: list[tuple], args) -> None:
         _emit_payload({"columns": header,
                        "rows": [list(r) for r in rows]}, args)
         return
+    cells = [header] + [[_csv_cell(v) for v in row] for row in rows]
     if fmt == "table":
-        cells = [[_csv_cell(v) for v in row] for row in rows]
-        widths = [max(len(h), *(len(c[i]) for c in cells)) if cells else len(h)
-                  for i, h in enumerate(header)]
-        lines = ["# config: " + json.dumps(_config_dict(args), sort_keys=True)]
-        lines.append("  ".join(h.ljust(w) for h, w in zip(header, widths)))
-        for c in cells:
-            lines.append("  ".join(v.ljust(w) for v, w in zip(c, widths)))
-        _write_out("\n".join(lines) + "\n", args)
-        return
-    lines = ["# config: " + json.dumps(_config_dict(args), sort_keys=True)]
-    lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(_csv_cell(v) for v in row))
-    _write_out("\n".join(lines) + "\n", args)
+        widths = [max(len(c[i]) for c in cells) for i in range(len(header))]
+        lines = ["  ".join(v.ljust(w) for v, w in zip(c, widths)) for c in cells]
+    else:
+        lines = [",".join(c) for c in cells]
+    _write_out("\n".join([_config_line(args), *lines]) + "\n", args)
 
 
 def _comma_list(text: str, kind, option: str) -> list:
@@ -204,7 +192,7 @@ def _cmd_density_report(args) -> int:
                                 cache_dir=args.cache_dir) for lab in labels]
         family = density.FormFamily([r.to_form_meta() for r in records])
         report = density.exceptional_scan(family, args.x)
-        _emit_payload(json.loads(report.to_json()), args)
+        _emit_payload(report.to_json_dict(), args)
         return EXIT_OK
     bound = density.density_lower_bound(args.m, args.formula)
     payload = {
@@ -267,7 +255,7 @@ def _cmd_fetch(args) -> int:
                "findings": [{"severity": f.severity, "kind": f.kind,
                              "p": f.p, "message": f.message}
                             for f in findings]}
-    _emit_payload(payload, args, pairs_at=("record", "coefficients"))
+    _emit_payload(payload, args)
     return EXIT_OK if not errors else EXIT_FAIL
 
 

@@ -13,7 +13,6 @@ that pointwise largeness into the density bounds 1 - 1/(26 + 9m).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -75,8 +74,8 @@ class DensityReport:
     assumptions: list[str] = field(default_factory=list)
     exceptional_primes: list[int] = field(default_factory=list)
 
-    def to_json(self) -> str:
-        return json.dumps({
+    def to_json_dict(self) -> dict:
+        return {
             "X": self.X,
             "pi_X": self.pi_X,
             "exceptional_count": self.exceptional_count,
@@ -84,7 +83,7 @@ class DensityReport:
             "implied_upper": self.implied_upper,
             "theory_bound": self.theory_bound,
             "assumptions": self.assumptions,
-        }, sort_keys=True)
+        }
 
 
 def chebyshev_weight(coeffs: Sequence[CoeffTriple], m: int) -> float:

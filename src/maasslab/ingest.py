@@ -7,10 +7,6 @@ remote fetches hit an endpoint configured through the environment and
 fall back to the local cache when the network is down.  Cache files
 are one JSON document per record, written atomically (temp file +
 rename).
-
-Cache files and the `fetch` payload are byte-for-byte the output of
-json.dumps(sort_keys=True, indent=2); json_text produces it without
-json's pure-Python indent encoder.
 """
 
 from __future__ import annotations
@@ -18,6 +14,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+import urllib.parse
 import zlib
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -25,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import satake, sieve
-from .bounds import FormMeta, fields_equal, freeze_coefficients
+from .bounds import FormMeta, check_field, check_form_fields, fields_equal
 from .errors import CacheParseError, InvalidInputError, RemoteUnavailableError
 
 SCHEMA_VERSION = 1
@@ -33,7 +30,6 @@ ENDPOINT_ENV = "MAASSLAB_ENDPOINT"
 CACHE_DIR_ENV = "MAASSLAB_CACHE_DIR"
 FIXTURE_TIMESTAMP = "2025-01-01T00:00:00Z"
 DEFAULT_COVERAGE = 10 ** 4
-_PAIRS_SENTINEL = "@@maasslab-coefficient-pairs@@"
 
 
 @dataclass(frozen=True)
@@ -57,7 +53,7 @@ class CoeffRecord:
     source: str             # "fixture" | "remote" | "cache-fallback"
 
     __eq__ = fields_equal
-    __post_init__ = freeze_coefficients
+    __post_init__ = check_form_fields
 
     def coverage(self) -> int:
         return int(self.ps[-1]) if self.ps.size else 0
@@ -155,66 +151,26 @@ def validate(record: CoeffRecord) -> list[Finding]:
 
 
 def _cache_dir(cache_dir: str | os.PathLike | None) -> Path:
-    if cache_dir is not None:
-        d = Path(cache_dir)
-    else:
-        d = Path(os.environ.get(
-            CACHE_DIR_ENV, Path.home() / ".cache" / "maasslab"))
+    d = Path(cache_dir if cache_dir is not None else os.environ.get(
+        CACHE_DIR_ENV, Path.home() / ".cache" / "maasslab"))
     d.mkdir(parents=True, exist_ok=True)
     return d
 
 
 def _cache_path(label: str, cache_dir) -> Path:
-    safe = "".join(c if c.isalnum() or c in "-_." else "_" for c in label)
-    return _cache_dir(cache_dir) / f"{safe}.json"
-
-
-def json_text(doc: dict, path: tuple[str, ...]) -> str:
-    """json.dumps(doc, sort_keys=True, indent=2), character for character,
-    with the list of coefficient pairs at doc[path[0]][path[1]]...
-    rendered by json's C encoder.
-
-    With indent set, json runs a pure-Python encoder over every element;
-    here only the small document around the pairs takes that route.  The
-    compact rendering of the pairs is re-indented at its joints: ","
-    within and between pairs, and "],[" between pairs.  Numbers (NaN and
-    Infinity included) render without either, so this is exact for a
-    non-empty list of non-empty lists of numbers.  A list holding a
-    string, an empty or a nested list, or a document in which the
-    sentinel also occurs elsewhere, takes plain json.dumps.
-    """
-    def stub(node, keys):
-        return ({**node, keys[0]: stub(node[keys[0]], keys[1:])} if keys
-                else _PAIRS_SENTINEL)
-    pairs = doc
-    for key in path:
-        pairs = pairs[key]
-    compact = json.dumps(pairs, separators=(",", ":"))
-    skeleton = json.dumps(stub(doc, path), sort_keys=True, indent=2)
-    marker = json.dumps(_PAIRS_SENTINEL)
-    # with every item a list, one "[" per item rules out nested lists
-    if (not isinstance(pairs, list) or not all(type(p) is list for p in pairs)
-            or '"' in compact or "[]" in compact
-            or compact.count("[") != len(pairs) + 1
-            or skeleton.count(marker) != 1):
-        return json.dumps(doc, sort_keys=True, indent=2)
-    outer = "\n" + "  " * (len(path) + 1)     # pair brackets
-    inner = outer + "  "                       # numbers within a pair
-    body = compact[2:-2].replace(",", "," + inner).replace(
-        "]," + inner + "[", outer + "]," + outer + "[" + inner)
-    rendered = ("[" + outer + "[" + inner + body + outer + "]"
-                + outer[:-2] + "]")
-    return skeleton.replace(marker, rendered, 1)
+    # percent-escape every character outside [A-Za-z0-9._-], "%" included,
+    # so that distinct labels get distinct files ("a/b" -> a%2Fb, "a_b" -> a_b)
+    safe = urllib.parse.quote(label, safe="", errors="surrogatepass")
+    return _cache_dir(cache_dir) / f"{safe.replace('~', '%7E')}.json"
 
 
 def write_cache(record: CoeffRecord, cache_dir=None) -> Path:
     """Atomic write: readers never observe a partial file."""
     path = _cache_path(record.label, cache_dir)
-    payload = json_text(record.to_json_dict(), ("coefficients",))
     fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(payload)
+            fh.write(json.dumps(record.to_json_dict(), sort_keys=True))
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):
@@ -237,26 +193,25 @@ def _record_from_json_dict(doc: dict) -> CoeffRecord:
     if doc["schema"] != SCHEMA_VERSION:
         raise CacheParseError(
             f"schema version {doc['schema']} unsupported", field="schema")
-    ps, lams = [], []
-    prev = 0
     for item in doc["coefficients"]:
         if (not isinstance(item, list) or len(item) != 2
                 or type(item[0]) is not int
                 or type(item[1]) not in (int, float)):
             raise CacheParseError(
                 f"bad coefficient entry {item!r}", field="coefficients")
-        p = item[0]
-        if p <= prev:
-            raise CacheParseError(
-                f"primes not strictly increasing at {p}", field="coefficients")
-        prev = p
-        ps.append(p)
-        lams.append(item[1])
-    return CoeffRecord(
-        label=doc["label"], level=doc["level"],
-        spectral_parameter=float(doc["spectral_parameter"]),
-        ps=ps, lams=lams, fetched_at=doc["fetched_at"],
-        source=doc.get("source", "remote"))
+    # the value checks are the record's own; a failure names its field
+    try:
+        for key in ("level", "spectral_parameter"):
+            check_field(key, doc[key])
+        key = "coefficients"
+        pairs = doc["coefficients"]
+        return CoeffRecord(
+            label=doc["label"], level=doc["level"],
+            spectral_parameter=float(doc["spectral_parameter"]),
+            ps=[p for p, _ in pairs], lams=[a for _, a in pairs],
+            fetched_at=doc["fetched_at"], source=doc.get("source", "remote"))
+    except InvalidInputError as exc:
+        raise CacheParseError(str(exc), field=key) from exc
 
 
 def read_cache(label: str, cache_dir=None) -> CoeffRecord | None:
@@ -267,7 +222,11 @@ def read_cache(label: str, cache_dir=None) -> CoeffRecord | None:
         doc = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise CacheParseError(f"cache file is not valid JSON: {exc}") from exc
-    return _record_from_json_dict(doc)
+    record = _record_from_json_dict(doc)
+    if record.label != label:
+        raise CacheParseError(f"cache file {path.name} holds label "
+                              f"{record.label!r}, not {label!r}", field="label")
+    return record
 
 
 def _fetch_remote(label: str, coverage: int, endpoint: str) -> CoeffRecord:

@@ -31,6 +31,13 @@ def test_form_meta_rejects_bad_level():
         FormMeta(2 ** 63, 1.0)
 
 
+@pytest.mark.parametrize("t", [float("nan"), float("inf"), -float("inf"), 10 ** 400],
+                         ids=["nan", "inf", "-inf", "int-past-float-range"])
+def test_form_meta_rejects_non_finite_spectral_parameter(t):
+    with pytest.raises(InvalidInputError, match="spectral_parameter must be finite"):
+        FormMeta(5, t)
+
+
 def test_checked_coefficients_rejects_bool_and_float_primes():
     # the int64 conversion would truncate these to [2, 5], [1, 3], ...
     for ps in ([2.7, 5], [True, 3], [2, np.bool_(True)], np.array([2.0, 5.0]),

@@ -48,9 +48,10 @@ def test_identity_check_passes(capsys):
     assert doc["max_expansion_residual"] < 1e-9
 
 
-# sha256 of `identity-check` at its defaults (10^5 samples, seed 1729)
+# sha256 of `identity-check` at its defaults (10^5 samples, seed 1729),
+# one line of compact JSON
 IDENTITY_CHECK_STDOUT_SHA256 = (
-    "4b4962034fd5e7f777b8a73cc21b1df336d18790084789cef9487679912d5592")
+    "2576cb71890c5c0caaa8425f78772e3b9104e385a7c5a4f19c506cf2a0b9b9b9")
 
 
 def test_identity_check_stdout_bytes_pinned(capsys):
@@ -148,8 +149,9 @@ def test_fetch_fixture(tmp_path, capsys):
     assert (tmp_path / "fixture-tempered-1.json").exists()
 
 
-# sha256 of `fetch --label fixture-mixed-1 --coverage 10000 --cache-dir cache`
-FETCH_STDOUT_SHA256 = "e9bc657851237e7a729b07f4397b7148ffb3ffc4e7eac29cc16c7f44783cb44d"
+# sha256 of `fetch --label fixture-mixed-1 --coverage 10000 --cache-dir cache`,
+# one line of compact JSON
+FETCH_STDOUT_SHA256 = "dfa89ba790589c5d454c2747928ded629aacc59c59543895092600d6c5d17003"
 
 
 def test_fetch_stdout_bytes_pinned(tmp_path, capsys, monkeypatch):
@@ -157,8 +159,22 @@ def test_fetch_stdout_bytes_pinned(tmp_path, capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "fetch", "--label", "fixture-mixed-1",
                            "--coverage", "10000", "--cache-dir", "cache")
     assert code == 0
-    assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+    assert out == json.dumps(json.loads(out), sort_keys=True) + "\n"
     assert hashlib.sha256(out.encode()).hexdigest() == FETCH_STDOUT_SHA256
+
+
+def test_fetch_cached_prime_past_int64_is_check_failure(tmp_path, capsys,
+                                                        monkeypatch):
+    # a cache file that does not parse is a check failure (exit 1), not a
+    # usage error (exit 2)
+    monkeypatch.delenv("MAASSLAB_ENDPOINT", raising=False)
+    doc = ingest.generate_fixture("fixture-tempered-1", 10).to_json_dict()
+    doc.update(label="remote-7", coefficients=[[2, 0.5], [2 ** 63, 0.1]])
+    (tmp_path / "remote-7.json").write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "fetch", "--label", "remote-7",
+                             "--cache-dir", str(tmp_path))
+    assert code == 1 and out == ""
+    assert err.startswith("error: CacheParseError: ")
 
 
 def test_fetch_unknown_label_exit_code(tmp_path, capsys, monkeypatch):
@@ -265,6 +281,14 @@ def test_bound_bad_list_item_exit_code(capsys):
         assert code == 2 and out == ""
         assert err.startswith("error: invalid-input: ")
         assert option in err and item in err
+
+
+@pytest.mark.parametrize("spectral", ["nan,1", "inf,1", "1,-inf"])
+def test_bound_non_finite_spectral_exit_code(capsys, spectral):
+    code, out, err = run_cli(capsys, "bound", "--levels", "5,7",
+                             "--spectral", spectral)
+    assert code == 2 and out == ""
+    assert err.startswith("error: invalid-input: spectral_parameter must be finite")
 
 
 def test_asymptotic_bad_u_grid_item_exit_code(capsys):

@@ -241,8 +241,7 @@ def test_density_report_json_schema():
     rep = density.DensityReport(X=10, pi_X=4, exceptional_count=0,
                                 running_mean_U=1.0, implied_upper=0.0,
                                 theory_bound=1 / 44, assumptions=["x"])
-    import json
-    doc = json.loads(rep.to_json())
+    doc = rep.to_json_dict()
     assert set(doc) == {"X", "pi_X", "exceptional_count", "running_mean_U",
                         "implied_upper", "theory_bound", "assumptions"}
 

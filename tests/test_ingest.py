@@ -6,7 +6,6 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
 from maasslab import density, ingest
 from maasslab.bounds import FormMeta
@@ -49,6 +48,37 @@ def test_cache_roundtrip_identical(tmp_path):
     assert again == rec
     ingest.write_cache(again, tmp_path)
     assert path.read_bytes() == first
+
+
+def test_indented_cache_file_still_reads(tmp_path):
+    # the indented bytes earlier versions wrote load into the same record
+    rec = ingest.generate_fixture("fixture-mixed-2", 1000)
+    (tmp_path / "fixture-mixed-2.json").write_text(
+        json.dumps(rec.to_json_dict(), sort_keys=True, indent=2))
+    assert ingest.read_cache("fixture-mixed-2", tmp_path) == rec
+
+
+def test_distinct_labels_get_distinct_cache_files(tmp_path):
+    base = ingest.generate_fixture("fixture-tempered-1", 100)
+    recs = [dataclasses.replace(base, label=label, level=level, source="remote")
+            for label, level in (("a/b", 7), ("a_b", 11), ("a%2Fb", 13),
+                                 ("a~b", 17))]
+    paths = [ingest.write_cache(rec, tmp_path) for rec in recs]
+    assert len(set(paths)) == 4 and all(p.parent == tmp_path for p in paths)
+    for rec in recs:
+        assert ingest.read_cache(rec.label, tmp_path) == rec
+    # labels of letters, digits and ._- keep their plain file names
+    for label in FIXTURE_MANIFEST:
+        assert ingest._cache_path(label, tmp_path).name == f"{label}.json"
+
+
+def test_cache_file_of_another_label_rejected(tmp_path):
+    path = ingest.write_cache(ingest.generate_fixture("fixture-tempered-1", 100),
+                              tmp_path)
+    path.rename(tmp_path / "other.json")
+    with pytest.raises(CacheParseError) as exc:
+        ingest.read_cache("other", tmp_path)
+    assert exc.value.field == "label"
 
 
 def test_cache_write_is_atomic(tmp_path):
@@ -121,6 +151,37 @@ def test_json_booleans_rejected():
         with pytest.raises(CacheParseError) as exc:
             ingest._record_from_json_dict(doc)
         assert exc.value.field == field
+
+
+def test_json_values_rejected_with_their_field():
+    # each raised InvalidInputError from the record checks at the parent,
+    # or (level 0) surfaced only later in to_form_meta
+    base = _document([[2, 0.5], [3, 0.1]])
+    for doc, field in (({**base, "level": 0}, "level"),
+                       ({**base, "level": -3}, "level"),
+                       (_document([[2, 0.5], [2 ** 63, 0.1]]), "coefficients"),
+                       (_document([[3, 0.5], [3, 0.1]]), "coefficients"),
+                       ({**base, "spectral_parameter": float("nan")},
+                        "spectral_parameter"),
+                       ({**base, "spectral_parameter": 10 ** 400},
+                        "spectral_parameter")):
+        with pytest.raises(CacheParseError) as exc:
+            ingest._record_from_json_dict(doc)
+        assert exc.value.field == field
+
+
+@pytest.mark.parametrize("t", [float("nan"), float("inf")])
+def test_record_rejects_non_finite_spectral_parameter(t):
+    with pytest.raises(InvalidInputError, match="spectral_parameter must be finite"):
+        CoeffRecord(label="x", level=5, spectral_parameter=t, ps=[2], lams=[0.1],
+                    fetched_at="x", source="fixture")
+
+
+def test_record_rejects_bad_level():
+    for level in (0, -3, 2 ** 63):
+        with pytest.raises(InvalidInputError, match="level must lie"):
+            CoeffRecord(label="x", level=level, spectral_parameter=1.0, ps=[2],
+                        lams=[0.1], fetched_at="x", source="fixture")
 
 
 def test_validate_reports_non_prime_entries():
@@ -216,12 +277,13 @@ def test_coefficient_arrays_checked_and_read_only(make):
     assert obj != make([2, 3, 5], [0.1, 0.2, 0.4])
 
 
-# sha256 of the cache files written for each fixture at coverage 10^4
+# sha256 of the cache files (compact JSON) written for each fixture at
+# coverage 10^4
 FIXTURE_CACHE_SHA256 = {
-    "fixture-tempered-1": "f4e9570899e4e8ad2da72b719464004843823382ebd26d6c24b92b23059b331c",
-    "fixture-tempered-2": "3627423dc43438b420b7d6b5b35ccfa2ce96ed1e6bf940cf89f67d5684a12a9d",
-    "fixture-mixed-1": "df67aeb88ce455b7e3566ff9ab2a8abe789f110f3a916bbab97e8bd9fdae23c9",
-    "fixture-mixed-2": "303ac94867441f08e9634976d03678d0b4cc37a6e9cd09cf2292ae43583bba53",
+    "fixture-tempered-1": "7635f08bbe24abbc81872927e62b084074b518539f74350cbd3572dbb67e3a0c",
+    "fixture-tempered-2": "7e08e83002488d3e84f6ff88f05a16e726007db9053a6031f1b62d29715aa249",
+    "fixture-mixed-1": "4a6141956ca6df2893566b0437019e279b730889184e15f975b072408378258f",
+    "fixture-mixed-2": "b2c20933030aa7f2f04a4602baca700f57f1fda7baaf160ecabdd7fb0b7b51d4",
 }
 
 
@@ -304,40 +366,3 @@ def test_fetch_remote_over_http(tmp_path, local_endpoint):
     with pytest.raises(CacheParseError):
         ingest.fetch("remote-form-3", coverage=1000, cache_dir=tmp_path,
                      endpoint=url)
-
-
-_SENTINEL = ingest._PAIRS_SENTINEL
-_numbers = st.one_of(
-    st.integers(-2 ** 70, 2 ** 70),
-    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
-    st.sampled_from([float("nan"), float("inf"), -float("inf"), -0.0, 5e-324,
-                     2 ** 63, 2 ** 64 + 1]))
-_labels = st.one_of(
-    st.text(),
-    st.sampled_from([_SENTINEL, f'"{_SENTINEL}"', 'a"b\\c\\"',
-                     "\u00e9\u2713\U0001f600"]),
-    st.builds(lambda a, b: a + _SENTINEL + b, st.text(), st.text()))
-
-
-# lists that are not all number pairs take the plain json.dumps route
-_other_lists = st.one_of(
-    st.lists(st.lists(st.one_of(_numbers, st.text(max_size=3),
-                                st.sampled_from([",", "],[", None, True, {}])),
-                      min_size=1, max_size=3), min_size=1, max_size=5),
-    st.lists(st.one_of(_numbers, st.lists(
-        st.one_of(_numbers, st.lists(_numbers, max_size=2)), max_size=3)),
-        max_size=5))
-
-
-@given(pairs=st.one_of(st.lists(st.lists(_numbers, min_size=2, max_size=2),
-                                max_size=30), _other_lists),
-       label=_labels, level=st.integers(1, 10 ** 6))
-def test_json_text_matches_indented_json_dumps(pairs, label, level):
-    doc = {"schema": 1, "label": label, "level": level, "spectral_parameter": 1.5,
-           "coefficients": pairs, "fetched_at": label, "source": "remote"}
-    assert ingest.json_text(doc, ("coefficients",)) == json.dumps(
-        doc, sort_keys=True, indent=2)
-    payload = {"config": {"label": label, "cache_dir": None},
-               "findings": [{"message": label, "p": None}], "record": doc}
-    assert ingest.json_text(payload, ("record", "coefficients")) == json.dumps(
-        payload, sort_keys=True, indent=2)
