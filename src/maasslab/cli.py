@@ -70,16 +70,18 @@ def _emit_grid(header: list[str], rows: list[tuple], args) -> None:
 
 def _comma_list(text: str, kind, option: str) -> list:
     """The comma-separated items of an option's value, each converted by
-    kind (int or float); an item that does not convert is a usage error
-    naming the option and the item."""
+    kind (int, float or str); an empty item, or one that does not
+    convert, is a usage error naming the option and the item."""
+    noun = {int: "integers", float: "numbers", str: "labels"}[kind]
     out = []
     for item in text.split(","):
         try:
+            if not item:
+                raise ValueError
             out.append(kind(item))
         except ValueError:
             raise InvalidInputError(
-                f"{option} takes comma-separated "
-                f"{'integers' if kind is int else 'numbers'}, got {item!r}") from None
+                f"{option} takes comma-separated {noun}, got {item!r}") from None
     return out
 
 
@@ -187,7 +189,11 @@ def _cmd_sieve_verify(args) -> int:
 
 def _cmd_density_report(args) -> int:
     if args.scan_labels:
-        labels = args.scan_labels.split(",")
+        labels = _comma_list(args.scan_labels, str, "--scan-labels")
+        for i, lab in enumerate(labels):
+            if lab in labels[:i]:
+                raise InvalidInputError(
+                    f"--scan-labels names {lab!r} twice; a family needs distinct forms")
         records = [ingest.fetch(lab, coverage=args.coverage,
                                 cache_dir=args.cache_dir) for lab in labels]
         family = density.FormFamily([r.to_form_meta() for r in records])

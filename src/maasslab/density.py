@@ -39,7 +39,8 @@ class FormFamily:
 
     The pairwise-distinctness hypothesis (no two members share their
     Ramanujan-exceptional prime set) cannot be decided from finite data;
-    it is carried as a recorded assumption.
+    it is carried as a recorded assumption.  Labelled members must carry
+    distinct labels: one form listed twice is not a family of two.
     """
 
     members: list[FormMeta]
@@ -48,6 +49,10 @@ class FormFamily:
     def __post_init__(self):
         if len(self.members) < 2:
             raise InvalidInputError("a family needs at least 2 members")
+        labels = [m.label for m in self.members if m.label is not None]
+        for i, lab in enumerate(labels):
+            if lab in labels[:i]:
+                raise InvalidInputError(f"two family members share the label {lab!r}")
 
     @property
     def m(self) -> int:

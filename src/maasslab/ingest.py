@@ -250,7 +250,11 @@ def _fetch_remote(label: str, coverage: int, endpoint: str) -> CoeffRecord:
         doc.setdefault("fetched_at",
                        datetime.now(timezone.utc).isoformat(timespec="seconds"))
         doc.setdefault("schema", SCHEMA_VERSION)
-    return replace(_record_from_json_dict(doc), source="remote")
+    record = _record_from_json_dict(doc)
+    if record.label != label:
+        raise CacheParseError(f"remote document holds label {record.label!r}, "
+                              f"not {label!r}", field="label")
+    return replace(record, source="remote")
 
 
 def fetch(label: str, coverage: int = DEFAULT_COVERAGE, cache_dir=None,

@@ -29,24 +29,30 @@ from .errors import (CrossCheckError, InvalidInputError, PreconditionError,
 LARGE_LIMIT = 10 ** 7      # table limits above this need allow_large=True
 HARD_LIMIT = 2 * 10 ** 8
 TRIAL_LIMIT = 10 ** 7      # largest trial divisor prime_factors tries
+_BLOCK = 2 ** 18           # float64 entries per block of values_upto: 2 MiB, one L2
 
 
 def primes_upto(n: int) -> np.ndarray:
-    """Primes <= n as an int64 array (plain Eratosthenes).
+    """Primes <= n as an int64 array (Eratosthenes over the odd numbers).
 
-    n above HARD_LIMIT raises ResourceLimitError before anything is
-    allocated: the sieve needs n + 1 bytes."""
+    flags[i] marks the odd number 2 i + 1 for i >= 1 and stands for the
+    prime 2 at i = 0, so the sieve needs (n + 1) // 2 bytes.  n above
+    HARD_LIMIT raises ResourceLimitError before anything is allocated."""
     if n > HARD_LIMIT:
         raise ResourceLimitError(
             f"primes up to {n} exceed the hard cap {HARD_LIMIT}")
     if n < 2:
         return np.empty(0, dtype=np.int64)
-    flags = np.ones(n + 1, dtype=bool)
-    flags[:2] = False
-    for p in range(2, math.isqrt(n) + 1):
-        if flags[p]:
-            flags[p * p::p] = False
-    return np.flatnonzero(flags).astype(np.int64)
+    flags = np.ones((n + 1) // 2, dtype=bool)
+    for i in range(1, (math.isqrt(n) + 1) // 2):
+        if flags[i]:
+            p = 2 * i + 1
+            flags[p * p // 2::p] = False
+    primes = np.flatnonzero(flags).astype(np.int64, copy=False)
+    primes *= 2
+    primes += 1
+    primes[0] = 2
+    return primes
 
 
 def prime_factors(n: int) -> dict[int, int]:
@@ -125,8 +131,10 @@ def build_table(limit: int, allow_large: bool = False) -> SieveTable:
     """Build the prime and squarefree tables up to limit.
 
     Limits above 10^7 need allow_large=True and are capped at 2*10^8.
-    Nothing is segmented: the prime sieve and the squarefree flags are
-    full limit+1 arrays (about 400 MB at 2*10^8).
+    Nothing is segmented: the prime sieve's flags cover the odd numbers
+    up to limit, (limit+1)/2 bytes, and the squarefree flags are a full
+    limit+1 array.  At 2*10^8 the table holds 289 MB (200 MB of flags,
+    89 MB of int64 primes) and building it peaks at 300 MB.
     """
     if limit < 2:
         raise InvalidInputError(f"limit must be >= 2, got {limit}")
@@ -249,29 +257,38 @@ def values_upto(spec: MultFuncSpec, t: float, q: int | None,
     """Array v with v[n] = spec value at n for squarefree (n, q) = 1, else 0.
 
     v starts as the squarefree flags and every multiple of each prime p
-    <= t is multiplied by the value at p.  The primes p <= sqrt(t) do so
-    one strided slice each.  A prime P > sqrt(t) divides n <= t at most
-    once and is then n's largest prime factor, so the large primes go
-    last, one cofactor j at a time: v[j * P] *= value(P) over all
-    P <= t // j in one indexed multiply (the indices are distinct).
-    Each v[n] thus takes its prime values in ascending order, the same
-    product as a loop over all primes, signed zeros included.
+    <= t is multiplied by the value at p, primes ascending: the same
+    product, signed zeros included, as a loop over all primes.  The
+    primes p <= sqrt(t) go first, one cache-sized block of _BLOCK entries
+    at a time: the block takes its flags, then one strided multiply per
+    prime from the first multiple of p in the block that is at least p,
+    so v[0] is never multiplied.  A prime P > sqrt(t) divides n <= t at
+    most once, and then n = j P with j <= isqrt(t): the primes of j are
+    the primes <= sqrt(t) of n, and j is squarefree exactly when n is.
+    So after the blocks v[j P] holds bit for bit the float v[j], and no
+    large prime writes v[j].  The large primes go last, one cofactor j
+    at a time: v[j * P] = v[j] * value(P) for all P <= t // j in one
+    indexed write (the indices are distinct), the product v[j P] *
+    value(P) without reading v[j P].  Where both factors are NaN it is
+    v[j]'s NaN, as in the strided multiply of the per-prime loop.
     """
     t = _checked_t(t, table)
     q_primes = _coprimality_primes(spec.q if q is None else q)
-    vals = np.where(table.squarefree[:t + 1], 1.0, 0.0)
+    vals = np.empty(t + 1)
     ps = table.primes[:table.prime_count(t)]
     ws = spec.prime_values(ps)
-    k = table.prime_count(math.isqrt(t))
-    for p, w in zip(ps[:k].tolist(), ws[:k].tolist()):
-        vals[p::p] *= w
+    s = math.isqrt(t)
+    k = table.prime_count(s)
+    small = list(zip(ps[:k].tolist(), ws[:k].tolist()))
+    for lo in range(0, t + 1, _BLOCK):
+        blk = vals[lo:lo + _BLOCK]
+        np.copyto(blk, table.squarefree[lo:lo + blk.size])
+        for p, w in small:
+            blk[max(p, -(-lo // p) * p) - lo::p] *= w
     big, big_ws = ps[k:], ws[k:]
-    j = 1
-    while big.size:
-        vals[j * big] *= big_ws
-        j += 1
-        keep = int(np.searchsorted(big, t // j, side="right"))
-        big, big_ws = big[:keep], big_ws[:keep]
+    counts = np.searchsorted(big, t // np.arange(1, t // (s + 1) + 1), side="right")
+    for j, n in enumerate(counts.tolist(), start=1):
+        vals[j * big[:n]] = vals[j] * big_ws[:n]
     for p in q_primes:
         if p <= t:
             vals[p::p] = 0.0
@@ -400,6 +417,8 @@ def asymptotic_report(y: int, u_grid: list[float], q: int,
     """
     if y < 2:
         raise InvalidInputError(f"y must be >= 2, got {y}")
+    if q < 1:
+        raise InvalidInputError(f"q must be >= 1, got {q}")
     bad_u = [u for u in u_grid if not u >= 0]
     if bad_u:
         raise InvalidInputError(
@@ -586,12 +605,13 @@ def lower_bound_check(b: MultFuncSpec, h: MultFuncSpec, z: float, q: int,
     sum of t + 1 terms added in order is within gamma_t <= gamma times the
     sum of their magnitudes, so |H_r(t) - D_r(t)| <= gamma A.  (b)
     values_upto multiplies the prime values of n in ascending order from
-    1.0; every partial product lies between 2^-900 and 2^900 or is 0, so
-    nothing underflows or overflows and v[n] = e(n) (1 + theta) with
-    |theta| <= gamma, e(n) the exact product.  Then |v[P m] - h(P) v[m]|
-    <= 2 gamma |e(P m)| <= 2.001 gamma |v[P m]|, and summing over m' <= m
-    with (m', r) = 1, D_s(t) - D_r(t) = h(P) D_r(m) + E with |E| <=
-    2.001 gamma A.  (c) R_r(t) = fl(H_s(t) - fl(h(P) x)) with x = H_r(m) as
+    1.0 (for n = j P with P > sqrt(z), v[n] = fl(v[j] h(P)) is the last
+    step of that chain of roundings); every partial product lies between
+    2^-900 and 2^900 or is 0, so nothing underflows or overflows and
+    v[n] = e(n) (1 + theta) with |theta| <= gamma, e(n) the exact
+    product.  Then |v[P m] - h(P) v[m]| <= 2 gamma |e(P m)| <= 2.001
+    gamma |v[P m]|, and summing over m' <= m with (m', r) = 1, D_s(t) -
+    D_r(t) = h(P) D_r(m) + E with |E| <= 2.001 gamma A.  (c) R_r(t) = fl(H_s(t) - fl(h(P) x)) with x = H_r(m) as
     summed, so |x - D_r(m)| <= gamma A by (a) and |x| <= (1 + gamma) A.
     The product's rounding costs at most u W (1 + gamma) A + 2^-1075
     (underflow), W |x - D_r(m)| <= W gamma A, and the subtraction (exact

@@ -1,3 +1,6 @@
+import http.server
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -47,3 +50,32 @@ def no_dde_grid(monkeypatch):
         raise AssertionError("allocated before the cap check")
     for name in ("arange", "ones", "empty"):
         monkeypatch.setattr(np, name, refuse)
+
+
+@pytest.fixture
+def local_endpoint():
+    """A localhost HTTP server answering every GET with the body in
+    `bodies[0]`; yields (url, bodies, seen_paths)."""
+    bodies, seen = [b""], []
+
+    class Handler(http.server.BaseHTTPRequestHandler):
+        def do_GET(self):
+            seen.append(self.path)
+            self.send_response(200)
+            self.send_header("Content-Length", str(len(bodies[0])))
+            self.end_headers()
+            self.wfile.write(bodies[0])
+
+        def log_message(self, *_):
+            pass
+
+    server = http.server.HTTPServer(("127.0.0.1", 0), Handler)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield f"http://127.0.0.1:{server.server_port}/coeffs", bodies, seen
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+        assert not thread.is_alive()

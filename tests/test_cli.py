@@ -205,6 +205,31 @@ def test_density_scan_finds_fixture_exceptional_primes(tmp_path, capsys):
     assert doc["implied_upper"] > 0
 
 
+def test_fetch_remote_label_mismatch_exit_code(tmp_path, capsys, local_endpoint):
+    url, bodies, _ = local_endpoint
+    doc = ingest.generate_fixture("fixture-mixed-2", 1000).to_json_dict()
+    doc.update(label="other-form", source="remote")
+    bodies[0] = json.dumps(doc).encode()
+    code, out, err = run_cli(capsys, "fetch", "--label", "asked-form", "--coverage",
+                             "1000", "--cache-dir", str(tmp_path), "--endpoint", url)
+    assert code == 1 and out == ""
+    assert err.startswith("error: CacheParseError:") and "'other-form'" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("labels, item", [(",", "''"), ("a,,b", "''"),
+                                          ("fixture-mixed-1,", "''"),
+                                          ("fixture-mixed-1,fixture-mixed-1",
+                                           "'fixture-mixed-1'")])
+def test_density_scan_bad_label_list_exit_code(tmp_path, capsys, labels, item):
+    code, out, err = run_cli(capsys, "density-report", "--scan-labels", labels,
+                             "--x", "1000", "--cache-dir", str(tmp_path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: invalid-input: --scan-labels ")
+    assert item in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_usage_error_exit_code(capsys):
     code, _, err = run_cli(capsys, "first-zero", "--chi0", "2", "--chi1", "-2",
                            "--tol", "1e-12")
@@ -271,6 +296,14 @@ def test_asymptotic_negative_u_names_u_and_grid(capsys):
     assert code == 2 and out == ""
     assert err == ("error: invalid-input: u must be >= 0, got u = -0.5 "
                    "in the grid [-0.5, 1.0]\n")
+
+
+def test_asymptotic_q_below_one_names_q(capsys):
+    code, out, err = run_cli(capsys, "sieve-verify", "--report", "asymptotic",
+                             "--limit", "1000", "--y", "10", "--u-grid", "0.5,1.0",
+                             "--q", "0")
+    assert code == 2 and out == ""
+    assert err == "error: invalid-input: q must be >= 1, got 0\n"
 
 
 def test_bound_bad_list_item_exit_code(capsys):

@@ -298,3 +298,12 @@ def test_family_assumption_recorded():
     fam = _family_from_eigenvalues(
         [_tempered_stream(ps, 1), _tempered_stream(ps, 2)])
     assert any("distinct" in a for a in fam.assumptions())
+
+
+def test_family_rejects_members_sharing_a_label():
+    meta = ingest.generate_fixture("fixture-mixed-1", 1000).to_form_meta()
+    with pytest.raises(InvalidInputError, match="'fixture-mixed-1'"):
+        FormFamily([meta, meta])
+    other = ingest.generate_fixture("fixture-mixed-2", 1000).to_form_meta()
+    assert FormFamily([meta, other, FormMeta(level=1, spectral_parameter=1.0),
+                       FormMeta(level=1, spectral_parameter=1.0)]).m == 4

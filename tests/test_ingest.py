@@ -1,8 +1,6 @@
 import dataclasses
 import hashlib
-import http.server
 import json
-import threading
 
 import numpy as np
 import pytest
@@ -322,35 +320,6 @@ def test_fetch_malformed_remote_document_propagates(tmp_path, monkeypatch):
                      endpoint="http://127.0.0.1:1/coeffs")
 
 
-@pytest.fixture
-def local_endpoint():
-    """A localhost HTTP server answering every GET with the body in
-    `bodies[0]`; yields (url, bodies, seen_paths)."""
-    bodies, seen = [b""], []
-
-    class Handler(http.server.BaseHTTPRequestHandler):
-        def do_GET(self):
-            seen.append(self.path)
-            self.send_response(200)
-            self.send_header("Content-Length", str(len(bodies[0])))
-            self.end_headers()
-            self.wfile.write(bodies[0])
-
-        def log_message(self, *_):
-            pass
-
-    server = http.server.HTTPServer(("127.0.0.1", 0), Handler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    try:
-        yield f"http://127.0.0.1:{server.server_port}/coeffs", bodies, seen
-    finally:
-        server.shutdown()
-        server.server_close()
-        thread.join(timeout=5)
-        assert not thread.is_alive()
-
-
 def test_fetch_remote_over_http(tmp_path, local_endpoint):
     url, bodies, seen = local_endpoint
     doc = ingest.generate_fixture("fixture-mixed-2", 1000).to_json_dict()
@@ -366,3 +335,14 @@ def test_fetch_remote_over_http(tmp_path, local_endpoint):
     with pytest.raises(CacheParseError):
         ingest.fetch("remote-form-3", coverage=1000, cache_dir=tmp_path,
                      endpoint=url)
+
+
+def test_fetch_remote_label_mismatch_not_cached(tmp_path, local_endpoint):
+    url, bodies, _ = local_endpoint
+    doc = ingest.generate_fixture("fixture-mixed-2", 1000).to_json_dict()
+    doc.update(label="other-form", source="remote")
+    bodies[0] = json.dumps(doc).encode()
+    with pytest.raises(CacheParseError, match="other-form") as exc:
+        ingest.fetch("asked-form", coverage=1000, cache_dir=tmp_path, endpoint=url)
+    assert exc.value.field == "label"
+    assert list(tmp_path.iterdir()) == []

@@ -1,3 +1,4 @@
+import bisect
 import itertools
 import math
 import random
@@ -119,6 +120,31 @@ def test_primes_upto_capped_before_allocating(no_huge_ones):
         with pytest.raises(ResourceLimitError, match="hard cap"):
             call()
     assert sieve.primes_upto(sieve.HARD_LIMIT // 10 ** 6).size == 46
+
+
+def plain_eratosthenes(n):
+    """Independent oracle: the primes <= n from a sieve over every integer
+    0..n, int64."""
+    flags = np.ones(n + 1, dtype=bool)
+    flags[:2] = False
+    for p in range(2, math.isqrt(n) + 1):
+        if flags[p]:
+            flags[p * p::p] = False
+    return np.flatnonzero(flags).astype(np.int64)
+
+
+def test_primes_upto_matches_miller_rabin():
+    primes = [n for n in range(3001) if is_prime_mr(n)]
+    for n in range(3001):
+        got = sieve.primes_upto(n)
+        assert got.dtype == np.int64
+        assert got.tolist() == primes[:bisect.bisect_right(primes, n)], n
+
+
+def test_primes_upto_matches_plain_eratosthenes_1e6():
+    got = sieve.primes_upto(10 ** 6)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, plain_eratosthenes(10 ** 6))
 
 
 def test_large_table_beyond_1e7(table_large):
@@ -269,6 +295,34 @@ def test_values_upto_bytes_match_per_prime_loop_1e6(table_medium):
         got = sieve.values_upto(spec, 10 ** 6, q, table_medium)
         assert got.tobytes() == values_upto_reference(spec, 10 ** 6, q, table_medium).tobytes()
         assert np.signbit(got[got == 0.0]).any()
+
+
+# t on either side of the first block edges of values_upto
+_block_ts = [k * sieve._BLOCK + d for k in (1, 2, 3) for d in (-1, 0, 1)]
+
+
+def test_values_upto_bytes_match_per_prime_loop_at_block_edges(table_medium):
+    rng = np.random.default_rng(12)
+    ps = table_medium.primes[::2].tolist()
+    ws = rng.choice([-2.0, -0.5, 0.0, -0.0, 1.5, math.nan, math.inf, -math.inf], len(ps))
+    spec = MultFuncSpec.from_table(dict(zip(ps, ws.tolist())))
+    q = 30 * 997                  # 997 > sqrt(t) for every t of _block_ts
+    # an entry of the per-prime loop does not depend on t, so the array at
+    # the largest t holds those of the smaller t as prefixes
+    with np.errstate(invalid="ignore"):           # 0 * inf
+        ref = values_upto_reference(spec, max(_block_ts), q, table_medium)
+        assert np.isnan(ref).any() and np.signbit(ref[ref == 0.0]).any()
+        for t in _block_ts:
+            got = sieve.values_upto(spec, t, q, table_medium)
+            assert got.tobytes() == ref[:t + 1].tobytes(), t
+
+
+def test_values_upto_entry_zero_is_positive_zero(table_medium):
+    # w(2) < 0: a multiply of v[0] would leave -0.0 there
+    spec = MultFuncSpec.threshold(10, -2.0, 1.0)
+    for t in (1, 2, 3, 100, sieve._BLOCK - 1, sieve._BLOCK + 1):
+        v0 = sieve.values_upto(spec, t, 1, table_medium)[0]
+        assert v0 == 0.0 and not np.signbit(v0), t
 
 
 @given(st.one_of(_threshold_specs, _table_specs),
