@@ -4,17 +4,24 @@ Records carry (level, spectral parameter, Hecke eigenvalues a_p at
 unramified primes as the read-only arrays ps and lams).  Built-in
 deterministic fixtures let every consumer run without network access;
 remote fetches hit an endpoint configured through the environment and
-fall back to the local cache when the network is down.  Cache files
-are one JSON document per record, written atomically (temp file +
-rename).
+fall back to the local cache when the network is down.
+
+The canonical cache is one JSON document per record, written atomically
+(temp file + rename).  read_cache keeps a derived `.npz` index beside it
+(ps, lams, a metadata header and the sha256 of the JSON bytes), loaded
+with allow_pickle=False when that hash matches; a missing, stale or
+malformed index is rebuilt from the JSON.  fetch leaves a fixture's cache
+file alone when it already holds the generated record.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import tempfile
 import urllib.parse
+import zipfile
 import zlib
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -164,17 +171,23 @@ def _cache_path(label: str, cache_dir) -> Path:
     return _cache_dir(cache_dir) / f"{safe.replace('~', '%7E')}.json"
 
 
-def write_cache(record: CoeffRecord, cache_dir=None) -> Path:
-    """Atomic write: readers never observe a partial file."""
-    path = _cache_path(record.label, cache_dir)
+def _replace_atomically(path: Path, mode: str, write) -> None:
+    """Readers of path never observe a partial file."""
     fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(json.dumps(record.to_json_dict(), sort_keys=True))
+        with os.fdopen(fd, mode) as fh:
+            write(fh)
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
+
+
+def write_cache(record: CoeffRecord, cache_dir=None) -> Path:
+    """Atomic write of the record's JSON document."""
+    path = _cache_path(record.label, cache_dir)
+    text = json.dumps(record.to_json_dict(), sort_keys=True)
+    _replace_atomically(path, "w", lambda fh: fh.write(text))
     return path
 
 
@@ -214,15 +227,52 @@ def _record_from_json_dict(doc: dict) -> CoeffRecord:
         raise CacheParseError(str(exc), field=key) from exc
 
 
+_INDEX_FIELDS = ("label", "level", "spectral_parameter", "fetched_at", "source")
+
+
+def _read_index(path: Path, digest: str) -> CoeffRecord | None:
+    """The record in the index at path, or None unless the index exists,
+    was made from the JSON bytes with this sha256 and is well formed."""
+    try:
+        with np.load(path, allow_pickle=False) as npz:
+            if str(npz["json_sha256"]) != digest:
+                return None
+            ps, lams, header = npz["ps"], npz["lams"], str(npz["header"])
+        if ps.dtype != np.int64 or lams.dtype != np.float64:
+            return None
+        # the header passes the JSON route's own field checks
+        doc = {**json.loads(header), "schema": SCHEMA_VERSION, "coefficients": []}
+        return replace(_record_from_json_dict(doc), ps=ps, lams=lams)
+    except (OSError, ValueError, LookupError, TypeError, AttributeError,
+            EOFError, zipfile.BadZipFile, CacheParseError):
+        return None
+
+
+def _write_index(path: Path, digest: str, record: CoeffRecord) -> None:
+    header = json.dumps({name: getattr(record, name) for name in _INDEX_FIELDS})
+    with contextlib.suppress(OSError):     # no index: the next read rebuilds it
+        _replace_atomically(path, "wb", lambda fh: np.savez(
+            fh, json_sha256=digest, header=header, ps=record.ps, lams=record.lams))
+
+
 def read_cache(label: str, cache_dir=None) -> CoeffRecord | None:
+    import hashlib      # here, so that `import maasslab` does not pay for it
+
     path = _cache_path(label, cache_dir)
     if not path.exists():
         return None
-    try:
-        doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise CacheParseError(f"cache file is not valid JSON: {exc}") from exc
-    record = _record_from_json_dict(doc)
+    raw = path.read_bytes()
+    digest = hashlib.sha256(raw).hexdigest()
+    index = path.with_name(path.name.removesuffix(".json") + ".npz")
+    record = _read_index(index, digest)
+    if record is None:
+        try:
+            doc = json.loads(raw)
+        except ValueError as exc:   # not JSON, or not UTF-8/16/32 text
+            raise CacheParseError(f"cache file is not valid JSON: {exc}") from exc
+        record = _record_from_json_dict(doc)
+        if record.label == label:
+            _write_index(index, digest, record)
     if record.label != label:
         raise CacheParseError(f"cache file {path.name} holds label "
                               f"{record.label!r}, not {label!r}", field="label")
@@ -231,7 +281,6 @@ def read_cache(label: str, cache_dir=None) -> CoeffRecord | None:
 
 def _fetch_remote(label: str, coverage: int, endpoint: str) -> CoeffRecord:
     import http.client
-    import urllib.parse
     import urllib.request
 
     from datetime import datetime, timezone
@@ -270,7 +319,13 @@ def fetch(label: str, coverage: int = DEFAULT_COVERAGE, cache_dir=None,
         raise InvalidInputError(f"coverage must be >= 2, got {coverage}")
     if label in FIXTURE_MANIFEST:
         record = generate_fixture(label, coverage)
-        write_cache(record, cache_dir)
+        try:        # a bad or different cache file is overwritten, not raised
+            cached = read_cache(label, cache_dir)
+        except (CacheParseError, OSError):
+            cached = None
+        # == holds -0.0 equal to 0.0; the JSON bytes do not
+        if not (cached == record and cached.lams.tobytes() == record.lams.tobytes()):
+            write_cache(record, cache_dir)
         return record
     endpoint = endpoint or os.environ.get(ENDPOINT_ENV)
     reason = f"no endpoint configured ({ENDPOINT_ENV} unset)"

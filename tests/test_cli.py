@@ -177,6 +177,16 @@ def test_fetch_cached_prime_past_int64_is_check_failure(tmp_path, capsys,
     assert err.startswith("error: CacheParseError: ")
 
 
+def test_fetch_non_utf8_cache_file_is_check_failure(tmp_path, capsys,
+                                                    monkeypatch):
+    monkeypatch.delenv("MAASSLAB_ENDPOINT", raising=False)
+    (tmp_path / "bad.json").write_bytes(b"\xff\xfe{")
+    code, out, err = run_cli(capsys, "fetch", "--label", "bad",
+                             "--cache-dir", str(tmp_path))
+    assert code == 1 and out == ""
+    assert err.startswith("error: CacheParseError: cache file is not valid JSON")
+
+
 def test_fetch_unknown_label_exit_code(tmp_path, capsys, monkeypatch):
     monkeypatch.delenv("MAASSLAB_ENDPOINT", raising=False)
     code, _, err = run_cli(capsys, "fetch", "--label", "nope",

@@ -1,9 +1,13 @@
+import contextlib
 import dataclasses
 import hashlib
+import io
 import json
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from maasslab import density, ingest
 from maasslab.bounds import FormMeta
@@ -346,3 +350,205 @@ def test_fetch_remote_label_mismatch_not_cached(tmp_path, local_endpoint):
         ingest.fetch("asked-form", coverage=1000, cache_dir=tmp_path, endpoint=url)
     assert exc.value.field == "label"
     assert list(tmp_path.iterdir()) == []
+
+
+def test_non_utf8_cache_file_is_parse_error(tmp_path):
+    (tmp_path / "bad.json").write_bytes(b"\xff\xfe{")
+    with pytest.raises(CacheParseError, match="not valid JSON"):
+        ingest.read_cache("bad", tmp_path)
+
+
+def _spy_on(monkeypatch, name):
+    """Calls of ingest.<name>, which still runs."""
+    real, calls = getattr(ingest, name), []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(ingest, name, spy)
+    return calls
+
+
+def test_second_fixture_fetch_writes_nothing(tmp_path, monkeypatch):
+    writes = _spy_on(monkeypatch, "write_cache")
+    first = ingest.fetch("fixture-mixed-1", cache_dir=tmp_path)
+    path = tmp_path / "fixture-mixed-1.json"
+    pinned = path.read_bytes()
+    assert len(writes) == 1
+    for _ in range(2):      # a JSON-route read, then an index-route read
+        assert ingest.fetch("fixture-mixed-1", cache_dir=tmp_path) == first
+    assert len(writes) == 1 and path.read_bytes() == pinned
+    assert (tmp_path / "fixture-mixed-1.npz").exists()
+
+
+def _fixture_json(label="fixture-mixed-1", coverage=ingest.DEFAULT_COVERAGE):
+    rec = dataclasses.replace(ingest.generate_fixture("fixture-mixed-1", coverage),
+                              label=label)
+    return json.dumps(rec.to_json_dict()).encode()
+
+
+@pytest.mark.parametrize("content", [
+    b"{not json", b"\xff\xfe{", _fixture_json(label="other"),
+    _fixture_json(coverage=1000),
+], ids=["corrupt", "non-utf8", "foreign-label", "other-coverage"])
+def test_fixture_fetch_overwrites_bad_cache_file(tmp_path, content):
+    path = tmp_path / "fixture-mixed-1.json"
+    path.write_bytes(content)
+    with contextlib.suppress(CacheParseError):   # index the file if it reads
+        ingest.read_cache("fixture-mixed-1", tmp_path)
+    rec = ingest.fetch("fixture-mixed-1", cache_dir=tmp_path)
+    assert path.read_bytes() == ingest.write_cache(rec, tmp_path / "ref").read_bytes()
+    assert ingest.read_cache("fixture-mixed-1", tmp_path) == rec
+
+
+def _read_twice(label, cache_dir, monkeypatch):
+    """read_cache by the JSON route, which writes the index, then by the
+    index route, which writes nothing."""
+    with monkeypatch.context() as patch:
+        index_writes = _spy_on(patch, "_write_index")
+        by_json = ingest.read_cache(label, cache_dir)
+        assert len(index_writes) == 1
+        by_index = ingest.read_cache(label, cache_dir)
+        assert len(index_writes) == 1
+    return by_json, by_index
+
+
+def _assert_identical(a, b):
+    for name in ingest._INDEX_FIELDS:
+        assert type(getattr(a, name)) is type(getattr(b, name))
+    assert (a.label, a.level, a.fetched_at, a.source) == (
+        b.label, b.level, b.fetched_at, b.source)
+    assert (np.float64(a.spectral_parameter).view(np.int64)
+            == np.float64(b.spectral_parameter).view(np.int64))
+    for x, y in ((a.ps, b.ps), (a.lams, b.lams)):
+        assert x.dtype == y.dtype and np.array_equal(x.view(np.int64),
+                                                     y.view(np.int64))
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=50, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(label=st.text(max_size=8), level=st.integers(1, 2 ** 63 - 1),
+       spectral=st.one_of(_finite, st.integers(-10 ** 6, 10 ** 6)),
+       ps=st.lists(st.integers(1, 2 ** 63 - 1), unique=True, max_size=20).map(sorted),
+       values=st.lists(st.one_of(st.floats(), st.integers(-2 ** 70, 2 ** 70),
+                                 st.sampled_from([-0.0, 0.0])), min_size=20),
+       indent=st.sampled_from([None, 2]), text=st.text(max_size=8))
+def test_index_route_matches_json_route(tmp_path, monkeypatch, label, level, spectral,
+                                        ps, values, indent, text):
+    doc = {"schema": 1, "label": label, "level": level,
+           "spectral_parameter": spectral,
+           "coefficients": [[p, a] for p, a in zip(ps, values)],
+           "fetched_at": text, "source": text[::-1]}
+    with tempfile.TemporaryDirectory(dir=tmp_path) as cache_dir:
+        path = ingest._cache_path(label, cache_dir)
+        path.write_text(json.dumps(doc, indent=indent))
+        want = ingest._record_from_json_dict(json.loads(path.read_text()))
+        by_json, by_index = _read_twice(label, cache_dir, monkeypatch)
+        assert path.with_name(path.name[:-len(".json")] + ".npz").exists()
+    _assert_identical(by_json, want)
+    _assert_identical(by_index, want)
+
+
+def _indexed_fixture(tmp_path, monkeypatch):
+    rec = ingest.generate_fixture("fixture-tempered-1", 1000)
+    path = ingest.write_cache(rec, tmp_path)
+    assert _read_twice(rec.label, tmp_path, monkeypatch) == (rec, rec)
+    return rec, path, path.with_suffix(".npz")
+
+
+def test_same_length_json_edit_makes_index_stale(tmp_path, monkeypatch):
+    rec, path, _ = _indexed_fixture(tmp_path, monkeypatch)
+    text = path.read_text()
+    assert '"level": 5,' in text
+    path.write_text(text.replace('"level": 5,', '"level": 7,'))
+    assert ingest.read_cache(rec.label, tmp_path) == dataclasses.replace(rec, level=7)
+
+
+def _flip_byte(data, i):
+    return data[:i] + bytes([data[i] ^ 1]) + data[i + 1:]
+
+
+def _saved(save, *args, **kwargs):
+    buf = io.BytesIO()
+    save(buf, *args, **kwargs)
+    return buf.getvalue()
+
+
+def _index(digest, header, **arrays):
+    arrays = {"ps": np.array([2, 3]), "lams": np.array([0.1, 0.2]), **arrays}
+    return _saved(np.savez, json_sha256=digest, header=header, **arrays)
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda good, digest, header: b"garbage",
+    lambda good, digest, header: b"",
+    lambda good, digest, header: good[:len(good) // 2],
+    lambda good, digest, header: good[:-1],
+    lambda good, digest, header: _flip_byte(good, len(good) // 2),
+    lambda good, digest, header: _index(digest, header,
+                                        ps=np.array([2, 3], dtype=object)),
+    lambda good, digest, header: _index(digest, header,
+                                        ps=np.array([2, 3], dtype=np.int32)),
+    lambda good, digest, header: _index(digest, header, ps=np.array([3, 2])),
+    lambda good, digest, header: _index(digest, "[1, 2]"),
+    lambda good, digest, header: _index(
+        digest, header.replace('"level": 5', '"level": true')),
+    lambda good, digest, header: _saved(np.savez, json_sha256=digest, header=header),
+    lambda good, digest, header: _saved(np.save, np.array([2, 3])),
+], ids=["garbage", "empty", "half", "last-byte", "crc", "object-dtype", "int32",
+        "unordered", "header-list", "header-bool", "no-arrays", "npy"])
+def test_bad_index_falls_back_to_json(tmp_path, monkeypatch, corrupt):
+    rec, _, index = _indexed_fixture(tmp_path, monkeypatch)
+    with np.load(index) as npz:
+        digest, header = str(npz["json_sha256"]), str(npz["header"])
+    assert '"level": 5' in header
+    index.write_bytes(corrupt(index.read_bytes(), digest, header))
+    assert ingest._read_index(index, digest) is None
+    assert ingest.read_cache(rec.label, tmp_path) == rec
+    assert ingest._read_index(index, digest) == rec      # rebuilt
+
+
+def test_labels_get_distinct_index_files(tmp_path, monkeypatch):
+    # "" and ".json" cache as ".json" and ".json.json"
+    base = ingest.generate_fixture("fixture-tempered-1", 100)
+    recs = [dataclasses.replace(base, label=label) for label in ("", ".json")]
+    for rec in recs:
+        ingest.write_cache(rec, tmp_path)
+    for rec in recs:
+        assert _read_twice(rec.label, tmp_path, monkeypatch) == (rec, rec)
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        ".json", ".json.json", ".json.npz", ".npz"]
+
+
+def test_renamed_cache_and_index_still_rejected(tmp_path, monkeypatch):
+    _, path, index = _indexed_fixture(tmp_path, monkeypatch)
+    path.rename(tmp_path / "other.json")
+    index.rename(tmp_path / "other.npz")
+    with pytest.raises(CacheParseError) as exc:
+        ingest.read_cache("other", tmp_path)
+    assert exc.value.field == "label"
+
+
+@pytest.mark.parametrize("target", [(np, "savez"), (ingest.os, "replace")])
+def test_failed_index_write_leaves_result(tmp_path, monkeypatch, target):
+    rec = ingest.generate_fixture("fixture-mixed-2", 1000)
+    path = ingest.write_cache(rec, tmp_path)
+
+    def fail(*_, **__):
+        raise OSError("disk full")
+    monkeypatch.setattr(*target, fail)
+    assert ingest.read_cache(rec.label, tmp_path) == rec
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+
+def test_fixture_fetch_rewrites_file_that_differs_in_zero_sign(tmp_path, monkeypatch):
+    # -0.0 == 0.0 elementwise, but the two write different JSON bytes
+    rec = CoeffRecord(label="fixture-mixed-1", level=6, spectral_parameter=9.53,
+                      ps=[5, 7], lams=[0.0, 0.5], fetched_at="x", source="fixture")
+    monkeypatch.setattr(ingest, "generate_fixture", lambda *_: rec)
+    path = ingest.write_cache(dataclasses.replace(rec, lams=[-0.0, 0.5]), tmp_path)
+    assert ingest.read_cache(rec.label, tmp_path) == rec
+    ingest.fetch(rec.label, cache_dir=tmp_path)
+    assert path.read_bytes() == ingest.write_cache(rec, tmp_path / "ref").read_bytes()
