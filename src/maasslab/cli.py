@@ -49,7 +49,7 @@ def _emit_payload(payload: dict, args) -> None:
                           *(f"{k:<{width}}  {v}" for k, v in payload.items())])
     else:
         text = json.dumps({"config": _config_dict(args), **payload}, sort_keys=True)
-    _write_out(text + "\n", args)
+    _write_out(args, text + "\n")
 
 
 def _emit_grid(header: list[str], rows: list[tuple], args) -> None:
@@ -65,7 +65,7 @@ def _emit_grid(header: list[str], rows: list[tuple], args) -> None:
         lines = ["  ".join(v.ljust(w) for v, w in zip(c, widths)) for c in cells]
     else:
         lines = [",".join(c) for c in cells]
-    _write_out("\n".join([_config_line(args), *lines]) + "\n", args)
+    _write_out(args, "\n".join([_config_line(args), *lines]) + "\n")
 
 
 def _comma_list(text: str, kind, option: str) -> list:
@@ -91,13 +91,14 @@ def _csv_cell(v) -> str:
     return str(v)
 
 
-def _write_out(text: str, args) -> None:
+def _write_out(args, *parts: str) -> None:
+    """Write the parts in order, without joining them first."""
     out = getattr(args, "out", None)
     if out:
         with open(out, "w") as fh:
-            fh.write(text)
+            fh.writelines(parts)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(parts)
 
 
 def _cmd_solve_dde(args) -> int:
@@ -257,11 +258,16 @@ def _cmd_fetch(args) -> int:
                           cache_dir=args.cache_dir, endpoint=args.endpoint)
     findings = ingest.validate(record)
     errors = [f for f in findings if f.severity == "error"]
-    payload = {"record": record.to_json_dict(),
-               "findings": [{"severity": f.severity, "kind": f.kind,
+    payload = {"findings": [{"severity": f.severity, "kind": f.kind,
                              "p": f.p, "message": f.message}
                             for f in findings]}
-    _emit_payload(payload, args)
+    if args.format == "table":
+        _emit_payload({"record": record.to_json_dict(), **payload}, args)
+    else:
+        # "record" sorts after "config" and "findings": the record's text
+        # goes in last, in place of the closing brace
+        head = json.dumps({"config": _config_dict(args), **payload}, sort_keys=True)
+        _write_out(args, head[:-1], ', "record": ', *record.json_pieces(), "}\n")
     return EXIT_OK if not errors else EXIT_FAIL
 
 

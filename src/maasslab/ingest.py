@@ -6,12 +6,15 @@ deterministic fixtures let every consumer run without network access;
 remote fetches hit an endpoint configured through the environment and
 fall back to the local cache when the network is down.
 
-The canonical cache is one JSON document per record, written atomically
-(temp file + rename).  read_cache keeps a derived `.npz` index beside it
-(ps, lams, a metadata header and the sha256 of the JSON bytes), loaded
-with allow_pickle=False when that hash matches; a missing, stale or
-malformed index is rebuilt from the JSON.  fetch leaves a fixture's cache
-file alone when it already holds the generated record.
+A record's JSON text has one route, CoeffRecord.json_pieces (joined:
+to_json_text), byte for byte json.dumps of the reference to_json_dict.
+The canonical cache is one such document per record, written piece by
+piece and atomically (temp file + rename).  write_cache and read_cache
+keep a derived `.npz` index beside it (ps, lams, a metadata header and
+the sha256 of the JSON bytes), loaded with allow_pickle=False when that
+hash matches; a missing, stale or malformed index is rebuilt from the
+JSON.  fetch leaves a fixture's cache file alone when it already holds
+the generated record.  validate reports a non-finite a_p as an error.
 """
 
 from __future__ import annotations
@@ -37,6 +40,12 @@ ENDPOINT_ENV = "MAASSLAB_ENDPOINT"
 CACHE_DIR_ENV = "MAASSLAB_CACHE_DIR"
 FIXTURE_TIMESTAMP = "2025-01-01T00:00:00Z"
 DEFAULT_COVERAGE = 10 ** 4
+# pairs per piece of CoeffRecord.json_pieces, which bounds the strings
+# alive at once; on the density-scan benchmark 2^14 gave a peak RSS 1.2 MiB
+# above that of 2^11 or 2^12
+JSON_CHUNK = 1 << 12
+# json's names for the non-finite floats, keyed by float.__repr__
+_NON_FINITE_JSON = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 @dataclass(frozen=True)
@@ -82,6 +91,28 @@ class CoeffRecord:
             "source": self.source,
         }
 
+    def to_json_text(self) -> str:
+        """json.dumps(self.to_json_dict(), sort_keys=True)."""
+        return "".join(self.json_pieces())
+
+    def json_pieces(self):
+        """to_json_text in order, in pieces of at most JSON_CHUNK pairs,
+        built from the arrays without a list per pair: floats by
+        float.__repr__, as json writes them, and "coefficients" first, as
+        it sorts."""
+        rest = json.dumps({"schema": SCHEMA_VERSION, **{
+            name: getattr(self, name) for name in _INDEX_FIELDS}}, sort_keys=True)[1:]
+        yield '{"coefficients": ['
+        for start in range(0, self.ps.size, JSON_CHUNK):
+            lams = self.lams[start:start + JSON_CHUNK]
+            values = list(map(repr, lams.tolist()))
+            for i in np.flatnonzero(~np.isfinite(lams)).tolist():
+                values[i] = _NON_FINITE_JSON[values[i]]
+            ps = map(str, self.ps[start:start + JSON_CHUNK].tolist())
+            yield "], [" if start else "["
+            yield "], [".join(map(", ".join, zip(ps, values)))
+        yield ("]], " if self.ps.size else "], ") + rest
+
 
 # label -> generation parameters; "nontempered" maps prime -> deviation nu
 FIXTURE_MANIFEST = {
@@ -126,22 +157,27 @@ def generate_fixture(label: str, coverage: int = DEFAULT_COVERAGE) -> CoeffRecor
 
 
 def validate(record: CoeffRecord) -> list[Finding]:
-    """Findings for a record: entries at non-primes and envelope
-    violations are errors, coverage gaps warnings, ramified-prime entries
-    informational."""
+    """Findings for a record: entries at non-primes, non-finite a_p and
+    envelope violations are errors, coverage gaps warnings, ramified-prime
+    entries informational."""
     findings: list[Finding] = []
     ps, lams = record.ps, record.lams
     ref = sieve.primes_upto(record.coverage())
     not_prime = ~np.isin(ps, ref, assume_unique=True)
-    ramified = ~not_prime & (record.level % ps == 0)
-    above = ~not_prime & ~ramified
+    # NaN > envelope is False: a non-finite a_p needs its own finding
+    non_finite = ~not_prime & ~np.isfinite(lams)
+    ramified = ~not_prime & ~non_finite & (record.level % ps == 0)
+    above = ~not_prime & ~non_finite & ~ramified
     envelope, _ = satake.kim_sarnak_envelope(ps[above])
     above[above] = np.abs(lams[above]) > envelope + 1e-12
-    for i in np.flatnonzero(not_prime | ramified | above).tolist():
+    for i in np.flatnonzero(not_prime | non_finite | ramified | above).tolist():
         p = int(ps[i])
         if not_prime[i]:
             findings.append(Finding("error", "not-prime", p,
                                     f"entry at p = {p}, which is not a prime"))
+        elif non_finite[i]:
+            findings.append(Finding("error", "non-finite", p,
+                                    f"a_p = {float(lams[i])} at p = {p} is not finite"))
         elif ramified[i]:
             findings.append(Finding("info", "ramified", p,
                                     f"p = {p} divides the level; excluded from scans"))
@@ -183,11 +219,24 @@ def _replace_atomically(path: Path, mode: str, write) -> None:
             os.unlink(tmp)
 
 
+def _index_path(path: Path) -> Path:
+    return path.with_name(path.name.removesuffix(".json") + ".npz")
+
+
 def write_cache(record: CoeffRecord, cache_dir=None) -> Path:
-    """Atomic write of the record's JSON document."""
+    """Atomic write of the record's JSON document, then of its index."""
+    import hashlib      # here, so that `import maasslab` does not pay for it
+
     path = _cache_path(record.label, cache_dir)
-    text = json.dumps(record.to_json_dict(), sort_keys=True)
-    _replace_atomically(path, "w", lambda fh: fh.write(text))
+    digest = hashlib.sha256()
+
+    def write(fh):
+        for piece in record.json_pieces():
+            data = piece.encode()       # ASCII: json escapes the rest
+            digest.update(data)
+            fh.write(data)
+    _replace_atomically(path, "wb", write)
+    _write_index(_index_path(path), digest.hexdigest(), record)
     return path
 
 
@@ -263,7 +312,7 @@ def read_cache(label: str, cache_dir=None) -> CoeffRecord | None:
         return None
     raw = path.read_bytes()
     digest = hashlib.sha256(raw).hexdigest()
-    index = path.with_name(path.name.removesuffix(".json") + ".npz")
+    index = _index_path(path)
     record = _read_index(index, digest)
     if record is None:
         try:

@@ -1,7 +1,9 @@
+import dataclasses
 import hashlib
 import json
 import os
 
+import numpy as np
 import pytest
 
 from maasslab import cli, dde, ingest
@@ -161,6 +163,45 @@ def test_fetch_stdout_bytes_pinned(tmp_path, capsys, monkeypatch):
     assert code == 0
     assert out == json.dumps(json.loads(out), sort_keys=True) + "\n"
     assert hashlib.sha256(out.encode()).hexdigest() == FETCH_STDOUT_SHA256
+
+
+def _cache_remote_record(tmp_path, monkeypatch, label, coverage, **changes):
+    monkeypatch.delenv("MAASSLAB_ENDPOINT", raising=False)
+    rec = dataclasses.replace(ingest.generate_fixture("fixture-mixed-2", coverage),
+                              label=label, source="remote", **changes)
+    ingest.write_cache(rec, tmp_path)
+    return dataclasses.replace(rec, source="cache-fallback")
+
+
+def test_fetch_output_is_the_payload_dump(tmp_path, capsys, monkeypatch):
+    # more pairs than one chunk of the record's JSON text
+    rec = _cache_remote_record(tmp_path, monkeypatch, "remote-big", 200000)
+    assert rec.ps.size > ingest.JSON_CHUNK
+    findings = [{"severity": f.severity, "kind": f.kind, "p": f.p,
+                 "message": f.message} for f in ingest.validate(rec)]
+    out_file = tmp_path / "out.json"
+    for extra in ([], ["--out", str(out_file)]):
+        argv = ["fetch", "--label", "remote-big", "--cache-dir", str(tmp_path), *extra]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        config = cli._config_dict(cli.build_parser().parse_args(argv))
+        want = json.dumps({"config": config, "findings": findings,
+                           "record": rec.to_json_dict()}, sort_keys=True) + "\n"
+        assert (out_file.read_text() if extra else out) == want
+    assert out == ""
+
+
+def test_fetch_non_finite_coefficient_is_check_failure(tmp_path, capsys, monkeypatch):
+    lams = ingest.generate_fixture("fixture-mixed-2", 100).lams.copy()
+    lams[[2, 4]] = np.nan, np.inf       # p = 11 and p = 17 (level 10)
+    _cache_remote_record(tmp_path, monkeypatch, "remote-nan", 100, lams=lams)
+    code, out, _ = run_cli(capsys, "fetch", "--label", "remote-nan",
+                           "--cache-dir", str(tmp_path))
+    assert code == 1
+    doc = json.loads(out)
+    assert [(f["severity"], f["kind"], f["p"]) for f in doc["findings"]] == [
+        ("error", "non-finite", 11), ("error", "non-finite", 17)]
+    assert '[11, NaN], [13, ' in out and '[17, Infinity]' in out
 
 
 def test_fetch_cached_prime_past_int64_is_check_failure(tmp_path, capsys,

@@ -86,7 +86,9 @@ def test_cache_file_of_another_label_rejected(tmp_path):
 def test_cache_write_is_atomic(tmp_path):
     rec = ingest.generate_fixture("fixture-tempered-1")
     ingest.write_cache(rec, tmp_path)
-    assert [p.suffix for p in tmp_path.iterdir()] == [".json"]
+    names = sorted(p.name for p in tmp_path.iterdir())
+    assert not [n for n in names if n.endswith(".tmp")]
+    assert names == ["fixture-tempered-1.json", "fixture-tempered-1.npz"]
 
 
 def test_repeated_fetch_without_network(tmp_path):
@@ -138,6 +140,23 @@ def test_validate_flags_ramified_entries():
     assert [(f.kind, f.p) for f in findings] == [
         ("not-prime", 1), ("ramified", 2), ("envelope", 3), ("gap", 7)]
     assert findings[0].severity == "error"
+
+
+def test_validate_flags_non_finite_values():
+    rec = ingest.generate_fixture("fixture-tempered-1", 1000)     # level 5
+    lams = rec.lams.copy()
+    lams[[3, 5, 7]] = np.nan, np.inf, -np.inf
+    findings = ingest.validate(dataclasses.replace(rec, lams=lams))
+    assert [(f.severity, f.kind, f.p) for f in findings] == [
+        ("error", "non-finite", 11), ("error", "non-finite", 17),
+        ("error", "non-finite", 23)]
+    assert "a_p = inf at p = 17" in findings[1].message
+    # a non-prime entry stays not-prime; a ramified one is still an error
+    rec = CoeffRecord(label="nf", level=10, spectral_parameter=1.0,
+                      ps=[1, 2, 3], lams=[np.nan, np.nan, 0.5],
+                      fetched_at="x", source="fixture")
+    assert [(f.severity, f.kind, f.p) for f in ingest.validate(rec)] == [
+        ("error", "not-prime", 1), ("error", "non-finite", 2)]
 
 
 def _document(coefficients):
@@ -375,7 +394,7 @@ def test_second_fixture_fetch_writes_nothing(tmp_path, monkeypatch):
     path = tmp_path / "fixture-mixed-1.json"
     pinned = path.read_bytes()
     assert len(writes) == 1
-    for _ in range(2):      # a JSON-route read, then an index-route read
+    for _ in range(2):      # both read the index write_cache wrote
         assert ingest.fetch("fixture-mixed-1", cache_dir=tmp_path) == first
     assert len(writes) == 1 and path.read_bytes() == pinned
     assert (tmp_path / "fixture-mixed-1.npz").exists()
@@ -451,9 +470,16 @@ def test_index_route_matches_json_route(tmp_path, monkeypatch, label, level, spe
     _assert_identical(by_index, want)
 
 
+def _seed_json(rec, cache_dir):
+    """The record's cache file as write_cache writes it, but with no index."""
+    path = ingest._cache_path(rec.label, cache_dir)
+    path.write_text(json.dumps(rec.to_json_dict(), sort_keys=True))
+    return path
+
+
 def _indexed_fixture(tmp_path, monkeypatch):
     rec = ingest.generate_fixture("fixture-tempered-1", 1000)
-    path = ingest.write_cache(rec, tmp_path)
+    path = _seed_json(rec, tmp_path)
     assert _read_twice(rec.label, tmp_path, monkeypatch) == (rec, rec)
     return rec, path, path.with_suffix(".npz")
 
@@ -515,7 +541,7 @@ def test_labels_get_distinct_index_files(tmp_path, monkeypatch):
     base = ingest.generate_fixture("fixture-tempered-1", 100)
     recs = [dataclasses.replace(base, label=label) for label in ("", ".json")]
     for rec in recs:
-        ingest.write_cache(rec, tmp_path)
+        _seed_json(rec, tmp_path)
     for rec in recs:
         assert _read_twice(rec.label, tmp_path, monkeypatch) == (rec, rec)
     assert sorted(p.name for p in tmp_path.iterdir()) == [
@@ -534,7 +560,7 @@ def test_renamed_cache_and_index_still_rejected(tmp_path, monkeypatch):
 @pytest.mark.parametrize("target", [(np, "savez"), (ingest.os, "replace")])
 def test_failed_index_write_leaves_result(tmp_path, monkeypatch, target):
     rec = ingest.generate_fixture("fixture-mixed-2", 1000)
-    path = ingest.write_cache(rec, tmp_path)
+    path = _seed_json(rec, tmp_path)
 
     def fail(*_, **__):
         raise OSError("disk full")
@@ -552,3 +578,58 @@ def test_fixture_fetch_rewrites_file_that_differs_in_zero_sign(tmp_path, monkeyp
     assert ingest.read_cache(rec.label, tmp_path) == rec
     ingest.fetch(rec.label, cache_dir=tmp_path)
     assert path.read_bytes() == ingest.write_cache(rec, tmp_path / "ref").read_bytes()
+
+
+def test_written_cache_reads_by_the_index(tmp_path, monkeypatch):
+    rec = ingest.generate_fixture("fixture-mixed-1", 1000)
+    path = ingest.write_cache(rec, tmp_path)
+    index_writes = _spy_on(monkeypatch, "_write_index")
+    _assert_identical(ingest.read_cache(rec.label, tmp_path), rec)
+    assert index_writes == []
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert ingest._read_index(path.with_suffix(".npz"), digest) == rec
+
+
+@pytest.mark.parametrize("target", ["savez", "replace"])
+def test_failed_index_write_leaves_the_cache_file(tmp_path, monkeypatch, target):
+    rec = ingest.generate_fixture("fixture-mixed-2", 1000)
+    want = ingest.write_cache(rec, tmp_path / "ref").read_bytes()
+    real_replace = ingest.os.replace
+
+    def fail(*_, **__):
+        raise OSError("disk full")
+
+    def replace_json_only(src, dst):
+        (fail if str(dst).endswith(".npz") else real_replace)(src, dst)
+    if target == "savez":
+        monkeypatch.setattr(np, "savez", fail)
+    else:
+        monkeypatch.setattr(ingest.os, "replace", replace_json_only)
+    path = ingest.write_cache(rec, tmp_path / "c")
+    assert [p.name for p in path.parent.iterdir()] == [path.name]
+    assert path.read_bytes() == want
+
+
+_json_floats = st.one_of(
+    st.floats(), st.floats(allow_subnormal=True, min_value=-1e-307, max_value=1e-307),
+    st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e16, 1e-05, 1e22, 0.1,
+                     float("nan"), float("inf"), float("-inf")]))
+
+
+@given(label=st.text(max_size=8), level=st.integers(1, 2 ** 63 - 1),
+       spectral=st.one_of(_finite, st.integers(-10 ** 6, 10 ** 6)),
+       ps=st.lists(st.integers(1, 2 ** 63 - 1), unique=True, max_size=40).map(sorted),
+       values=st.lists(_json_floats, min_size=40),
+       source=st.one_of(st.sampled_from(["fixture", "remote", "cache-fallback"]),
+                        st.text(max_size=4)),
+       fetched_at=st.text(max_size=8), chunk=st.integers(1, 8))
+def test_json_text_matches_reference_dump(label, level, spectral, ps, values, source,
+                                          fetched_at, chunk):
+    rec = CoeffRecord(label=label, level=level, spectral_parameter=spectral,
+                      ps=np.array(ps, dtype=np.int64), lams=values[:len(ps)],
+                      fetched_at=fetched_at, source=source)
+    want = json.dumps(rec.to_json_dict(), sort_keys=True)
+    assert rec.to_json_text() == want
+    with pytest.MonkeyPatch.context() as patch:     # chunk boundaries in small records
+        patch.setattr(ingest, "JSON_CHUNK", chunk)
+        assert rec.to_json_text() == want
