@@ -103,11 +103,12 @@ def check_form_fields(obj) -> None:
 
 
 def fields_equal(a, b):
-    """Dataclass value equality that compares array fields elementwise."""
+    """Dataclass value equality that compares array fields elementwise;
+    a private field (leading underscore) is no part of the value."""
     if type(a) is not type(b):
         return NotImplemented
     return all(np.array_equal(getattr(a, f.name), getattr(b, f.name))
-               for f in fields(a))
+               for f in fields(a) if not f.name.startswith("_"))
 
 
 @dataclass(frozen=True)

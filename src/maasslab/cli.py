@@ -5,8 +5,8 @@ identity-check, fetch.  JSON is the default output; CSV serves only the
 grid outputs (DDE tables and asymptotic reports).  Every run echoes its
 parsed configuration so output is reproducible from the header alone.
 
-Exit codes: 0 success, 1 check failure, 2 usage error, 3 data gap,
-4 resource limit, 5 network unavailable.
+Exit codes: 0 success, 1 check failure or file error, 2 usage error,
+3 data gap, 4 resource limit, 5 network unavailable.
 """
 
 from __future__ import annotations
@@ -23,6 +23,9 @@ from .errors import (DataGapError, InvalidInputError, MaasslabError,
                      UnsupportedRangeError)
 
 DEFAULT_SEED = 1729   # fixed, documented; reproducibility over entropy
+# smallest sieve-verify --limit in checks mode: the Moebius round trip
+# evaluates n = 1 .. 199 in the table
+CHECKS_MIN_LIMIT = 199
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -125,6 +128,9 @@ def _cmd_first_zero(args) -> int:
 
 
 def _cmd_sieve_verify(args) -> int:
+    if args.report == "checks" and args.limit < CHECKS_MIN_LIMIT:
+        raise InvalidInputError(f"--limit must be >= {CHECKS_MIN_LIMIT} in "
+                                f"checks mode, got {args.limit}")
     table = sieve.build_table(args.limit, allow_large=args.allow_large)
     if args.report == "asymptotic":
         u_grid = _comma_list(args.u_grid, float, "--u-grid")
@@ -411,6 +417,9 @@ def main(argv=None) -> int:
         return EXIT_NETWORK
     except MaasslabError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_FAIL
+    except OSError as exc:      # a cache or output path that cannot be used
+        print(f"error: io: {exc}", file=sys.stderr)
         return EXIT_FAIL
 
 

@@ -10,11 +10,17 @@ A record's JSON text has one route, CoeffRecord.json_pieces (joined:
 to_json_text), byte for byte json.dumps of the reference to_json_dict.
 The canonical cache is one such document per record, written piece by
 piece and atomically (temp file + rename).  write_cache and read_cache
-keep a derived `.npz` index beside it (ps, lams, a metadata header and
-the sha256 of the JSON bytes), loaded with allow_pickle=False when that
-hash matches; a missing, stale or malformed index is rebuilt from the
-JSON.  fetch leaves a fixture's cache file alone when it already holds
-the generated record.  validate reports a non-finite a_p as an error.
+keep a derived `.npz` index beside it (ps, lams, a metadata header, the
+sha256 of the JSON bytes and the span [start, stop) of the bytes that
+equal the canonical text of the coefficient list, or no span when the
+file holds no such bytes, as an indented file does), loaded with
+allow_pickle=False when that hash matches; a missing, stale, malformed
+or span-less index is rebuilt from the JSON.  A record read from the
+cache remembers its file, digest and span: json_pieces copies the span
+from the file when the file still has that digest and the record still
+has the arrays it was read with, and formats the arrays otherwise.
+fetch leaves a fixture's cache file alone when it already holds the
+generated record.  validate reports a non-finite a_p as an error.
 """
 
 from __future__ import annotations
@@ -44,6 +50,9 @@ DEFAULT_COVERAGE = 10 ** 4
 # alive at once; on the density-scan benchmark 2^14 gave a peak RSS 1.2 MiB
 # above that of 2^11 or 2^12
 JSON_CHUNK = 1 << 12
+# bytes per piece when json_pieces copies the coefficient text from a
+# cache file
+SPAN_CHUNK = 1 << 16
 # json's names for the non-finite floats, keyed by float.__repr__
 _NON_FINITE_JSON = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
@@ -57,6 +66,20 @@ class Finding:
 
 
 @dataclass(frozen=True)
+class _JsonSpan:
+    """While the file at path has this sha256, its bytes [start, stop)
+    are the canonical text of the coefficient list of the arrays ps and
+    lams (held for their identity)."""
+
+    path: Path
+    digest: str
+    start: int
+    stop: int
+    ps: np.ndarray
+    lams: np.ndarray
+
+
+@dataclass(frozen=True)
 class CoeffRecord:
     """One form's coefficient data: eigenvalues lams at the primes ps."""
 
@@ -67,6 +90,9 @@ class CoeffRecord:
     lams: np.ndarray = field(compare=False)
     fetched_at: str
     source: str             # "fixture" | "remote" | "cache-fallback"
+    # where read_cache found the coefficient text; replace() carries it
+    # over, and json_pieces checks that it still fits
+    _json_span: _JsonSpan | None = field(default=None, repr=False, compare=False)
 
     __eq__ = fields_equal
     __post_init__ = check_form_fields
@@ -96,22 +122,76 @@ class CoeffRecord:
         return "".join(self.json_pieces())
 
     def json_pieces(self):
-        """to_json_text in order, in pieces of at most JSON_CHUNK pairs,
-        built from the arrays without a list per pair: floats by
-        float.__repr__, as json writes them, and "coefficients" first, as
-        it sorts."""
+        """to_json_text in order: the head, the coefficient list in
+        pieces, then the rest as one piece ("coefficients" sorts first).
+        The list is copied from the cache file the record was read from
+        while that file is unchanged, and formatted from the arrays
+        otherwise."""
         rest = json.dumps({"schema": SCHEMA_VERSION, **{
             name: getattr(self, name) for name in _INDEX_FIELDS}}, sort_keys=True)[1:]
-        yield '{"coefficients": ['
-        for start in range(0, self.ps.size, JSON_CHUNK):
-            lams = self.lams[start:start + JSON_CHUNK]
-            values = list(map(repr, lams.tolist()))
-            for i in np.flatnonzero(~np.isfinite(lams)).tolist():
-                values[i] = _NON_FINITE_JSON[values[i]]
-            ps = map(str, self.ps[start:start + JSON_CHUNK].tolist())
-            yield "], [" if start else "["
-            yield "], [".join(map(", ".join, zip(ps, values)))
-        yield ("]], " if self.ps.size else "], ") + rest
+        yield '{"coefficients": '
+        yield from self._copied_coefficients() or _coefficient_pieces(self.ps, self.lams)
+        yield ", " + rest
+
+    def _copied_coefficients(self):
+        """The coefficient text in pieces of SPAN_CHUNK bytes from the
+        span of the cache file, or None unless the record still has the
+        arrays of the span and the file still has its sha256."""
+        span = self._json_span
+        if span is None or span.ps is not self.ps or span.lams is not self.lams:
+            return None
+        import hashlib      # here, so that `import maasslab` does not pay for it
+        try:
+            raw = span.path.read_bytes()
+        except OSError:
+            return None
+        if hashlib.sha256(raw).hexdigest() != span.digest:
+            return None
+        return (raw[i:min(i + SPAN_CHUNK, span.stop)].decode("ascii")
+                for i in range(span.start, span.stop, SPAN_CHUNK))
+
+
+def _coefficient_pieces(ps: np.ndarray, lams: np.ndarray):
+    """The JSON text of [[p, a_p], ...] in pieces of at most JSON_CHUNK
+    pairs, built without a list per pair: floats by float.__repr__, as
+    json writes them."""
+    if not ps.size:
+        yield "[]"
+        return
+    for start in range(0, ps.size, JSON_CHUNK):
+        chunk = lams[start:start + JSON_CHUNK]
+        values = list(map(repr, chunk.tolist()))
+        for i in np.flatnonzero(~np.isfinite(chunk)).tolist():
+            values[i] = _NON_FINITE_JSON[values[i]]
+        primes = map(str, ps[start:start + JSON_CHUNK].tolist())
+        yield "], [" if start else "[["
+        yield "], [".join(map(", ".join, zip(primes, values)))
+    yield "]]"
+
+
+def _find_span(raw: bytes, record: CoeffRecord) -> tuple[int, int] | None:
+    """[start, stop) of bytes in raw equal to the record's canonical
+    coefficient text, or None.  The text is rendered piece by piece and
+    compared in place, and rendering stops at the first mismatch."""
+    pieces = (piece.encode() for piece in _coefficient_pieces(record.ps, record.lams))
+    first = next(pieces) + next(pieces, b"")    # "[[" and the first pairs
+    start = raw.find(first)
+    if start < 0:
+        return None
+    stop = start + len(first)
+    for data in pieces:
+        if not raw.startswith(data, stop):
+            return None
+        stop += len(data)
+    return start, stop
+
+
+def _with_span(record: CoeffRecord, path: Path, digest: str,
+               span: tuple[int, int] | None) -> CoeffRecord:
+    if span is None:
+        return record
+    return replace(record, _json_span=_JsonSpan(path, digest, *span,
+                                                 record.ps, record.lams))
 
 
 # label -> generation parameters; "nontempered" maps prime -> deviation nu
@@ -229,14 +309,18 @@ def write_cache(record: CoeffRecord, cache_dir=None) -> Path:
 
     path = _cache_path(record.label, cache_dir)
     digest = hashlib.sha256()
+    lengths = []
 
     def write(fh):
         for piece in record.json_pieces():
             data = piece.encode()       # ASCII: json escapes the rest
             digest.update(data)
             fh.write(data)
+            lengths.append(len(data))
     _replace_atomically(path, "wb", write)
-    _write_index(_index_path(path), digest.hexdigest(), record)
+    # the coefficient text lies between the head and the rest
+    span = (lengths[0], sum(lengths) - lengths[-1])
+    _write_index(_index_path(path), digest.hexdigest(), record, span)
     return path
 
 
@@ -280,28 +364,40 @@ _INDEX_FIELDS = ("label", "level", "spectral_parameter", "fetched_at", "source")
 
 
 def _read_index(path: Path, digest: str) -> CoeffRecord | None:
-    """The record in the index at path, or None unless the index exists,
-    was made from the JSON bytes with this sha256 and is well formed."""
+    """The record in the index at path, with the span of the JSON file
+    beside it, or None unless the index exists, was made from the JSON
+    bytes with this sha256 and is well formed (an index of earlier
+    versions, which has no span, is not, nor is one whose span does not
+    lie within the JSON file)."""
+    json_path = path.with_name(path.name.removesuffix(".npz") + ".json")
     try:
         with np.load(path, allow_pickle=False) as npz:
             if str(npz["json_sha256"]) != digest:
                 return None
             ps, lams, header = npz["ps"], npz["lams"], str(npz["header"])
-        if ps.dtype != np.int64 or lams.dtype != np.float64:
+            span = npz["span"]
+        if (ps.dtype != np.int64 or lams.dtype != np.float64
+                or span.dtype != np.int64 or span.shape not in ((0,), (2,))):
+            return None
+        span = tuple(span.tolist()) or None
+        if span is not None and not 0 <= span[0] <= span[1] <= json_path.stat().st_size:
             return None
         # the header passes the JSON route's own field checks
         doc = {**json.loads(header), "schema": SCHEMA_VERSION, "coefficients": []}
-        return replace(_record_from_json_dict(doc), ps=ps, lams=lams)
+        record = replace(_record_from_json_dict(doc), ps=ps, lams=lams)
     except (OSError, ValueError, LookupError, TypeError, AttributeError,
             EOFError, zipfile.BadZipFile, CacheParseError):
         return None
+    return _with_span(record, json_path, digest, span)
 
 
-def _write_index(path: Path, digest: str, record: CoeffRecord) -> None:
+def _write_index(path: Path, digest: str, record: CoeffRecord,
+                 span: tuple[int, int] | None) -> None:
     header = json.dumps({name: getattr(record, name) for name in _INDEX_FIELDS})
     with contextlib.suppress(OSError):     # no index: the next read rebuilds it
         _replace_atomically(path, "wb", lambda fh: np.savez(
-            fh, json_sha256=digest, header=header, ps=record.ps, lams=record.lams))
+            fh, json_sha256=digest, header=header, ps=record.ps, lams=record.lams,
+            span=np.array(span or (), dtype=np.int64)))
 
 
 def read_cache(label: str, cache_dir=None) -> CoeffRecord | None:
@@ -320,8 +416,11 @@ def read_cache(label: str, cache_dir=None) -> CoeffRecord | None:
         except ValueError as exc:   # not JSON, or not UTF-8/16/32 text
             raise CacheParseError(f"cache file is not valid JSON: {exc}") from exc
         record = _record_from_json_dict(doc)
+        del doc         # the parsed pairs go before the span is rendered
         if record.label == label:
-            _write_index(index, digest, record)
+            span = _find_span(raw, record)
+            _write_index(index, digest, record, span)
+            record = _with_span(record, path, digest, span)
     if record.label != label:
         raise CacheParseError(f"cache file {path.name} holds label "
                               f"{record.label!r}, not {label!r}", field="label")
@@ -373,8 +472,9 @@ def fetch(label: str, coverage: int = DEFAULT_COVERAGE, cache_dir=None,
         except (CacheParseError, OSError):
             cached = None
         # == holds -0.0 equal to 0.0; the JSON bytes do not
-        if not (cached == record and cached.lams.tobytes() == record.lams.tobytes()):
-            write_cache(record, cache_dir)
+        if cached == record and cached.lams.tobytes() == record.lams.tobytes():
+            return cached       # the generated record, with its cache file's span
+        write_cache(record, cache_dir)
         return record
     endpoint = endpoint or os.environ.get(ENDPOINT_ENV)
     reason = f"no endpoint configured ({ENDPOINT_ENV} unset)"

@@ -517,3 +517,31 @@ def test_csv_format_rejected_for_scalar_payloads(capsys):
                            "--u-grid", "1.0", "--format", "csv")
     assert code == 0
     assert out.splitlines()[1] == "y,u,exact,predicted,rel_error"
+
+
+@pytest.mark.parametrize("case", ["cache-file-is-a-directory", "out-dir-missing",
+                                  "cache-dir-is-a-file"])
+def test_os_error_is_one_io_line(tmp_path, capsys, monkeypatch, case):
+    monkeypatch.delenv("MAASSLAB_ENDPOINT", raising=False)
+    argv = ["fetch", "--label", "x", "--coverage", "100", "--cache-dir", str(tmp_path)]
+    if case == "cache-file-is-a-directory":
+        (tmp_path / "x.json").mkdir()
+    elif case == "out-dir-missing":
+        argv[2] = "fixture-tempered-1"
+        argv += ["--out", str(tmp_path / "missing" / "out.json")]
+    else:
+        (tmp_path / "file").write_text("")
+        argv[-1] = str(tmp_path / "file")
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: io: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("limit", ["10", "11", "198"])
+def test_sieve_verify_checks_limit_below_minimum_is_usage_error(capsys, limit):
+    # the Moebius round trip evaluates n up to 199 in the table
+    code, out, err = run_cli(capsys, "sieve-verify", "--limit", limit)
+    assert code == 2 and out == ""
+    assert err == f"error: invalid-input: --limit must be >= 199 in checks mode, got {limit}\n"
+    code, out, _ = run_cli(capsys, "sieve-verify", "--limit", "199", "--samples", "3")
+    assert code == 0 and json.loads(out)["all_passed"]

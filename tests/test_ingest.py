@@ -1,3 +1,4 @@
+import builtins
 import contextlib
 import dataclasses
 import hashlib
@@ -503,8 +504,15 @@ def _saved(save, *args, **kwargs):
 
 
 def _index(digest, header, **arrays):
-    arrays = {"ps": np.array([2, 3]), "lams": np.array([0.1, 0.2]), **arrays}
+    # well formed but for what arrays overrides, so each case meets its own check
+    arrays = {"ps": np.array([2, 3]), "lams": np.array([0.1, 0.2]),
+              "span": np.zeros(0, np.int64), **arrays}
     return _saved(np.savez, json_sha256=digest, header=header, **arrays)
+
+
+def _span(*bounds, dtype=np.int64):
+    return lambda good, digest, header: _index(digest, header,
+                                               span=np.array(bounds, dtype))
 
 
 @pytest.mark.parametrize("corrupt", [
@@ -523,8 +531,17 @@ def _index(digest, header, **arrays):
         digest, header.replace('"level": 5', '"level": true')),
     lambda good, digest, header: _saved(np.savez, json_sha256=digest, header=header),
     lambda good, digest, header: _saved(np.save, np.array([2, 3])),
+    lambda good, digest, header: _saved(np.savez, json_sha256=digest, header=header,
+                                        ps=np.array([2, 3]), lams=np.array([0.1, 0.2])),
+    _span(0.0, 4.0, dtype=np.float64),
+    _span(0, 4, 8),
+    _span(-1, 4),
+    _span(8, 4),
+    _span(0, 10 ** 6),
 ], ids=["garbage", "empty", "half", "last-byte", "crc", "object-dtype", "int32",
-        "unordered", "header-list", "header-bool", "no-arrays", "npy"])
+        "unordered", "header-list", "header-bool", "no-arrays", "npy",
+        "no-span", "span-float", "span-3", "span-negative", "span-reversed",
+        "span-past-end"])
 def test_bad_index_falls_back_to_json(tmp_path, monkeypatch, corrupt):
     rec, _, index = _indexed_fixture(tmp_path, monkeypatch)
     with np.load(index) as npz:
@@ -534,6 +551,18 @@ def test_bad_index_falls_back_to_json(tmp_path, monkeypatch, corrupt):
     assert ingest._read_index(index, digest) is None
     assert ingest.read_cache(rec.label, tmp_path) == rec
     assert ingest._read_index(index, digest) == rec      # rebuilt
+
+
+@pytest.mark.parametrize("past_end", [0, 1])
+def test_index_span_ends_within_the_json_file(tmp_path, monkeypatch, past_end):
+    rec, path, index = _indexed_fixture(tmp_path, monkeypatch)
+    with np.load(index) as npz:
+        arrays = dict(npz)
+    size = path.stat().st_size
+    arrays["span"] = np.array([size - 1, size + past_end])
+    index.write_bytes(_saved(np.savez, **arrays))
+    loaded = ingest._read_index(index, str(arrays["json_sha256"]))
+    assert (loaded is None) == bool(past_end)
 
 
 def test_labels_get_distinct_index_files(tmp_path, monkeypatch):
@@ -633,3 +662,127 @@ def test_json_text_matches_reference_dump(label, level, spectral, ps, values, so
     with pytest.MonkeyPatch.context() as patch:     # chunk boundaries in small records
         patch.setattr(ingest, "JSON_CHUNK", chunk)
         assert rec.to_json_text() == want
+
+
+def _float_reprs(monkeypatch):
+    """The floats ingest formats with repr: every a_p of a coefficient
+    text that is formatted rather than copied."""
+    calls = []
+
+    def spy(obj):
+        calls.append(obj)
+        return builtins.repr(obj)
+    monkeypatch.setattr(ingest, "repr", spy, raising=False)
+    return calls
+
+
+def _span_record(values=()):
+    rec = ingest.generate_fixture("fixture-tempered-1", 1000)
+    lams = rec.lams.copy()
+    lams[:len(values)] = values     # in the first piece and in the last
+    lams[lams.size - len(values):] = values
+    return dataclasses.replace(rec, label="span-form", source="remote", lams=lams)
+
+
+def _dumped(doc, **kwargs):
+    return lambda rec, cache_dir: ingest._cache_path(rec.label, cache_dir).write_text(
+        json.dumps(doc(rec), sort_keys=True, **kwargs))
+
+
+def _with_integer_a_p(rec):
+    doc = rec.to_json_dict()
+    doc["coefficients"][-1][1] = 2      # loads as int, formats as 2.0
+    return doc
+
+
+def _edit_digit(rec):
+    path = rec._json_span.path
+    text = path.read_text()
+    i = text.index('"level": 5,') + len('"level": ')
+    path.write_text(text[:i] + "7" + text[i + 1:])
+
+
+@pytest.mark.parametrize("write, values, spans", [
+    (lambda rec, cache_dir: ingest.write_cache(rec, cache_dir), (), True),
+    (_dumped(CoeffRecord.to_json_dict, indent=2), (), False),
+    (_dumped(_with_integer_a_p), (), False),
+    (_dumped(CoeffRecord.to_json_dict), (1e16, -0.0, np.nan, np.inf, -np.inf), True),
+], ids=["canonical", "indented", "integer-a_p", "special-floats"])
+def test_span_route_output_is_the_reference_dump(tmp_path, monkeypatch, write,
+                                                 values, spans):
+    # several pieces, so that a file can match the first and not a later one
+    monkeypatch.setattr(ingest, "JSON_CHUNK", 16)
+    written = _span_record(values)
+    write(written, tmp_path)
+    for route in ("json", "index"):
+        rec = ingest.read_cache(written.label, tmp_path)
+        assert (rec._json_span is not None) == spans, route
+        with monkeypatch.context() as patch:
+            reprs = _float_reprs(patch)
+            assert rec.to_json_text() == json.dumps(rec.to_json_dict(), sort_keys=True)
+        assert bool(reprs) != spans, route
+
+
+@pytest.mark.parametrize("disturb", [
+    _edit_digit,
+    lambda rec: rec._json_span.path.unlink(),
+    lambda rec: dataclasses.replace(rec, lams=-rec.lams),
+], ids=["same-length-edit", "deleted", "new-lams"])
+def test_span_route_formats_when_the_span_no_longer_fits(tmp_path, monkeypatch,
+                                                         disturb):
+    ingest.write_cache(_span_record(), tmp_path)
+    rec = ingest.read_cache("span-form", tmp_path)
+    assert rec._json_span is not None
+    rec = disturb(rec) or rec
+    reprs = _float_reprs(monkeypatch)
+    assert rec.to_json_text() == json.dumps(rec.to_json_dict(), sort_keys=True)
+    assert len(reprs) == rec.lams.size
+
+
+def test_index_hit_formats_no_floats(tmp_path, monkeypatch):
+    # fetch's cache-fallback record and a fixture's cached record keep the span
+    monkeypatch.delenv(ingest.ENDPOINT_ENV, raising=False)
+    written = _span_record()
+    ingest.write_cache(written, tmp_path)
+    ingest.fetch("fixture-mixed-1", coverage=1000, cache_dir=tmp_path)
+    reprs = _float_reprs(monkeypatch)
+    fallback = ingest.fetch("span-form", cache_dir=tmp_path)
+    assert fallback.source == "cache-fallback"
+    assert fallback.to_json_text() == json.dumps(fallback.to_json_dict(), sort_keys=True)
+    fixture = ingest.fetch("fixture-mixed-1", coverage=1000, cache_dir=tmp_path)
+    assert fixture.to_json_text() == json.dumps(fixture.to_json_dict(), sort_keys=True)
+    assert reprs == []
+    # the spy sees formatting
+    assert written.to_json_text() == fallback.to_json_text().replace(
+        '"cache-fallback"', '"remote"')
+    assert len(reprs) == written.lams.size
+
+
+def test_span_state_is_no_part_of_the_value(tmp_path):
+    rec = ingest.generate_fixture("fixture-mixed-2", 1000)
+    ingest.write_cache(rec, tmp_path)
+    cached = ingest.read_cache(rec.label, tmp_path)
+    assert cached._json_span is not None and rec._json_span is None
+    assert cached == rec and "_json_span" not in repr(cached)
+
+
+@settings(max_examples=50, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(ps=st.lists(st.integers(1, 2 ** 63 - 1), unique=True, max_size=20).map(sorted),
+       values=st.lists(_json_floats, min_size=20),
+       dump=st.sampled_from([{}, {"sort_keys": True}, {"indent": 1}]),
+       json_chunk=st.integers(1, 4), span_chunk=st.integers(1, 9))
+def test_span_route_matches_reference_dump(tmp_path, monkeypatch, ps, values, dump,
+                                           json_chunk, span_chunk):
+    # chunk sizes small enough to split the texts of short records
+    monkeypatch.setattr(ingest, "JSON_CHUNK", json_chunk)
+    monkeypatch.setattr(ingest, "SPAN_CHUNK", span_chunk)
+    doc = {"schema": 1, "label": "f", "level": 1, "spectral_parameter": 0.5,
+           "coefficients": [[p, a] for p, a in zip(ps, values)],
+           "fetched_at": "t", "source": "remote"}
+    with tempfile.TemporaryDirectory(dir=tmp_path) as cache_dir:
+        ingest._cache_path("f", cache_dir).write_text(json.dumps(doc, **dump))
+        for _ in range(2):      # the JSON route, then the index route
+            rec = ingest.read_cache("f", cache_dir)
+            # an indented file holds the canonical text only of an empty list
+            assert (rec._json_span is not None) == ("indent" not in dump or not ps)
+            assert rec.to_json_text() == json.dumps(rec.to_json_dict(), sort_keys=True)
