@@ -30,6 +30,7 @@ LARGE_LIMIT = 10 ** 7      # table limits above this need allow_large=True
 HARD_LIMIT = 2 * 10 ** 8
 TRIAL_LIMIT = 10 ** 7      # largest trial divisor prime_factors tries
 _BLOCK = 2 ** 18           # float64 entries per block of values_upto: 2 MiB, one L2
+_DIRECT = 16               # cofactors j that values_upto writes one slice each
 
 
 def primes_upto(n: int) -> np.ndarray:
@@ -252,52 +253,129 @@ def _checked_t(t: float, table: SieveTable) -> int:
     return t
 
 
-def values_upto(spec: MultFuncSpec, t: float, q: int | None,
-                table: SieveTable) -> np.ndarray:
-    """Array v with v[n] = spec value at n for squarefree (n, q) = 1, else 0.
-
-    v starts as the squarefree flags and every multiple of each prime p
-    <= t is multiplied by the value at p, primes ascending: the same
-    product, signed zeros included, as a loop over all primes.  The
-    primes p <= sqrt(t) go first, one cache-sized block of _BLOCK entries
-    at a time: the block takes its flags, then one strided multiply per
-    prime from the first multiple of p in the block that is at least p,
-    so v[0] is never multiplied.  A prime P > sqrt(t) divides n <= t at
-    most once, and then n = j P with j <= isqrt(t): the primes of j are
-    the primes <= sqrt(t) of n, and j is squarefree exactly when n is.
-    So after the blocks v[j P] holds bit for bit the float v[j], and no
-    large prime writes v[j].  The large primes go last, one cofactor j
-    at a time: v[j * P] = v[j] * value(P) for all P <= t // j in one
-    indexed write (the indices are distinct), the product v[j P] *
-    value(P) without reading v[j P].  Where both factors are NaN it is
-    v[j]'s NaN, as in the strided multiply of the per-prime loop.
-    """
-    t = _checked_t(t, table)
-    q_primes = _coprimality_primes(spec.q if q is None else q)
-    vals = np.empty(t + 1)
+def _value_blocks(spec: MultFuncSpec, t: int, q: int | None, table: SieveTable,
+                  vals: np.ndarray | None = None):
+    """Yield (lo, v[lo:lo + n]) for the blocks of _BLOCK entries that
+    cover v[0..t] of values_upto, in order, each block final when it is
+    yielded.  The blocks are views of vals (t + 1 entries) when it is
+    given, else of one buffer of at most _BLOCK entries that each block
+    overwrites."""
+    q_primes = [p for p in _coprimality_primes(spec.q if q is None else q) if p <= t]
     ps = table.primes[:table.prime_count(t)]
     ws = spec.prime_values(ps)
     s = math.isqrt(t)
     k = table.prime_count(s)
-    small = list(zip(ps[:k].tolist(), ws[:k].tolist()))
-    for lo in range(0, t + 1, _BLOCK):
-        blk = vals[lo:lo + _BLOCK]
-        np.copyto(blk, table.squarefree[lo:lo + blk.size])
+    # (4) zeroes the multiples of a prime of q, so (2) skips that prime
+    small = [(p, w) for p, w in zip(ps[:k].tolist(), ws[:k].tolist())
+             if p not in q_primes]
+    big, big_ws = ps[k:], ws[k:]
+    j_max = t // (s + 1)            # the largest cofactor j of a j P <= t, P > s
+    j_direct = np.arange(1, min(_DIRECT, j_max) + 1)
+    j_rest = np.arange(_DIRECT + 1, j_max + 1)
+    if vals is None:
+        vals = np.empty(min(_BLOCK, t + 1))
+        blocks = ((lo, vals[:min(_BLOCK, t + 1 - lo)]) for lo in range(0, t + 1, _BLOCK))
+    else:
+        blocks = ((lo, vals[lo:lo + _BLOCK]) for lo in range(0, t + 1, _BLOCK))
+    for lo, blk in blocks:
+        hi = lo + blk.size - 1                  # the block holds v[lo..hi]
+        np.copyto(blk, table.squarefree[lo:hi + 1])
         for p, w in small:
             blk[max(p, -(-lo // p) * p) - lo::p] *= w
-    big, big_ws = ps[k:], ws[k:]
-    counts = np.searchsorted(big, t // np.arange(1, t // (s + 1) + 1), side="right")
-    for j, n in enumerate(counts.tolist(), start=1):
-        vals[j * big[:n]] = vals[j] * big_ws[:n]
-    for p in q_primes:
-        if p <= t:
-            vals[p::p] = 0.0
+        if lo == 0:
+            v_small = blk[:j_max + 1].copy()
+        # the P with lo <= j P <= hi are big[a:b]: one slice for each
+        # j <= _DIRECT, then one indexed write for all the larger j
+        n = j_direct.size
+        ab = np.searchsorted(big, np.concatenate((-(-lo // j_direct),
+                                                  hi // j_direct + 1))).tolist()
+        for j, a, b in zip(range(1, n + 1), ab[:n], ab[n:]):
+            blk[j * big[a:b] - lo] = v_small[j] * big_ws[a:b]
+        if j_rest.size:
+            a = np.searchsorted(big, -(-lo // j_rest))
+            counts = np.searchsorted(big, hi // j_rest, side="right") - a
+            i = np.repeat(a - (np.cumsum(counts) - counts), counts)
+            i += np.arange(i.size)              # big[i] runs over the P of each j
+            idx = big[i]
+            idx *= np.repeat(j_rest, counts)
+            idx -= lo
+            w = big_ws[i]
+            blk[idx] = np.multiply(np.repeat(v_small[_DIRECT + 1:], counts), w, out=w)
+        for p in q_primes:
+            blk[max(p, -(-lo // p) * p) - lo::p] = 0.0
+        yield lo, blk
+
+
+def values_upto(spec: MultFuncSpec, t: float, q: int | None,
+                table: SieveTable) -> np.ndarray:
+    """Array v with v[n] = spec value at n for squarefree (n, q) = 1, else 0.
+
+    v is filled one cache-sized block v[lo..hi] of _BLOCK entries at a
+    time, blocks ascending, and every entry is the product, signed zeros
+    included, that a loop over all primes p <= t gives when it multiplies
+    each multiple of p by the value at p, primes ascending, and then sets
+    the multiples of the primes of q to 0.0.  Each block takes four
+    steps.  (4) sets every multiple n of a prime of q in the block to 0.0,
+    whatever (1)-(3) left there, so only n coprime to q need the proof.
+    (1) The block takes its squarefree flags.  (2) One strided multiply
+    per prime p <= sqrt(t) that does not divide q, from the first
+    multiple of p in the block that is at least p, so v[0] is never
+    multiplied.  After (2) in block 0, v[j] for j <= isqrt(t) coprime to
+    q is final, since all its primes are at most j, and v[0..isqrt(t)] is
+    copied aside.  (3) A prime P > sqrt(t) divides n <= t at most once,
+    and then n = j P with j <= isqrt(t): the primes of j are the primes
+    <= sqrt(t) of n, and j is squarefree (and coprime to q) when n is.
+    So after (2) v[j P] holds bit for bit the float v[j] of the copy, and
+    (3) writes v[j P] = v[j] * value(P) for every j P in the block with P
+    > sqrt(t), the product v[j P] * value(P) without reading v[j P]: one
+    slice of the P for each j <= _DIRECT, one indexed write over all the
+    larger j (the indices are distinct).  These writes land at j P >
+    isqrt(t), never on a v[j] of the copy.  Where both factors are NaN it
+    is v[j]'s NaN, as in the strided multiply of the per-prime loop.  No
+    step reads an entry outside its block but the copied v[j], and v[n]
+    does not depend on t, so h_sum and asymptotic_report sum the same
+    entries block by block from one reused buffer.
+    """
+    t = _checked_t(t, table)
+    vals = np.empty(t + 1)
+    for _ in _value_blocks(spec, t, q, table, vals):
+        pass
     return vals
 
 
+def _streamed_sums(spec: MultFuncSpec, ts: list[int], q: int | None,
+                   table: SieveTable) -> list[float]:
+    """H(t) for each t of ts, from one pass of the blocks up to max(ts):
+    the float64 sums (np.sum) of the whole blocks before the one holding
+    t, added in block order to a running float from 0.0, plus the np.sum
+    of that block's entries up to t."""
+    want = sorted(set(ts))
+    sums = {}
+    total = 0.0
+    for lo, blk in _value_blocks(spec, want[-1], q, table):
+        while want and want[0] < lo + blk.size:
+            t = want.pop(0)
+            sums[t] = total + float(np.sum(blk[:t + 1 - lo]))
+        total += float(np.sum(blk))
+    return [sums[t] for t in ts]
+
+
 def h_sum(spec: MultFuncSpec, t: float, q: int | None, table: SieveTable) -> float:
-    """Exact sum of spec values over squarefree n <= t with (n, q) = 1."""
-    return float(np.sum(values_upto(spec, t, q, table)))
+    """Sum of spec values over squarefree n <= t with (n, q) = 1.
+
+    The values are summed block by block (see _streamed_sums) without
+    the array of values_upto, so this is bit for bit the row of
+    asymptotic_report at the same t.  For integer values with partial
+    sums below 2^53 it is exact in any order; otherwise the last bits
+    depend on that order."""
+    return _streamed_sums(spec, [_checked_t(t, table)], q, table)[0]
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """sum of a * b by np.sum, overwriting b: the same on every host,
+    where np.dot's BLAS result depends on its thread count."""
+    b *= a
+    return float(np.sum(b))
 
 
 def log_weighted_sum(spec: MultFuncSpec, x: float, q: int | None,
@@ -306,6 +384,8 @@ def log_weighted_sum(spec: MultFuncSpec, x: float, q: int | None,
 
     The direct sum and the exact piecewise-constant integral of H(t)/t
     must agree to 1e-9 relative; disagreement raises CrossCheckError.
+    Both multiply in place and add with np.sum, not the BLAS np.dot, so
+    the result does not depend on the BLAS thread count.
     """
     if not (math.isfinite(x) and x >= 1.0):
         raise InvalidInputError(f"x must be finite and >= 1, got {x}")
@@ -314,10 +394,10 @@ def log_weighted_sum(spec: MultFuncSpec, x: float, q: int | None,
     m = int(x)
     vals = values_upto(spec, m, q, table)
     logs = np.log(np.arange(1, m + 1, dtype=np.float64))   # log n, n = 1..m
-    direct = float(np.dot(vals[1:], math.log(x) - logs))
+    direct = _dot(vals[1:], math.log(x) - logs)
 
     H = np.cumsum(vals)
-    integral = float(np.dot(H[1:m], np.diff(logs)))   # log((k+1)/k), k = 1..m-1
+    integral = _dot(H[1:m], np.diff(logs))   # log((k+1)/k), k = 1..m-1
     integral += float(H[m]) * (math.log(x) - math.log(m))
 
     scale = max(abs(direct), abs(integral), 1.0)
@@ -413,7 +493,15 @@ def asymptotic_report(y: int, u_grid: list[float], q: int,
     """Exact H(y^u) against the mean-value prediction c(q)*sigma(u)*log(y)*y^u.
 
     Report-only: the error term of the asymptotic carries no rate, so the
-    rows record the relative error without asserting a bound.
+    rows record the relative error without asserting a bound.  The exact
+    sums come from one pass of the values_upto blocks up to the largest
+    t of the grid through one reused block of _BLOCK entries, so the
+    report holds the table and 2 MiB, not the t + 1 values.  Each row
+    adds the np.sum of every whole block before t, in block order, and
+    then the np.sum of the entries up to t of t's block; it equals h_sum
+    at that t bit for bit.  For integer weights every partial sum below
+    2^53 is exact in any order; for other weights the last bits follow
+    this order.
     """
     if y < 2:
         raise InvalidInputError(f"y must be >= 2, got {y}")
@@ -432,11 +520,8 @@ def asymptotic_report(y: int, u_grid: list[float], q: int,
     c_q, _ = euler_constant_c(q, c_truncation)
     sol = dde.solve(dde.DdeSpec(chi0, chi1), max(u_max, 1.0), 1e-4)
     ts = [_checked_t(y ** u, table) for u in u_grid]
-    # one fill at the largest t: its prefixes are the arrays of the smaller t
-    vals = values_upto(spec, max(ts), q, table)
     rows = []
-    for u, t in zip(u_grid, ts):
-        exact = float(np.sum(vals[:t + 1]))
+    for u, t, exact in zip(u_grid, ts, _streamed_sums(spec, ts, q, table)):
         sigma_u = sol.at(u) if u > 0 else 0.0
         predicted = c_q * sigma_u * math.log(y) * (y ** u)
         rel = abs(exact - predicted) / abs(predicted) if predicted != 0 else math.inf

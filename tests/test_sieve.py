@@ -1,8 +1,13 @@
 import bisect
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
+import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -426,6 +431,22 @@ def test_log_weighted_sum_property_brute_force(table_small, spec_oracle, q, x):
         math.fsum(terms), rel=0, abs=1e-12 * scale)
 
 
+def test_log_weighted_sum_same_for_any_blas_thread_count():
+    # np.dot's BLAS ddot splits the sum by thread, so its last bits moved
+    # with the thread count
+    src = str(Path(sieve.__file__).resolve().parents[1])
+    code = ("from maasslab import sieve; t = sieve.build_table(10 ** 6); "
+            "print(repr(sieve.log_weighted_sum("
+            "sieve.MultFuncSpec.threshold(17609, 3, -2), 1e6, 1, t)))")
+    outs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads,
+               "OMP_NUM_THREADS": threads, "MKL_NUM_THREADS": threads}
+        outs.append(subprocess.run([sys.executable, "-c", code], check=True,
+                                   capture_output=True, text=True, env=env).stdout)
+    assert outs[0] == outs[1] and float(outs[0]) > 0
+
+
 def test_dirichlet_convolve_at_prime(table_small):
     a1 = MultFuncSpec.from_table({2: 1.5, 3: -0.5})
     a2 = MultFuncSpec.from_table({2: 0.25, 3: 2.0})
@@ -572,6 +593,73 @@ def test_asymptotic_report_rows_equal_h_sum(table_medium):
     for grid, bad in (([-0.5, 1.0], "-0.5"), ([1.0, float("nan")], "nan")):
         with pytest.raises(InvalidInputError, match=f"u = {bad} in the grid"):
             sieve.asymptotic_report(100, grid, 1, (2.0, -2.0), table_medium)
+
+
+def _u_landing_on(y, t):
+    """A u with int(y ** u) == t."""
+    u = math.log(t) / math.log(y)
+    while int(y ** u) < t:
+        u = math.nextafter(u, math.inf)
+    while int(y ** u) > t:
+        u = math.nextafter(u, -math.inf)
+    assert int(y ** u) == t
+    return u
+
+
+# rows on both sides of the block edges, out of order and one twice
+_edge_ts = [_block_ts[4], *_block_ts, 10 ** 6 - 1, _block_ts[0]]
+
+
+def test_asymptotic_report_integer_rows_equal_array_sums(table_medium):
+    # integer sums below 2^53 are exact, so the blocked order of the
+    # report adds to the sum over the whole array bit for bit
+    y = 997
+    grid = [_u_landing_on(y, t) for t in _edge_ts]
+    for weights, q in (((2.0, -2.0), 1), ((3.0, -1.0), 30), ((1.0, -3.0), 7)):
+        rows = sieve.asymptotic_report(y, grid, q, weights, table_medium)
+        spec = MultFuncSpec.threshold(y, *weights)
+        vals = sieve.values_upto(spec, 10 ** 6, q, table_medium)
+        assert [r["exact"] for r in rows] == [
+            float(np.sum(vals[:t + 1])) for t in _edge_ts]
+
+
+def test_asymptotic_report_rows_within_gamma_n_of_exact_sum(table_medium):
+    # any order of adding n floats v is within gamma_{n-1} sum |v| of the
+    # exact sum (Higham 2002, sec. 4.2), and fsum rounds that once more
+    y = 997
+    grid = [_u_landing_on(y, t) for t in _edge_ts]
+    for weights, q in (((1.3, -0.7), 1), ((1.1, -2.9), 30)):
+        rows = sieve.asymptotic_report(y, grid, q, weights, table_medium)
+        spec = MultFuncSpec.threshold(y, *weights)
+        vals = sieve.values_upto(spec, 10 ** 6, q, table_medium)
+        for t, row in zip(_edge_ts, rows):
+            n = t + 1
+            gamma = n * 2.0 ** -53 / (1 - n * 2.0 ** -53)
+            exact = math.fsum(vals[:n].tolist())
+            assert abs(row["exact"] - exact) <= gamma * float(np.sum(np.abs(vals[:n])))
+            assert row["exact"] == sieve.h_sum(spec, t, q, table_medium), t
+            # the documented order: the np.sum of each whole block before
+            # t's block from 0.0, then the np.sum of the rest up to t
+            last = t - t % sieve._BLOCK
+            total = 0.0
+            for lo in range(0, last, sieve._BLOCK):
+                total += float(np.sum(vals[lo:lo + sieve._BLOCK]))
+            assert row["exact"] == total + float(np.sum(vals[last:n])), t
+
+
+def test_asymptotic_report_holds_no_value_array(table_large):
+    # t = 10^(4 * 1.8) = 1.58 * 10^7: the values up to t take 127 MB, the
+    # report one block and the values at the primes
+    tracemalloc.start()
+    try:
+        rows = sieve.asymptotic_report(10 ** 4, [0.5, 1.0, 1.5, 1.8], 30,
+                                       (2.0, -2.0), table_large)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert int(10 ** (4 * 1.8)) > 1.58e7
+    assert [r["exact"] for r in rows] == [53.0, 8253.0, 368387.0, 395645.0]
+    assert peak < 32 * 2 ** 20, peak / 2 ** 20
 
 
 def test_asymptotic_positive_increasing_below_one(table_medium):
