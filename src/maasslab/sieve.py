@@ -1,15 +1,17 @@
 """Brute-force laboratory for squarefree-supported multiplicative functions.
 
-Everything here is exact enumeration against a prime and squarefree
-table: threshold weights h (chi0 on primes up to a cutoff y, chi1
-beyond), coefficient tables, Dirichlet convolutions and their Moebius
-inversions, the partial sums H(t), the log-weighted sums, the Euler
-product constant c(a), and the local factor of the auxiliary Euler
-product whose x^1 coefficient cancels identically.
+Everything here is computed against a prime and squarefree table:
+threshold weights h (chi0 on primes up to a cutoff y, chi1 beyond),
+coefficient tables, Dirichlet convolutions and their Moebius
+inversions, the values up to t, the partial sums H(t), the log-weighted
+sums, the Euler product constant c(a), and the local factor of the
+auxiliary Euler product whose x^1 coefficient cancels identically.
 
 Convolution identities are evaluated in exact rational arithmetic
-(Fraction); enumerations use float64, whose sums stay exact for the
-integer-valued weights and sizes handled here.
+(Fraction).  values_upto enumerates the values in float64; H(t) comes
+from sums over the primes by the prime-counting recursion, never from
+those values, and is exact for the integer-valued weights and sizes
+handled here (h_sum states the bound).
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ HARD_LIMIT = 2 * 10 ** 8
 TRIAL_LIMIT = 10 ** 7      # largest trial divisor prime_factors tries
 _BLOCK = 2 ** 18           # float64 entries per block of values_upto: 2 MiB, one L2
 _DIRECT = 16               # cofactors j that values_upto writes one slice each
+_CHUNK = 2 ** 16           # primes per chunk of the running prime sums of h_sum
 
 
 def primes_upto(n: int) -> np.ndarray:
@@ -253,59 +256,6 @@ def _checked_t(t: float, table: SieveTable) -> int:
     return t
 
 
-def _value_blocks(spec: MultFuncSpec, t: int, q: int | None, table: SieveTable,
-                  vals: np.ndarray | None = None):
-    """Yield (lo, v[lo:lo + n]) for the blocks of _BLOCK entries that
-    cover v[0..t] of values_upto, in order, each block final when it is
-    yielded.  The blocks are views of vals (t + 1 entries) when it is
-    given, else of one buffer of at most _BLOCK entries that each block
-    overwrites."""
-    q_primes = [p for p in _coprimality_primes(spec.q if q is None else q) if p <= t]
-    ps = table.primes[:table.prime_count(t)]
-    ws = spec.prime_values(ps)
-    s = math.isqrt(t)
-    k = table.prime_count(s)
-    # (4) zeroes the multiples of a prime of q, so (2) skips that prime
-    small = [(p, w) for p, w in zip(ps[:k].tolist(), ws[:k].tolist())
-             if p not in q_primes]
-    big, big_ws = ps[k:], ws[k:]
-    j_max = t // (s + 1)            # the largest cofactor j of a j P <= t, P > s
-    j_direct = np.arange(1, min(_DIRECT, j_max) + 1)
-    j_rest = np.arange(_DIRECT + 1, j_max + 1)
-    if vals is None:
-        vals = np.empty(min(_BLOCK, t + 1))
-        blocks = ((lo, vals[:min(_BLOCK, t + 1 - lo)]) for lo in range(0, t + 1, _BLOCK))
-    else:
-        blocks = ((lo, vals[lo:lo + _BLOCK]) for lo in range(0, t + 1, _BLOCK))
-    for lo, blk in blocks:
-        hi = lo + blk.size - 1                  # the block holds v[lo..hi]
-        np.copyto(blk, table.squarefree[lo:hi + 1])
-        for p, w in small:
-            blk[max(p, -(-lo // p) * p) - lo::p] *= w
-        if lo == 0:
-            v_small = blk[:j_max + 1].copy()
-        # the P with lo <= j P <= hi are big[a:b]: one slice for each
-        # j <= _DIRECT, then one indexed write for all the larger j
-        n = j_direct.size
-        ab = np.searchsorted(big, np.concatenate((-(-lo // j_direct),
-                                                  hi // j_direct + 1))).tolist()
-        for j, a, b in zip(range(1, n + 1), ab[:n], ab[n:]):
-            blk[j * big[a:b] - lo] = v_small[j] * big_ws[a:b]
-        if j_rest.size:
-            a = np.searchsorted(big, -(-lo // j_rest))
-            counts = np.searchsorted(big, hi // j_rest, side="right") - a
-            i = np.repeat(a - (np.cumsum(counts) - counts), counts)
-            i += np.arange(i.size)              # big[i] runs over the P of each j
-            idx = big[i]
-            idx *= np.repeat(j_rest, counts)
-            idx -= lo
-            w = big_ws[i]
-            blk[idx] = np.multiply(np.repeat(v_small[_DIRECT + 1:], counts), w, out=w)
-        for p in q_primes:
-            blk[max(p, -(-lo // p) * p) - lo::p] = 0.0
-        yield lo, blk
-
-
 def values_upto(spec: MultFuncSpec, t: float, q: int | None,
                 table: SieveTable) -> np.ndarray:
     """Array v with v[n] = spec value at n for squarefree (n, q) = 1, else 0.
@@ -332,43 +282,196 @@ def values_upto(spec: MultFuncSpec, t: float, q: int | None,
     larger j (the indices are distinct).  These writes land at j P >
     isqrt(t), never on a v[j] of the copy.  Where both factors are NaN it
     is v[j]'s NaN, as in the strided multiply of the per-prime loop.  No
-    step reads an entry outside its block but the copied v[j], and v[n]
-    does not depend on t, so h_sum and asymptotic_report sum the same
-    entries block by block from one reused buffer.
+    step reads an entry outside its block but the copied v[j].  h_sum
+    does not read these values; the sum of v[:t + 1] is its brute-force
+    oracle.
     """
     t = _checked_t(t, table)
+    q_primes = [p for p in _coprimality_primes(spec.q if q is None else q) if p <= t]
+    ps = table.primes[:table.prime_count(t)]
+    ws = spec.prime_values(ps)
+    s = math.isqrt(t)
+    k = table.prime_count(s)
+    # (4) zeroes the multiples of a prime of q, so (2) skips that prime
+    small = [(p, w) for p, w in zip(ps[:k].tolist(), ws[:k].tolist())
+             if p not in q_primes]
+    big, big_ws = ps[k:], ws[k:]
+    j_max = t // (s + 1)            # the largest cofactor j of a j P <= t, P > s
+    j_direct = np.arange(1, min(_DIRECT, j_max) + 1)
+    j_rest = np.arange(_DIRECT + 1, j_max + 1)
     vals = np.empty(t + 1)
-    for _ in _value_blocks(spec, t, q, table, vals):
-        pass
+    for lo in range(0, t + 1, _BLOCK):
+        blk = vals[lo:lo + _BLOCK]
+        hi = lo + blk.size - 1                  # the block holds v[lo..hi]
+        np.copyto(blk, table.squarefree[lo:hi + 1])
+        for p, w in small:
+            blk[max(p, -(-lo // p) * p) - lo::p] *= w
+        if lo == 0:
+            v_small = blk[:j_max + 1].copy()
+        # the P with lo <= j P <= hi are big[a:b]: one slice for each
+        # j <= _DIRECT, then one indexed write for all the larger j
+        n = j_direct.size
+        ab = np.searchsorted(big, np.concatenate((-(-lo // j_direct),
+                                                  hi // j_direct + 1))).tolist()
+        for j, a, b in zip(range(1, n + 1), ab[:n], ab[n:]):
+            blk[j * big[a:b] - lo] = v_small[j] * big_ws[a:b]
+        if j_rest.size:
+            a = np.searchsorted(big, -(-lo // j_rest))
+            counts = np.searchsorted(big, hi // j_rest, side="right") - a
+            i = np.repeat(a - (np.cumsum(counts) - counts), counts)
+            i += np.arange(i.size)              # big[i] runs over the P of each j
+            idx = big[i]
+            idx *= np.repeat(j_rest, counts)
+            idx -= lo
+            w = big_ws[i]
+            blk[idx] = np.multiply(np.repeat(v_small[_DIRECT + 1:], counts), w, out=w)
+        for p in q_primes:
+            blk[max(p, -(-lo // p) * p) - lo::p] = 0.0
     return vals
 
 
-def _streamed_sums(spec: MultFuncSpec, ts: list[int], q: int | None,
-                   table: SieveTable) -> list[float]:
-    """H(t) for each t of ts, from one pass of the blocks up to max(ts):
-    the float64 sums (np.sum) of the whole blocks before the one holding
-    t, added in block order to a running float from 0.0, plus the np.sum
-    of that block's entries up to t."""
-    want = sorted(set(ts))
-    sums = {}
-    total = 0.0
-    for lo, blk in _value_blocks(spec, want[-1], q, table):
-        while want and want[0] < lo + blk.size:
-            t = want.pop(0)
-            sums[t] = total + float(np.sum(blk[:t + 1 - lo]))
-        total += float(np.sum(blk))
-    return [sums[t] for t in ts]
+def _h_sums(spec: MultFuncSpec, ts: list[int], q: int | None,
+            table: SieveTable) -> list[float]:
+    """H(t) for each t of ts by the recursion of h_sum, from one array of
+    prime sums G up to max(ts)."""
+    q_primes = _coprimality_primes(spec.q if q is None else q)
+    t_max = max(ts)
+    G, first_bad = _prime_sums(spec, table.prime_count(t_max), q_primes, table)
+    ws = spec.prime_values(table.primes[:table.prime_count(math.isqrt(t_max))])
+    return [math.nan if t >= first_bad
+            else _h_from_prime_sums(t, table.primes, ws, G, q_primes) for t in ts]
+
+
+def _prime_sums(spec: MultFuncSpec, n: int, q_primes: list[int],
+                table: SieveTable) -> tuple[np.ndarray, float]:
+    """(G, first_bad): G[i] the sum of the values at the first i primes
+    of the table, 0.0 at the primes of q, up to the first NaN or
+    infinite value, which is at the prime first_bad (inf if none).
+
+    The running sum s (s_i = fl(s_(i-1) + x_i), in order) plus the
+    running sum of its rounding errors, each found exactly by TwoSum:
+    Sum2 of Ogita, Rump and Oishi (SIAM J. Sci. Comput. 2005) on every
+    prefix, so |G[i] - sum x[:i]| <= u |sum x[:i]| + gamma_(i-1)^2
+    sum |x[:i]| (their Prop. 4.5), u = 2^-53.  It runs over _CHUNK
+    primes at a time, carrying both running sums."""
+    G = np.empty(n + 1)
+    G[0] = s_last = c_last = 0.0
+    for lo in range(0, n, _CHUNK):
+        ps = table.primes[lo:min(lo + _CHUNK, n)]
+        x = spec.prime_values(ps)
+        x[np.isin(ps, q_primes)] = 0.0
+        bad = np.flatnonzero(~np.isfinite(x))
+        if bad.size:
+            x = x[:bad[0]]
+        run = np.empty(x.size + 1)
+        run[0] = s_last
+        run[1:] = x
+        np.cumsum(run, out=run)
+        a, s = run[:-1], run[1:]
+        err = np.empty(x.size + 1)
+        err[0] = c_last
+        e = err[1:]
+        np.subtract(s, a, out=e)        # TwoSum(a, x) = (s, e): bb = s - a
+        x -= e                          # x - bb
+        np.subtract(s, e, out=e)
+        np.subtract(a, e, out=e)        # a - (s - bb)
+        e += x
+        np.cumsum(err, out=err)
+        np.add(s, e, out=G[lo + 1:lo + 1 + x.size])
+        s_last, c_last = run[-1], err[-1]
+        if bad.size:
+            return G[:lo + 1 + x.size], int(ps[bad[0]])
+    return G, math.inf
+
+
+def _h_from_prime_sums(t: int, ps: np.ndarray, ws: np.ndarray, G: np.ndarray,
+                       q_primes: list[int]) -> float:
+    """1 + R[t] of h_sum's recursion, R held as small[w] = R[w] for
+    w <= s = isqrt(t) and large[k] = R[t // k] for k <= s (index 0 of
+    both unused); ps are the primes up to at least t, ws the values at
+    those up to at least s and G their prefix sums."""
+    s = math.isqrt(t)
+    ks = np.arange(s + 1)
+    small = G[np.searchsorted(ps, ks, side="right")]
+    large = G[np.searchsorted(ps, t // np.maximum(ks, 1), side="right")]
+    for i in range(int(np.searchsorted(ps, s, side="right")) - 1, -1, -1):
+        p = int(ps[i])
+        if p in q_primes:
+            continue
+        w, g = float(ws[i]), float(G[i + 1])
+        # the v = t // k >= p^2 are k <= t // p^2; floor(v / p) = t // (k p)
+        # is large[k p] for k p <= s, else small[t // (k p)]; every
+        # right-hand side reads the entries as they were before this p
+        k_max = min(s, t // (p * p))
+        k_mid = min(k_max, s // p)
+        large[1:k_mid + 1] += w * (large[p:k_mid * p + 1:p] - g)
+        large[k_mid + 1:k_max + 1] += w * (small[t // (ks[k_mid + 1:k_max + 1] * p)] - g)
+        small[p * p:] += w * (small[ks[p * p:] // p] - g)
+    return 1.0 + float(large[1])
 
 
 def h_sum(spec: MultFuncSpec, t: float, q: int | None, table: SieveTable) -> float:
-    """Sum of spec values over squarefree n <= t with (n, q) = 1.
+    """H(t): the sum of spec values over squarefree n <= t with (n, q) = 1.
 
-    The values are summed block by block (see _streamed_sums) without
-    the array of values_upto, so this is bit for bit the row of
-    asymptotic_report at the same t.  For integer values with partial
-    sums below 2^53 it is exact in any order; otherwise the last bits
-    depend on that order."""
-    return _streamed_sums(spec, [_checked_t(t, table)], q, table)[0]
+    No value at a composite n is formed.  With G(v) the sum of value(p)
+    over the primes p <= v not dividing q (a compensated running sum over
+    the table's primes, see _prime_sums), and R = G on V = {floor(t/k) :
+    k >= 1}, at most 2 sqrt(t) points, each prime p <= sqrt(t) not
+    dividing q, descending, makes R[v] += value(p) * (R[floor(v/p)] -
+    G(p)) for every v in V with v >= p^2, all right-hand sides read
+    before any write; then H(t) = 1 + R[t] (the recursion of prime
+    counting: Lagarias, Miller and Odlyzko 1985; Deleglise and Rivat
+    1996).  After the primes above p, R[v] is the sum over the n in
+    [2, v] that are primes or have all prime factors above p, since such
+    a composite is at least the square of its least prime; the step adds
+    the n = p m with m a prime above p or such a composite, m <= v/p.
+    Cost: O(pi(t)) for G and about t^(3/4) / log t vectorised updates.
+
+    H~(t).  Both bounds below use H~(t), the same recursion run in exact
+    arithmetic on |value(p)| with the subtraction made an addition.
+    Expanded, R[t] is a signed sum over paths: a product of step values
+    value(p_1) ... value(p_j), p_1 < ... < p_j, times one G(x); H~(t) - 1
+    is the sum of |value(p_1) ... value(p_j)| G~(x) over the same paths,
+    G~(x) the sum of |value(p)| over the primes p <= x not dividing q.
+    Expanded once more, H~(t) - 1 adds |f(m) value(p')| for pairs of a
+    squarefree m = p_1 ... p_j and a prime p' <= x of G~(x), with m p'
+    <= t; the chain fixes the path up to the choice of G(floor(t/m)) or
+    G(p_j), so a pair occurs at most twice and H~(t) <= 1 + 2 S(t), S(t)
+    the sum of |f(m) value(p)| over the squarefree m and primes p with
+    m p <= t, both coprime to q.
+
+    Exactness.  Every exact intermediate (a G(v), an R[v], a difference,
+    a product, a step of _prime_sums) is a signed sum of some of the
+    terms that H~(t) - 1 adds up in absolute value, so it is at most
+    H~(t) - 1 in magnitude.  For integer values with H~(t) <= 2^53 they
+    are all integers that float64 holds, so every operation is exact and
+    the result is H(t) exactly: bit for bit the sum of
+    values_upto(spec, t, q, table)[:t + 1] in any order.
+
+    Error.  For other values, if no product underflows and nothing
+    overflows, |h_sum - H(t)| <= (e + (1 + e) gamma_D) H~(t), where H(t)
+    is the exact sum of the exact products of the float values, u =
+    2^-53, gamma_n = n u / (1 - n u), e = u + gamma_N^2 with N = pi(t),
+    and D = 3 pi(sqrt(t)) + 1.  Proof.  Each float G(x) is within
+    u |G(x)| + gamma_N^2 G~(x) <= e G~(x) of the exact one (_prime_sums).
+    With the float G as inputs, each path of the computed R[t] carries
+    its own factor prod (1 + delta), |delta| <= u, one per rounding on
+    it: three (subtract, multiply, add) or one (add) per prime step, and
+    one for 1 + R[t], so the factor is 1 + theta with |theta| <= gamma_D
+    (Higham 2002, Lemma 3.1).  The result is then within gamma_D times
+    the sum of the paths' magnitudes, at most (1 + e) H~(t), of the exact
+    arithmetic on the float G, and that is within e (H~(t) - 1) of H(t),
+    each path moving by at most |value(p_1) ... value(p_j)| e G~(x).
+    This covers the cancellation in R[floor(v/p)] - G(p): the primes up
+    to p in both terms cancel in H(t) but carry their own rounding
+    factors, so H~(t) counts them twice.
+
+    Non-finite values.  If value(p) is NaN or +-inf at some prime p <= t
+    not dividing q, some products of H(t) are infinite or undefined, and
+    h_sum returns NaN.  Values at primes above t or dividing q are never
+    read.
+    """
+    return _h_sums(spec, [_checked_t(t, table)], q, table)[0]
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> float:
@@ -391,8 +494,13 @@ def log_weighted_sum(spec: MultFuncSpec, x: float, q: int | None,
         raise InvalidInputError(f"x must be finite and >= 1, got {x}")
     if x == 1.0:
         return 0.0
+    return _log_weighted_sum(values_upto(spec, int(x), q, table), x)
+
+
+def _log_weighted_sum(vals: np.ndarray, x: float) -> float:
+    """log_weighted_sum from vals = values_upto(spec, int(x), q, table),
+    x > 1; vals is not written."""
     m = int(x)
-    vals = values_upto(spec, m, q, table)
     logs = np.log(np.arange(1, m + 1, dtype=np.float64))   # log n, n = 1..m
     direct = _dot(vals[1:], math.log(x) - logs)
 
@@ -493,15 +601,18 @@ def asymptotic_report(y: int, u_grid: list[float], q: int,
     """Exact H(y^u) against the mean-value prediction c(q)*sigma(u)*log(y)*y^u.
 
     Report-only: the error term of the asymptotic carries no rate, so the
-    rows record the relative error without asserting a bound.  The exact
-    sums come from one pass of the values_upto blocks up to the largest
-    t of the grid through one reused block of _BLOCK entries, so the
-    report holds the table and 2 MiB, not the t + 1 values.  Each row
-    adds the np.sum of every whole block before t, in block order, and
-    then the np.sum of the entries up to t of t's block; it equals h_sum
-    at that t bit for bit.  For integer weights every partial sum below
-    2^53 is exact in any order; for other weights the last bits follow
-    this order.
+    rows record the relative error without asserting a bound.  Each
+    exact H(y^u) is h_sum at t = y^u, bit for bit: the recursion over
+    {floor(t/k)} from one running sum G of the weights over the primes up
+    to the largest t of the grid, so the report holds the table, G and
+    O(sqrt(t)) entries, never a value at a composite n.  For integer
+    weights every intermediate is an integer of magnitude below H~(t),
+    the recursion run on |chi0|, |chi1| with the subtraction made an
+    addition, so while H~(t) <= 2^53 the row is exact, and equal to the
+    sum of the values in any order.  For other weights the row is within
+    (e + (1 + e) gamma_D) H~(t) of the exact sum of the exact products,
+    e = 2^-53 + gamma_pi(t)^2 and D = 3 pi(sqrt(t)) + 1; see h_sum for
+    both proofs.
     """
     if y < 2:
         raise InvalidInputError(f"y must be >= 2, got {y}")
@@ -521,7 +632,7 @@ def asymptotic_report(y: int, u_grid: list[float], q: int,
     sol = dde.solve(dde.DdeSpec(chi0, chi1), max(u_max, 1.0), 1e-4)
     ts = [_checked_t(y ** u, table) for u in u_grid]
     rows = []
-    for u, t, exact in zip(u_grid, ts, _streamed_sums(spec, ts, q, table)):
+    for u, t, exact in zip(u_grid, ts, _h_sums(spec, ts, q, table)):
         sigma_u = sol.at(u) if u > 0 else 0.0
         predicted = c_q * sigma_u * math.log(y) * (y ** u)
         rel = abs(exact - predicted) / abs(predicted) if predicted != 0 else math.inf
@@ -733,7 +844,7 @@ def lower_bound_check(b: MultFuncSpec, h: MultFuncSpec, z: float, q: int,
             witness=(worst, r))
 
     lhs = log_weighted_sum(b, z, q, table)
-    rhs = log_weighted_sum(h, z, q, table)
+    rhs = _log_weighted_sum(base, z)
     return lhs >= rhs - 1e-9 * max(1.0, abs(lhs), abs(rhs))
 
 

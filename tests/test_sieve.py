@@ -36,6 +36,52 @@ def recursive_h_sum(primes, t, q, prime_value):
     return total
 
 
+def exact_threshold_sum(y, chi0, chi1, t, q, table):
+    """H(t) of MultFuncSpec.threshold(y, chi0, chi1) in exact rationals:
+    the squarefree n <= t coprime to q counted by how many of their
+    primes are <= y (i) and > y (j), each adding chi0^i chi1^j."""
+    a = sieve.values_upto(MultFuncSpec.threshold(y, 2, 1), t, q, table)
+    b = sieve.values_upto(MultFuncSpec.threshold(y, 1, 2), t, q, table)
+    keep = a != 0                                 # 2^i and 2^j are exact
+    counts = np.bincount(64 * np.log2(a[keep]).astype(int)
+                         + np.log2(b[keep]).astype(int))
+    return sum(int(c) * Fraction(chi0) ** (k // 64) * Fraction(chi1) ** (k % 64)
+               for k, c in enumerate(counts.tolist()) if c)
+
+
+def absolute_recursion(spec, t, q, table):
+    """An upper bound on H~(t) of the h_sum docstring: the recursion over
+    {t // k} on |value(p)|, its subtraction made an addition, in float64.
+    Every term is nonnegative and takes at most m = pi(t) + 3 pi(sqrt(t))
+    roundings, so the float result is at least (1 - gamma_m) H~(t)."""
+    ps = [p for p in table.primes[:table.prime_count(t)].tolist() if q % p]
+    ws = np.abs(spec.prime_values(np.array(ps, dtype=np.int64)))
+    G = [0.0, *np.cumsum(ws).tolist()]           # over the first i primes
+    s = math.isqrt(t)
+    vs = sorted({t // k for k in range(1, s + 1)} | set(range(1, s + 1)),
+                reverse=True)
+    R = {v: G[bisect.bisect_right(ps, v)] for v in vs}
+    for i in reversed(range(bisect.bisect_right(ps, s))):
+        for v in vs:       # descending: R[v // p] is read before its update
+            if v < ps[i] ** 2:
+                break
+            R[v] += float(ws[i]) * (R[v // ps[i]] + G[i + 1])
+    m = table.prime_count(t) + 3 * table.prime_count(s)
+    return Fraction(1 + R[t]) / (1 - _gamma(m))
+
+
+def _gamma(n):
+    u = Fraction(1, 2 ** 53)
+    return n * u / (1 - n * u)
+
+
+def h_sum_error_bound(spec, t, q, table):
+    """(e + (1 + e) gamma_D) H~(t), the proven bound of the h_sum docstring."""
+    e = Fraction(1, 2 ** 53) + _gamma(table.prime_count(t)) ** 2
+    d = 3 * table.prime_count(math.isqrt(t)) + 1
+    return (e + (1 + e) * _gamma(d)) * absolute_recursion(spec, t, q, table)
+
+
 def values_upto_reference(spec, t, q, table):
     """The per-prime loop values_upto replaced: every multiple of each
     prime p <= t multiplied by the value at p, primes ascending."""
@@ -386,6 +432,116 @@ def test_h_sum_against_recursive_oracle(table_small):
             expected, abs=1e-9)
 
 
+# t below 4 (no prime step), on both sides of prime squares and of the
+# block edges of values_upto
+_h_sum_edge_ts = sorted({1, 2, 3, 4, *(p * p + d for p in (2, 3, 5, 7, 31, 997)
+                                       for d in (-1, 0, 1)), *_block_ts})
+
+
+def test_h_sum_edges_equal_array_sums(table_medium):
+    # q: none, primes below sqrt(t), primes on both sides (997 and 1009
+    # lie above sqrt(t) for t < 994009), and a prime beyond the table
+    specs = (MultFuncSpec.threshold(30, 2, -3), MultFuncSpec.threshold(1000, -1, 2),
+             MultFuncSpec.from_table({2: -1.0, 3: 2.0, 5: 0.0, 997: 3.0,
+                                      1009: -2.0, 65537: 1.0}))
+    for q in (1, 6, 30 * 997, 3 * 1009, 7 * 1000003):
+        for spec in specs:
+            vals = sieve.values_upto(spec, max(_h_sum_edge_ts), q, table_medium)
+            for t in _h_sum_edge_ts:
+                assert sieve.h_sum(spec, t, q, table_medium) == \
+                    float(np.sum(vals[:t + 1])), (spec, q, t)
+            assert sieve.h_sum(spec, 1, q, table_medium) == 1.0
+
+
+_int_threshold_specs = st.builds(MultFuncSpec.threshold, st.integers(2, 10 ** 6),
+                                 st.integers(-3, 3), st.integers(-3, 3))
+_int_table_specs = st.dictionaries(
+    st.sampled_from(sieve.primes_upto(2000).tolist() + [65537, 999983]),
+    st.integers(-3, 3).map(float), max_size=60).map(MultFuncSpec.from_table)
+
+
+@given(st.one_of(_int_threshold_specs, _int_table_specs),
+       st.sampled_from([1, 6, 30, 210, 30 * 997]),
+       st.one_of(st.integers(1, 10 ** 4), st.integers(1, 10 ** 6),
+                 st.sampled_from(_h_sum_edge_ts)))
+def test_h_sum_property_integer_values_equal_array_sum(table_medium, spec, q, t):
+    # integer sums below 2^53 are exact in any order
+    assert sieve.h_sum(spec, t, q, table_medium) == \
+        float(np.sum(sieve.values_upto(spec, t, q, table_medium)[:t + 1]))
+
+
+@given(_quotient_specs, st.sampled_from([1, 6, 30, 210]), st.integers(1, 3000))
+def test_h_sum_property_quotient_matches_recursive_oracle(table_small, spec_oracle,
+                                                         q, t):
+    # the oracle multiplies each term out and adds them in turn: at most
+    # t + bit_length(t) roundings of each term
+    spec, oracle = spec_oracle
+    primes = table_small.primes.tolist()
+    expected = recursive_h_sum(primes, t, q, oracle)
+    scale = recursive_h_sum(primes, t, q, lambda p: abs(oracle(p)))
+    tol = h_sum_error_bound(spec, t, q, table_small) \
+        + _gamma(t + t.bit_length()) * Fraction(scale)
+    assert abs(Fraction(sieve.h_sum(spec, t, q, table_small)) - Fraction(expected)) <= tol
+
+
+def test_h_sum_non_finite_prime_values(table_small):
+    ok = MultFuncSpec.from_table({2: -1.0, 3: 2.0})
+    for bad in (math.nan, math.inf, -math.inf):
+        # bad above y = 10: NaN once t reaches 11, even where no 0 * inf
+        # arises (the values_upto sum gives +-inf there)
+        spec = MultFuncSpec.threshold(10, 2, bad)
+        assert sieve.h_sum(spec, 10, 1, table_small) == 17.0
+        for t in (11, 12, 43, 44, 1000):
+            assert math.isnan(sieve.h_sum(spec, t, 1, table_small)), (bad, t)
+        assert math.isnan(sieve.h_sum(MultFuncSpec.threshold(10, bad, -1), 2, 1,
+                                      table_small)), bad
+        # bad at p = 29: read from t = 29 on, never when 29 divides q
+        spec = MultFuncSpec.from_table({2: -1.0, 3: 2.0, 29: bad})
+        assert sieve.h_sum(spec, 28, 1, table_small) == sieve.h_sum(ok, 28, 1, table_small)
+        for t in (29, 57, 58, 1000):
+            assert math.isnan(sieve.h_sum(spec, t, 1, table_small)), (bad, t)
+        for q in (29, 2 * 29):
+            assert sieve.h_sum(spec, 1000, q, table_small) == \
+                sieve.h_sum(ok, 1000, q, table_small)
+        # one call for several t: each t reads only the primes up to it
+        rows = sieve._h_sums(spec, [28, 1000, 3], 1, table_small)
+        assert rows[0] == sieve.h_sum(ok, 28, 1, table_small) and math.isnan(rows[1])
+        assert rows[2] == sieve.h_sum(ok, 3, 1, table_small)
+
+
+def test_prime_sums_within_sum2_bound(table_medium, monkeypatch):
+    # a plain running sum of 1.3, -0.7 and the like drifts by about
+    # n u |sum|, far past the compensated bound u |sum| + gamma_n^2 sum |x|;
+    # the 78498 primes span two chunks, and chunks of 7 give the same bytes
+    ps = table_medium.primes.tolist()
+    rng = np.random.default_rng(5)
+    x = np.where(rng.random(len(ps)) < 0.1, 1.3, -0.7) * rng.choice([1.0, 3.0, 1e-3], len(ps))
+    x[[1, 5]] = 0.0                                     # the primes of q = 3 * 13
+    spec = MultFuncSpec.from_table(dict(zip(ps, x.tolist())))
+    got, first_bad = sieve._prime_sums(spec, len(ps), [3, 13], table_medium)
+    assert first_bad == math.inf and got.size == len(ps) + 1
+    exact = [Fraction(0), *itertools.accumulate(map(Fraction, x.tolist()))]
+    total = [Fraction(0), *itertools.accumulate(map(Fraction, np.abs(x).tolist()))]
+    assert got[0] == 0.0 and not np.signbit(got[0])
+    u = Fraction(1, 2 ** 53)
+    edge = sieve._CHUNK
+    for i in [*range(0, len(ps) + 1, 97), edge - 1, edge, edge + 1, len(ps)]:
+        assert abs(Fraction(got[i]) - exact[i]) <= u * abs(exact[i]) + \
+            _gamma(i) ** 2 * total[i], i
+    monkeypatch.setattr(sieve, "_CHUNK", 7)
+    assert sieve._prime_sums(spec, len(ps), [3, 13], table_medium)[0].tobytes() == \
+        got.tobytes()
+    # a NaN or infinite value ends G before its prime, also as a chunk's
+    # first entry
+    for i in (0, 3, 7, 30):
+        for bad in (math.nan, math.inf, -math.inf):
+            y = x.copy()
+            y[i] = bad
+            spec = MultFuncSpec.from_table(dict(zip(ps[:40], y[:40].tolist())))
+            G, first_bad = sieve._prime_sums(spec, 40, [3, 13], table_medium)
+            assert first_bad == ps[i] and G.tobytes() == got[:i + 1].tobytes(), (i, bad)
+
+
 def test_log_weighted_sum_trivial(table_small):
     spec = MultFuncSpec.threshold(10, 2, -2)
     assert sieve.log_weighted_sum(spec, 1.0, 1, table_small) == 0.0
@@ -638,13 +794,11 @@ def test_asymptotic_report_rows_within_gamma_n_of_exact_sum(table_medium):
             exact = math.fsum(vals[:n].tolist())
             assert abs(row["exact"] - exact) <= gamma * float(np.sum(np.abs(vals[:n])))
             assert row["exact"] == sieve.h_sum(spec, t, q, table_medium), t
-            # the documented order: the np.sum of each whole block before
-            # t's block from 0.0, then the np.sum of the rest up to t
-            last = t - t % sieve._BLOCK
-            total = 0.0
-            for lo in range(0, last, sieve._BLOCK):
-                total += float(np.sum(vals[lo:lo + sieve._BLOCK]))
-            assert row["exact"] == total + float(np.sum(vals[last:n])), t
+            # the proven bound of h_sum, against the exact sum of the
+            # exact products
+            err = Fraction(row["exact"]) - exact_threshold_sum(y, *weights, t, q,
+                                                               table_medium)
+            assert abs(err) <= h_sum_error_bound(spec, t, q, table_medium), t
 
 
 def test_asymptotic_report_holds_no_value_array(table_large):
@@ -708,6 +862,28 @@ def test_lower_bound_check_equality_when_h_is_b(table_small):
     # g = b/h is supported at 1 only, so the two sides coincide
     for p in (2, 3, 499, 503):
         assert sieve.moebius_factor(h, h, p, table_small) == 0
+
+
+def test_lower_bound_check_fills_h_once(table_small, monkeypatch):
+    # the sweep's values of h also feed the right-hand log-weighted sum
+    h = MultFuncSpec.threshold(500, 2, -2)
+    b = MultFuncSpec.from_table({int(p): h.prime_value(int(p)) + 0.5
+                                 for p in table_small.primes[:200]})
+    fills = []
+    real = sieve.values_upto
+
+    def spy(spec, t, q, table):
+        fills.append((spec, t))
+        return real(spec, t, q, table)
+    monkeypatch.setattr(sieve, "values_upto", spy)
+    for z, q in ((4000, 1), (2500.5, 6)):
+        fills.clear()
+        assert sieve.lower_bound_check(b, h, z, q, table_small)
+        assert [t for spec, t in fills if spec is h] == [int(z)]
+        assert [t for spec, t in fills if spec is b] == [int(z)]
+        # the right-hand side is log_weighted_sum(h, z, q) bit for bit
+        assert sieve._log_weighted_sum(real(h, int(z), q, table_small), z) == \
+            sieve.log_weighted_sum(h, z, q, table_small)
 
 
 def test_lower_bound_check_h_positivity_witness(table_small):
