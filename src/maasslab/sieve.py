@@ -11,7 +11,9 @@ Convolution identities are evaluated in exact rational arithmetic
 (Fraction).  values_upto enumerates the values in float64; H(t) comes
 from sums over the primes by the prime-counting recursion, never from
 those values, and is exact for the integer-valued weights and sizes
-handled here (h_sum states the bound).
+handled here (h_sum states the bound).  The same recursion carries the
+log-weighted sums from x = 5*10^4 on (log_weighted_sum states their
+bound); below that they are read off the values.
 """
 
 from __future__ import annotations
@@ -33,7 +35,10 @@ HARD_LIMIT = 2 * 10 ** 8
 TRIAL_LIMIT = 10 ** 7      # largest trial divisor prime_factors tries
 _BLOCK = 2 ** 18           # float64 entries per block of values_upto: 2 MiB, one L2
 _DIRECT = 16               # cofactors j that values_upto writes one slice each
-_CHUNK = 2 ** 16           # primes per chunk of the running prime sums of h_sum
+_CHUNK = 2 ** 16           # primes per chunk of the running prime sums of
+                           # h_sum and log_weighted_sum
+_LOG_RECURSION = 5 * 10 ** 4   # x from which log_weighted_sum takes the prime sums;
+                               # below it the value array is faster
 
 
 def primes_upto(n: int) -> np.ndarray:
@@ -339,14 +344,17 @@ def _h_sums(spec: MultFuncSpec, ts: list[int], q: int | None,
     G, first_bad = _prime_sums(spec, table.prime_count(t_max), q_primes, table)
     ws = spec.prime_values(table.primes[:table.prime_count(math.isqrt(t_max))])
     return [math.nan if t >= first_bad
-            else _h_from_prime_sums(t, table.primes, ws, G, q_primes) for t in ts]
+            else 1.0 + _prime_recursion(t, table.primes, ws, G, q_primes)[0]
+            for t in ts]
 
 
 def _prime_sums(spec: MultFuncSpec, n: int, q_primes: list[int],
-                table: SieveTable) -> tuple[np.ndarray, float]:
+                table: SieveTable, log_p: bool = False) -> tuple[np.ndarray, float]:
     """(G, first_bad): G[i] the sum of the values at the first i primes
     of the table, 0.0 at the primes of q, up to the first NaN or
-    infinite value, which is at the prime first_bad (inf if none).
+    infinite value, which is at the prime first_bad (inf if none).  With
+    log_p, each value is first multiplied by log p: the sums GL of
+    log_weighted_sum.
 
     The running sum s (s_i = fl(s_(i-1) + x_i), in order) plus the
     running sum of its rounding errors, each found exactly by TwoSum:
@@ -360,6 +368,8 @@ def _prime_sums(spec: MultFuncSpec, n: int, q_primes: list[int],
         ps = table.primes[lo:min(lo + _CHUNK, n)]
         x = spec.prime_values(ps)
         x[np.isin(ps, q_primes)] = 0.0
+        if log_p:
+            x *= np.log(ps)
         bad = np.flatnonzero(~np.isfinite(x))
         if bad.size:
             x = x[:bad[0]]
@@ -384,30 +394,45 @@ def _prime_sums(spec: MultFuncSpec, n: int, q_primes: list[int],
     return G, math.inf
 
 
-def _h_from_prime_sums(t: int, ps: np.ndarray, ws: np.ndarray, G: np.ndarray,
-                       q_primes: list[int]) -> float:
-    """1 + R[t] of h_sum's recursion, R held as small[w] = R[w] for
-    w <= s = isqrt(t) and large[k] = R[t // k] for k <= s (index 0 of
-    both unused); ps are the primes up to at least t, ws the values at
-    those up to at least s and G their prefix sums."""
+def _prime_recursion(t: int, ps: np.ndarray, ws: np.ndarray, G: np.ndarray,
+                     q_primes: list[int], GL: np.ndarray | None = None) -> list[float]:
+    """[R_H[t]] of h_sum's recursion, and with GL (the prefix sums of
+    value(p) log p) [R_H[t], R_K[t], R_L[t]] of log_weighted_sum's: one
+    pass over the primes carries every row.  Each row R holds R[v] at
+    R[a] for the points v = V[a] of V = (t // 1, ..., t // s, s, s - 1,
+    ..., 1), s = isqrt(t), descending, so the v >= p^2 are a prefix;
+    ps are the primes up to at least t, ws the values at those up to at
+    least s and G their prefix sums."""
     s = math.isqrt(t)
-    ks = np.arange(s + 1)
-    small = G[np.searchsorted(ps, ks, side="right")]
-    large = G[np.searchsorted(ps, t // np.maximum(ks, 1), side="right")]
+    V = np.concatenate((t // np.arange(1, s + 1), np.arange(s, 0, -1)))
+    at = np.searchsorted(ps, V, side="right")       # pi(v)
+    H = G[at]
+    if GL is not None:
+        log_v = np.log(V)
+        K = GL[at]
+        L = H * log_v - K
     for i in range(int(np.searchsorted(ps, s, side="right")) - 1, -1, -1):
         p = int(ps[i])
         if p in q_primes:
             continue
         w, g = float(ws[i]), float(G[i + 1])
-        # the v = t // k >= p^2 are k <= t // p^2; floor(v / p) = t // (k p)
-        # is large[k p] for k p <= s, else small[t // (k p)]; every
-        # right-hand side reads the entries as they were before this p
+        # the v >= p^2 are t // k for k <= k_max and s, ..., p^2; u =
+        # floor(v / p) is t // (k p) at a = k p - 1 for k p <= s, and
+        # otherwise u <= s at a = 2 s - u
         k_max = min(s, t // (p * p))
         k_mid = min(k_max, s // p)
-        large[1:k_mid + 1] += w * (large[p:k_mid * p + 1:p] - g)
-        large[k_mid + 1:k_max + 1] += w * (small[t // (ks[k_mid + 1:k_max + 1] * p)] - g)
-        small[p * p:] += w * (small[ks[p * p:] // p] - g)
-    return 1.0 + float(large[1])
+        n = k_max + max(0, s - p * p + 1)
+        src = np.concatenate((np.arange(p - 1, k_mid * p, p), 2 * s - V[k_mid:n] // p))
+        # every right-hand side reads the rows as they were before this p
+        dH = H[src] - g
+        H[:n] += w * dH
+        if GL is None:
+            continue
+        gl = float(GL[i + 1])
+        K[:n] += w * ((K[src] - gl) + math.log(p) * dH)
+        pu = V[src] * p
+        L[:n] += w * ((L[src] - (g * log_v[src] - gl)) + np.log1p((V[:n] - pu) / pu) * dH)
+    return [float(H[0])] if GL is None else [float(H[0]), float(K[0]), float(L[0])]
 
 
 def h_sum(spec: MultFuncSpec, t: float, q: int | None, table: SieveTable) -> float:
@@ -483,23 +508,109 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
 
 def log_weighted_sum(spec: MultFuncSpec, x: float, q: int | None,
                      table: SieveTable) -> float:
-    """Sum of value(n) * log(x/n) over n <= x, computed two ways.
+    """L(x): the sum of value(n) log(x/n) over squarefree n <= x with
+    (n, q) = 1, computed two ways that must agree to 1e-9 relative
+    (CrossCheckError otherwise).
 
-    The direct sum and the exact piecewise-constant integral of H(t)/t
-    must agree to 1e-9 relative; disagreement raises CrossCheckError.
-    Both multiply in place and add with np.sum, not the BLAS np.dot, so
-    the result does not depend on the BLAS thread count.
+    Below x = _LOG_RECURSION both routes read v = values_upto(spec, m,
+    q, table), m = floor(x): the direct sum of v[n] (log x - log n) and
+    the exact piecewise-constant integral of H(t)/t over the running
+    sums H of v.  Both multiply in place and add with np.sum, not the
+    BLAS np.dot, so the result does not depend on the BLAS thread count.
+
+    From x = _LOG_RECURSION on, no value at a composite n is formed: the
+    recursion of h_sum over V = {floor(m/k)} carries two more rows, from
+    G(v) and GL(v), the compensated sums of value(p) and value(p) log p
+    over the primes p <= v not dividing q (_prime_sums).  For each prime
+    p <= sqrt(m) not dividing q, descending, and each v in V with v >=
+    p^2, u = floor(v/p) and dH = R_H[u] - G(p), all right-hand sides
+    read before any write:
+      route K, R_K = GL first, adds w ((R_K[u] - GL(p)) + log p dH), and
+        L(x) = log x H(m) - R_K[m];
+      route L, R_L[v] = G(v) log v - GL(v) first, adds w ((R_L[u] -
+        (G(p) log u - GL(p))) + log(v/(p u)) dH), and L(x) = log m +
+        R_L[m] + H(m) log(x/m);
+    w = value(p).  After the primes above p, R_K[v] is the sum of f(n)
+    log n and R_L[v] that of f(n) log(v/n) over the n in [2, v] of
+    R_H[v] (see h_sum); the step adds the n = p m', m' <= u, whose
+    log n = log m' + log p and log(v/n) = log(u/m') + log(v/(p u)).
+    Route L is returned: without the cancellation of log x H(m) -
+    R_K[m] it is the closer of the two.  The log(v/(p u)) and log(x/m)
+    are log1p of (v - p u)/(p u) and (x - m)/m, free of cancellation.
+    Cost: two prime sums over pi(m) primes and three rows of the
+    recursion; the value array route holds five float arrays of m
+    entries (a 30.5 MiB traced peak at x = 10^6, against 2.8 MiB here).
+
+    Error of the recursion routes.  With u, gamma_n and H~(m) as in
+    h_sum, e = 2 u + 2 gamma_N^2 (N = pi(m)) and D = 4 pi(sqrt(m)) + 16,
+    and assuming np.log, np.log1p and math.log within one ulp (|delta|
+    <= 2 u, two roundings below), each route is within (e + (1 + e)
+    gamma_D) 2 log(x) H~(m) of L(x), the exact sum of the exact products
+    of the float values, if no product underflows and nothing
+    overflows.  Proof.  Expanded as in h_sum, each route is a signed sum
+    over the paths of the H recursion, each with a log factor: route K
+    takes log p' at a leaf GL and log p_i at the dH branch of step i,
+    and log x on H(m); route L takes log u, log p', log v or log(v/(p
+    u)), and log m or log(x/m) at the end.  Run in exact arithmetic on
+    |value(p)| with every subtraction made an addition, the rows give
+    R~_K[v] <= log v R~_H[v] and R~_L[v] <= 2 log v R~_H[v], by
+    induction over the primes: both hold for the first rows (GL~(v) <=
+    log v G~(v)), and a step adds |w| (R~_H[u] + G~(p)) times at most
+    log u + log p <= log v (K) or 2 log u + log(v/(p u)) <= 2 log v (L),
+    as GL~(p) <= log u G~(p).  So the magnitudes of all paths add up to
+    at most log x H~(m) + log m (H~(m) - 1) (K) or log m + 2 log m
+    (H~(m) - 1) + log(x/m) H~(m) (L), both at most B = 2 log(x) H~(m).
+    Each path passes at most 4 roundings per prime (subtract, add,
+    multiply, add; its H part 3), as in h_sum each prime once, and at
+    most 16 more at its leaf, its branch into H and the final sum: the
+    logs, the quotients of log1p, the products with them, and the 3 of
+    fl(value(p) fl(log p)) in GL.  So each path carries its own 1 +
+    theta, |theta| <= gamma_D (Higham 2002, Lemmas 3.1 and 3.3), about
+    the exact arithmetic on the float G and GL, which differ from
+    theirs by at most e G~ and e GL~ (_prime_sums, with sum |x| <= (1 +
+    gamma_3) GL~ <= 2 GL~), and the bound follows as in h_sum.  At x =
+    10^6, D = 688 and the bound is below 1.6e-13 log(x) H~(m).
+
+    Non-finite values.  If value(p) is NaN or +-inf at some prime p <= x
+    not dividing q, both routes give NaN (h_sum(spec, m, q) is NaN), and
+    so does log_weighted_sum; any other disagreement, an overflow
+    included, raises CrossCheckError.
     """
     if not (math.isfinite(x) and x >= 1.0):
         raise InvalidInputError(f"x must be finite and >= 1, got {x}")
     if x == 1.0:
         return 0.0
-    return _log_weighted_sum(values_upto(spec, int(x), q, table), x)
+    if x < _LOG_RECURSION:
+        return _log_weighted_sum(values_upto(spec, int(x), q, table), x)
+    m = _checked_t(x, table)
+    q_primes = _coprimality_primes(spec.q if q is None else q)
+    n = table.prime_count(m)
+    G, first_bad = _prime_sums(spec, n, q_primes, table)
+    if m >= first_bad:
+        return math.nan
+    GL, first_bad = _prime_sums(spec, n, q_primes, table, log_p=True)
+    if m >= first_bad:
+        raise CrossCheckError(
+            f"log-weighted sum routes overflow: value(p) log p is infinite at p = {first_bad}")
+    ws = spec.prime_values(table.primes[:table.prime_count(math.isqrt(m))])
+    r_h, r_k, r_l = _prime_recursion(m, table.primes, ws, G, q_primes, GL)
+    h = 1.0 + r_h
+    via_k = math.log(x) * h - r_k
+    via_l = math.log(m) + r_l + h * math.log1p((x - m) / m)
+    if not _routes_agree(via_l, via_k):
+        raise CrossCheckError(f"log-weighted sum routes disagree: {via_l} vs {via_k}")
+    return via_l
+
+
+def _routes_agree(a: float, b: float) -> bool:
+    """|a - b| <= 1e-9 max(|a|, |b|, 1), both finite: a NaN or an
+    infinity never agrees."""
+    return math.isfinite(a - b) and abs(a - b) <= 1e-9 * max(abs(a), abs(b), 1.0)
 
 
 def _log_weighted_sum(vals: np.ndarray, x: float) -> float:
-    """log_weighted_sum from vals = values_upto(spec, int(x), q, table),
-    x > 1; vals is not written."""
+    """log_weighted_sum by the value array, from vals =
+    values_upto(spec, int(x), q, table), x > 1; vals is not written."""
     m = int(x)
     logs = np.log(np.arange(1, m + 1, dtype=np.float64))   # log n, n = 1..m
     direct = _dot(vals[1:], math.log(x) - logs)
@@ -508,11 +619,14 @@ def _log_weighted_sum(vals: np.ndarray, x: float) -> float:
     integral = _dot(H[1:m], np.diff(logs))   # log((k+1)/k), k = 1..m-1
     integral += float(H[m]) * (math.log(x) - math.log(m))
 
-    scale = max(abs(direct), abs(integral), 1.0)
-    if abs(direct - integral) > 1e-9 * scale:
-        raise CrossCheckError(
-            f"log-weighted sum routes disagree: {direct} vs {integral}")
-    return direct
+    if _routes_agree(direct, integral):
+        return direct
+    # vals[p] is value(p) at each prime p <= m not dividing q, and a
+    # non-finite one makes both routes NaN or infinite
+    if not np.all(np.isfinite(vals[primes_upto(m)])):
+        return math.nan
+    raise CrossCheckError(
+        f"log-weighted sum routes disagree: {direct} vs {integral}")
 
 
 def _divisors(n: int, table: SieveTable) -> list[int]:
@@ -843,8 +957,10 @@ def lower_bound_check(b: MultFuncSpec, h: MultFuncSpec, z: float, q: int,
             f"partial sum of h negative at t = {worst} for r = {r}",
             witness=(worst, r))
 
+    # both sides take the route of z, so b = h gives lhs == rhs
     lhs = log_weighted_sum(b, z, q, table)
-    rhs = _log_weighted_sum(base, z)
+    rhs = (_log_weighted_sum(base, z) if z < _LOG_RECURSION
+           else log_weighted_sum(h, z, q, table))
     return lhs >= rhs - 1e-9 * max(1.0, abs(lhs), abs(rhs))
 
 

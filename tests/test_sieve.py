@@ -603,6 +603,128 @@ def test_log_weighted_sum_same_for_any_blas_thread_count():
     assert outs[0] == outs[1] and float(outs[0]) > 0
 
 
+def brute_log_weighted(spec, x, q, table):
+    """(math.fsum of the terms v[n] (log x - log n), n <= x, from v =
+    values_upto, and a bound on that sum's distance from L(x)): each
+    v[n] is within gamma_K of the exact product, K = bit_length(x) (one
+    rounding per prime), log x - log n within 5 u log x, and fsum is
+    correctly rounded."""
+    m = int(x)
+    vals = sieve.values_upto(spec, m, q, table)[1:]
+    terms = vals * (math.log(x) - np.log(np.arange(1, m + 1)))
+    got = math.fsum(terms.tolist())
+    err = _gamma(m.bit_length() + 8) * Fraction(
+        float(np.sum(np.abs(terms))) + math.log(x) * float(np.sum(np.abs(vals))))
+    return got, err + Fraction(1, 2 ** 53) * abs(Fraction(got))
+
+
+def log_weighted_error_bound(spec, x, q, table):
+    """(e + (1 + e) gamma_D) 2 log(x) H~(m), the proven bound of the
+    recursion routes of log_weighted_sum, m = floor(x)."""
+    m = int(x)
+    e = 2 * Fraction(1, 2 ** 53) + 2 * _gamma(table.prime_count(m)) ** 2
+    d = 4 * table.prime_count(math.isqrt(m)) + 16
+    return (e + (1 + e) * _gamma(d)) * 2 * Fraction(math.log(x)) * \
+        absolute_recursion(spec, m, q, table)
+
+
+def assert_log_weighted_within_bound(spec, x, q, table):
+    got = sieve.log_weighted_sum(spec, x, q, table)
+    want, oracle_err = brute_log_weighted(spec, x, q, table)
+    assert abs(Fraction(got) - Fraction(want)) <= \
+        log_weighted_error_bound(spec, x, q, table) + oracle_err, (spec, x, q, got, want)
+
+
+_medium_threshold_specs = st.builds(
+    MultFuncSpec.threshold, st.integers(2, 10 ** 6),
+    st.sampled_from([1.0, 2.0, 3.0, 1.3, 0.5]), st.sampled_from([-1.0, -2.0, -0.7, 0.25]))
+_medium_table_specs = st.dictionaries(
+    st.sampled_from(sieve.primes_upto(2000).tolist() + [50021, 65537, 199999]),
+    st.floats(-4.0, 4.0, allow_nan=False), max_size=60).map(MultFuncSpec.from_table)
+
+
+@settings(max_examples=25)
+@given(st.one_of(_medium_threshold_specs, _medium_table_specs,
+                 st.builds(MultFuncSpec.moebius_quotient, _medium_table_specs,
+                           _medium_threshold_specs)),
+       st.sampled_from([1, 6, 30, 210]),
+       st.tuples(st.integers(sieve._LOG_RECURSION, 2 * 10 ** 5),
+                 st.floats(0.001, 0.999)).map(sum))
+def test_log_weighted_sum_recursion_within_bound(table_medium, spec, q, x):
+    assert_log_weighted_within_bound(spec, x, q, table_medium)
+
+
+def test_log_weighted_sum_recursion_edges(table_medium, monkeypatch):
+    # the crossover and one either side of it, both sides of the squares
+    # of 227 (the first prime whose square is past the crossover) and of
+    # 997 (the largest prime below 1000), and x = 10^6
+    c = sieve._LOG_RECURSION
+    xs = [c - 1, c - 0.5, c, c + 0.5, c + 1,
+          *(p * p + d for p in (227, 997) for d in (-1, 0, 1)), 10 ** 6]
+    specs = (MultFuncSpec.threshold(17609, 3, -2), MultFuncSpec.threshold(500, 1.3, -0.7),
+             MultFuncSpec.from_table({2: -1.0, 3: 2.5, 227: 3.0, 997: -1.5, 50021: 2.0}))
+    real = sieve.values_upto
+    fills = []
+    monkeypatch.setattr(sieve, "values_upto",
+                        lambda *args: fills.append(args[1]) or real(*args))
+    for spec in specs:
+        for q in (1, 30):
+            for x in xs:
+                fills.clear()
+                assert_log_weighted_within_bound(spec, x, q, table_medium)
+                # the brute force fills once, the array route once more
+                assert len(fills) == (2 if x < c else 1), (x, fills)
+
+
+def test_log_weighted_sum_recursion_peak_memory(table_medium):
+    # the value array route held five float arrays of 10^6 entries and
+    # traced a 30.5 MiB peak here
+    spec = MultFuncSpec.threshold(17609, 3, -2)
+    tracemalloc.start()
+    try:
+        sieve.log_weighted_sum(spec, 1e6, 30, table_medium)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20, peak / 2 ** 20
+
+
+def test_log_weighted_sum_non_finite_prime_values(table_small, table_medium):
+    # the non-finite and overflowing products are the point here
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = sieve._LOG_RECURSION
+        ok = MultFuncSpec.from_table({2: -1.0, 3: 2.0})
+        for bad in (math.nan, math.inf, -math.inf):
+            # the array route once gave inf at x = 30 and NaN at x = 100 for
+            # bad = inf: both routes are NaN now, as h_sum is
+            spec = MultFuncSpec.threshold(10, 2, bad)
+            assert sieve.log_weighted_sum(spec, 10.5, 1, table_small) == \
+                sieve.log_weighted_sum(MultFuncSpec.threshold(10, 2, 0), 10.5, 1, table_small)
+            for x in (11, 30, 100, 9999.5):
+                assert math.isnan(sieve.log_weighted_sum(spec, x, 1, table_small)), (bad, x)
+            for x in (c - 1, c, 10 ** 6):
+                assert math.isnan(sieve.log_weighted_sum(spec, x, 1, table_medium)), (bad, x)
+            # bad at the prime 50021, just past the crossover: read from x =
+            # 50021 on, never when it divides q
+            spec = MultFuncSpec.from_table({2: -1.0, 3: 2.0, 50021: bad})
+            for x in (c - 1, c, 50020.5):
+                assert sieve.log_weighted_sum(spec, x, 1, table_medium) == \
+                    sieve.log_weighted_sum(ok, x, 1, table_medium), (bad, x)
+            for x in (50021, 50021.5, 10 ** 6):
+                assert math.isnan(sieve.log_weighted_sum(spec, x, 1, table_medium)), (bad, x)
+                assert math.isnan(sieve.h_sum(spec, x, 1, table_medium)), (bad, x)
+                assert sieve.log_weighted_sum(spec, x, 50021, table_medium) == \
+                    sieve.log_weighted_sum(ok, x, 50021, table_medium), (bad, x)
+        # finite values whose products overflow are no NaN: both routes
+        # disagree and the check is loud, on both sides of the crossover
+        huge = MultFuncSpec.from_table({2: 1e300, 3: 1e300})
+        for x in (100, c, 10 ** 6):
+            with pytest.raises(CrossCheckError):
+                sieve.log_weighted_sum(huge, x, 1, table_medium)
+        with pytest.raises(CrossCheckError, match="infinite at p = 3"):
+            sieve.log_weighted_sum(MultFuncSpec.from_table({3: 1.7e308}), c, 1, table_medium)
+
+
 def test_dirichlet_convolve_at_prime(table_small):
     a1 = MultFuncSpec.from_table({2: 1.5, 3: -0.5})
     a2 = MultFuncSpec.from_table({2: 0.25, 3: 2.0})
@@ -886,6 +1008,31 @@ def test_lower_bound_check_fills_h_once(table_small, monkeypatch):
             sieve.log_weighted_sum(h, z, q, table_small)
 
 
+def test_lower_bound_check_recursion_route_fills_h_once(table_medium, monkeypatch):
+    # above the crossover both sides are prime-sum recursions: the sweep
+    # fills h once and b is never filled
+    h = MultFuncSpec.threshold(3000, 2, -2)
+    b = MultFuncSpec.threshold(3000, 2.5, -2)
+    fills = []
+    real = sieve.values_upto
+
+    def spy(spec, t, q, table):
+        fills.append((spec, t))
+        return real(spec, t, q, table)
+    monkeypatch.setattr(sieve, "values_upto", spy)
+    for z, q in ((sieve._LOG_RECURSION, 1), (60000.5, 6)):
+        fills.clear()
+        assert sieve.lower_bound_check(b, h, z, q, table_medium)
+        assert fills == [(h, int(z))]
+    # b = h: both sides are the same log_weighted_sum, bit for bit
+    sums = []
+    real_sum = sieve.log_weighted_sum
+    monkeypatch.setattr(sieve, "log_weighted_sum",
+                        lambda *args: sums.append(real_sum(*args)) or sums[-1])
+    assert sieve.lower_bound_check(h, h, 60000.5, 6, table_medium)
+    assert len(sums) == 2 and sums[0] == sums[1], sums
+
+
 def test_lower_bound_check_h_positivity_witness(table_small):
     # at y = 50 the partial sums of h go negative before z = 10^4
     h = MultFuncSpec.threshold(50, 2, -2)
@@ -1076,6 +1223,10 @@ def test_non_finite_arguments_rejected(table_small):
             sieve.h_sum(h, bad, 1, table_small)
         with pytest.raises(InvalidInputError, match="t must lie"):
             sieve.values_upto(h, bad, 1, table_small)
+    # past the table on both routes: the recursion reads no values_upto
+    for x in (10 ** 4 + 1, sieve._LOG_RECURSION + 0.5):
+        with pytest.raises(InvalidInputError, match="t must lie"):
+            sieve.log_weighted_sum(h, x, 1, table_small)
 
 
 def test_local_factor_cancellation_examples():
