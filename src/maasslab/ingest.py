@@ -20,7 +20,9 @@ cache remembers its file, digest and span: json_pieces copies the span
 from the file when the file still has that digest and the record still
 has the arrays it was read with, and formats the arrays otherwise.
 fetch leaves a fixture's cache file alone when it already holds the
-generated record.  validate reports a non-finite a_p as an error.
+generated record, and returns a record it writes with the span of the
+file just written, so that its coefficient text is formatted once.
+validate reports a non-finite a_p as an error.
 """
 
 from __future__ import annotations
@@ -305,6 +307,12 @@ def _index_path(path: Path) -> Path:
 
 def write_cache(record: CoeffRecord, cache_dir=None) -> Path:
     """Atomic write of the record's JSON document, then of its index."""
+    return _write_cache(record, cache_dir)._json_span.path
+
+
+def _write_cache(record: CoeffRecord, cache_dir) -> CoeffRecord:
+    """write_cache, returning the record with the span of the file it
+    wrote, as read_cache would read it back."""
     import hashlib      # here, so that `import maasslab` does not pay for it
 
     path = _cache_path(record.label, cache_dir)
@@ -321,7 +329,7 @@ def write_cache(record: CoeffRecord, cache_dir=None) -> Path:
     # the coefficient text lies between the head and the rest
     span = (lengths[0], sum(lengths) - lengths[-1])
     _write_index(_index_path(path), digest.hexdigest(), record, span)
-    return path
+    return _with_span(record, path, digest.hexdigest(), span)
 
 
 def _record_from_json_dict(doc: dict) -> CoeffRecord:
@@ -474,8 +482,7 @@ def fetch(label: str, coverage: int = DEFAULT_COVERAGE, cache_dir=None,
         # == holds -0.0 equal to 0.0; the JSON bytes do not
         if cached == record and cached.lams.tobytes() == record.lams.tobytes():
             return cached       # the generated record, with its cache file's span
-        write_cache(record, cache_dir)
-        return record
+        return _write_cache(record, cache_dir)
     endpoint = endpoint or os.environ.get(ENDPOINT_ENV)
     reason = f"no endpoint configured ({ENDPOINT_ENV} unset)"
     if endpoint:
@@ -484,8 +491,7 @@ def fetch(label: str, coverage: int = DEFAULT_COVERAGE, cache_dir=None,
         except OSError as exc:      # network failure: fall back to the cache
             reason = f"endpoint {endpoint!r} unreachable ({exc})"
         else:
-            write_cache(record, cache_dir)
-            return record
+            return _write_cache(record, cache_dir)
     cached = read_cache(label, cache_dir)
     if cached is not None:
         return replace(cached, source="cache-fallback")

@@ -33,8 +33,6 @@ from .errors import (CrossCheckError, InvalidInputError, PreconditionError,
 LARGE_LIMIT = 10 ** 7      # table limits above this need allow_large=True
 HARD_LIMIT = 2 * 10 ** 8
 TRIAL_LIMIT = 10 ** 7      # largest trial divisor prime_factors tries
-_BLOCK = 2 ** 18           # float64 entries per block of values_upto: 2 MiB, one L2
-_DIRECT = 16               # cofactors j that values_upto writes one slice each
 _CHUNK = 2 ** 16           # primes per chunk of the running prime sums of
                            # h_sum and log_weighted_sum
 _LOG_RECURSION = 5 * 10 ** 4   # x from which log_weighted_sum takes the prime sums;
@@ -265,73 +263,37 @@ def values_upto(spec: MultFuncSpec, t: float, q: int | None,
                 table: SieveTable) -> np.ndarray:
     """Array v with v[n] = spec value at n for squarefree (n, q) = 1, else 0.
 
-    v is filled one cache-sized block v[lo..hi] of _BLOCK entries at a
-    time, blocks ascending, and every entry is the product, signed zeros
-    included, that a loop over all primes p <= t gives when it multiplies
-    each multiple of p by the value at p, primes ascending, and then sets
-    the multiples of the primes of q to 0.0.  Each block takes four
-    steps.  (4) sets every multiple n of a prime of q in the block to 0.0,
-    whatever (1)-(3) left there, so only n coprime to q need the proof.
-    (1) The block takes its squarefree flags.  (2) One strided multiply
-    per prime p <= sqrt(t) that does not divide q, from the first
-    multiple of p in the block that is at least p, so v[0] is never
-    multiplied.  After (2) in block 0, v[j] for j <= isqrt(t) coprime to
-    q is final, since all its primes are at most j, and v[0..isqrt(t)] is
-    copied aside.  (3) A prime P > sqrt(t) divides n <= t at most once,
-    and then n = j P with j <= isqrt(t): the primes of j are the primes
-    <= sqrt(t) of n, and j is squarefree (and coprime to q) when n is.
-    So after (2) v[j P] holds bit for bit the float v[j] of the copy, and
-    (3) writes v[j P] = v[j] * value(P) for every j P in the block with P
-    > sqrt(t), the product v[j P] * value(P) without reading v[j P]: one
-    slice of the P for each j <= _DIRECT, one indexed write over all the
-    larger j (the indices are distinct).  These writes land at j P >
-    isqrt(t), never on a v[j] of the copy.  Where both factors are NaN it
-    is v[j]'s NaN, as in the strided multiply of the per-prime loop.  No
-    step reads an entry outside its block but the copied v[j].  h_sum
-    does not read these values; the sum of v[:t + 1] is its brute-force
-    oracle.
+    Every entry is the product, signed zeros and NaNs included, that a
+    loop over all primes p <= t gives when it multiplies each multiple of
+    p by the value at p, primes ascending, and then sets the multiples of
+    the primes of q to 0.0.  One pass over v[0..t] takes four steps.  (4)
+    sets the multiples of the primes of q to 0.0 whatever (1)-(3) left
+    there, so only n coprime to q need the proof.  (1) v takes the
+    squarefree flags.  (2) One strided multiply per prime p <= sqrt(t)
+    that does not divide q, from v[p] on, so v[0] is never multiplied.
+    (3) A prime P > sqrt(t) divides n <= t at most once and is its largest
+    prime, so after (2) v[n] holds the product of the loop up to P, and
+    one np.multiply.at over all such n = j P (distinct, j <= t // P)
+    multiplies v[n] by value(P) in place, element by element as the
+    strided multiply does: where both are NaN it keeps v[n]'s, which
+    numpy's contiguous multiply does not promise.  h_sum does not read
+    these values; the sum of v[:t + 1] is its brute-force oracle.
     """
     t = _checked_t(t, table)
-    q_primes = [p for p in _coprimality_primes(spec.q if q is None else q) if p <= t]
+    q_primes = _coprimality_primes(spec.q if q is None else q)
     ps = table.primes[:table.prime_count(t)]
     ws = spec.prime_values(ps)
-    s = math.isqrt(t)
-    k = table.prime_count(s)
-    # (4) zeroes the multiples of a prime of q, so (2) skips that prime
-    small = [(p, w) for p, w in zip(ps[:k].tolist(), ws[:k].tolist())
-             if p not in q_primes]
-    big, big_ws = ps[k:], ws[k:]
-    j_max = t // (s + 1)            # the largest cofactor j of a j P <= t, P > s
-    j_direct = np.arange(1, min(_DIRECT, j_max) + 1)
-    j_rest = np.arange(_DIRECT + 1, j_max + 1)
-    vals = np.empty(t + 1)
-    for lo in range(0, t + 1, _BLOCK):
-        blk = vals[lo:lo + _BLOCK]
-        hi = lo + blk.size - 1                  # the block holds v[lo..hi]
-        np.copyto(blk, table.squarefree[lo:hi + 1])
-        for p, w in small:
-            blk[max(p, -(-lo // p) * p) - lo::p] *= w
-        if lo == 0:
-            v_small = blk[:j_max + 1].copy()
-        # the P with lo <= j P <= hi are big[a:b]: one slice for each
-        # j <= _DIRECT, then one indexed write for all the larger j
-        n = j_direct.size
-        ab = np.searchsorted(big, np.concatenate((-(-lo // j_direct),
-                                                  hi // j_direct + 1))).tolist()
-        for j, a, b in zip(range(1, n + 1), ab[:n], ab[n:]):
-            blk[j * big[a:b] - lo] = v_small[j] * big_ws[a:b]
-        if j_rest.size:
-            a = np.searchsorted(big, -(-lo // j_rest))
-            counts = np.searchsorted(big, hi // j_rest, side="right") - a
-            i = np.repeat(a - (np.cumsum(counts) - counts), counts)
-            i += np.arange(i.size)              # big[i] runs over the P of each j
-            idx = big[i]
-            idx *= np.repeat(j_rest, counts)
-            idx -= lo
-            w = big_ws[i]
-            blk[idx] = np.multiply(np.repeat(v_small[_DIRECT + 1:], counts), w, out=w)
-        for p in q_primes:
-            blk[max(p, -(-lo // p) * p) - lo::p] = 0.0
+    k = table.prime_count(math.isqrt(t))
+    vals = table.squarefree[:t + 1].astype(np.float64)
+    for p, w in zip(ps[:k].tolist(), ws[:k].tolist()):
+        if p not in q_primes:       # (4) zeroes the multiples of p
+            vals[p::p] *= w
+    m = t // ps[k:]                 # the cofactors j <= m of each P > sqrt(t)
+    j = np.arange(1, m.sum() + 1)
+    j -= np.repeat(np.cumsum(m) - m, m)     # j runs over 1..m for each P
+    np.multiply.at(vals, np.repeat(ps[k:], m) * j, np.repeat(ws[k:], m))
+    for p in q_primes:
+        vals[p::p] = 0.0
     return vals
 
 
@@ -885,6 +847,8 @@ def lower_bound_check(b: MultFuncSpec, h: MultFuncSpec, z: float, q: int,
     (t, r) for the smallest squarefree r with min_t H_r(t) < 0 and the
     first t of that minimum, as an r-by-r scan would report it.  A prime
     of r that divides q changes nothing, so only r coprime to q are swept.
+    After the sweep, a NaN or infinite b(p) or h(p) at a prime p <= z
+    coprime to q raises InvalidInputError naming b or h, p and the value.
 
     Sweep.  Each such r > 1 is s P with P its largest prime, and in exact
     arithmetic the Buchstab identity H_r(t) = H_s(t) - h(P) H_r(floor(t/P))
@@ -956,6 +920,11 @@ def lower_bound_check(b: MultFuncSpec, h: MultFuncSpec, z: float, q: int,
         raise PreconditionError(
             f"partial sum of h negative at t = {worst} for r = {r}",
             witness=(worst, r))
+    bad = ~np.isfinite(b_ps) | ~np.isfinite(h_ps)
+    if bad.any():
+        i = int(np.argmax(bad))
+        name, value = ("b", b_ps[i]) if not np.isfinite(b_ps[i]) else ("h", h_ps[i])
+        raise InvalidInputError(f"{name}({int(ps[i])}) = {float(value)} is not finite")
 
     # both sides take the route of z, so b = h gives lhs == rhs
     lhs = log_weighted_sum(b, z, q, table)

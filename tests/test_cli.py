@@ -165,6 +165,32 @@ def test_fetch_stdout_bytes_pinned(tmp_path, capsys, monkeypatch):
     assert hashlib.sha256(out.encode()).hexdigest() == FETCH_STDOUT_SHA256
 
 
+def test_cold_fetch_formats_each_pair_once(tmp_path, capsys, monkeypatch,
+                                          local_endpoint):
+    # write_cache formats the pairs; the printed record copies them from
+    # the file just written, on the fixture and the remote route alike
+    monkeypatch.chdir(tmp_path)
+    reprs = []
+    monkeypatch.setattr(ingest, "repr", lambda v: reprs.append(v) or repr(v),
+                        raising=False)
+    code, out, _ = run_cli(capsys, "fetch", "--label", "fixture-mixed-1",
+                           "--coverage", "10000", "--cache-dir", "cache")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == FETCH_STDOUT_SHA256
+    assert len(reprs) == len(json.loads(out)["record"]["coefficients"])
+
+    url, bodies, _ = local_endpoint
+    doc = ingest.generate_fixture("fixture-mixed-2", 10000).to_json_dict()
+    doc.update(label="remote-form-5", source="remote")
+    bodies[0] = json.dumps(doc).encode()
+    reprs.clear()
+    code, out, _ = run_cli(capsys, "fetch", "--label", "remote-form-5", "--coverage",
+                           "10000", "--cache-dir", "cache", "--endpoint", url)
+    assert code == 0 and out == json.dumps(json.loads(out), sort_keys=True) + "\n"
+    assert json.loads(out)["record"] == doc
+    assert len(reprs) == len(doc["coefficients"])
+
+
 def _cache_remote_record(tmp_path, monkeypatch, label, coverage, **changes):
     monkeypatch.delenv("MAASSLAB_ENDPOINT", raising=False)
     rec = dataclasses.replace(ingest.generate_fixture("fixture-mixed-2", coverage),

@@ -390,7 +390,7 @@ def _spy_on(monkeypatch, name):
 
 
 def test_second_fixture_fetch_writes_nothing(tmp_path, monkeypatch):
-    writes = _spy_on(monkeypatch, "write_cache")
+    writes = _spy_on(monkeypatch, "_write_cache")
     first = ingest.fetch("fixture-mixed-1", cache_dir=tmp_path)
     path = tmp_path / "fixture-mixed-1.json"
     pinned = path.read_bytes()

@@ -348,8 +348,8 @@ def test_values_upto_bytes_match_per_prime_loop_1e6(table_medium):
         assert np.signbit(got[got == 0.0]).any()
 
 
-# t on either side of the first block edges of values_upto
-_block_ts = [k * sieve._BLOCK + d for k in (1, 2, 3) for d in (-1, 0, 1)]
+# large t: k 2^18 + d
+_block_ts = [k * 2 ** 18 + d for k in (1, 2, 3) for d in (-1, 0, 1)]
 
 
 def test_values_upto_bytes_match_per_prime_loop_at_block_edges(table_medium):
@@ -368,10 +368,23 @@ def test_values_upto_bytes_match_per_prime_loop_at_block_edges(table_medium):
             assert got.tobytes() == ref[:t + 1].tobytes(), t
 
 
+def test_values_upto_nan_times_nan_is_the_cofactor_nan(table_small):
+    # v[6] = inf * 0.0 is the default NaN, whose sign bit may differ from
+    # that of math.nan, the value at every P > 100: each v[j P] with 6 | j
+    # multiplies two NaNs, and the per-prime loop keeps v[j]'s
+    ps = table_small.primes.tolist()
+    spec = MultFuncSpec.from_table({2: math.inf, 3: 0.0,
+                                    **{p: math.nan for p in ps if p > 100}})
+    with np.errstate(invalid="ignore"):
+        for t in (1000, 10 ** 4):
+            assert sieve.values_upto(spec, t, 1, table_small).tobytes() == \
+                values_upto_reference(spec, t, 1, table_small).tobytes(), t
+
+
 def test_values_upto_entry_zero_is_positive_zero(table_medium):
     # w(2) < 0: a multiply of v[0] would leave -0.0 there
     spec = MultFuncSpec.threshold(10, -2.0, 1.0)
-    for t in (1, 2, 3, 100, sieve._BLOCK - 1, sieve._BLOCK + 1):
+    for t in (1, 2, 3, 100, 2 ** 18 - 1, 2 ** 18 + 1):
         v0 = sieve.values_upto(spec, t, 1, table_medium)[0]
         assert v0 == 0.0 and not np.signbit(v0), t
 
@@ -432,8 +445,7 @@ def test_h_sum_against_recursive_oracle(table_small):
             expected, abs=1e-9)
 
 
-# t below 4 (no prime step), on both sides of prime squares and of the
-# block edges of values_upto
+# t below 4 (no prime step), on both sides of prime squares, and large t
 _h_sum_edge_ts = sorted({1, 2, 3, 4, *(p * p + d for p in (2, 3, 5, 7, 31, 997)
                                        for d in (-1, 0, 1)), *_block_ts})
 
@@ -884,7 +896,7 @@ def _u_landing_on(y, t):
     return u
 
 
-# rows on both sides of the block edges, out of order and one twice
+# rows at large t, out of order and one twice
 _edge_ts = [_block_ts[4], *_block_ts, 10 ** 6 - 1, _block_ts[0]]
 
 
@@ -1053,6 +1065,19 @@ def test_lower_bound_check_witness_on_violation(table_small):
     assert exc.value.witness == ("g", 2)
 
 
+def test_lower_bound_check_rejects_non_finite_prime_values():
+    # the g check and the sweep pass these, and both sums would be NaN
+    table = sieve.build_table(2000)
+    h = MultFuncSpec.threshold(500, 2, -2)
+    values = dict(zip(table.primes.tolist(), h.prime_values(table.primes).tolist()))
+    for b, h_bad, message in (
+            (MultFuncSpec.from_table({**values, 3: math.nan}), h, r"b\(3\) = nan"),
+            (h, MultFuncSpec.from_table({**values, 997: math.nan}), r"h\(997\) = nan"),
+            (MultFuncSpec.from_table({**values, 3: math.inf}), h, r"b\(3\) = inf")):
+        with pytest.raises(InvalidInputError, match=message + " is not finite"):
+            sieve.lower_bound_check(b, h_bad, 1000, 1, table)
+
+
 def positivity_sweep_reference(h, z, q, table):
     """The r-by-r scan lower_bound_check replaced: for every squarefree
     r <= z, the running sum of h's values with the multiples of r's
@@ -1079,7 +1104,7 @@ def sweep_outcome(h, z, q, table):
         sieve.lower_bound_check(h, h, z, q, table)
     except PreconditionError as exc:
         return exc.witness, str(exc)
-    except CrossCheckError:    # raised after the sweep passed
+    except (CrossCheckError, InvalidInputError):    # raised after the sweep passed
         pass
     return None
 
