@@ -42,7 +42,7 @@ class PreconditionError(MaasslabError, RuntimeError):
 
 
 class CrossCheckError(MaasslabError, RuntimeError):
-    """Two independent evaluation routes disagreed beyond tolerance."""
+    """A result contradicts its own proof: an overflow or a broken lemma."""
 
 
 class CacheParseError(MaasslabError, RuntimeError):

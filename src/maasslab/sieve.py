@@ -251,12 +251,9 @@ def _coprimality_primes(q: int) -> list[int]:
 
 
 def _checked_t(t: float, table: SieveTable) -> int:
-    if not math.isfinite(t):
+    if not (math.isfinite(t) and 1 <= int(t) <= table.limit):
         raise InvalidInputError(f"t must lie in [1, {table.limit}], got {t}")
-    t = int(t)
-    if not 1 <= t <= table.limit:
-        raise InvalidInputError(f"t must lie in [1, {table.limit}], got {t}")
-    return t
+    return int(t)
 
 
 def values_upto(spec: MultFuncSpec, t: float, q: int | None,
@@ -359,20 +356,19 @@ def _prime_sums(spec: MultFuncSpec, n: int, q_primes: list[int],
 def _prime_recursion(t: int, ps: np.ndarray, ws: np.ndarray, G: np.ndarray,
                      q_primes: list[int], GL: np.ndarray | None = None) -> list[float]:
     """[R_H[t]] of h_sum's recursion, and with GL (the prefix sums of
-    value(p) log p) [R_H[t], R_K[t], R_L[t]] of log_weighted_sum's: one
-    pass over the primes carries every row.  Each row R holds R[v] at
-    R[a] for the points v = V[a] of V = (t // 1, ..., t // s, s, s - 1,
-    ..., 1), s = isqrt(t), descending, so the v >= p^2 are a prefix;
-    ps are the primes up to at least t, ws the values at those up to at
-    least s and G their prefix sums."""
+    value(p) log p) [R_H[t], R_L[t]] of log_weighted_sum's: one pass over
+    the primes carries both rows.  Each row R holds R[v] at R[a] for the
+    points v = V[a] of V = (t // 1, ..., t // s, s, s - 1, ..., 1), s =
+    isqrt(t), descending, so the v >= p^2 are a prefix; ps are the primes
+    up to at least t, ws the values at those up to at least s and G
+    their prefix sums."""
     s = math.isqrt(t)
     V = np.concatenate((t // np.arange(1, s + 1), np.arange(s, 0, -1)))
     at = np.searchsorted(ps, V, side="right")       # pi(v)
     H = G[at]
     if GL is not None:
         log_v = np.log(V)
-        K = GL[at]
-        L = H * log_v - K
+        L = H * log_v - GL[at]
     for i in range(int(np.searchsorted(ps, s, side="right")) - 1, -1, -1):
         p = int(ps[i])
         if p in q_primes:
@@ -390,11 +386,10 @@ def _prime_recursion(t: int, ps: np.ndarray, ws: np.ndarray, G: np.ndarray,
         H[:n] += w * dH
         if GL is None:
             continue
-        gl = float(GL[i + 1])
-        K[:n] += w * ((K[src] - gl) + math.log(p) * dH)
         pu = V[src] * p
-        L[:n] += w * ((L[src] - (g * log_v[src] - gl)) + np.log1p((V[:n] - pu) / pu) * dH)
-    return [float(H[0])] if GL is None else [float(H[0]), float(K[0]), float(L[0])]
+        L[:n] += w * ((L[src] - (g * log_v[src] - float(GL[i + 1])))
+                      + np.log1p((V[:n] - pu) / pu) * dH)
+    return [float(H[0])] if GL is None else [float(H[0]), float(L[0])]
 
 
 def h_sum(spec: MultFuncSpec, t: float, q: int | None, table: SieveTable) -> float:
@@ -461,82 +456,79 @@ def h_sum(spec: MultFuncSpec, t: float, q: int | None, table: SieveTable) -> flo
     return _h_sums(spec, [_checked_t(t, table)], q, table)[0]
 
 
-def _dot(a: np.ndarray, b: np.ndarray) -> float:
-    """sum of a * b by np.sum, overwriting b: the same on every host,
-    where np.dot's BLAS result depends on its thread count."""
-    b *= a
-    return float(np.sum(b))
-
-
 def log_weighted_sum(spec: MultFuncSpec, x: float, q: int | None,
                      table: SieveTable) -> float:
     """L(x): the sum of value(n) log(x/n) over squarefree n <= x with
-    (n, q) = 1, computed two ways that must agree to 1e-9 relative
-    (CrossCheckError otherwise).
+    (n, q) = 1, by one route on each side of x = _LOG_RECURSION.
 
-    Below x = _LOG_RECURSION both routes read v = values_upto(spec, m,
-    q, table), m = floor(x): the direct sum of v[n] (log x - log n) and
-    the exact piecewise-constant integral of H(t)/t over the running
-    sums H of v.  Both multiply in place and add with np.sum, not the
-    BLAS np.dot, so the result does not depend on the BLAS thread count.
+    Below it, the direct sum of the terms t_n = v[n] (log x - log n), n
+    = 1..m, m = floor(x), v = values_upto(spec, m, q, table).  From it
+    on, no value at a composite n is formed: the recursion of h_sum over
+    V = {floor(m/k)} carries one more row, from G(v) and GL(v), the
+    compensated sums of value(p) and value(p) log p over the primes p <=
+    v not dividing q (_prime_sums).  R_L[v] = G(v) log v - GL(v) first;
+    for each prime p <= sqrt(m) not dividing q, descending, and each v
+    in V with v >= p^2, with u = floor(v/p), dH = R_H[u] - G(p) and w =
+    value(p), R_L[v] += w ((R_L[u] - (G(p) log u - GL(p))) + log(v/(p
+    u)) dH), all right-hand sides read before any write; then L(x) = log
+    m + R_L[m] + H(m) log(x/m).  After the primes above p, R_L[v] is the
+    sum of f(n) log(v/n) over the n in [2, v] of R_H[v] (see h_sum); the
+    step adds the n = p m', m' <= u, whose log(v/n) = log(u/m') +
+    log(v/(p u)).  The log(v/(p u)) and log(x/m) are log1p of (v - p
+    u)/(p u) and (x - m)/m, free of cancellation.  Cost: two prime sums
+    over pi(m) primes and two rows of the recursion, a 2.8 MiB traced
+    peak at x = 10^6, where the value array traced 30.5 MiB.
 
-    From x = _LOG_RECURSION on, no value at a composite n is formed: the
-    recursion of h_sum over V = {floor(m/k)} carries two more rows, from
-    G(v) and GL(v), the compensated sums of value(p) and value(p) log p
-    over the primes p <= v not dividing q (_prime_sums).  For each prime
-    p <= sqrt(m) not dividing q, descending, and each v in V with v >=
-    p^2, u = floor(v/p) and dH = R_H[u] - G(p), all right-hand sides
-    read before any write:
-      route K, R_K = GL first, adds w ((R_K[u] - GL(p)) + log p dH), and
-        L(x) = log x H(m) - R_K[m];
-      route L, R_L[v] = G(v) log v - GL(v) first, adds w ((R_L[u] -
-        (G(p) log u - GL(p))) + log(v/(p u)) dH), and L(x) = log m +
-        R_L[m] + H(m) log(x/m);
-    w = value(p).  After the primes above p, R_K[v] is the sum of f(n)
-    log n and R_L[v] that of f(n) log(v/n) over the n in [2, v] of
-    R_H[v] (see h_sum); the step adds the n = p m', m' <= u, whose
-    log n = log m' + log p and log(v/n) = log(u/m') + log(v/(p u)).
-    Route L is returned: without the cancellation of log x H(m) -
-    R_K[m] it is the closer of the two.  The log(v/(p u)) and log(x/m)
-    are log1p of (v - p u)/(p u) and (x - m)/m, free of cancellation.
-    Cost: two prime sums over pi(m) primes and three rows of the
-    recursion; the value array route holds five float arrays of m
-    entries (a 30.5 MiB traced peak at x = 10^6, against 2.8 MiB here).
+    Errors.  Both bounds are about L(x), the exact sum of the exact
+    products of the float values, with u = 2^-53 and gamma_n = n u / (1
+    - n u), and hold if no product underflows, nothing overflows and
+    np.log, np.log1p and math.log are within one ulp (|delta| <= 2 u,
+    two roundings below).
 
-    Error of the recursion routes.  With u, gamma_n and H~(m) as in
-    h_sum, e = 2 u + 2 gamma_N^2 (N = pi(m)) and D = 4 pi(sqrt(m)) + 16,
-    and assuming np.log, np.log1p and math.log within one ulp (|delta|
-    <= 2 u, two roundings below), each route is within (e + (1 + e)
-    gamma_D) 2 log(x) H~(m) of L(x), the exact sum of the exact products
-    of the float values, if no product underflows and nothing
-    overflows.  Proof.  Expanded as in h_sum, each route is a signed sum
-    over the paths of the H recursion, each with a log factor: route K
-    takes log p' at a leaf GL and log p_i at the dH branch of step i,
-    and log x on H(m); route L takes log u, log p', log v or log(v/(p
-    u)), and log m or log(x/m) at the end.  Run in exact arithmetic on
-    |value(p)| with every subtraction made an addition, the rows give
-    R~_K[v] <= log v R~_H[v] and R~_L[v] <= 2 log v R~_H[v], by
-    induction over the primes: both hold for the first rows (GL~(v) <=
-    log v G~(v)), and a step adds |w| (R~_H[u] + G~(p)) times at most
-    log u + log p <= log v (K) or 2 log u + log(v/(p u)) <= 2 log v (L),
-    as GL~(p) <= log u G~(p).  So the magnitudes of all paths add up to
-    at most log x H~(m) + log m (H~(m) - 1) (K) or log m + 2 log m
-    (H~(m) - 1) + log(x/m) H~(m) (L), both at most B = 2 log(x) H~(m).
-    Each path passes at most 4 roundings per prime (subtract, add,
-    multiply, add; its H part 3), as in h_sum each prime once, and at
-    most 16 more at its leaf, its branch into H and the final sum: the
-    logs, the quotients of log1p, the products with them, and the 3 of
-    fl(value(p) fl(log p)) in GL.  So each path carries its own 1 +
-    theta, |theta| <= gamma_D (Higham 2002, Lemmas 3.1 and 3.3), about
-    the exact arithmetic on the float G and GL, which differ from
-    theirs by at most e G~ and e GL~ (_prime_sums, with sum |x| <= (1 +
-    gamma_3) GL~ <= 2 GL~), and the bound follows as in h_sum.  At x =
-    10^6, D = 688 and the bound is below 1.6e-13 log(x) H~(m).
+    Direct sum: within gamma_(K+6) log(x) sum |v[n]| + gamma_(m-1) sum
+    |t_n|, K = bit_length(m), the sums over the computed v[n] and t_n.
+    Proof.  (a) v[n] is a product of at most K - 1 prime values (j
+    distinct primes multiply to at least 2^j, and m < 2^K), formed from
+    1.0, so the exact product is v[n] (1 + theta_n), |theta_n| <=
+    gamma_K (Higham 2002, Lemma 3.1).  (b) The two logs are within 2 u
+    log x and 2 u log n <= 2 u log x, and their difference rounds once
+    more, so it is within (5 u + 4 u^2) log x <= gamma_5 log x of
+    log(x/n), as 0 <= log(x/n) <= log x.  (c) With delta the rounding of
+    the product, t_n minus the exact term is v[n] (log(x/n) (delta -
+    theta_n) + (1 + delta) times the error of (b)), at most (u + gamma_K
+    + (1 + u) gamma_5) log(x) |v[n]| <= gamma_(K+6) log(x) |v[n]|
+    (Lemma 3.3).  (d) np.sum adds the m terms in some order, two partial
+    sums at a time, so each term passes at most m - 1 additions and the
+    sum is within gamma_(m-1) sum |t_n| of the exact sum of the t_n, for
+    any order (Higham 2002, section 4.2).
+
+    Recursion: with H~(m) as in h_sum, e = 2 u + 2 gamma_N^2 (N = pi(m))
+    and D = 4 pi(sqrt(m)) + 16, within (e + (1 + e) gamma_D) 2 log(x)
+    H~(m).  Proof.  Expanded as in h_sum, the result is a signed sum
+    over the paths of the H recursion, each with a log factor: log u,
+    log p', log v or log(v/(p u)), and log m or log(x/m) at the end.
+    Run in exact arithmetic on |value(p)| with every subtraction made an
+    addition, the rows give R~_L[v] <= 2 log v R~_H[v], by induction
+    over the primes: it holds for the first rows (GL~(v) <= log v
+    G~(v)), and a step adds |w| (R~_H[u] + G~(p)) times at most 2 log u
+    + log(v/(p u)) <= 2 log v, as GL~(p) <= log u G~(p).  So the
+    magnitudes of all paths add up to at most log m + 2 log m (H~(m) -
+    1) + log(x/m) H~(m) <= 2 log(x) H~(m).  Each path passes at most 4
+    roundings per prime (subtract, add, multiply, add; its H part 3), as
+    in h_sum each prime once, and at most 16 more at its leaf, its
+    branch into H and the final sum: the logs, the quotients of log1p,
+    the products with them, and the 3 of fl(value(p) fl(log p)) in GL.
+    So each path carries its own 1 + theta, |theta| <= gamma_D (Higham
+    2002, Lemmas 3.1 and 3.3), about the exact arithmetic on the float G
+    and GL, which differ from theirs by at most e G~ and e GL~
+    (_prime_sums, with sum |x| <= (1 + gamma_3) GL~ <= 2 GL~), and the
+    bound follows as in h_sum.  At x = 10^6, D = 688 and the bound is
+    below 1.6e-13 log(x) H~(m).
 
     Non-finite values.  If value(p) is NaN or +-inf at some prime p <= x
-    not dividing q, both routes give NaN (h_sum(spec, m, q) is NaN), and
-    so does log_weighted_sum; any other disagreement, an overflow
-    included, raises CrossCheckError.
+    not dividing q, log_weighted_sum returns NaN, as h_sum(spec, m, q)
+    does.  Finite values whose products overflow raise CrossCheckError:
+    a value(p) log p that is infinite, or a result that is not finite.
     """
     if not (math.isfinite(x) and x >= 1.0):
         raise InvalidInputError(f"x must be finite and >= 1, got {x}")
@@ -553,42 +545,31 @@ def log_weighted_sum(spec: MultFuncSpec, x: float, q: int | None,
     GL, first_bad = _prime_sums(spec, n, q_primes, table, log_p=True)
     if m >= first_bad:
         raise CrossCheckError(
-            f"log-weighted sum routes overflow: value(p) log p is infinite at p = {first_bad}")
+            f"log-weighted sum overflows: value(p) log p is infinite at p = {first_bad}")
     ws = spec.prime_values(table.primes[:table.prime_count(math.isqrt(m))])
-    r_h, r_k, r_l = _prime_recursion(m, table.primes, ws, G, q_primes, GL)
-    h = 1.0 + r_h
-    via_k = math.log(x) * h - r_k
-    via_l = math.log(m) + r_l + h * math.log1p((x - m) / m)
-    if not _routes_agree(via_l, via_k):
-        raise CrossCheckError(f"log-weighted sum routes disagree: {via_l} vs {via_k}")
-    return via_l
-
-
-def _routes_agree(a: float, b: float) -> bool:
-    """|a - b| <= 1e-9 max(|a|, |b|, 1), both finite: a NaN or an
-    infinity never agrees."""
-    return math.isfinite(a - b) and abs(a - b) <= 1e-9 * max(abs(a), abs(b), 1.0)
+    r_h, r_l = _prime_recursion(m, table.primes, ws, G, q_primes, GL)
+    total = math.log(m) + r_l + (1.0 + r_h) * math.log1p((x - m) / m)
+    if not math.isfinite(total):
+        raise CrossCheckError(f"log-weighted sum overflows: {total} from finite values")
+    return total
 
 
 def _log_weighted_sum(vals: np.ndarray, x: float) -> float:
-    """log_weighted_sum by the value array, from vals =
-    values_upto(spec, int(x), q, table), x > 1; vals is not written."""
+    """The direct sum of log_weighted_sum from vals = values_upto(spec,
+    int(x), q, table), x > 1; vals is not written."""
     m = int(x)
-    logs = np.log(np.arange(1, m + 1, dtype=np.float64))   # log n, n = 1..m
-    direct = _dot(vals[1:], math.log(x) - logs)
-
-    H = np.cumsum(vals)
-    integral = _dot(H[1:m], np.diff(logs))   # log((k+1)/k), k = 1..m-1
-    integral += float(H[m]) * (math.log(x) - math.log(m))
-
-    if _routes_agree(direct, integral):
+    terms = math.log(x) - np.log(np.arange(1, m + 1, dtype=np.float64))
+    terms *= vals[1:]
+    # np.sum rather than the BLAS np.dot: the same on every host, where
+    # np.dot's result depends on its thread count
+    direct = float(np.sum(terms))
+    if math.isfinite(direct):
         return direct
     # vals[p] is value(p) at each prime p <= m not dividing q, and a
-    # non-finite one makes both routes NaN or infinite
+    # non-finite one makes the sum NaN or infinite
     if not np.all(np.isfinite(vals[primes_upto(m)])):
         return math.nan
-    raise CrossCheckError(
-        f"log-weighted sum routes disagree: {direct} vs {integral}")
+    raise CrossCheckError(f"log-weighted sum overflows: {direct} from finite values")
 
 
 def _divisors(n: int, table: SieveTable) -> list[int]:

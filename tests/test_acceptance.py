@@ -116,13 +116,26 @@ def test_criterion_07_sieve_brute_force(table_small):
     ok_hand = (sieve.h_sum(spec10, 10, 1, table_small) == 17.0
                and sieve.h_sum(spec10, 10, 6, table_small) == 5.0)
 
+    # log-weighted sums against math.fsum of the values_upto terms, within
+    # the direct-sum bound of the log_weighted_sum docstring, whose
+    # gamma_(K+6) part also covers the rounding of fsum and np.sum
+    def gamma(n):
+        return n * 2.0 ** -53 / (1 - n * 2.0 ** -53)
+
     rng = random.Random(7)
-    ok_routes = True
+    ok_brute = True
     for _ in range(100):
         spec = MultFuncSpec.threshold(rng.randint(2, 400),
                                       float(rng.randint(1, 4)),
                                       -float(rng.randint(1, 4)))
-        sieve.log_weighted_sum(spec, rng.uniform(2, 5000), 1, table_small)
+        x = rng.uniform(2, 5000)
+        m = int(x)
+        vals = sieve.values_upto(spec, m, 1, table_small)[1:]
+        terms = vals * (math.log(x) - np.log(np.arange(1, m + 1)))
+        bound = (gamma(m.bit_length() + 6) * math.log(x) * float(np.sum(np.abs(vals)))
+                 + gamma(m - 1) * float(np.sum(np.abs(terms))))
+        got = sieve.log_weighted_sum(spec, x, 1, table_small)
+        ok_brute = ok_brute and abs(got - math.fsum(terms.tolist())) <= bound
 
     a_s, _, _ = satake.sample_coeff_triples(1300, "sato-tate", 70)
     b_s, _, _ = satake.sample_coeff_triples(1300, "sato-tate", 71)
@@ -135,9 +148,10 @@ def test_criterion_07_sieve_brute_force(table_small):
         sieve.dirichlet_convolve(h, g, n, table_small)
         == b.value_exact(n, table_small)
         for n in range(1, 10 ** 4 + 1) if table_small.is_squarefree(n))
-    ok = ok_hand and ok_routes and ok_round
+    ok = ok_hand and ok_brute and ok_round
     _report(7, "sieve brute force", ok,
-            "hand sums, dual routes, exact convolution round-trip")
+            "hand sums, log-weighted sums within the proven bound of "
+            "brute force, exact convolution round-trip")
 
 
 def test_criterion_08_local_factor_cancellation():

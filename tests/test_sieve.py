@@ -577,7 +577,8 @@ def test_log_weighted_sum_unit_table(table_small):
         expected, rel=1e-12)
 
 
-def test_log_weighted_dual_routes_random(table_small):
+def test_log_weighted_direct_sum_random(table_small):
+    # below the crossover: the direct sum within its proven bound
     rng = random.Random(3)
     for _ in range(100):
         y = rng.randint(2, 500)
@@ -585,7 +586,7 @@ def test_log_weighted_dual_routes_random(table_small):
         chi1 = -float(rng.randint(1, 4))
         x = rng.uniform(2, 5000)
         spec = MultFuncSpec.threshold(y, chi0, chi1)
-        sieve.log_weighted_sum(spec, x, 1, table_small)  # raises on mismatch
+        assert_log_weighted_within_bound(spec, x, rng.choice([1, 6, 30, 210]), table_small)
 
 
 @given(st.one_of(_threshold_specs, _table_specs, _quotient_specs),
@@ -616,25 +617,38 @@ def test_log_weighted_sum_same_for_any_blas_thread_count():
 
 
 def brute_log_weighted(spec, x, q, table):
-    """(math.fsum of the terms v[n] (log x - log n), n <= x, from v =
-    values_upto, and a bound on that sum's distance from L(x)): each
-    v[n] is within gamma_K of the exact product, K = bit_length(x) (one
-    rounding per prime), log x - log n within 5 u log x, and fsum is
-    correctly rounded."""
+    """(want, err, v, terms): want the math.fsum of the terms v[n] (log x
+    - log n), n <= x, where v is values_upto at q = 1 with the n sharing
+    a prime with q set to 0 here, and err a bound on the distance of want
+    from L(x): each v[n] is within gamma_K of the exact product, K =
+    bit_length(x) (one rounding per prime), log x - log n within 5 u log
+    x, and fsum is correctly rounded."""
     m = int(x)
-    vals = sieve.values_upto(spec, m, q, table)[1:]
+    q = spec.q if q is None else q
+    vals = sieve.values_upto(spec, m, 1, table)[1:]
+    vals[np.gcd(np.arange(1, m + 1), q) > 1] = 0.0
     terms = vals * (math.log(x) - np.log(np.arange(1, m + 1)))
     got = math.fsum(terms.tolist())
     err = _gamma(m.bit_length() + 8) * Fraction(
         float(np.sum(np.abs(terms))) + math.log(x) * float(np.sum(np.abs(vals))))
-    return got, err + Fraction(1, 2 ** 53) * abs(Fraction(got))
+    return got, err + Fraction(1, 2 ** 53) * abs(Fraction(got)), vals, terms
 
 
-def log_weighted_error_bound(spec, x, q, table):
-    """(e + (1 + e) gamma_D) 2 log(x) H~(m), the proven bound of the
-    recursion routes of log_weighted_sum, m = floor(x)."""
+def log_weighted_error_bound(spec, x, q, table, vals, terms):
+    """The proven bound of log_weighted_sum, m = floor(x).  Below the
+    crossover that of the direct sum, gamma_(K+6) log(x) sum |v[n]| +
+    gamma_(m-1) sum |terms|, K = bit_length(m), from the brute force's v
+    and terms, which are the direct sum's floats; from it on, (e + (1 +
+    e) gamma_D) 2 log(x) H~(m) of the recursion."""
     m = int(x)
-    e = 2 * Fraction(1, 2 ** 53) + 2 * _gamma(table.prime_count(m)) ** 2
+    u = Fraction(1, 2 ** 53)
+    if x < sieve._LOG_RECURSION:
+        # fsum is correctly rounded: the exact sum is at most fsum / (1 - u)
+        v_abs, t_abs = (Fraction(math.fsum(np.abs(a).tolist())) / (1 - u)
+                        for a in (vals, terms))
+        return _gamma(m.bit_length() + 6) * Fraction(math.log(x)) * v_abs + \
+            _gamma(m - 1) * t_abs
+    e = 2 * u + 2 * _gamma(table.prime_count(m)) ** 2
     d = 4 * table.prime_count(math.isqrt(m)) + 16
     return (e + (1 + e) * _gamma(d)) * 2 * Fraction(math.log(x)) * \
         absolute_recursion(spec, m, q, table)
@@ -642,9 +656,10 @@ def log_weighted_error_bound(spec, x, q, table):
 
 def assert_log_weighted_within_bound(spec, x, q, table):
     got = sieve.log_weighted_sum(spec, x, q, table)
-    want, oracle_err = brute_log_weighted(spec, x, q, table)
+    want, oracle_err, vals, terms = brute_log_weighted(spec, x, q, table)
     assert abs(Fraction(got) - Fraction(want)) <= \
-        log_weighted_error_bound(spec, x, q, table) + oracle_err, (spec, x, q, got, want)
+        log_weighted_error_bound(spec, x, q, table, vals, terms) + oracle_err, \
+        (spec, x, q, got, want)
 
 
 _medium_threshold_specs = st.builds(
@@ -707,8 +722,8 @@ def test_log_weighted_sum_non_finite_prime_values(table_small, table_medium):
         c = sieve._LOG_RECURSION
         ok = MultFuncSpec.from_table({2: -1.0, 3: 2.0})
         for bad in (math.nan, math.inf, -math.inf):
-            # the array route once gave inf at x = 30 and NaN at x = 100 for
-            # bad = inf: both routes are NaN now, as h_sum is
+            # NaN as h_sum is, also where bad = inf leaves the direct sum
+            # +inf (x = 30)
             spec = MultFuncSpec.threshold(10, 2, bad)
             assert sieve.log_weighted_sum(spec, 10.5, 1, table_small) == \
                 sieve.log_weighted_sum(MultFuncSpec.threshold(10, 2, 0), 10.5, 1, table_small)
@@ -727,8 +742,8 @@ def test_log_weighted_sum_non_finite_prime_values(table_small, table_medium):
                 assert math.isnan(sieve.h_sum(spec, x, 1, table_medium)), (bad, x)
                 assert sieve.log_weighted_sum(spec, x, 50021, table_medium) == \
                     sieve.log_weighted_sum(ok, x, 50021, table_medium), (bad, x)
-        # finite values whose products overflow are no NaN: both routes
-        # disagree and the check is loud, on both sides of the crossover
+        # finite values whose products overflow are no NaN: the result's
+        # finiteness test is loud, on both sides of the crossover
         huge = MultFuncSpec.from_table({2: 1e300, 3: 1e300})
         for x in (100, c, 10 ** 6):
             with pytest.raises(CrossCheckError):
@@ -1248,6 +1263,10 @@ def test_non_finite_arguments_rejected(table_small):
             sieve.h_sum(h, bad, 1, table_small)
         with pytest.raises(InvalidInputError, match="t must lie"):
             sieve.values_upto(h, bad, 1, table_small)
+    # below 1: the message names the t passed, not int(t)
+    for call in (sieve.h_sum, sieve.values_upto):
+        with pytest.raises(InvalidInputError, match=r"t must lie in \[1, 10000\], got 0\.5$"):
+            call(h, 0.5, 1, table_small)
     # past the table on both routes: the recursion reads no values_upto
     for x in (10 ** 4 + 1, sieve._LOG_RECURSION + 0.5):
         with pytest.raises(InvalidInputError, match="t must lie"):
