@@ -132,24 +132,26 @@ def _cmd_sieve_verify(args) -> int:
     if args.report == "checks" and args.limit < CHECKS_MIN_LIMIT:
         raise InvalidInputError(f"--limit must be >= {CHECKS_MIN_LIMIT} in "
                                 f"checks mode, got {args.limit}")
-    table = sieve.build_table(args.limit, allow_large=args.allow_large)
     if args.report == "asymptotic":
+        # no table: --limit and --allow-large only bound t
+        sieve.check_limit(args.limit, args.allow_large)
         u_grid = _comma_list(args.u_grid, float, "--u-grid")
         rows = sieve.asymptotic_report(args.y, u_grid, args.q,
-                                       (args.chi0, args.chi1), table)
+                                       (args.chi0, args.chi1), limit=args.limit)
         _emit_grid(["y", "u", "exact", "predicted", "rel_error"],
                    [(r["y"], r["u"], r["exact"], r["predicted"], r["rel_error"])
                     for r in rows], args)
         return EXIT_OK
+    table = sieve.build_table(args.limit, allow_large=args.allow_large)
 
     rng = np.random.default_rng(args.seed)
     checks = []
 
     spec10 = sieve.MultFuncSpec.threshold(10, 2, -2)
     checks.append(("h_sum_y10_q1",
-                   sieve.h_sum(spec10, 10, 1, table) == 17.0))
+                   sieve.h_sum(spec10, 10, 1) == 17.0))
     checks.append(("h_sum_y10_q6",
-                   sieve.h_sum(spec10, 10, 6, table) == 5.0))
+                   sieve.h_sum(spec10, 10, 6) == 5.0))
 
     if args.samples < 1:
         raise InvalidInputError(f"--samples must be >= 1, got {args.samples}")

@@ -1,23 +1,27 @@
 """Brute-force laboratory for squarefree-supported multiplicative functions.
 
-Everything here is computed against a prime and squarefree table:
-threshold weights h (chi0 on primes up to a cutoff y, chi1 beyond),
+Threshold weights h (chi0 on primes up to a cutoff y, chi1 beyond),
 coefficient tables, Dirichlet convolutions and their Moebius
 inversions, the values up to t, the partial sums H(t), the log-weighted
 sums, the Euler product constant c(a), and the local factor of the
 auxiliary Euler product whose x^1 coefficient cancels identically.
+The values, the log-weighted sums, the convolutions and the positivity
+check read a prime and squarefree table (SieveTable); H(t) reads none.
 
 Convolution identities are evaluated in exact rational arithmetic
-(Fraction).  values_upto enumerates the values in float64; H(t) comes
-from sums over the primes by the prime-counting recursion, never from
-those values, and is exact for the integer-valued weights and sizes
-handled here (h_sum states the bound).  The same recursion carries the
-log-weighted sums from x = 5*10^4 on (log_weighted_sum states their
-bound); below that they are read off the values.
-"""
+(Fraction).  values_upto enumerates the values in float64.  H(t) needs
+no table: the prime-counting recursion runs from sums over the primes,
+which come from prime counts at the points floor(t/k), themselves from
+the same recursion seeded with the primes up to sqrt(t), so nothing is
+sieved up to t; it is exact for the integer-valued weights and sizes
+handled here (h_sum states the bound).  The recursion carries the
+log-weighted sums from x = 5*10^4 on, from running sums over the
+table's primes (log_weighted_sum states their bound); below that they
+are read off the values."""
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import math
 from dataclasses import dataclass, field
@@ -134,6 +138,19 @@ class SieveTable:
         return int(np.searchsorted(self.primes, x, side="right"))
 
 
+def check_limit(limit: int, allow_large: bool = False) -> None:
+    """The range check of build_table: 2 <= limit <= HARD_LIMIT, and
+    limit <= LARGE_LIMIT unless allow_large."""
+    if limit < 2:
+        raise InvalidInputError(f"limit must be >= 2, got {limit}")
+    if limit > HARD_LIMIT:
+        raise ResourceLimitError(
+            f"limit {limit} exceeds the hard cap {HARD_LIMIT}")
+    if limit > LARGE_LIMIT and not allow_large:
+        raise ResourceLimitError(
+            f"limit {limit} exceeds {LARGE_LIMIT}; pass allow_large=True")
+
+
 def build_table(limit: int, allow_large: bool = False) -> SieveTable:
     """Build the prime and squarefree tables up to limit.
 
@@ -143,14 +160,7 @@ def build_table(limit: int, allow_large: bool = False) -> SieveTable:
     limit+1 array.  At 2*10^8 the table holds 289 MB (200 MB of flags,
     89 MB of int64 primes) and building it peaks at 300 MB.
     """
-    if limit < 2:
-        raise InvalidInputError(f"limit must be >= 2, got {limit}")
-    if limit > HARD_LIMIT:
-        raise ResourceLimitError(
-            f"limit {limit} exceeds the hard cap {HARD_LIMIT}")
-    if limit > LARGE_LIMIT and not allow_large:
-        raise ResourceLimitError(
-            f"limit {limit} exceeds {LARGE_LIMIT}; pass allow_large=True")
+    check_limit(limit, allow_large)
     primes = primes_upto(limit)
     return SieveTable(limit=limit, squarefree=_squarefree_flags(limit, primes),
                       primes=primes)
@@ -219,6 +229,31 @@ class MultFuncSpec:
             return self.left.prime_values(ps) - self.right.prime_values(ps)
         raise InvalidInputError(f"unknown spec kind {self.kind!r}")
 
+    def _steps(self) -> tuple[list[int], list[float]]:
+        """(ys, cs), ys ascending: the value at a prime p that is no key of
+        a coefficient table is cs[j] for ys[j - 1] < p <= ys[j], and cs[-1]
+        above ys[-1], each as prime_values gives it."""
+        if self.kind == "threshold-weight":
+            return [self.y], [self.chi0, self.chi1]
+        if self.kind == "coefficient-table":
+            return [], [0.0]
+        if self.kind == "moebius-quotient":
+            (ly, lc), (ry, rc) = self.left._steps(), self.right._steps()
+            ys = sorted({*ly, *ry})
+            # a point of each interval: its right end, and one past the last y
+            ends = [*ys, ys[-1] + 1] if ys else [2]
+            return ys, [lc[bisect.bisect_left(ly, x)] - rc[bisect.bisect_left(ry, x)]
+                        for x in ends]
+        raise InvalidInputError(f"unknown spec kind {self.kind!r}")
+
+    def _keys(self) -> np.ndarray:
+        """The keys of the spec's coefficient tables, ascending (int64)."""
+        if self.kind == "coefficient-table":
+            return self.ps
+        if self.kind == "moebius-quotient":
+            return np.union1d(self.left._keys(), self.right._keys())
+        return np.empty(0, dtype=np.int64)
+
     def prime_value(self, p: int) -> float:
         return float(self.prime_values([p])[0])
 
@@ -250,9 +285,14 @@ def _coprimality_primes(q: int) -> list[int]:
     return list(prime_factors(q))
 
 
-def _checked_t(t: float, table: SieveTable) -> int:
-    if not (math.isfinite(t) and 1 <= int(t) <= table.limit):
-        raise InvalidInputError(f"t must lie in [1, {table.limit}], got {t}")
+def _checked_t(t: float, table: SieveTable | None) -> int:
+    """int(t) for t in [1, the table's limit]; with no table, t above
+    HARD_LIMIT raises ResourceLimitError."""
+    if table is None and math.isfinite(t) and int(t) > HARD_LIMIT:
+        raise ResourceLimitError(f"t = {t} exceeds the hard cap {HARD_LIMIT}")
+    limit = HARD_LIMIT if table is None else table.limit
+    if not (math.isfinite(t) and 1 <= int(t) <= limit):
+        raise InvalidInputError(f"t must lie in [1, {limit}], got {t}")
     return int(t)
 
 
@@ -294,23 +334,128 @@ def values_upto(spec: MultFuncSpec, t: float, q: int | None,
     return vals
 
 
-def _h_sums(spec: MultFuncSpec, ts: list[int], q: int | None,
-            table: SieveTable) -> list[float]:
-    """H(t) for each t of ts by the recursion of h_sum, from one array of
-    prime sums G up to max(ts)."""
+def _h_sums(spec: MultFuncSpec, ts: list[int], q: int | None) -> list[float]:
+    """H(t) for each t of ts by the recursion of h_sum, seeded with the
+    primes up to sqrt(max(ts))."""
     q_primes = _coprimality_primes(spec.q if q is None else q)
-    t_max = max(ts)
-    G, first_bad = _prime_sums(spec, table.prime_count(t_max), q_primes, table)
-    ws = spec.prime_values(table.primes[:table.prime_count(math.isqrt(t_max))])
-    return [math.nan if t >= first_bad
-            else 1.0 + _prime_recursion(t, table.primes, ws, G, q_primes)[0]
-            for t in ts]
+    seed = primes_upto(math.isqrt(max(ts)))
+    out = []
+    for t in ts:
+        V = _points(t)
+        ps = _upto_sqrt(seed, t)
+        srcs = _sources(V, ps)
+        G = _prime_value_sums(spec, V, _prime_counts(V, srcs), q_primes, seed)
+        out.append(math.nan if G is None else 1.0 + _prime_recursion(
+            V, srcs, ps, spec.prime_values(ps), G, q_primes)[0])
+    return out
 
 
-def _prime_sums(spec: MultFuncSpec, n: int, q_primes: list[int],
-                table: SieveTable, log_p: bool = False) -> tuple[np.ndarray, float]:
+def _upto_sqrt(seed: np.ndarray, t: int) -> np.ndarray:
+    return seed[:int(np.searchsorted(seed, math.isqrt(t), side="right"))]
+
+
+def _points(t: int) -> np.ndarray:
+    """V = (t // 1, ..., t // s, s, s - 1, ..., 1), s = isqrt(t): the
+    points floor(t/k) descending, so that the v >= p^2 are a prefix, and
+    u <= s at position 2 s - u."""
+    s = math.isqrt(t)
+    return np.concatenate((t // np.arange(1, s + 1), np.arange(s, 0, -1)))
+
+
+def _sources(V: np.ndarray, ps: np.ndarray) -> list[np.ndarray]:
+    """For each prime p of ps, all up to s = isqrt(t): the positions in V =
+    _points(t) of floor(v/p) for the v >= p^2, which are V[:n], n the
+    length."""
+    t, s = int(V[0]), V.size // 2
+    out = []
+    for p in ps.tolist():
+        # the v >= p^2 are t // k for k <= k_max and s, ..., p^2; u =
+        # floor(v / p) is t // (k p) at a = k p - 1 for k p <= s, and
+        # otherwise u <= s at a = 2 s - u
+        k_max = min(s, t // (p * p))
+        k_mid = min(k_max, s // p)
+        n = k_max + max(0, s - p * p + 1)
+        out.append(np.concatenate((np.arange(p - 1, k_mid * p, p),
+                                   2 * s - V[k_mid:n] // p)))
+    return out
+
+
+def _prime_counts(V: np.ndarray, srcs: list[np.ndarray]) -> np.ndarray:
+    """pi(v) at the points V = _points(t), srcs = _sources(V, the primes
+    up to sqrt(t)), by Lucy's form of the prime-counting recursion
+    (Lagarias, Miller and Odlyzko 1985; Deleglise and Rivat 1996).  S[v]
+    = v - 1 first; for the i-th prime p (i = 0, 1, ...), ascending, S[v]
+    -= S[floor(v/p)] - i for every v in V with v >= p^2, all right-hand
+    sides read before any write.  After the primes up to p, S[v] counts
+    the n in [2, v] that are prime or have no prime factor up to p: the
+    step removes the n = p m with m in [p, v/p] free of primes below p,
+    which S[floor(v/p)] counts together with the i primes below p.  Every
+    entry is a count up to t, so the int64 rows are exact.  Cost: about
+    t^(3/4) / log t vectorised updates, and no sieve up to t."""
+    S = V - 1
+    for i, src in enumerate(srcs):
+        S[:src.size] -= S[src] - i
+    return S
+
+
+def _prime_count(x: int, seed: np.ndarray) -> int:
+    """pi(x), seed holding the primes up to at least sqrt(x)."""
+    V = _points(x)
+    return int(_prime_counts(V, _sources(V, _upto_sqrt(seed, x)))[0])
+
+
+def _prime_mask(ns: np.ndarray, seed: np.ndarray) -> np.ndarray:
+    """Which of the ascending integers ns are prime, by trial division by
+    seed, the primes up to at least sqrt(max(ns))."""
+    mask = ns >= 2
+    for p in seed.tolist():
+        lo = int(np.searchsorted(ns, p * p))
+        if lo == ns.size:
+            break
+        mask[lo:] &= ns[lo:] % p != 0
+    return mask
+
+
+def _prime_value_sums(spec: MultFuncSpec, V: np.ndarray, pi: np.ndarray,
+                      q_primes: list[int], seed: np.ndarray) -> np.ndarray | None:
+    """G(v) of h_sum at the points V = _points(t) from pi = pi(V): the sum
+    of value(p) over the primes p <= v not dividing q, or None if value(p)
+    is NaN or infinite at such a p <= t.  seed holds the primes up to at
+    least sqrt(t).  The prime keys' sum comes first, then each interval's
+    value times its count of the other primes (see h_sum)."""
+    t = int(V[0])
+    keys = spec._keys()
+    keys = keys[:int(np.searchsorted(keys, t, side="right"))]
+    keys = keys[_prime_mask(keys, seed)]
+    G_keys, first_bad = _prime_sums(spec, keys, q_primes)
+    if t >= first_bad:
+        return None
+    G = G_keys[np.searchsorted(keys, V, side="right")]
+    q_apart = [p for p in q_primes if p not in keys]
+
+    def others(x, pi_x):
+        """pi(x) less the prime keys and the primes of q up to x."""
+        return (pi_x - np.searchsorted(keys, x, side="right")
+                - np.searchsorted(q_apart, x, side="right"))
+    count = others(V, pi)
+    below = 0
+    ys, cs = spec._steps()
+    for y, c in zip([*ys, t], cs):
+        upto = count if y >= t else np.minimum(count, others(y, _prime_count(y, seed)))
+        n = upto - below
+        if not math.isfinite(c):
+            if n[0]:                    # a prime up to t takes c
+                return None
+        else:
+            G += c * n
+        below = upto
+    return G
+
+
+def _prime_sums(spec: MultFuncSpec, ps: np.ndarray, q_primes: list[int],
+                log_p: bool = False) -> tuple[np.ndarray, float]:
     """(G, first_bad): G[i] the sum of the values at the first i primes
-    of the table, 0.0 at the primes of q, up to the first NaN or
+    of ps (ascending), 0.0 at the primes of q, up to the first NaN or
     infinite value, which is at the prime first_bad (inf if none).  With
     log_p, each value is first multiplied by log p: the sums GL of
     log_weighted_sum.
@@ -321,14 +466,15 @@ def _prime_sums(spec: MultFuncSpec, n: int, q_primes: list[int],
     prefix, so |G[i] - sum x[:i]| <= u |sum x[:i]| + gamma_(i-1)^2
     sum |x[:i]| (their Prop. 4.5), u = 2^-53.  It runs over _CHUNK
     primes at a time, carrying both running sums."""
+    n = ps.size
     G = np.empty(n + 1)
     G[0] = s_last = c_last = 0.0
     for lo in range(0, n, _CHUNK):
-        ps = table.primes[lo:min(lo + _CHUNK, n)]
-        x = spec.prime_values(ps)
-        x[np.isin(ps, q_primes)] = 0.0
+        chunk = ps[lo:lo + _CHUNK]
+        x = spec.prime_values(chunk)
+        x[np.isin(chunk, q_primes)] = 0.0
         if log_p:
-            x *= np.log(ps)
+            x *= np.log(chunk)
         bad = np.flatnonzero(~np.isfinite(x))
         if bad.size:
             x = x[:bad[0]]
@@ -349,65 +495,64 @@ def _prime_sums(spec: MultFuncSpec, n: int, q_primes: list[int],
         np.add(s, e, out=G[lo + 1:lo + 1 + x.size])
         s_last, c_last = run[-1], err[-1]
         if bad.size:
-            return G[:lo + 1 + x.size], int(ps[bad[0]])
+            return G[:lo + 1 + x.size], int(chunk[bad[0]])
     return G, math.inf
 
 
-def _prime_recursion(t: int, ps: np.ndarray, ws: np.ndarray, G: np.ndarray,
-                     q_primes: list[int], GL: np.ndarray | None = None) -> list[float]:
-    """[R_H[t]] of h_sum's recursion, and with GL (the prefix sums of
-    value(p) log p) [R_H[t], R_L[t]] of log_weighted_sum's: one pass over
-    the primes carries both rows.  Each row R holds R[v] at R[a] for the
-    points v = V[a] of V = (t // 1, ..., t // s, s, s - 1, ..., 1), s =
-    isqrt(t), descending, so the v >= p^2 are a prefix; ps are the primes
-    up to at least t, ws the values at those up to at least s and G
-    their prefix sums."""
-    s = math.isqrt(t)
-    V = np.concatenate((t // np.arange(1, s + 1), np.arange(s, 0, -1)))
-    at = np.searchsorted(ps, V, side="right")       # pi(v)
-    H = G[at]
+def _prime_recursion(V: np.ndarray, srcs: list[np.ndarray], ps: np.ndarray,
+                     ws: np.ndarray, G: np.ndarray, q_primes: list[int],
+                     GL: np.ndarray | None = None) -> list[float]:
+    """[R_H[t]] of h_sum's recursion, and with GL (the sums of value(p)
+    log p) [R_H[t], R_L[t]] of log_weighted_sum's: one pass over the
+    primes carries both rows.  Each row R holds R[v] at R[a] for the
+    points v = V[a] of V = _points(t); ps are the primes up to sqrt(t),
+    srcs their _sources, ws the values there, and G and GL the prime sums
+    at V."""
+    s = V.size // 2
+    H = G.copy()
     if GL is not None:
         log_v = np.log(V)
-        L = H * log_v - GL[at]
-    for i in range(int(np.searchsorted(ps, s, side="right")) - 1, -1, -1):
+        L = H * log_v - GL
+    for i in range(len(srcs) - 1, -1, -1):
         p = int(ps[i])
         if p in q_primes:
             continue
-        w, g = float(ws[i]), float(G[i + 1])
-        # the v >= p^2 are t // k for k <= k_max and s, ..., p^2; u =
-        # floor(v / p) is t // (k p) at a = k p - 1 for k p <= s, and
-        # otherwise u <= s at a = 2 s - u
-        k_max = min(s, t // (p * p))
-        k_mid = min(k_max, s // p)
-        n = k_max + max(0, s - p * p + 1)
-        src = np.concatenate((np.arange(p - 1, k_mid * p, p), 2 * s - V[k_mid:n] // p))
+        src = srcs[i]
+        n = src.size
+        w, g = float(ws[i]), float(G[2 * s - p])        # G(p)
         # every right-hand side reads the rows as they were before this p
         dH = H[src] - g
         H[:n] += w * dH
         if GL is None:
             continue
         pu = V[src] * p
-        L[:n] += w * ((L[src] - (g * log_v[src] - float(GL[i + 1])))
+        L[:n] += w * ((L[src] - (g * log_v[src] - float(GL[2 * s - p])))
                       + np.log1p((V[:n] - pu) / pu) * dH)
     return [float(H[0])] if GL is None else [float(H[0]), float(L[0])]
 
 
-def h_sum(spec: MultFuncSpec, t: float, q: int | None, table: SieveTable) -> float:
+def h_sum(spec: MultFuncSpec, t: float, q: int | None) -> float:
     """H(t): the sum of spec values over squarefree n <= t with (n, q) = 1.
 
-    No value at a composite n is formed.  With G(v) the sum of value(p)
-    over the primes p <= v not dividing q (a compensated running sum over
-    the table's primes, see _prime_sums), and R = G on V = {floor(t/k) :
-    k >= 1}, at most 2 sqrt(t) points, each prime p <= sqrt(t) not
-    dividing q, descending, makes R[v] += value(p) * (R[floor(v/p)] -
-    G(p)) for every v in V with v >= p^2, all right-hand sides read
-    before any write; then H(t) = 1 + R[t] (the recursion of prime
-    counting: Lagarias, Miller and Odlyzko 1985; Deleglise and Rivat
-    1996).  After the primes above p, R[v] is the sum over the n in
-    [2, v] that are primes or have all prime factors above p, since such
-    a composite is at least the square of its least prime; the step adds
-    the n = p m with m a prime above p or such a composite, m <= v/p.
-    Cost: O(pi(t)) for G and about t^(3/4) / log t vectorised updates.
+    No value at a composite n is formed, and nothing is sieved up to t.
+    With G(v) the sum of value(p) over the primes p <= v not dividing q,
+    and R = G on V = {floor(t/k) : k >= 1}, at most 2 sqrt(t) points, each
+    prime p <= sqrt(t) not dividing q, descending, makes R[v] += value(p)
+    * (R[floor(v/p)] - G(p)) for every v in V with v >= p^2, all
+    right-hand sides read before any write; then H(t) = 1 + R[t] (the
+    recursion of prime counting: Lagarias, Miller and Odlyzko 1985;
+    Deleglise and Rivat 1996).  After the primes above p, R[v] is the sum
+    over the n in [2, v] that are primes or have all prime factors above
+    p, since such a composite is at least the square of its least prime;
+    the step adds the n = p m with m a prime above p or such a composite,
+    m <= v/p.  G on V comes from pi on V (_prime_counts, the same
+    recursion on counts, seeded with the primes up to sqrt(t)): on each
+    interval of spec._steps() every prime that is no table key takes one
+    value c_j, so G(v) is G_K(v), the compensated sum over the prime keys
+    up to v (_prime_sums), plus fl(c_j n_j(v)) for each interval in turn,
+    n_j(v) the count of its primes up to v that are no key and do not
+    divide q (_prime_value_sums).  Cost: about t^(3/4) / log t vectorised
+    updates for pi and as many for R, plus the keys' sum.
 
     H~(t).  Both bounds below use H~(t), the same recursion run in exact
     arithmetic on |value(p)| with the subtraction made an addition.
@@ -422,38 +567,47 @@ def h_sum(spec: MultFuncSpec, t: float, q: int | None, table: SieveTable) -> flo
     the sum of |f(m) value(p)| over the squarefree m and primes p with
     m p <= t, both coprime to q.
 
-    Exactness.  Every exact intermediate (a G(v), an R[v], a difference,
-    a product, a step of _prime_sums) is a signed sum of some of the
-    terms that H~(t) - 1 adds up in absolute value, so it is at most
-    H~(t) - 1 in magnitude.  For integer values with H~(t) <= 2^53 they
-    are all integers that float64 holds, so every operation is exact and
-    the result is H(t) exactly: bit for bit the sum of
+    Exactness.  The counts are integers below t.  Every other exact
+    intermediate (a product c_j n_j(v) and each partial sum of a G(v), a
+    step of _prime_sums, an R[v], a difference, a product) is a signed
+    sum of some of the terms that H~(t) - 1 adds up in absolute value, so
+    it is at most H~(t) - 1 in magnitude.  For integer values with H~(t)
+    <= 2^53 they are all integers that float64 holds, so every operation
+    is exact and the result is H(t) exactly: bit for bit the sum of
     values_upto(spec, t, q, table)[:t + 1] in any order.
 
     Error.  For other values, if no product underflows and nothing
     overflows, |h_sum - H(t)| <= (e + (1 + e) gamma_D) H~(t), where H(t)
     is the exact sum of the exact products of the float values, u =
-    2^-53, gamma_n = n u / (1 - n u), e = u + gamma_N^2 with N = pi(t),
-    and D = 3 pi(sqrt(t)) + 1.  Proof.  Each float G(x) is within
-    u |G(x)| + gamma_N^2 G~(x) <= e G~(x) of the exact one (_prime_sums).
-    With the float G as inputs, each path of the computed R[t] carries
-    its own factor prod (1 + delta), |delta| <= u, one per rounding on
-    it: three (subtract, multiply, add) or one (add) per prime step, and
-    one for 1 + R[t], so the factor is 1 + theta with |theta| <= gamma_D
-    (Higham 2002, Lemma 3.1).  The result is then within gamma_D times
-    the sum of the paths' magnitudes, at most (1 + e) H~(t), of the exact
-    arithmetic on the float G, and that is within e (H~(t) - 1) of H(t),
-    each path moving by at most |value(p_1) ... value(p_j)| e G~(x).
-    This covers the cancellation in R[floor(v/p)] - G(p): the primes up
-    to p in both terms cancel in H(t) but carry their own rounding
-    factors, so H~(t) counts them twice.
+    2^-53, gamma_n = n u / (1 - n u), e = gamma_(m+1) + 2 gamma_N^2 with
+    m the number of intervals of spec._steps() and N the number of prime
+    keys up to t, and D = 3 pi(sqrt(t)) + 1.  Proof.  Each float G(x) is
+    within e G~(x) of the exact one: its m + 1 terms are added in order
+    from G_K, so fl(c_j n_j) carries its own rounding and at most m
+    additions, and G_K, within u |G_K| + gamma_N^2 G~_K of its exact sum
+    (_prime_sums), at most m additions, which gives at most
+    gamma_(m+1) times the sum of the |c_j| n_j(x) plus (gamma_m + (1 +
+    gamma_m) (u + gamma_N^2)) G~_K <= (gamma_(m+1) + 2 gamma_N^2) G~_K
+    (Higham 2002, Lemmas 3.1 and 3.3).  With the float G as inputs, each
+    path of the computed R[t] carries its own factor prod (1 + delta),
+    |delta| <= u, one per rounding on it: three (subtract, multiply, add)
+    or one (add) per prime step, and one for 1 + R[t], so the factor is
+    1 + theta with |theta| <= gamma_D (Higham 2002, Lemma 3.1).  The
+    result is then within gamma_D times the sum of the paths'
+    magnitudes, at most (1 + e) H~(t), of the exact arithmetic on the
+    float G, and that is within e (H~(t) - 1) of H(t), each path moving
+    by at most |value(p_1) ... value(p_j)| e G~(x).  This covers the
+    cancellation in R[floor(v/p)] - G(p): the primes up to p in both
+    terms cancel in H(t) but carry their own rounding factors, so H~(t)
+    counts them twice.
 
     Non-finite values.  If value(p) is NaN or +-inf at some prime p <= t
     not dividing q, some products of H(t) are infinite or undefined, and
-    h_sum returns NaN.  Values at primes above t or dividing q are never
-    read.
+    h_sum returns NaN.  Values at primes above t or dividing q, and at
+    table keys that are not prime, are never read.  t above HARD_LIMIT
+    raises ResourceLimitError.
     """
-    return _h_sums(spec, [_checked_t(t, table)], q, table)[0]
+    return _h_sums(spec, [_checked_t(t, None)], q)[0]
 
 
 def log_weighted_sum(spec: MultFuncSpec, x: float, q: int | None,
@@ -538,16 +692,19 @@ def log_weighted_sum(spec: MultFuncSpec, x: float, q: int | None,
         return _log_weighted_sum(values_upto(spec, int(x), q, table), x)
     m = _checked_t(x, table)
     q_primes = _coprimality_primes(spec.q if q is None else q)
-    n = table.prime_count(m)
-    G, first_bad = _prime_sums(spec, n, q_primes, table)
+    ps = table.primes[:table.prime_count(m)]
+    G, first_bad = _prime_sums(spec, ps, q_primes)
     if m >= first_bad:
         return math.nan
-    GL, first_bad = _prime_sums(spec, n, q_primes, table, log_p=True)
+    GL, first_bad = _prime_sums(spec, ps, q_primes, log_p=True)
     if m >= first_bad:
         raise CrossCheckError(
             f"log-weighted sum overflows: value(p) log p is infinite at p = {first_bad}")
-    ws = spec.prime_values(table.primes[:table.prime_count(math.isqrt(m))])
-    r_h, r_l = _prime_recursion(m, table.primes, ws, G, q_primes, GL)
+    V = _points(m)
+    at = np.searchsorted(ps, V, side="right")       # pi(v)
+    small = _upto_sqrt(ps, m)
+    r_h, r_l = _prime_recursion(V, _sources(V, small), small, spec.prime_values(small),
+                                G[at], q_primes, GL[at])
     total = math.log(m) + r_l + (1.0 + r_h) * math.log1p((x - m) / m)
     if not math.isfinite(total):
         raise CrossCheckError(f"log-weighted sum overflows: {total} from finite values")
@@ -653,43 +810,48 @@ def euler_constant_c_exact(a: int, truncation: int) -> Fraction:
 
 
 def asymptotic_report(y: int, u_grid: list[float], q: int,
-                      weights: tuple[float, float], table: SieveTable,
-                      c_truncation: int = 10 ** 6) -> list[dict]:
+                      weights: tuple[float, float], c_truncation: int = 10 ** 6,
+                      limit: int | None = None) -> list[dict]:
     """Exact H(y^u) against the mean-value prediction c(q)*sigma(u)*log(y)*y^u.
 
     Report-only: the error term of the asymptotic carries no rate, so the
     rows record the relative error without asserting a bound.  Each
-    exact H(y^u) is h_sum at t = y^u, bit for bit: the recursion over
-    {floor(t/k)} from one running sum G of the weights over the primes up
-    to the largest t of the grid, so the report holds the table, G and
-    O(sqrt(t)) entries, never a value at a composite n.  For integer
+    exact H(y^u) is h_sum at t = y^u, bit for bit: pi at the points
+    {floor(t/k)} and at y by Lucy's recursion, seeded with the primes up
+    to sqrt of the largest t of the grid, gives the weights' prime sums G
+    there, and the recursion of h_sum runs from them.  So the report
+    holds O(sqrt(t)) entries and sieves nothing up to t.  For integer
     weights every intermediate is an integer of magnitude below H~(t),
     the recursion run on |chi0|, |chi1| with the subtraction made an
     addition, so while H~(t) <= 2^53 the row is exact, and equal to the
     sum of the values in any order.  For other weights the row is within
     (e + (1 + e) gamma_D) H~(t) of the exact sum of the exact products,
-    e = 2^-53 + gamma_pi(t)^2 and D = 3 pi(sqrt(t)) + 1; see h_sum for
-    both proofs.
+    e = gamma_3 and D = 3 pi(sqrt(t)) + 1; see h_sum for both proofs.
+    With limit (the CLI's --limit), y^max(u) above it raises
+    InvalidInputError; t above HARD_LIMIT raises ResourceLimitError.
+    c(q) is truncated at c_truncation (euler_constant_c).
     """
     if y < 2:
         raise InvalidInputError(f"y must be >= 2, got {y}")
     if q < 1:
         raise InvalidInputError(f"q must be >= 1, got {q}")
+    if not u_grid:
+        raise InvalidInputError("the u grid is empty")
     bad_u = [u for u in u_grid if not u >= 0]
     if bad_u:
         raise InvalidInputError(
             f"u must be >= 0, got u = {bad_u[0]} in the grid {u_grid}")
     chi0, chi1 = weights
     u_max = max(u_grid)
-    if y ** u_max > table.limit:
+    if limit is not None and y ** u_max > limit:
         raise InvalidInputError(
-            f"y^max(u) = {y ** u_max:.0f} exceeds table limit {table.limit}")
+            f"y^max(u) = {y ** u_max:.0f} exceeds table limit {limit}")
+    ts = [_checked_t(y ** u, None) for u in u_grid]
     spec = MultFuncSpec.threshold(y, chi0, chi1, q=q)
     c_q, _ = euler_constant_c(q, c_truncation)
     sol = dde.solve(dde.DdeSpec(chi0, chi1), max(u_max, 1.0), 1e-4)
-    ts = [_checked_t(y ** u, table) for u in u_grid]
     rows = []
-    for u, t, exact in zip(u_grid, ts, _h_sums(spec, ts, q, table)):
+    for u, t, exact in zip(u_grid, ts, _h_sums(spec, ts, q)):
         sigma_u = sol.at(u) if u > 0 else 0.0
         predicted = c_q * sigma_u * math.log(y) * (y ** u)
         rel = abs(exact - predicted) / abs(predicted) if predicted != 0 else math.inf

@@ -1,12 +1,13 @@
 import dataclasses
 import hashlib
 import json
+import math
 import os
 
 import numpy as np
 import pytest
 
-from maasslab import cli, dde, ingest
+from maasslab import cli, dde, ingest, sieve
 
 
 def run_cli(capsys, *argv):
@@ -571,3 +572,38 @@ def test_sieve_verify_checks_limit_below_minimum_is_usage_error(capsys, limit):
     assert err == f"error: invalid-input: --limit must be >= 199 in checks mode, got {limit}\n"
     code, out, _ = run_cli(capsys, "sieve-verify", "--limit", "199", "--samples", "3")
     assert code == 0 and json.loads(out)["all_passed"]
+
+
+def test_asymptotic_report_sieves_nothing_up_to_t(capsys, monkeypatch):
+    # --limit 10^7 bounds t = 10^(4 * 1.75) and builds no table; the sieve
+    # runs only to sqrt(t), besides the one of euler_constant_c, which
+    # sieves to its truncation 10^6 whatever t is
+    calls, in_c = [], []
+    real_primes, real_c = sieve.primes_upto, sieve.euler_constant_c
+
+    def primes_spy(n):
+        calls.append((n, bool(in_c)))
+        return real_primes(n)
+
+    def c_spy(*args):
+        in_c.append(True)
+        try:
+            return real_c(*args)
+        finally:
+            in_c.pop()
+
+    def no_table(*args, **kwargs):
+        raise AssertionError("build_table called")
+
+    monkeypatch.setattr(sieve, "primes_upto", primes_spy)
+    monkeypatch.setattr(sieve, "euler_constant_c", c_spy)
+    monkeypatch.setattr(sieve, "build_table", no_table)
+    code, out, _ = run_cli(capsys, "sieve-verify", "--report", "asymptotic",
+                           "--limit", "10000000", "--y", "10000",
+                           "--u-grid", "0.5,1.0,1.5,1.75", "--q", "30")
+    assert code == 0 and len(out.splitlines()) == 6
+    t_max = int(10000 ** 1.75)
+    assert t_max > 9.9 * 10 ** 6
+    outside = [n for n, c in calls if not c]
+    assert outside and max(outside) <= math.isqrt(t_max), outside
+    assert [n for n, c in calls if c] == [10 ** 6]

@@ -76,8 +76,12 @@ def _gamma(n):
 
 
 def h_sum_error_bound(spec, t, q, table):
-    """(e + (1 + e) gamma_D) H~(t), the proven bound of the h_sum docstring."""
-    e = Fraction(1, 2 ** 53) + _gamma(table.prime_count(t)) ** 2
+    """(e + (1 + e) gamma_D) H~(t), the proven bound of the h_sum docstring:
+    e = gamma_(m+1) + 2 gamma_N^2, m intervals of spec._steps() and N prime
+    table keys up to t."""
+    m = len(spec._steps()[1])
+    n = int(np.isin(spec._keys(), table.primes[:table.prime_count(t)]).sum())
+    e = _gamma(m + 1) + 2 * _gamma(n) ** 2
     d = 3 * table.prime_count(math.isqrt(t)) + 1
     return (e + (1 + e) * _gamma(d)) * absolute_recursion(spec, t, q, table)
 
@@ -423,11 +427,11 @@ def test_from_table_sorted_read_only_arrays():
             MultFuncSpec.from_table(bad)
 
 
-def test_h_sum_hand_examples(table_small):
+def test_h_sum_hand_examples():
     spec = MultFuncSpec.threshold(10, 2, -2)
-    assert sieve.h_sum(spec, 10, 1, table_small) == 17.0
-    assert sieve.h_sum(spec, 10, 6, table_small) == 5.0
-    assert sieve.h_sum(spec, 1, 1, table_small) == 1.0
+    assert sieve.h_sum(spec, 10, 1) == 17.0
+    assert sieve.h_sum(spec, 10, 6) == 5.0
+    assert sieve.h_sum(spec, 1, 1) == 1.0
 
 
 def test_h_sum_against_recursive_oracle(table_small):
@@ -441,7 +445,7 @@ def test_h_sum_against_recursive_oracle(table_small):
         t = rng.randint(2, 2000)
         spec = MultFuncSpec.threshold(y, chi0, chi1)
         expected = recursive_h_sum(primes, t, q, spec.prime_value)
-        assert sieve.h_sum(spec, t, q, table_small) == pytest.approx(
+        assert sieve.h_sum(spec, t, q) == pytest.approx(
             expected, abs=1e-9)
 
 
@@ -460,9 +464,9 @@ def test_h_sum_edges_equal_array_sums(table_medium):
         for spec in specs:
             vals = sieve.values_upto(spec, max(_h_sum_edge_ts), q, table_medium)
             for t in _h_sum_edge_ts:
-                assert sieve.h_sum(spec, t, q, table_medium) == \
+                assert sieve.h_sum(spec, t, q) == \
                     float(np.sum(vals[:t + 1])), (spec, q, t)
-            assert sieve.h_sum(spec, 1, q, table_medium) == 1.0
+            assert sieve.h_sum(spec, 1, q) == 1.0
 
 
 _int_threshold_specs = st.builds(MultFuncSpec.threshold, st.integers(2, 10 ** 6),
@@ -478,7 +482,7 @@ _int_table_specs = st.dictionaries(
                  st.sampled_from(_h_sum_edge_ts)))
 def test_h_sum_property_integer_values_equal_array_sum(table_medium, spec, q, t):
     # integer sums below 2^53 are exact in any order
-    assert sieve.h_sum(spec, t, q, table_medium) == \
+    assert sieve.h_sum(spec, t, q) == \
         float(np.sum(sieve.values_upto(spec, t, q, table_medium)[:t + 1]))
 
 
@@ -493,32 +497,96 @@ def test_h_sum_property_quotient_matches_recursive_oracle(table_small, spec_orac
     scale = recursive_h_sum(primes, t, q, lambda p: abs(oracle(p)))
     tol = h_sum_error_bound(spec, t, q, table_small) \
         + _gamma(t + t.bit_length()) * Fraction(scale)
-    assert abs(Fraction(sieve.h_sum(spec, t, q, table_small)) - Fraction(expected)) <= tol
+    assert abs(Fraction(sieve.h_sum(spec, t, q)) - Fraction(expected)) <= tol
 
 
-def test_h_sum_non_finite_prime_values(table_small):
+def test_h_sum_non_finite_prime_values():
     ok = MultFuncSpec.from_table({2: -1.0, 3: 2.0})
     for bad in (math.nan, math.inf, -math.inf):
         # bad above y = 10: NaN once t reaches 11, even where no 0 * inf
         # arises (the values_upto sum gives +-inf there)
         spec = MultFuncSpec.threshold(10, 2, bad)
-        assert sieve.h_sum(spec, 10, 1, table_small) == 17.0
+        assert sieve.h_sum(spec, 10, 1) == 17.0
         for t in (11, 12, 43, 44, 1000):
-            assert math.isnan(sieve.h_sum(spec, t, 1, table_small)), (bad, t)
-        assert math.isnan(sieve.h_sum(MultFuncSpec.threshold(10, bad, -1), 2, 1,
-                                      table_small)), bad
+            assert math.isnan(sieve.h_sum(spec, t, 1)), (bad, t)
+        assert math.isnan(sieve.h_sum(MultFuncSpec.threshold(10, bad, -1), 2, 1)), bad
         # bad at p = 29: read from t = 29 on, never when 29 divides q
         spec = MultFuncSpec.from_table({2: -1.0, 3: 2.0, 29: bad})
-        assert sieve.h_sum(spec, 28, 1, table_small) == sieve.h_sum(ok, 28, 1, table_small)
+        assert sieve.h_sum(spec, 28, 1) == sieve.h_sum(ok, 28, 1)
         for t in (29, 57, 58, 1000):
-            assert math.isnan(sieve.h_sum(spec, t, 1, table_small)), (bad, t)
+            assert math.isnan(sieve.h_sum(spec, t, 1)), (bad, t)
         for q in (29, 2 * 29):
-            assert sieve.h_sum(spec, 1000, q, table_small) == \
-                sieve.h_sum(ok, 1000, q, table_small)
+            assert sieve.h_sum(spec, 1000, q) == \
+                sieve.h_sum(ok, 1000, q)
         # one call for several t: each t reads only the primes up to it
-        rows = sieve._h_sums(spec, [28, 1000, 3], 1, table_small)
-        assert rows[0] == sieve.h_sum(ok, 28, 1, table_small) and math.isnan(rows[1])
-        assert rows[2] == sieve.h_sum(ok, 3, 1, table_small)
+        rows = sieve._h_sums(spec, [28, 1000, 3], 1)
+        assert rows[0] == sieve.h_sum(ok, 28, 1) and math.isnan(rows[1])
+        assert rows[2] == sieve.h_sum(ok, 3, 1)
+
+
+def test_h_sum_table_keys_not_read():
+    # checked_coefficients tests no primality: composite keys, NaN ones
+    # too, are never read, nor a NaN at a prime above t or dividing q
+    ok = MultFuncSpec.from_table({2: -1.0, 3: 2.0, 7: 1.0})
+    odd = MultFuncSpec.from_table({1: math.nan, 2: -1.0, 3: 2.0, 4: 5.0, 7: 1.0,
+                                   9: math.nan, 91: 3.0, 29: math.nan,
+                                   10 ** 9 + 7: math.nan})
+    for t in (1, 4, 9, 28):
+        assert sieve.h_sum(odd, t, 1) == sieve.h_sum(ok, t, 1), t
+    for t in (29, 91, 1000):
+        assert math.isnan(sieve.h_sum(odd, t, 1)), t
+        assert sieve.h_sum(odd, t, 29 * 6) == sieve.h_sum(ok, t, 29 * 6), t
+    quotient = MultFuncSpec.moebius_quotient(odd, MultFuncSpec.threshold(5, 1, -1))
+    ref = MultFuncSpec.moebius_quotient(ok, MultFuncSpec.threshold(5, 1, -1))
+    assert sieve.h_sum(quotient, 28, 1) == sieve.h_sum(ref, 28, 1)
+
+
+# pi(10^k), k = 0..9 (OEIS A006880)
+_PI_POWERS_OF_TEN = [0, 4, 25, 168, 1229, 9592, 78498, 664579, 5761455, 50847534]
+
+
+def test_prime_counts_equal_sieve_counts():
+    ps = sieve.primes_upto(10 ** 7)
+    for t in (1, 2, 3, 4, 8, 9, 10, 24, 25, 26, 120, 121, 122, 997 * 997,
+              10 ** 6, 10 ** 7 - 1, 10 ** 7):
+        V = sieve._points(t)
+        if t < 10 ** 4:
+            assert set(V.tolist()) == {t // k for k in range(1, t + 1)}
+        pi = sieve._prime_counts(V, sieve._sources(V, sieve._upto_sqrt(ps, t)))
+        assert pi.tolist() == np.searchsorted(ps, V, side="right").tolist(), t
+    seed = sieve.primes_upto(math.isqrt(10 ** 9))
+    assert [sieve._prime_count(10 ** k, seed) for k in range(10)] == _PI_POWERS_OF_TEN
+
+
+def _squarefree_count(t):
+    """Q(t) = sum over d <= sqrt(t) of mu(d) floor(t / d^2)."""
+    r = math.isqrt(t)
+    mu = np.ones(r + 1, dtype=np.int64)
+    for p in sieve.primes_upto(r).tolist():
+        mu[p::p] *= -1
+        mu[p * p::p * p] = 0
+    d = np.arange(1, r + 1)
+    return int(np.sum(mu[1:] * (t // (d * d))))
+
+
+# M(10^k), k = 0..8: the Mertens function at powers of ten (OEIS A084237)
+_MERTENS_POWERS_OF_TEN = [1, -1, 1, 2, -23, -48, 212, 1037, 1928]
+
+
+def test_h_sum_past_any_table(table_large):
+    # chi0 = 1 at every prime up to y = t: H(t) counts the squarefree n
+    for t in (10 ** 7 + 1, 3 * 10 ** 7 + 7, 10 ** 8, sieve.HARD_LIMIT):
+        assert sieve.h_sum(MultFuncSpec.threshold(t, 1, -1), t, 1) == \
+            _squarefree_count(t), t
+    # chi0 = -1: H(t) is the Mertens function, against the sums of
+    # values_upto up to 10^7
+    mu = sieve.values_upto(MultFuncSpec.threshold(10 ** 7, -1, 1), 10 ** 7, 1,
+                           table_large)
+    for k, want in enumerate(_MERTENS_POWERS_OF_TEN):
+        t = 10 ** k
+        assert sieve.h_sum(MultFuncSpec.threshold(max(t, 2), -1, 1), t, 1) == want, k
+        if k <= 7:
+            assert float(np.sum(mu[:t + 1])) == want, k
 
 
 def test_prime_sums_within_sum2_bound(table_medium, monkeypatch):
@@ -530,7 +598,7 @@ def test_prime_sums_within_sum2_bound(table_medium, monkeypatch):
     x = np.where(rng.random(len(ps)) < 0.1, 1.3, -0.7) * rng.choice([1.0, 3.0, 1e-3], len(ps))
     x[[1, 5]] = 0.0                                     # the primes of q = 3 * 13
     spec = MultFuncSpec.from_table(dict(zip(ps, x.tolist())))
-    got, first_bad = sieve._prime_sums(spec, len(ps), [3, 13], table_medium)
+    got, first_bad = sieve._prime_sums(spec, table_medium.primes, [3, 13])
     assert first_bad == math.inf and got.size == len(ps) + 1
     exact = [Fraction(0), *itertools.accumulate(map(Fraction, x.tolist()))]
     total = [Fraction(0), *itertools.accumulate(map(Fraction, np.abs(x).tolist()))]
@@ -541,7 +609,7 @@ def test_prime_sums_within_sum2_bound(table_medium, monkeypatch):
         assert abs(Fraction(got[i]) - exact[i]) <= u * abs(exact[i]) + \
             _gamma(i) ** 2 * total[i], i
     monkeypatch.setattr(sieve, "_CHUNK", 7)
-    assert sieve._prime_sums(spec, len(ps), [3, 13], table_medium)[0].tobytes() == \
+    assert sieve._prime_sums(spec, table_medium.primes, [3, 13])[0].tobytes() == \
         got.tobytes()
     # a NaN or infinite value ends G before its prime, also as a chunk's
     # first entry
@@ -550,7 +618,7 @@ def test_prime_sums_within_sum2_bound(table_medium, monkeypatch):
             y = x.copy()
             y[i] = bad
             spec = MultFuncSpec.from_table(dict(zip(ps[:40], y[:40].tolist())))
-            G, first_bad = sieve._prime_sums(spec, 40, [3, 13], table_medium)
+            G, first_bad = sieve._prime_sums(spec, table_medium.primes[:40], [3, 13])
             assert first_bad == ps[i] and G.tobytes() == got[:i + 1].tobytes(), (i, bad)
 
 
@@ -739,7 +807,7 @@ def test_log_weighted_sum_non_finite_prime_values(table_small, table_medium):
                     sieve.log_weighted_sum(ok, x, 1, table_medium), (bad, x)
             for x in (50021, 50021.5, 10 ** 6):
                 assert math.isnan(sieve.log_weighted_sum(spec, x, 1, table_medium)), (bad, x)
-                assert math.isnan(sieve.h_sum(spec, x, 1, table_medium)), (bad, x)
+                assert math.isnan(sieve.h_sum(spec, x, 1)), (bad, x)
                 assert sieve.log_weighted_sum(spec, x, 50021, table_medium) == \
                     sieve.log_weighted_sum(ok, x, 50021, table_medium), (bad, x)
         # finite values whose products overflow are no NaN: the result's
@@ -875,10 +943,9 @@ def test_euler_constant_rejects_bad_args():
         sieve.euler_constant_c(1, 100)
 
 
-def test_asymptotic_report_trend(table_medium):
-    rows_1000 = sieve.asymptotic_report(1000, [0.5, 1.0, 1.5], 1, (2.0, -2.0),
-                                        table_medium)
-    rows_100 = sieve.asymptotic_report(100, [1.5], 1, (2.0, -2.0), table_medium)
+def test_asymptotic_report_trend():
+    rows_1000 = sieve.asymptotic_report(1000, [0.5, 1.0, 1.5], 1, (2.0, -2.0))
+    rows_100 = sieve.asymptotic_report(100, [1.5], 1, (2.0, -2.0))
     for r in rows_1000 + rows_100:
         assert math.isfinite(r["rel_error"])
     err_100 = rows_100[0]["rel_error"]
@@ -886,18 +953,18 @@ def test_asymptotic_report_trend(table_medium):
     assert err_1000 < err_100
 
 
-def test_asymptotic_report_rows_equal_h_sum(table_medium):
+def test_asymptotic_report_rows_equal_h_sum():
     # one fill at the largest t serves every row, bit for bit
     for y, weights, q in ((1000, (2.0, -2.0), 1), (997, (1.5, -0.75), 30),
                           (50, (1.3, -2.7), 6)):
         grid = [0.0, 0.5, 1.0, 1.25, 1.9] if y < 100 else [0.5, 1.0, 1.9]
-        rows = sieve.asymptotic_report(y, grid, q, weights, table_medium)
+        rows = sieve.asymptotic_report(y, grid, q, weights)
         spec = MultFuncSpec.threshold(y, *weights)
         assert [r["exact"] for r in rows] == [
-            sieve.h_sum(spec, y ** u, q, table_medium) for u in grid]
+            sieve.h_sum(spec, y ** u, q) for u in grid]
     for grid, bad in (([-0.5, 1.0], "-0.5"), ([1.0, float("nan")], "nan")):
         with pytest.raises(InvalidInputError, match=f"u = {bad} in the grid"):
-            sieve.asymptotic_report(100, grid, 1, (2.0, -2.0), table_medium)
+            sieve.asymptotic_report(100, grid, 1, (2.0, -2.0))
 
 
 def _u_landing_on(y, t):
@@ -921,7 +988,7 @@ def test_asymptotic_report_integer_rows_equal_array_sums(table_medium):
     y = 997
     grid = [_u_landing_on(y, t) for t in _edge_ts]
     for weights, q in (((2.0, -2.0), 1), ((3.0, -1.0), 30), ((1.0, -3.0), 7)):
-        rows = sieve.asymptotic_report(y, grid, q, weights, table_medium)
+        rows = sieve.asymptotic_report(y, grid, q, weights)
         spec = MultFuncSpec.threshold(y, *weights)
         vals = sieve.values_upto(spec, 10 ** 6, q, table_medium)
         assert [r["exact"] for r in rows] == [
@@ -934,7 +1001,7 @@ def test_asymptotic_report_rows_within_gamma_n_of_exact_sum(table_medium):
     y = 997
     grid = [_u_landing_on(y, t) for t in _edge_ts]
     for weights, q in (((1.3, -0.7), 1), ((1.1, -2.9), 30)):
-        rows = sieve.asymptotic_report(y, grid, q, weights, table_medium)
+        rows = sieve.asymptotic_report(y, grid, q, weights)
         spec = MultFuncSpec.threshold(y, *weights)
         vals = sieve.values_upto(spec, 10 ** 6, q, table_medium)
         for t, row in zip(_edge_ts, rows):
@@ -942,7 +1009,7 @@ def test_asymptotic_report_rows_within_gamma_n_of_exact_sum(table_medium):
             gamma = n * 2.0 ** -53 / (1 - n * 2.0 ** -53)
             exact = math.fsum(vals[:n].tolist())
             assert abs(row["exact"] - exact) <= gamma * float(np.sum(np.abs(vals[:n])))
-            assert row["exact"] == sieve.h_sum(spec, t, q, table_medium), t
+            assert row["exact"] == sieve.h_sum(spec, t, q), t
             # the proven bound of h_sum, against the exact sum of the
             # exact products
             err = Fraction(row["exact"]) - exact_threshold_sum(y, *weights, t, q,
@@ -950,32 +1017,39 @@ def test_asymptotic_report_rows_within_gamma_n_of_exact_sum(table_medium):
             assert abs(err) <= h_sum_error_bound(spec, t, q, table_medium), t
 
 
-def test_asymptotic_report_holds_no_value_array(table_large):
-    # t = 10^(4 * 1.8) = 1.58 * 10^7: the values up to t take 127 MB, the
-    # report one block and the values at the primes
+def test_asymptotic_report_holds_no_value_array():
+    # t = 10^(4 * 1.8) = 1.58 * 10^7: the values up to t take 127 MB and a
+    # table up to t 24 MB; the report holds neither.  Its traced peak read
+    # 3.07 MiB (numpy 2, CPython 3), set by the sieve to 10^6 of
+    # euler_constant_c; the recursion at t alone peaked at 1.85 MiB
     tracemalloc.start()
     try:
         rows = sieve.asymptotic_report(10 ** 4, [0.5, 1.0, 1.5, 1.8], 30,
-                                       (2.0, -2.0), table_large)
+                                       (2.0, -2.0))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert int(10 ** (4 * 1.8)) > 1.58e7
     assert [r["exact"] for r in rows] == [53.0, 8253.0, 368387.0, 395645.0]
-    assert peak < 32 * 2 ** 20, peak / 2 ** 20
+    assert peak < 4 * 2 ** 20, peak / 2 ** 20
 
 
-def test_asymptotic_positive_increasing_below_one(table_medium):
+def test_asymptotic_positive_increasing_below_one():
     spec = MultFuncSpec.threshold(1000, 2, -2)
-    values = [sieve.h_sum(spec, 1000 ** u, 1, table_medium)
+    values = [sieve.h_sum(spec, 1000 ** u, 1)
               for u in (0.25, 0.5, 0.75, 1.0)]
     assert all(v > 0 for v in values)
     assert values == sorted(values)
 
 
-def test_asymptotic_report_range_error(table_small):
-    with pytest.raises(InvalidInputError):
-        sieve.asymptotic_report(1000, [2.0], 1, (2.0, -2.0), table_small)
+def test_asymptotic_report_range_error():
+    with pytest.raises(InvalidInputError, match="exceeds table limit 10000$"):
+        sieve.asymptotic_report(1000, [2.0], 1, (2.0, -2.0), limit=10 ** 4)
+    with pytest.raises(ResourceLimitError, match="hard cap"):
+        sieve.asymptotic_report(10 ** 4, [0.5, 2.1], 1, (2.0, -2.0))
+    # an empty grid is no bare ValueError from max()
+    with pytest.raises(InvalidInputError, match="u grid is empty"):
+        sieve.asymptotic_report(10, [], 1, (2, -2))
 
 
 def _exceptional_below_convolution(table, y, seed):
@@ -1260,13 +1334,17 @@ def test_non_finite_arguments_rejected(table_small):
         with pytest.raises(InvalidInputError, match="x must be finite"):
             sieve.log_weighted_sum(h, bad, 1, table_small)
         with pytest.raises(InvalidInputError, match="t must lie"):
-            sieve.h_sum(h, bad, 1, table_small)
+            sieve.h_sum(h, bad, 1)
         with pytest.raises(InvalidInputError, match="t must lie"):
             sieve.values_upto(h, bad, 1, table_small)
     # below 1: the message names the t passed, not int(t)
-    for call in (sieve.h_sum, sieve.values_upto):
-        with pytest.raises(InvalidInputError, match=r"t must lie in \[1, 10000\], got 0\.5$"):
-            call(h, 0.5, 1, table_small)
+    with pytest.raises(InvalidInputError, match=r"t must lie in \[1, 10000\], got 0\.5$"):
+        sieve.values_upto(h, 0.5, 1, table_small)
+    with pytest.raises(InvalidInputError, match=r"t must lie in \[1, 200000000\], got 0\.5$"):
+        sieve.h_sum(h, 0.5, 1)
+    # h_sum reads no table: only the hard cap bounds t
+    with pytest.raises(ResourceLimitError, match="hard cap"):
+        sieve.h_sum(h, sieve.HARD_LIMIT + 1, 1)
     # past the table on both routes: the recursion reads no values_upto
     for x in (10 ** 4 + 1, sieve._LOG_RECURSION + 0.5):
         with pytest.raises(InvalidInputError, match="t must lie"):
@@ -1303,9 +1381,9 @@ def test_local_factor_envelope_bound():
             assert abs(c2) <= 5 * Fraction(a_bound) ** 2
 
 
-def test_multfuncspec_coprimality_default(table_small):
+def test_multfuncspec_coprimality_default():
     spec = MultFuncSpec.threshold(10, 2, -2, q=6)
-    assert sieve.h_sum(spec, 10, None, table_small) == 5.0
+    assert sieve.h_sum(spec, 10, None) == 5.0
 
 
 @given(st.sampled_from([2, 3, 5, 7]), st.sampled_from([11, 13, 17, 19]))
