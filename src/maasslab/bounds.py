@@ -138,7 +138,6 @@ class ExponentDetail:
     zero: float                 # numeric first zero of the weight pair's DDE
     u_used: float               # value of 1/exponent actually exported
     exponent: float             # rounded up at the 6th decimal
-    closed_form_zero: float | None = None
 
 
 def _round_up_6(x: float) -> float:
@@ -162,14 +161,13 @@ def exponent_detail(num_forms: int) -> ExponentDetail:
         raise InvalidInputError(f"num_forms must be 2 or 3, got {num_forms}")
     spec = dde.DdeSpec(*_WEIGHTS[num_forms])
     zero = dde.first_zero(spec, tol=1e-8, initial_step=1e-4)
-    closed = dde.closed_form_first_zero(spec)
     if num_forms == 2:
         u_used = math.floor(zero * 1e5) / 1e5
     else:
         u_used = zero
     exponent = _round_up_6(1.0 / u_used)
     return ExponentDetail(num_forms=num_forms, zero=zero, u_used=u_used,
-                          exponent=exponent, closed_form_zero=closed)
+                          exponent=exponent)
 
 
 def least_prime_exponent(num_forms: int) -> float:

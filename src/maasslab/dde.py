@@ -19,7 +19,7 @@ stored previous segment.  Breakpoints at integers are respected exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,7 +64,6 @@ class PiecewiseSolution:
     spec: DdeSpec
     grid_step: float
     segments: list[np.ndarray]     # segment k holds sigma at k + j*grid_step
-    first_zero: float | None = field(default=None)
 
     def at(self, u: float) -> float:
         """Evaluate sigma(u) by cubic interpolation on the stored grid."""
@@ -108,16 +107,13 @@ def _eval_cubic(segments: list[np.ndarray], h: float, u: float) -> float:
 
 
 def _midpoints(seg: np.ndarray) -> np.ndarray:
-    """Cubic interpolation at half-grid points of a uniform segment."""
-    n = seg.size - 1
-    mid = np.empty(n)
-    if n >= 3:
-        mid[1:-1] = (-seg[:-3] + 9.0 * seg[1:-2] + 9.0 * seg[2:-1] - seg[3:]) / 16.0
-        # one-sided cubics at the ends
-        mid[0] = (5.0 * seg[0] + 15.0 * seg[1] - 5.0 * seg[2] + seg[3]) / 16.0
-        mid[-1] = (seg[-4] - 5.0 * seg[-3] + 15.0 * seg[-2] + 5.0 * seg[-1]) / 16.0
-    else:
-        mid[:] = 0.5 * (seg[:-1] + seg[1:])
+    """Cubic interpolation at half-grid points of a uniform segment of at
+    least 4 nodes (_grid_size gives 101 or more)."""
+    mid = np.empty(seg.size - 1)
+    mid[1:-1] = (-seg[:-3] + 9.0 * seg[1:-2] + 9.0 * seg[2:-1] - seg[3:]) / 16.0
+    # one-sided cubics at the ends
+    mid[0] = (5.0 * seg[0] + 15.0 * seg[1] - 5.0 * seg[2] + seg[3]) / 16.0
+    mid[-1] = (seg[-4] - 5.0 * seg[-3] + 15.0 * seg[-2] + 5.0 * seg[-1]) / 16.0
     return mid
 
 
@@ -166,11 +162,11 @@ def _segments(spec: DdeSpec, n: int, count: int):
 
 def _grid_size(name: str, step: float) -> int:
     """Nodes per unit interval: the step snapped to 1/n, so that integer
-    breakpoints are grid nodes."""
+    breakpoints are grid nodes; n >= 1/STEP_MAX = 100."""
     if not STEP_MIN <= step <= STEP_MAX:
         raise InvalidInputError(
             f"{name} must lie in [{STEP_MIN}, {STEP_MAX}], got {step}")
-    return max(int(round(1.0 / step)), 2)
+    return int(round(1.0 / step))
 
 
 def solve(spec: DdeSpec, u_max: float, step: float) -> PiecewiseSolution:
@@ -181,15 +177,8 @@ def solve(spec: DdeSpec, u_max: float, step: float) -> PiecewiseSolution:
     """
     count = _checked_end("u_max", u_max)
     n = _grid_size("step", step)
-    h = 1.0 / n
-    segments: list[np.ndarray] = []
-    zero = None
-    for seg in _segments(spec, n, count):
-        segments.append(seg)
-        if zero is None:
-            zero = _zero_in_last(segments, h)
-    return PiecewiseSolution(spec=spec, grid_step=h, segments=segments,
-                             first_zero=zero)
+    return PiecewiseSolution(spec=spec, grid_step=1.0 / n,
+                             segments=list(_segments(spec, n, count)))
 
 
 def _bisect(f, lo: float, hi: float) -> float:
@@ -214,7 +203,8 @@ def _zero_in_last(segments: list[np.ndarray], h: float) -> float | None:
     """First sign change among the grid nodes of the last segment k >= 1,
     refined by bisection; None when its nodes keep one sign.  The
     bisection reads only segment k and, at u = k, the end of segment
-    k - 1, so later segments cannot move the zero."""
+    k - 1, so later segments cannot move the zero: it is the zero of a
+    scan of the whole grid (the tests' locate_zero_reference)."""
     k = len(segments) - 1
     if k == 0:
         return None
@@ -235,9 +225,10 @@ def first_zero(spec: DdeSpec, tol: float = DEFAULT_FIRST_ZERO_TOL,
     two estimates differ by less than tol; NotConvergedError is raised
     when the next halving would take the step below STEP_MIN first.
     Each solve integrates one unit segment at a time and stops at the
-    first segment whose nodes change sign: the zero is the one solve()
-    finds on the whole grid up to u_cap, to the last bit.  The grid up
-    to u_cap must still fit NODE_LIMIT.
+    first segment whose nodes change sign: the zero is, to the last bit,
+    the one a scan of the whole grid up to u_cap finds (the tests'
+    full-grid reference ladder).  The grid up to u_cap must still fit
+    NODE_LIMIT.
     """
     if not 1e-9 <= tol < math.inf:
         raise InvalidInputError(f"tol must be finite and >= 1e-9, got {tol}")
@@ -285,7 +276,8 @@ def analytic_segment(spec: DdeSpec, u: float) -> float:
     exponents 0 and 1, and on (2, 3] as well via one further exact
     integration (dilogarithm terms).
 
-    Serves as an independent oracle for the numeric integrator.
+    An independent oracle for the numeric integrator: no production
+    route calls it.
     """
     e0 = spec.initial_exponent
     kappa = spec.delay_coefficient
@@ -324,7 +316,7 @@ def analytic_segment(spec: DdeSpec, u: float) -> float:
 
 
 def closed_form_first_zero(spec: DdeSpec) -> float:
-    """First zero of the closed-form segments, found by bisection on (1, 3]."""
+    """First zero of the closed-form segments by bisection on (1, 3]: an oracle."""
     grid = np.linspace(1.0, 3.0, 4001).tolist()
     fa = analytic_segment(spec, grid[0])
     for a, b in zip(grid[:-1], grid[1:]):

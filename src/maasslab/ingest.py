@@ -250,7 +250,7 @@ def validate(record: CoeffRecord) -> list[Finding]:
     non_finite = ~not_prime & ~np.isfinite(lams)
     ramified = ~not_prime & ~non_finite & (record.level % ps == 0)
     above = ~not_prime & ~non_finite & ~ramified
-    envelope, _ = satake.kim_sarnak_envelope(ps[above])
+    envelope = satake.kim_sarnak_envelope(ps[above])
     above[above] = np.abs(lams[above]) > envelope + 1e-12
     for i in np.flatnonzero(not_prime | non_finite | ramified | above).tolist():
         p = int(ps[i])
@@ -264,7 +264,7 @@ def validate(record: CoeffRecord) -> list[Finding]:
             findings.append(Finding("info", "ramified", p,
                                     f"p = {p} divides the level; excluded from scans"))
         else:
-            bound, _ = satake.kim_sarnak_envelope(p)
+            bound = satake.kim_sarnak_envelope(p)
             findings.append(Finding(
                 "error", "envelope", p,
                 f"|a_p| = {abs(float(lams[i]))} exceeds the bound {bound} at p = {p}"))

@@ -210,17 +210,14 @@ def is_ramanujan_local(s: SatakeLocal) -> bool:
 
 
 def kim_sarnak_envelope(p):
-    """Envelope pair (bound on |lambda|, bound on |A|) at p.
+    """Bound p^{7/64} + p^{-7/64} on |lambda| at p.
 
-    First component p^{7/64} + p^{-7/64}; second p^{7/32} + p^{-7/32} + 1,
-    which is exactly (first)^2 - 1.  p is an int or an int array; an
-    array gives a pair of float64 arrays.
+    p is an int or an int array; an array gives a float64 array.  The
+    bound on |A| is its square minus 1, p^{7/32} + p^{-7/32} + 1.
     """
     if not np.issubdtype(np.asarray(p).dtype, np.integer) or np.any(p < 2):
         raise InvalidInputError(f"p must be a prime >= 2, got {p!r}")
-    lam_bound = p ** KIM_SARNAK_NU + p ** (-KIM_SARNAK_NU)
-    a_bound = p ** (2 * KIM_SARNAK_NU) + p ** (-2 * KIM_SARNAK_NU) + 1.0
-    return lam_bound, a_bound
+    return p ** KIM_SARNAK_NU + p ** (-KIM_SARNAK_NU)
 
 
 def sato_tate_angles(rng: np.random.Generator, count: int) -> np.ndarray:

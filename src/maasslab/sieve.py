@@ -26,6 +26,7 @@ import heapq
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from typing import Mapping
 
 import numpy as np
@@ -37,6 +38,7 @@ from .errors import (CrossCheckError, InvalidInputError, PreconditionError,
 LARGE_LIMIT = 10 ** 7      # table limits above this need allow_large=True
 HARD_LIMIT = 2 * 10 ** 8
 TRIAL_LIMIT = 10 ** 7      # largest trial divisor prime_factors tries
+C_TRUNCATION = 10 ** 6     # truncation of c(q) in asymptotic_report
 _CHUNK = 2 ** 16           # primes per chunk of the running prime sums of
                            # h_sum and log_weighted_sum
 _LOG_RECURSION = 5 * 10 ** 4   # x from which log_weighted_sum takes the prime sums;
@@ -759,6 +761,7 @@ def moebius_factor(b: MultFuncSpec, h: MultFuncSpec, n: int,
     return MultFuncSpec.moebius_quotient(b, h).value_exact(n, table)
 
 
+@lru_cache(maxsize=None)
 def euler_constant_c(a: int, truncation: int) -> tuple[float, float]:
     """Truncated Euler product c(a) and a bound on its log tail.
 
@@ -775,6 +778,8 @@ def euler_constant_c(a: int, truncation: int) -> tuple[float, float]:
     9/32 > 2.  Summing over the omitted primes p > T, a subset of the
     integers n > T: sum_{n > T} 3/n^2 < 3 * integral_T^inf dx/x^2 = 3/T,
     since 1/n^2 < integral_{n-1}^n dx/x^2.
+
+    Memoised: a second call with the same (a, truncation) sieves nothing.
     """
     if a < 1:
         raise InvalidInputError(f"a must be >= 1, got {a}")
@@ -810,7 +815,7 @@ def euler_constant_c_exact(a: int, truncation: int) -> Fraction:
 
 
 def asymptotic_report(y: int, u_grid: list[float], q: int,
-                      weights: tuple[float, float], c_truncation: int = 10 ** 6,
+                      weights: tuple[float, float],
                       limit: int | None = None) -> list[dict]:
     """Exact H(y^u) against the mean-value prediction c(q)*sigma(u)*log(y)*y^u.
 
@@ -829,7 +834,7 @@ def asymptotic_report(y: int, u_grid: list[float], q: int,
     e = gamma_3 and D = 3 pi(sqrt(t)) + 1; see h_sum for both proofs.
     With limit (the CLI's --limit), y^max(u) above it raises
     InvalidInputError; t above HARD_LIMIT raises ResourceLimitError.
-    c(q) is truncated at c_truncation (euler_constant_c).
+    c(q) is truncated at C_TRUNCATION (euler_constant_c).
     """
     if y < 2:
         raise InvalidInputError(f"y must be >= 2, got {y}")
@@ -848,7 +853,7 @@ def asymptotic_report(y: int, u_grid: list[float], q: int,
             f"y^max(u) = {y ** u_max:.0f} exceeds table limit {limit}")
     ts = [_checked_t(y ** u, None) for u in u_grid]
     spec = MultFuncSpec.threshold(y, chi0, chi1, q=q)
-    c_q, _ = euler_constant_c(q, c_truncation)
+    c_q, _ = euler_constant_c(q, C_TRUNCATION)
     sol = dde.solve(dde.DdeSpec(chi0, chi1), max(u_max, 1.0), 1e-4)
     rows = []
     for u, t, exact in zip(u_grid, ts, _h_sums(spec, ts, q)):

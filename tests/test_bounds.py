@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from maasslab import bounds
+from maasslab import bounds, dde
 from maasslab.bounds import FormMeta
 from maasslab.errors import InvalidInputError
 
@@ -71,7 +71,19 @@ def test_three_form_exponent_near_published_value():
 def test_three_form_exponent_closed_form_cross_check():
     det = bounds.exponent_detail(3)
     assert abs(det.zero - math.exp(0.25)) < 1e-6
-    assert abs(det.closed_form_zero - math.exp(0.25)) < 1e-9
+
+
+@pytest.mark.parametrize("m,weights", [(2, (2.0, -2.0)), (3, (1.0, -3.0))])
+def test_exponent_zero_matches_closed_form(m, weights):
+    # the closed form is the oracle of the numeric zero the bound uses
+    det = bounds.exponent_detail(m)
+    closed = dde.closed_form_first_zero(dde.DdeSpec(*weights))
+    assert abs(det.zero - closed) < 1e-8
+    assert det.exponent * closed >= 1.0      # the exponent is valid at the oracle's zero
+    if m == 2:                               # U truncated at the 5th decimal
+        assert det.u_used <= closed
+    else:                                    # U is the numeric zero, 2 ulp above
+        assert det.u_used == det.zero and det.u_used - closed < 1e-15
 
 
 def test_exponent_times_u_is_valid_upper_bound():

@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from maasslab import cli, dde, ingest, sieve
+from maasslab import bounds, cli, dde, ingest, sieve
 
 
 def run_cli(capsys, *argv):
@@ -110,6 +110,30 @@ def test_bound_payload(capsys):
     assert doc["exponent"] == 0.447374
     assert doc["implied_constant"] == "unspecified"
     assert doc["U_used"] == 2.23527
+
+
+def test_bound_evaluates_no_closed_form(capsys, monkeypatch):
+    # the closed forms are the tests' oracle: bound takes its zero from
+    # first_zero alone
+    bounds.exponent_detail.cache_clear()
+    specs = []
+    real_first_zero = dde.first_zero
+
+    def first_zero_spy(spec, *args, **kwargs):
+        specs.append(spec)
+        return real_first_zero(spec, *args, **kwargs)
+
+    def oracle(*args):
+        raise AssertionError("closed form evaluated")
+
+    monkeypatch.setattr(dde, "first_zero", first_zero_spy)
+    monkeypatch.setattr(dde, "closed_form_first_zero", oracle)
+    monkeypatch.setattr(dde, "analytic_segment", oracle)
+    for levels, spectral in (("5,7", "2.13,5.44"), ("5,7,11", "2.13,5.44,9.5")):
+        code, out, _ = run_cli(capsys, "bound", "--levels", levels,
+                               "--spectral", spectral)
+        assert code == 0 and json.loads(out)["exponent"] in (0.447374, 0.778801)
+    assert specs == [dde.DdeSpec(2.0, -2.0), dde.DdeSpec(1.0, -3.0)]
 
 
 def test_solve_dde_csv_output(capsys):
@@ -580,6 +604,7 @@ def test_asymptotic_report_sieves_nothing_up_to_t(capsys, monkeypatch):
     # sieves to its truncation 10^6 whatever t is
     calls, in_c = [], []
     real_primes, real_c = sieve.primes_upto, sieve.euler_constant_c
+    real_c.cache_clear()           # memoised: an earlier c(30) would sieve nothing
 
     def primes_spy(n):
         calls.append((n, bool(in_c)))

@@ -161,8 +161,8 @@ def test_first_zero_kappa_two():
 
 
 def test_first_zero_step_halving_stability():
-    a = dde.solve(TWO_FORM, 3.0, 1e-5).first_zero
-    b = dde.solve(TWO_FORM, 3.0, 5e-6).first_zero
+    a, b = (locate_zero_reference(sol.segments, sol.grid_step)
+            for sol in (dde.solve(TWO_FORM, 3.0, 1e-5), dde.solve(TWO_FORM, 3.0, 5e-6)))
     assert abs(a - b) < 1e-8
 
 
@@ -170,7 +170,7 @@ def test_sigma2_positive_before_zero():
     sol = dde.solve(TWO_FORM, 2.5, 1e-4)
     us = np.arange(0.01, 2.235, 0.01)
     assert all(sol.at(float(u)) > 0 for u in us)
-    assert sol.first_zero > 2.235
+    assert locate_zero_reference(sol.segments, sol.grid_step) > 2.235
 
 
 def test_exponent_reciprocal_brackets():
@@ -222,6 +222,19 @@ def test_nodes_stream_monotone():
 # oracle: integrate every segment up to u_cap, then scan all of them for
 # the first sign change; walk every node in order.
 
+def midpoints_reference(seg):
+    """Cubic interpolation at the half-grid points, one-sided at the ends;
+    linear below 4 nodes."""
+    n = seg.size - 1
+    if n < 3:
+        return 0.5 * (seg[:-1] + seg[1:])
+    mid = np.empty(n)
+    mid[1:-1] = (-seg[:-3] + 9.0 * seg[1:-2] + 9.0 * seg[2:-1] - seg[3:]) / 16.0
+    mid[0] = (5.0 * seg[0] + 15.0 * seg[1] - 5.0 * seg[2] + seg[3]) / 16.0
+    mid[-1] = (seg[-4] - 5.0 * seg[-3] + 15.0 * seg[-2] + 5.0 * seg[-1]) / 16.0
+    return mid
+
+
 def solve_reference(spec, u_max, step):
     """Segments and grid step of the one-pass method-of-steps loop."""
     n = max(int(round(1.0 / step)), 2)
@@ -235,7 +248,7 @@ def solve_reference(spec, u_max, step):
         prev = segments[k - 1]
         us = k + np.arange(n + 1) * h
         g_nodes = -kappa * prev / us ** (e0 + 1.0)
-        g_mid = -kappa * dde._midpoints(prev) / (us[:-1] + 0.5 * h) ** (e0 + 1.0)
+        g_mid = -kappa * midpoints_reference(prev) / (us[:-1] + 0.5 * h) ** (e0 + 1.0)
         incr = (h / 6.0) * (g_nodes[:-1] + 4.0 * g_mid + g_nodes[1:])
         f = np.empty(n + 1)
         f[0] = prev[-1] / float(k) ** e0
@@ -300,9 +313,13 @@ def test_solve_bytes_match_reference(spec, u_max, step):
     assert sol.grid_step == h and len(sol.segments) == len(segments)
     for got, want in zip(sol.segments, segments):
         assert got.tobytes() == want.tobytes()
+    # first_zero's per-segment search finds the full-grid scan's zero
+    zeros = (dde._zero_in_last(sol.segments[:k + 1], h)
+             for k in range(1, len(sol.segments)))
+    got_zero = next((z for z in zeros if z is not None), None)
     want_zero = locate_zero_reference(segments, h)
-    assert (sol.first_zero is None and want_zero is None) or \
-        float.hex(sol.first_zero) == float.hex(want_zero)
+    assert (got_zero is None and want_zero is None) or \
+        float.hex(got_zero) == float.hex(want_zero)
     assert [(float.hex(u), float.hex(v)) for u, v in sol.nodes()] == \
         [(float.hex(u), float.hex(v)) for u, v in nodes_reference(sol)]
 

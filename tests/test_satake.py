@@ -97,19 +97,23 @@ def test_is_ramanujan_false_forces_large_coeffs():
 
 
 def test_kim_sarnak_envelope_values():
-    lam_b, a_b = satake.kim_sarnak_envelope(2)
+    lam_b = satake.kim_sarnak_envelope(2)
     assert lam_b == pytest.approx(2 ** (7 / 64) + 2 ** (-7 / 64), abs=1e-14)
+    a_b = 2 ** (7 / 32) + 2 ** (-7 / 32) + 1.0    # E(p), the bound on |A|
     assert a_b == pytest.approx(lam_b * lam_b - 1.0, abs=1e-12)
+    ps = np.array([2, 3, 101])
+    assert satake.kim_sarnak_envelope(ps).tolist() == \
+        [satake.kim_sarnak_envelope(p) for p in ps.tolist()]
 
 
 def test_kim_sarnak_envelope_monotone():
-    vals = [satake.kim_sarnak_envelope(p)[0] for p in (2, 3, 5, 101, 10007)]
+    vals = [satake.kim_sarnak_envelope(p) for p in (2, 3, 5, 101, 10007)]
     assert vals == sorted(vals)
     assert vals[-1] > vals[0]
 
 
 def test_tempered_respects_envelope():
-    lam_b, _ = satake.kim_sarnak_envelope(2)
+    lam_b = satake.kim_sarnak_envelope(2)
     assert abs(SatakeLocal.from_angle(2, 0.3).lam) <= 2.0 <= lam_b
 
 
