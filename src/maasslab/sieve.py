@@ -26,7 +26,6 @@ import heapq
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from typing import Mapping
 
 import numpy as np
@@ -761,7 +760,6 @@ def moebius_factor(b: MultFuncSpec, h: MultFuncSpec, n: int,
     return MultFuncSpec.moebius_quotient(b, h).value_exact(n, table)
 
 
-@lru_cache(maxsize=None)
 def euler_constant_c(a: int, truncation: int) -> tuple[float, float]:
     """Truncated Euler product c(a) and a bound on its log tail.
 
@@ -778,8 +776,6 @@ def euler_constant_c(a: int, truncation: int) -> tuple[float, float]:
     9/32 > 2.  Summing over the omitted primes p > T, a subset of the
     integers n > T: sum_{n > T} 3/n^2 < 3 * integral_T^inf dx/x^2 = 3/T,
     since 1/n^2 < integral_{n-1}^n dx/x^2.
-
-    Memoised: a second call with the same (a, truncation) sieves nothing.
     """
     if a < 1:
         raise InvalidInputError(f"a must be >= 1, got {a}")

@@ -604,7 +604,6 @@ def test_asymptotic_report_sieves_nothing_up_to_t(capsys, monkeypatch):
     # sieves to its truncation 10^6 whatever t is
     calls, in_c = [], []
     real_primes, real_c = sieve.primes_upto, sieve.euler_constant_c
-    real_c.cache_clear()           # memoised: an earlier c(30) would sieve nothing
 
     def primes_spy(n):
         calls.append((n, bool(in_c)))

@@ -1022,7 +1022,6 @@ def test_asymptotic_report_holds_no_value_array():
     # table up to t 24 MB; the report holds neither.  Its traced peak read
     # 3.07 MiB (numpy 2, CPython 3), set by the sieve to 10^6 of
     # euler_constant_c; the recursion at t alone peaked at 1.85 MiB
-    sieve.euler_constant_c.cache_clear()      # the peak counts that sieve
     tracemalloc.start()
     try:
         rows = sieve.asymptotic_report(10 ** 4, [0.5, 1.0, 1.5, 1.8], 30,
@@ -1033,21 +1032,6 @@ def test_asymptotic_report_holds_no_value_array():
     assert int(10 ** (4 * 1.8)) > 1.58e7
     assert [r["exact"] for r in rows] == [53.0, 8253.0, 368387.0, 395645.0]
     assert peak < 4 * 2 ** 20, peak / 2 ** 20
-
-
-def test_asymptotic_report_sieves_c_once_per_q(monkeypatch):
-    # c(q) is memoised: a second report at the same q does not sieve to
-    # C_TRUNCATION again
-    sieve.euler_constant_c.cache_clear()
-    calls = []
-    real_primes = sieve.primes_upto
-    monkeypatch.setattr(sieve, "primes_upto",
-                        lambda n: calls.append(n) or real_primes(n))
-    first = sieve.asymptotic_report(1000, [0.5, 1.0], 30, (2.0, -2.0))
-    second = sieve.asymptotic_report(1000, [0.5, 1.0, 1.5], 30, (2.0, -2.0))
-    assert calls.count(sieve.C_TRUNCATION) == 1 and sieve.C_TRUNCATION == 10 ** 6
-    assert [float.hex(r["predicted"]) for r in first] == \
-        [float.hex(r["predicted"]) for r in second[:2]]
 
 
 def test_asymptotic_positive_increasing_below_one():
