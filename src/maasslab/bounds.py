@@ -13,7 +13,6 @@ import math
 import numbers
 import sys
 from dataclasses import dataclass, field, fields
-from functools import lru_cache
 
 import numpy as np
 
@@ -145,7 +144,6 @@ def _round_up_6(x: float) -> float:
     return math.ceil(x * 1e6 - 1e-9) / 1e6
 
 
-@lru_cache(maxsize=None)
 def exponent_detail(num_forms: int) -> ExponentDetail:
     """Exponent derivation for 2 or 3 forms.
 

@@ -31,6 +31,9 @@ RAMANUJAN_GUARD = 1e-9
 TWO_FORM_THRESHOLD = 44 ** 2
 
 REMARK_VARIANT_NOTE = "conditional: rests on an unestablished zero-free region"
+# FormFamily's hypothesis, which every scan report records
+DISTINCT_RP_ASSUMPTION = ("pairwise distinct Ramanujan-exceptional prime sets "
+                          "(asserted, not verified from data)")
 
 
 @dataclass
@@ -39,12 +42,12 @@ class FormFamily:
 
     The pairwise-distinctness hypothesis (no two members share their
     Ramanujan-exceptional prime set) cannot be decided from finite data;
-    it is carried as a recorded assumption.  Labelled members must carry
-    distinct labels: one form listed twice is not a family of two.
+    every scan report records it as DISTINCT_RP_ASSUMPTION.  Labelled
+    members must carry distinct labels: one form listed twice is not a
+    family of two.
     """
 
     members: list[FormMeta]
-    distinct_rp_assumed: bool = True
 
     def __post_init__(self):
         if len(self.members) < 2:
@@ -57,13 +60,6 @@ class FormFamily:
     @property
     def m(self) -> int:
         return len(self.members)
-
-    def assumptions(self) -> list[str]:
-        out = []
-        if self.distinct_rp_assumed:
-            out.append("pairwise distinct Ramanujan-exceptional prime sets "
-                       "(asserted, not verified from data)")
-        return out
 
 
 @dataclass
@@ -211,7 +207,7 @@ def exceptional_scan(family: FormFamily, X: int) -> DensityReport:
         running_mean_U=float(np.sum(u_vals)) / n if n else float("nan"),
         implied_upper=exceptional.size / n if n else 0.0,
         theory_bound=1.0 / (26 + 9 * family.m),
-        assumptions=family.assumptions(),
+        assumptions=[DISTINCT_RP_ASSUMPTION],
         exceptional_primes=primes[exceptional].tolist())
 
 

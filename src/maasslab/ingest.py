@@ -9,19 +9,26 @@ fall back to the local cache when the network is down.
 A record's JSON text has one route, CoeffRecord.json_pieces (joined:
 to_json_text), byte for byte json.dumps of the reference to_json_dict.
 The canonical cache is one such document per record, written piece by
-piece and atomically (temp file + rename).  write_cache and read_cache
-keep a derived `.npz` index beside it (ps, lams, a metadata header, the
-sha256 of the JSON bytes and the span [start, stop) of the bytes that
-equal the canonical text of the coefficient list, or no span when the
-file holds no such bytes, as an indented file does), loaded with
-allow_pickle=False when that hash matches; a missing, stale, malformed
-or span-less index is rebuilt from the JSON.  A record read from the
-cache remembers its file, digest and span: json_pieces copies the span
-from the file when the file still has that digest and the record still
-has the arrays it was read with, and formats the arrays otherwise.
-fetch leaves a fixture's cache file alone when it already holds the
-generated record, and returns a record it writes with the span of the
-file just written, so that its coefficient text is formatted once.
+piece and atomically (temp file + rename) by _write_cache, the only
+writer of cache files.  It writes a derived `.npz` index beside it: ps,
+lams, a metadata header, the sha256 of the JSON bytes and the span
+[start, stop) of the bytes that are the canonical text of the
+coefficient list, known from the pieces it wrote.  read_cache loads the
+index with allow_pickle=False when that hash matches and the span lies
+within the file.  Otherwise (no index, or a stale, malformed or
+span-less one) it parses and checks the JSON file and, when the file
+holds the label asked for, rewrites it through _write_cache: an
+unsorted, indented, integer-text or older file becomes the canonical
+document of the same record, unknown keys dropped, and the next read
+takes the index.  Where the cache cannot be written (a read-only
+directory), the record is returned without a span and formats the same
+bytes.  A record read from the cache remembers its file, digest and
+span: json_pieces copies the span from the file when the file still has
+that digest and the record still has the arrays it was read with, and
+formats the arrays otherwise.  fetch leaves a fixture's cache file alone
+when it already holds the generated record, and returns a record it
+writes with the span of the file just written, so that its coefficient
+text is formatted once.
 validate reports a non-finite a_p as an error.
 """
 
@@ -171,27 +178,8 @@ def _coefficient_pieces(ps: np.ndarray, lams: np.ndarray):
     yield "]]"
 
 
-def _find_span(raw: bytes, record: CoeffRecord) -> tuple[int, int] | None:
-    """[start, stop) of bytes in raw equal to the record's canonical
-    coefficient text, or None.  The text is rendered piece by piece and
-    compared in place, and rendering stops at the first mismatch."""
-    pieces = (piece.encode() for piece in _coefficient_pieces(record.ps, record.lams))
-    first = next(pieces) + next(pieces, b"")    # "[[" and the first pairs
-    start = raw.find(first)
-    if start < 0:
-        return None
-    stop = start + len(first)
-    for data in pieces:
-        if not raw.startswith(data, stop):
-            return None
-        stop += len(data)
-    return start, stop
-
-
 def _with_span(record: CoeffRecord, path: Path, digest: str,
-               span: tuple[int, int] | None) -> CoeffRecord:
-    if span is None:
-        return record
+               span: tuple[int, int]) -> CoeffRecord:
     return replace(record, _json_span=_JsonSpan(path, digest, *span,
                                                  record.ps, record.lams))
 
@@ -374,9 +362,9 @@ _INDEX_FIELDS = ("label", "level", "spectral_parameter", "fetched_at", "source")
 def _read_index(path: Path, digest: str) -> CoeffRecord | None:
     """The record in the index at path, with the span of the JSON file
     beside it, or None unless the index exists, was made from the JSON
-    bytes with this sha256 and is well formed (an index of earlier
-    versions, which has no span, is not, nor is one whose span does not
-    lie within the JSON file)."""
+    bytes with this sha256 and is well formed (an index without a span,
+    as earlier versions wrote, is not, nor is one whose span does not lie
+    within the JSON file)."""
     json_path = path.with_name(path.name.removesuffix(".npz") + ".json")
     try:
         with np.load(path, allow_pickle=False) as npz:
@@ -385,10 +373,10 @@ def _read_index(path: Path, digest: str) -> CoeffRecord | None:
             ps, lams, header = npz["ps"], npz["lams"], str(npz["header"])
             span = npz["span"]
         if (ps.dtype != np.int64 or lams.dtype != np.float64
-                or span.dtype != np.int64 or span.shape not in ((0,), (2,))):
+                or span.dtype != np.int64 or span.shape != (2,)):
             return None
-        span = tuple(span.tolist()) or None
-        if span is not None and not 0 <= span[0] <= span[1] <= json_path.stat().st_size:
+        span = tuple(span.tolist())
+        if not 0 <= span[0] <= span[1] <= json_path.stat().st_size:
             return None
         # the header passes the JSON route's own field checks
         doc = {**json.loads(header), "schema": SCHEMA_VERSION, "coefficients": []}
@@ -400,12 +388,12 @@ def _read_index(path: Path, digest: str) -> CoeffRecord | None:
 
 
 def _write_index(path: Path, digest: str, record: CoeffRecord,
-                 span: tuple[int, int] | None) -> None:
+                 span: tuple[int, int]) -> None:
     header = json.dumps({name: getattr(record, name) for name in _INDEX_FIELDS})
     with contextlib.suppress(OSError):     # no index: the next read rebuilds it
         _replace_atomically(path, "wb", lambda fh: np.savez(
             fh, json_sha256=digest, header=header, ps=record.ps, lams=record.lams,
-            span=np.array(span or (), dtype=np.int64)))
+            span=np.array(span, dtype=np.int64)))
 
 
 def read_cache(label: str, cache_dir=None) -> CoeffRecord | None:
@@ -416,19 +404,19 @@ def read_cache(label: str, cache_dir=None) -> CoeffRecord | None:
         return None
     raw = path.read_bytes()
     digest = hashlib.sha256(raw).hexdigest()
-    index = _index_path(path)
-    record = _read_index(index, digest)
+    record = _read_index(_index_path(path), digest)
     if record is None:
         try:
             doc = json.loads(raw)
         except ValueError as exc:   # not JSON, or not UTF-8/16/32 text
             raise CacheParseError(f"cache file is not valid JSON: {exc}") from exc
         record = _record_from_json_dict(doc)
-        del doc         # the parsed pairs go before the span is rendered
+        del doc, raw    # the parsed pairs and the bytes go before the write
         if record.label == label:
-            span = _find_span(raw, record)
-            _write_index(index, digest, record, span)
-            record = _with_span(record, path, digest, span)
+            try:        # the canonical file and its index, so the next read copies
+                return _write_cache(record, cache_dir)
+            except OSError:     # a read-only cache: the record formats the same bytes
+                return record
     if record.label != label:
         raise CacheParseError(f"cache file {path.name} holds label "
                               f"{record.label!r}, not {label!r}", field="label")

@@ -335,22 +335,6 @@ def values_upto(spec: MultFuncSpec, t: float, q: int | None,
     return vals
 
 
-def _h_sums(spec: MultFuncSpec, ts: list[int], q: int | None) -> list[float]:
-    """H(t) for each t of ts by the recursion of h_sum, seeded with the
-    primes up to sqrt(max(ts))."""
-    q_primes = _coprimality_primes(spec.q if q is None else q)
-    seed = primes_upto(math.isqrt(max(ts)))
-    out = []
-    for t in ts:
-        V = _points(t)
-        ps = _upto_sqrt(seed, t)
-        srcs = _sources(V, ps)
-        G = _prime_value_sums(spec, V, _prime_counts(V, srcs), q_primes, seed)
-        out.append(math.nan if G is None else 1.0 + _prime_recursion(
-            V, srcs, ps, spec.prime_values(ps), G, q_primes)[0])
-    return out
-
-
 def _upto_sqrt(seed: np.ndarray, t: int) -> np.ndarray:
     return seed[:int(np.searchsorted(seed, math.isqrt(t), side="right"))]
 
@@ -608,7 +592,15 @@ def h_sum(spec: MultFuncSpec, t: float, q: int | None) -> float:
     table keys that are not prime, are never read.  t above HARD_LIMIT
     raises ResourceLimitError.
     """
-    return _h_sums(spec, [_checked_t(t, None)], q)[0]
+    t = _checked_t(t, None)
+    q_primes = _coprimality_primes(spec.q if q is None else q)
+    ps = primes_upto(math.isqrt(t))
+    V = _points(t)
+    srcs = _sources(V, ps)
+    G = _prime_value_sums(spec, V, _prime_counts(V, srcs), q_primes, ps)
+    if G is None:
+        return math.nan
+    return 1.0 + _prime_recursion(V, srcs, ps, spec.prime_values(ps), G, q_primes)[0]
 
 
 def log_weighted_sum(spec: MultFuncSpec, x: float, q: int | None,
@@ -817,11 +809,11 @@ def asymptotic_report(y: int, u_grid: list[float], q: int,
 
     Report-only: the error term of the asymptotic carries no rate, so the
     rows record the relative error without asserting a bound.  Each
-    exact H(y^u) is h_sum at t = y^u, bit for bit: pi at the points
-    {floor(t/k)} and at y by Lucy's recursion, seeded with the primes up
-    to sqrt of the largest t of the grid, gives the weights' prime sums G
-    there, and the recursion of h_sum runs from them.  So the report
-    holds O(sqrt(t)) entries and sieves nothing up to t.  For integer
+    exact H(y^u) is one call of h_sum at t = y^u: each row sieves the
+    primes up to sqrt(t), pi at the points {floor(t/k)} and at y by
+    Lucy's recursion gives the weights' prime sums G there, and the
+    recursion of h_sum runs from them.  So a row holds O(sqrt(t)) entries
+    and sieves nothing above sqrt(t).  For integer
     weights every intermediate is an integer of magnitude below H~(t),
     the recursion run on |chi0|, |chi1| with the subtraction made an
     addition, so while H~(t) <= 2^53 the row is exact, and equal to the
@@ -852,7 +844,8 @@ def asymptotic_report(y: int, u_grid: list[float], q: int,
     c_q, _ = euler_constant_c(q, C_TRUNCATION)
     sol = dde.solve(dde.DdeSpec(chi0, chi1), max(u_max, 1.0), 1e-4)
     rows = []
-    for u, t, exact in zip(u_grid, ts, _h_sums(spec, ts, q)):
+    for u, t in zip(u_grid, ts):
+        exact = h_sum(spec, t, q)
         sigma_u = sol.at(u) if u > 0 else 0.0
         predicted = c_q * sigma_u * math.log(y) * (y ** u)
         rel = abs(exact - predicted) / abs(predicted) if predicted != 0 else math.inf

@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from maasslab import bounds, cli, dde, ingest, sieve
+from maasslab import cli, dde, ingest, sieve
 
 
 def run_cli(capsys, *argv):
@@ -115,7 +115,6 @@ def test_bound_payload(capsys):
 def test_bound_evaluates_no_closed_form(capsys, monkeypatch):
     # the closed forms are the tests' oracle: bound takes its zero from
     # first_zero alone
-    bounds.exponent_detail.cache_clear()
     specs = []
     real_first_zero = dde.first_zero
 

@@ -297,7 +297,9 @@ def test_family_assumption_recorded():
     ps = sieve.primes_upto(100)
     fam = _family_from_eigenvalues(
         [_tempered_stream(ps, 1), _tempered_stream(ps, 2)])
-    assert any("distinct" in a for a in fam.assumptions())
+    report = density.exceptional_scan(fam, 100)
+    assert report.assumptions == [density.DISTINCT_RP_ASSUMPTION]
+    assert "distinct" in density.DISTINCT_RP_ASSUMPTION
 
 
 def test_family_rejects_members_sharing_a_label():

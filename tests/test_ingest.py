@@ -506,7 +506,7 @@ def _saved(save, *args, **kwargs):
 def _index(digest, header, **arrays):
     # well formed but for what arrays overrides, so each case meets its own check
     arrays = {"ps": np.array([2, 3]), "lams": np.array([0.1, 0.2]),
-              "span": np.zeros(0, np.int64), **arrays}
+              "span": np.array([0, 4]), **arrays}
     return _saved(np.savez, json_sha256=digest, header=header, **arrays)
 
 
@@ -533,6 +533,7 @@ def _span(*bounds, dtype=np.int64):
     lambda good, digest, header: _saved(np.save, np.array([2, 3])),
     lambda good, digest, header: _saved(np.savez, json_sha256=digest, header=header,
                                         ps=np.array([2, 3]), lams=np.array([0.1, 0.2])),
+    _span(),
     _span(0.0, 4.0, dtype=np.float64),
     _span(0, 4, 8),
     _span(-1, 4),
@@ -540,7 +541,7 @@ def _span(*bounds, dtype=np.int64):
     _span(0, 10 ** 6),
 ], ids=["garbage", "empty", "half", "last-byte", "crc", "object-dtype", "int32",
         "unordered", "header-list", "header-bool", "no-arrays", "npy",
-        "no-span", "span-float", "span-3", "span-negative", "span-reversed",
+        "no-span", "span-less", "span-float", "span-3", "span-negative", "span-reversed",
         "span-past-end"])
 def test_bad_index_falls_back_to_json(tmp_path, monkeypatch, corrupt):
     rec, _, index = _indexed_fixture(tmp_path, monkeypatch)
@@ -686,7 +687,7 @@ def _span_record(values=()):
 
 def _dumped(doc, **kwargs):
     return lambda rec, cache_dir: ingest._cache_path(rec.label, cache_dir).write_text(
-        json.dumps(doc(rec), sort_keys=True, **kwargs))
+        json.dumps(doc(rec), **kwargs))
 
 
 def _with_integer_a_p(rec):
@@ -702,25 +703,54 @@ def _edit_digit(rec):
     path.write_text(text[:i] + "7" + text[i + 1:])
 
 
-@pytest.mark.parametrize("write, values, spans", [
-    (lambda rec, cache_dir: ingest.write_cache(rec, cache_dir), (), True),
-    (_dumped(CoeffRecord.to_json_dict, indent=2), (), False),
-    (_dumped(_with_integer_a_p), (), False),
-    (_dumped(CoeffRecord.to_json_dict), (1e16, -0.0, np.nan, np.inf, -np.inf), True),
-], ids=["canonical", "indented", "integer-a_p", "special-floats"])
-def test_span_route_output_is_the_reference_dump(tmp_path, monkeypatch, write,
-                                                 values, spans):
-    # several pieces, so that a file can match the first and not a later one
+@pytest.mark.parametrize("write, values", [
+    (lambda rec, cache_dir: ingest.write_cache(rec, cache_dir), ()),
+    (_dumped(CoeffRecord.to_json_dict), ()),
+    (_dumped(CoeffRecord.to_json_dict, sort_keys=True, indent=2), ()),
+    (_dumped(_with_integer_a_p, sort_keys=True), ()),
+    (_dumped(CoeffRecord.to_json_dict, sort_keys=True),
+     (1e16, -0.0, np.nan, np.inf, -np.inf)),
+], ids=["canonical", "unsorted", "indented", "integer-a_p", "special-floats"])
+def test_span_route_output_is_the_reference_dump(tmp_path, monkeypatch, write, values):
+    # several pieces, so that the span is the sum of their lengths; the
+    # unsorted file is the benchmark's layout
     monkeypatch.setattr(ingest, "JSON_CHUNK", 16)
     written = _span_record(values)
     write(written, tmp_path)
     for route in ("json", "index"):
         rec = ingest.read_cache(written.label, tmp_path)
-        assert (rec._json_span is not None) == spans, route
+        want = json.dumps(rec.to_json_dict(), sort_keys=True)
+        # the first read leaves the canonical file and an index with a span
+        assert rec._json_span is not None, route
+        assert rec._json_span.path.read_text() == want, route
         with monkeypatch.context() as patch:
             reprs = _float_reprs(patch)
-            assert rec.to_json_text() == json.dumps(rec.to_json_dict(), sort_keys=True)
-        assert bool(reprs) != spans, route
+            assert rec.to_json_text() == want
+        assert reprs == [], route
+
+
+def test_read_only_cache_reads_without_a_span(tmp_path, monkeypatch):
+    # a read-only directory refuses the temp file; tmp_path may belong to
+    # root, for whom file modes do not, so the refusal is simulated
+    monkeypatch.delenv(ingest.ENDPOINT_ENV, raising=False)
+    written = _span_record()
+    for cache_dir in (tmp_path / "rw", tmp_path / "ro"):
+        cache_dir.mkdir()
+        _dumped(CoeffRecord.to_json_dict, indent=2)(written, cache_dir)
+    want = ingest.read_cache(written.label, tmp_path / "rw").to_json_text()
+    pinned = (tmp_path / "ro" / "span-form.json").read_bytes()
+
+    def refuse(*_, **__):
+        raise PermissionError(13, "Permission denied")
+    monkeypatch.setattr(ingest.tempfile, "mkstemp", refuse)
+    for _ in range(2):
+        rec = ingest.read_cache(written.label, tmp_path / "ro")
+        assert rec == written and rec._json_span is None
+        assert rec.to_json_text() == want
+    fallback = ingest.fetch(written.label, cache_dir=tmp_path / "ro")
+    assert fallback.to_json_text() == want.replace('"remote"', '"cache-fallback"')
+    assert [p.name for p in (tmp_path / "ro").iterdir()] == ["span-form.json"]
+    assert (tmp_path / "ro" / "span-form.json").read_bytes() == pinned
 
 
 @pytest.mark.parametrize("disturb", [
@@ -780,9 +810,11 @@ def test_span_route_matches_reference_dump(tmp_path, monkeypatch, ps, values, du
            "coefficients": [[p, a] for p, a in zip(ps, values)],
            "fetched_at": "t", "source": "remote"}
     with tempfile.TemporaryDirectory(dir=tmp_path) as cache_dir:
-        ingest._cache_path("f", cache_dir).write_text(json.dumps(doc, **dump))
+        path = ingest._cache_path("f", cache_dir)
+        path.write_text(json.dumps(doc, **dump))
         for _ in range(2):      # the JSON route, then the index route
             rec = ingest.read_cache("f", cache_dir)
-            # an indented file holds the canonical text only of an empty list
-            assert (rec._json_span is not None) == ("indent" not in dump or not ps)
-            assert rec.to_json_text() == json.dumps(rec.to_json_dict(), sort_keys=True)
+            want = json.dumps(rec.to_json_dict(), sort_keys=True)
+            # whatever the layout, the first read leaves the canonical file
+            assert rec._json_span is not None and path.read_text() == want
+            assert rec.to_json_text() == want

@@ -518,10 +518,6 @@ def test_h_sum_non_finite_prime_values():
         for q in (29, 2 * 29):
             assert sieve.h_sum(spec, 1000, q) == \
                 sieve.h_sum(ok, 1000, q)
-        # one call for several t: each t reads only the primes up to it
-        rows = sieve._h_sums(spec, [28, 1000, 3], 1)
-        assert rows[0] == sieve.h_sum(ok, 28, 1) and math.isnan(rows[1])
-        assert rows[2] == sieve.h_sum(ok, 3, 1)
 
 
 def test_h_sum_table_keys_not_read():
@@ -953,12 +949,17 @@ def test_asymptotic_report_trend():
     assert err_1000 < err_100
 
 
-def test_asymptotic_report_rows_equal_h_sum():
-    # one fill at the largest t serves every row, bit for bit
+def test_asymptotic_report_rows_equal_h_sum(monkeypatch):
+    # each row is one h_sum call at t = y^u
+    real_h_sum, ts = sieve.h_sum, []
+    monkeypatch.setattr(sieve, "h_sum", lambda spec, t, q: ts.append(t) or
+                        real_h_sum(spec, t, q))
     for y, weights, q in ((1000, (2.0, -2.0), 1), (997, (1.5, -0.75), 30),
                           (50, (1.3, -2.7), 6)):
         grid = [0.0, 0.5, 1.0, 1.25, 1.9] if y < 100 else [0.5, 1.0, 1.9]
+        ts.clear()
         rows = sieve.asymptotic_report(y, grid, q, weights)
+        assert ts == [int(y ** u) for u in grid]
         spec = MultFuncSpec.threshold(y, *weights)
         assert [r["exact"] for r in rows] == [
             sieve.h_sum(spec, y ** u, q) for u in grid]
