@@ -59,9 +59,6 @@ DEFAULT_COVERAGE = 10 ** 4
 # alive at once; on the density-scan benchmark 2^14 gave a peak RSS 1.2 MiB
 # above that of 2^11 or 2^12
 JSON_CHUNK = 1 << 12
-# bytes per piece when json_pieces copies the coefficient text from a
-# cache file
-SPAN_CHUNK = 1 << 16
 # json's names for the non-finite floats, keyed by float.__repr__
 _NON_FINITE_JSON = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
@@ -143,9 +140,9 @@ class CoeffRecord:
         yield ", " + rest
 
     def _copied_coefficients(self):
-        """The coefficient text in pieces of SPAN_CHUNK bytes from the
-        span of the cache file, or None unless the record still has the
-        arrays of the span and the file still has its sha256."""
+        """The coefficient text from the span of the cache file, as one
+        piece, or None unless the record still has the arrays of the span
+        and the file still has its sha256."""
         span = self._json_span
         if span is None or span.ps is not self.ps or span.lams is not self.lams:
             return None
@@ -156,8 +153,8 @@ class CoeffRecord:
             return None
         if hashlib.sha256(raw).hexdigest() != span.digest:
             return None
-        return (raw[i:min(i + SPAN_CHUNK, span.stop)].decode("ascii")
-                for i in range(span.start, span.stop, SPAN_CHUNK))
+        # decoded from a view, without copying the span's bytes first
+        return (str(memoryview(raw)[span.start:span.stop], "ascii"),)
 
 
 def _coefficient_pieces(ps: np.ndarray, lams: np.ndarray):

@@ -800,12 +800,11 @@ def test_span_state_is_no_part_of_the_value(tmp_path):
 @given(ps=st.lists(st.integers(1, 2 ** 63 - 1), unique=True, max_size=20).map(sorted),
        values=st.lists(_json_floats, min_size=20),
        dump=st.sampled_from([{}, {"sort_keys": True}, {"indent": 1}]),
-       json_chunk=st.integers(1, 4), span_chunk=st.integers(1, 9))
+       json_chunk=st.integers(1, 4))
 def test_span_route_matches_reference_dump(tmp_path, monkeypatch, ps, values, dump,
-                                           json_chunk, span_chunk):
-    # chunk sizes small enough to split the texts of short records
+                                           json_chunk):
+    # a chunk size small enough to split the texts of short records
     monkeypatch.setattr(ingest, "JSON_CHUNK", json_chunk)
-    monkeypatch.setattr(ingest, "SPAN_CHUNK", span_chunk)
     doc = {"schema": 1, "label": "f", "level": 1, "spectral_parameter": 0.5,
            "coefficients": [[p, a] for p, a in zip(ps, values)],
            "fetched_at": "t", "source": "remote"}

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -7,7 +8,8 @@ from hypothesis import given, strategies as st
 
 from maasslab import satake, sieve
 from maasslab.errors import InvalidInputError
-from maasslab.satake import KIM_SARNAK_NU, CoeffTriple, SatakeLocal
+from maasslab.satake import (EIGENVALUE_TOL, KIM_SARNAK_NU, UNIT_MODULUS_TOL,
+                             CoeffTriple, SatakeLocal)
 
 
 def test_adjoint_at_boundary_eigenvalue():
@@ -44,9 +46,9 @@ def test_from_angle_accepts_exactly_the_primes():
 
 
 def test_adjoint_rejects_malformed_pair():
-    bad = SatakeLocal(p=5, lam=2.0, u=1.3 + 0j, tempered=True, theta_or_nu=0.0)
     with pytest.raises(InvalidInputError):
-        satake.adjoint_coeff(bad)
+        satake.adjoint_coeff(
+            SatakeLocal(p=5, lam=2.0, u=1.3 + 0j, tempered=True, theta_or_nu=0.0))
 
 
 def test_sym_coeffs_at_angle_zero():
@@ -243,3 +245,158 @@ def test_identities_hold_for_any_deviation(p, nu):
 
 def test_coeff_triple_residuals():
     assert CoeffTriple(3.0, 16.0, 5.0).identity_residuals() == (0.0, 0.0)
+
+
+def _assert_accessors_accept(s):
+    """Every accessor takes s.  adjoint_coeff agrees with the parameter
+    route sym_coeffs().a2 as far as validate's tolerances allow: with
+    |alpha*beta| = |u|^2 = m, |alpha + beta|^2 - 1 exceeds A by (m - 1)(A + 1),
+    a lam off alpha + beta by d moves |lam|^2 by at most d(2|lam| + d), and
+    |A3|^2 scales as m^3 while A*A4 does not."""
+    t = satake.sym_coeffs(s)
+    a = satake.adjoint_coeff(s)
+    assert abs(a - t.a2) <= (UNIT_MODULUS_TOL * (t.a2 + 1.0)
+                             + EIGENVALUE_TOL * (2.0 * abs(s.lam) + 1.0) + 1e-13)
+    r1, r2 = satake.check_hecke_identities(s)
+    assert r1 < 1e-10 and r2 <= 4.0 * UNIT_MODULUS_TOL * t.a3_abs_sq + 1e-10
+    assert satake.is_ramanujan_local(s) is (abs(s.lam) <= 2.0)
+
+
+_PRIMES = st.sampled_from([2, 3, 5, 7, 97, 10007, 999983])
+_UNITS = st.floats(0.0, 2 * math.pi).map(lambda a: cmath.exp(1j * a))
+
+
+def _made_data():
+    """Data from each constructor, from_eigenvalue on both sides of the
+    envelope included; None where from_eigenvalue raised InvalidInputError."""
+    def eigenvalue(p, mod, u):
+        try:
+            return SatakeLocal.from_eigenvalue(p, u * mod)
+        except InvalidInputError:
+            return None
+    envelope = _PRIMES.flatmap(lambda p: st.tuples(
+        st.just(p), st.floats(-2e-12, 2e-12).map(
+            lambda d: satake.kim_sarnak_envelope(p) * (1.0 + d)), _UNITS))
+    inside = st.tuples(_PRIMES, st.floats(0.0, 2.0057), _UNITS)
+    return st.one_of(
+        st.builds(SatakeLocal.from_angle, _PRIMES, st.floats(0.0, math.pi), _UNITS),
+        st.builds(SatakeLocal.from_deviation, _PRIMES,
+                  st.floats(0.0, KIM_SARNAK_NU, exclude_min=True), _UNITS),
+        st.one_of(envelope, inside).map(lambda args: eigenvalue(*args)))
+
+
+@given(_made_data())
+def test_every_made_datum_passes_every_accessor(s):
+    if s is not None:
+        _assert_accessors_accept(s)
+
+
+@given(st.integers(1, 40), st.sampled_from(satake.SAMPLE_MODES),
+       st.integers(0, 2 ** 32), st.floats(0.0, KIM_SARNAK_NU, exclude_min=True))
+def test_every_sampled_datum_passes_every_accessor(count, mode, seed, nu_max):
+    try:
+        samples = satake.sample_satake(count, mode, seed, nu_max=nu_max)
+    except InvalidInputError:
+        # nu_max * (1 - random()) underflows to nu = 0 only for a nu_max
+        # this small, and construction rejects nu = 0
+        assert mode == "non-tempered" and nu_max * 2.0 ** -53 == 0.0
+        return
+    for s in samples:
+        _assert_accessors_accept(s)
+
+
+_PRIMES_UPTO_10_6 = set(sieve.primes_upto(10 ** 6).tolist())
+
+
+def _consistent(p, lam, u, tempered, theta_or_nu):
+    """validate's conditions, computed without SatakeLocal and loosened by
+    1e-14 for the rounding of its formulas, so that a datum they reject is
+    inconsistent beyond doubt."""
+    if not (type(p) is int and p in _PRIMES_UPTO_10_6):
+        return False
+    x = theta_or_nu
+    if not (0.0 <= x <= math.pi if tempered else 0.0 < x <= KIM_SARNAK_NU + 1e-15):
+        return False
+    if not abs(abs(u) ** 2 - 1.0) <= UNIT_MODULUS_TOL + 1e-14:
+        return False
+    pair = 2.0 * u * math.cos(x) if tempered else u * (p ** x + p ** -x)
+    return abs(lam - pair) <= EIGENVALUE_TOL + 1e-14
+
+
+def _fields():
+    """Arbitrary fields, and fields near those of a valid datum."""
+    arbitrary = st.fixed_dictionaries({
+        "p": st.one_of(st.integers(-3, 10 ** 6), st.sampled_from([2.0, True, "7"])),
+        "lam": st.complex_numbers(), "u": st.complex_numbers(),
+        "tempered": st.booleans(), "theta_or_nu": st.floats()})
+    small = st.complex_numbers(max_magnitude=3e-9)
+
+    def near(s, field, dz):
+        value = getattr(s, field)
+        if field == "theta_or_nu":
+            value += dz.real
+        elif field == "p":
+            value += int(dz.real * 1e9)
+        else:
+            value = value + dz if field == "lam" else value * (1.0 + dz)
+        return {**dataclasses.asdict(s), field: value}
+    close = st.builds(near, _made_data().filter(lambda s: s is not None),
+                      st.sampled_from(["p", "lam", "u", "theta_or_nu"]),
+                      st.one_of(small, small.map(lambda z: z * 1e-3)))
+    return st.one_of(arbitrary, close)
+
+
+@given(_fields(), st.booleans())
+def test_inconsistent_data_raise_at_construction(fields, by_replace):
+    """Construction, directly or through dataclasses.replace of a valid
+    datum, gives a datum every accessor takes or raises InvalidInputError;
+    a datum that is inconsistent beyond rounding always raises."""
+    try:
+        if by_replace:
+            s = dataclasses.replace(SatakeLocal.from_angle(2, 1.0), **fields)
+        else:
+            s = SatakeLocal(**fields)
+    except InvalidInputError:
+        return
+    assert _consistent(**fields)
+    _assert_accessors_accept(s)
+
+
+@pytest.mark.parametrize("make, match", [
+    (lambda: SatakeLocal.from_angle(2, -0.1), "theta out of"),
+    (lambda: SatakeLocal.from_angle(2, math.inf), "theta out of"),
+    (lambda: SatakeLocal.from_angle(2, math.nan), "theta out of"),
+    (lambda: SatakeLocal.from_deviation(2, 0.0), "nu out of"),
+    (lambda: SatakeLocal.from_deviation(2, 2000.0), "nu out of"),
+    (lambda: SatakeLocal.from_deviation(2, -math.inf), "nu out of"),
+    (lambda: SatakeLocal.from_deviation("7", 0.05), "must be prime"),
+    (lambda: SatakeLocal.from_deviation(9, 0.05), "must be prime"),
+    (lambda: SatakeLocal.from_angle(2, 1.0, u=1.3), "modulus"),
+    (lambda: SatakeLocal.from_angle(2, 1.0, u=complex(math.nan, 0.0)), "modulus"),
+    (lambda: SatakeLocal(p=2, lam=math.nan, u=1, tempered=True, theta_or_nu=0.0),
+     "stored eigenvalue"),
+], ids=["negative-theta", "infinite-theta", "nan-theta", "zero-nu",
+        "nu-overflowing-p-to-the-nu", "minus-infinite-nu", "string-p", "composite-p",
+        "unit-of-modulus-1.3", "nan-unit", "nan-eigenvalue"])
+def test_constructors_raise_with_validates_messages(make, match):
+    with pytest.raises(InvalidInputError, match=match):
+        make()
+
+
+def test_adjoint_reads_the_eigenvalue_alone():
+    # lam is within EIGENVALUE_TOL of alpha + beta = 2, so the datum is
+    # valid, and |lam|^2 - 1 is 4e-12 above the parameter route's 3
+    s = SatakeLocal(p=7, lam=2.0 + 0.99e-12, u=1, tempered=True, theta_or_nu=0.0)
+    assert satake.adjoint_coeff(s) == abs(s.lam) ** 2 - 1.0 > 3.0
+    t = satake.sym_coeffs(s)
+    assert (t.a2, t.a3_abs_sq, t.a4) == (3.0, 16.0, 5.0)
+
+
+def test_from_eigenvalue_just_past_the_envelope_raises_at_construction():
+    # nu above 7/64 by less than 1e-12 (relative) is clamped to 7/64, and
+    # the clamped alpha + beta then misses lam by more than EIGENVALUE_TOL
+    p = 999983
+    e = satake.kim_sarnak_envelope(p)
+    with pytest.raises(InvalidInputError, match="does not match alpha"):
+        SatakeLocal.from_eigenvalue(p, e * (1 + 5e-13))
+    _assert_accessors_accept(SatakeLocal.from_eigenvalue(p, e * (1 + 1e-13)))
