@@ -75,6 +75,16 @@ def checked_coefficients(ps, lams) -> tuple[np.ndarray, np.ndarray]:
     return ps, lams
 
 
+def positions(ps: np.ndarray, query: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(idx, found) for the strictly increasing int64 array ps: found[i]
+    is true when query[i] is an entry of ps, and then ps[idx[i]] ==
+    query[i]; idx[i] is unspecified, possibly ps.size, where it is false."""
+    idx = np.searchsorted(ps, query)
+    found = idx < ps.size
+    found[found] = ps[idx[found]] == query[found]
+    return idx, found
+
+
 # the scalar fields FormMeta and CoeffRecord share: name -> (test, requirement);
 # the level meets int64 prime arrays in the scans' level masks
 _FIELD_CHECKS = {

@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from . import sieve
-from .bounds import FormMeta, checked_coefficients
+from .bounds import FormMeta, checked_coefficients, positions
 from .errors import CrossCheckError, DataGapError, InvalidInputError
 from .satake import CoeffTriple
 
@@ -173,9 +173,7 @@ def exceptional_scan(family: FormFamily, X: int) -> DensityReport:
     rows = []
     gaps = []
     for mem in family.members:
-        idx = np.searchsorted(mem.ps, primes)
-        found = idx < mem.ps.size
-        found[found] = mem.ps[idx[found]] == primes[found]
+        idx, found = positions(mem.ps, primes)
         gaps.extend((mem.label or f"level-{mem.level}", p)
                     for p in primes[~found].tolist())
         rows.append(mem.lams[idx[found]])
@@ -224,7 +222,8 @@ def pnt_trend(ps: np.ndarray, values: np.ndarray,
     """
     ps, values = checked_coefficients(ps, values)
     x_max = max(x_grid)
-    missing = np.setdiff1d(sieve.primes_upto(x_max), ps, assume_unique=True)
+    primes = sieve.primes_upto(x_max)
+    missing = primes[~positions(ps, primes)[1]]
     if missing.size:
         raise InvalidInputError(
             f"stream must cover all primes <= {x_max}; missing "

@@ -29,7 +29,6 @@ formats the arrays otherwise.  fetch leaves a fixture's cache file alone
 when it already holds the generated record, and returns a record it
 writes with the span of the file just written, so that its coefficient
 text is formatted once.
-validate reports a non-finite a_p as an error.
 """
 
 from __future__ import annotations
@@ -47,7 +46,7 @@ from pathlib import Path
 import numpy as np
 
 from . import satake, sieve
-from .bounds import FormMeta, check_field, check_form_fields, fields_equal
+from .bounds import FormMeta, check_field, check_form_fields, fields_equal, positions
 from .errors import CacheParseError, InvalidInputError, RemoteUnavailableError
 
 SCHEMA_VERSION = 1
@@ -230,10 +229,11 @@ def validate(record: CoeffRecord) -> list[Finding]:
     findings: list[Finding] = []
     ps, lams = record.ps, record.lams
     ref = sieve.primes_upto(record.coverage())
-    not_prime = ~np.isin(ps, ref, assume_unique=True)
+    divides = record.level % ref == 0   # not level % ps: ps may hold 0
+    not_prime = ~positions(ref, ps)[1]
     # NaN > envelope is False: a non-finite a_p needs its own finding
     non_finite = ~not_prime & ~np.isfinite(lams)
-    ramified = ~not_prime & ~non_finite & (record.level % ps == 0)
+    ramified = positions(ref[divides], ps)[1]
     above = ~not_prime & ~non_finite & ~ramified
     envelope = satake.kim_sarnak_envelope(ps[above])
     above[above] = np.abs(lams[above]) > envelope + 1e-12
@@ -253,10 +253,8 @@ def validate(record: CoeffRecord) -> list[Finding]:
             findings.append(Finding(
                 "error", "envelope", p,
                 f"|a_p| = {abs(float(lams[i]))} exceeds the bound {bound} at p = {p}"))
-    missing = np.setdiff1d(ref[record.level % ref != 0], ps,
-                           assume_unique=True)
     findings.extend(Finding("warning", "gap", p, f"missing coefficient at p = {p}")
-                    for p in missing.tolist())
+                    for p in ref[~divides & ~positions(ps, ref)[1]].tolist())
     return findings
 
 
@@ -364,7 +362,7 @@ def _read_index(path: Path, digest: str) -> CoeffRecord | None:
     within the JSON file)."""
     json_path = path.with_name(path.name.removesuffix(".npz") + ".json")
     try:
-        with np.load(path, allow_pickle=False) as npz:
+        with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as npz:
             if str(npz["json_sha256"]) != digest:
                 return None
             ps, lams, header = npz["ps"], npz["lams"], str(npz["header"])
@@ -449,12 +447,14 @@ def _fetch_remote(label: str, coverage: int, endpoint: str) -> CoeffRecord:
 
 def fetch(label: str, coverage: int = DEFAULT_COVERAGE, cache_dir=None,
           endpoint: str | None = None) -> CoeffRecord:
-    """Return a validated record for a label, refreshing the cache.
+    """Return the record for a label, refreshing the cache.
 
-    Fixture labels are generated locally.  Other labels need an endpoint
-    (argument or environment); without one, or on network failure, the
-    cached copy is returned with source "cache-fallback" when present,
-    else RemoteUnavailableError is raised.
+    Only construction's checks have run (level, spectral parameter, ps
+    strictly increasing int64): findings such as non-primes come from
+    validate.  Fixture labels are generated locally.  Other labels need
+    an endpoint (argument or environment); without one, or on network
+    failure, the cached copy is returned with source "cache-fallback"
+    when present, else RemoteUnavailableError is raised.
     """
     if coverage < 2:
         raise InvalidInputError(f"coverage must be >= 2, got {coverage}")

@@ -228,8 +228,9 @@ def _sample_parameters(count: int, mode: str, seed: int,
     ps = np.array(_SAMPLE_PRIMES, dtype=np.int64)[
         np.arange(count) % len(_SAMPLE_PRIMES)]
     if mode == "non-tempered":
-        # 1 - random() is in (0, 1], keeping nu strictly positive
-        return ps, nu_max * (1.0 - rng.random(count))
+        # 1 - random() is in [2^-53, 1]; the product underflows to 0 only
+        # for nu_max <= 2^-1022, where the least positive float stands in
+        return ps, np.maximum(nu_max * (1.0 - rng.random(count)), math.ulp(0.0))
     if mode == "sato-tate":
         return ps, sato_tate_angles(rng, count)
     return ps, rng.random(count) * math.pi

@@ -220,9 +220,7 @@ class MultFuncSpec:
         if self.kind == "threshold-weight":
             return np.where(ps <= self.y, self.chi0, self.chi1)
         if self.kind == "coefficient-table":
-            idx = np.searchsorted(self.ps, ps)
-            found = idx < self.ps.size
-            found[found] = self.ps[idx[found]] == ps[found]
+            idx, found = bounds.positions(self.ps, ps)
             out = np.zeros(ps.shape)
             out[found] = self.values[idx[found]]
             return out

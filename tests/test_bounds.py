@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from maasslab import bounds, dde
 from maasslab.bounds import FormMeta
@@ -58,6 +59,17 @@ def test_checked_coefficients_rejects_uint64_above_int64():
     ps, _ = bounds.checked_coefficients(np.array([2, 2 ** 63 - 1], dtype=np.uint64),
                                         [1.0, 2.0])
     assert ps.tolist() == [2, 2 ** 63 - 1]
+
+
+@given(st.lists(st.integers(-50, 50), unique=True).map(sorted),
+       st.lists(st.integers(-60, 60)))
+def test_positions_matches_a_dict_lookup(ps, query):
+    # negative entries included: a record may hold them until validate
+    idx, found = bounds.positions(np.array(ps, dtype=np.int64),
+                                  np.array(query, dtype=np.int64))
+    where = {p: i for i, p in enumerate(ps)}
+    assert found.tolist() == [q in where for q in query]
+    assert idx[found].tolist() == [where[q] for q in query if q in where]
 
 
 def test_two_form_exponent_exact():

@@ -143,6 +143,16 @@ def test_validate_flags_ramified_entries():
     assert findings[0].severity == "error"
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_validate_takes_an_entry_at_zero():
+    # the level is reduced modulo primes only, never modulo the entry 0
+    rec = CoeffRecord(label="zero", level=6, spectral_parameter=1.0,
+                      ps=[0, 2, 3], lams=[0.1, 0.2, 0.3],
+                      fetched_at="x", source="fixture")
+    assert [(f.kind, f.p) for f in ingest.validate(rec)] == [
+        ("not-prime", 0), ("ramified", 2), ("ramified", 3)]
+
+
 def test_validate_flags_non_finite_values():
     rec = ingest.generate_fixture("fixture-tempered-1", 1000)     # level 5
     lams = rec.lams.copy()
@@ -549,7 +559,13 @@ def test_bad_index_falls_back_to_json(tmp_path, monkeypatch, corrupt):
         digest, header = str(npz["json_sha256"]), str(npz["header"])
     assert '"level": 5' in header
     index.write_bytes(corrupt(index.read_bytes(), digest, header))
-    assert ingest._read_index(index, digest) is None
+    opened, real_open = [], builtins.open
+    with monkeypatch.context() as m:
+        m.setattr(builtins, "open", lambda *a, **k: opened.append(real_open(*a, **k))
+                  or opened[-1])
+        assert ingest._read_index(index, digest) is None
+    # closed on return, whatever np.load made of the bytes
+    assert opened and all(fh.closed for fh in opened)
     assert ingest.read_cache(rec.label, tmp_path) == rec
     assert ingest._read_index(index, digest) == rec      # rebuilt
 

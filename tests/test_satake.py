@@ -294,15 +294,20 @@ def test_every_made_datum_passes_every_accessor(s):
 @given(st.integers(1, 40), st.sampled_from(satake.SAMPLE_MODES),
        st.integers(0, 2 ** 32), st.floats(0.0, KIM_SARNAK_NU, exclude_min=True))
 def test_every_sampled_datum_passes_every_accessor(count, mode, seed, nu_max):
-    try:
-        samples = satake.sample_satake(count, mode, seed, nu_max=nu_max)
-    except InvalidInputError:
-        # nu_max * (1 - random()) underflows to nu = 0 only for a nu_max
-        # this small, and construction rejects nu = 0
-        assert mode == "non-tempered" and nu_max * 2.0 ** -53 == 0.0
-        return
-    for s in samples:
+    for s in satake.sample_satake(count, mode, seed, nu_max=nu_max):
         _assert_accessors_accept(s)
+
+
+@pytest.mark.parametrize("nu_max", [5e-324, 2.0 ** -1022, 2.0 ** -1021])
+def test_samplers_agree_at_a_tiny_nu_max(nu_max):
+    # nu_max * (1 - random()) can underflow to 0 here; neither sampler may
+    # raise or return nu = 0, and both take the same draws
+    samples = satake.sample_satake(200, "non-tempered", 0, nu_max=nu_max)
+    assert all(0.0 < s.theta_or_nu <= nu_max for s in samples)
+    a2, a3sq, a4 = satake.sample_coeff_triples(200, "non-tempered", 0, nu_max=nu_max)
+    for s, want in zip(samples, zip(a2, a3sq, a4)):
+        t = satake.sym_coeffs(s)
+        assert (t.a2, t.a3_abs_sq, t.a4) == pytest.approx(want, abs=1e-12)
 
 
 _PRIMES_UPTO_10_6 = set(sieve.primes_upto(10 ** 6).tolist())
