@@ -162,8 +162,11 @@ def exponent_detail(num_forms: int) -> ExponentDetail:
     decimal, giving 0.447374.  Three forms: the zero equals e^{1/4} in
     closed form; the 5-decimal truncation is too coarse there (it moves
     the exponent by 7e-6), so the exponent is taken from the zero itself
-    with the same upward rounding, giving 0.778801.  Either way
-    exponent * U >= 1, keeping the exported bound valid.
+    with the same upward rounding, giving 0.778801.  The bound is valid
+    as exponent * U* >= 1 at the true zero U*: Fraction(exponent) *
+    Fraction(u_used) >= 1 exactly, u_used lies 9.6e-6 below U* for two
+    forms, and for three it lies 2 ulp above U* = e^{1/4}, where
+    0.778801 * e^{1/4} - 1 = 2.8e-7 at 50 digits.
     """
     if num_forms not in _WEIGHTS:
         raise InvalidInputError(f"num_forms must be 2 or 3, got {num_forms}")

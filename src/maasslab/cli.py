@@ -24,9 +24,9 @@ from .errors import (DataGapError, InvalidInputError, MaasslabError,
                      UnsupportedRangeError)
 
 DEFAULT_SEED = 1729   # fixed, documented; reproducibility over entropy
-# smallest sieve-verify --limit in checks mode: the Moebius round trip
-# evaluates n = 1 .. 199 in the table
-CHECKS_MIN_LIMIT = 199
+# the x of sieve-verify's checks lie below this; their table ends at the
+# largest, past the n < 200 of the Moebius round trip
+CHECKS_X_END = 5000
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -129,12 +129,7 @@ def _cmd_first_zero(args) -> int:
 
 
 def _cmd_sieve_verify(args) -> int:
-    if args.report == "checks" and args.limit < CHECKS_MIN_LIMIT:
-        raise InvalidInputError(f"--limit must be >= {CHECKS_MIN_LIMIT} in "
-                                f"checks mode, got {args.limit}")
     if args.report == "asymptotic":
-        # no table: --limit and --allow-large only bound t
-        sieve.check_limit(args.limit, args.allow_large)
         u_grid = _comma_list(args.u_grid, float, "--u-grid")
         rows = sieve.asymptotic_report(args.y, u_grid, args.q,
                                        (args.chi0, args.chi1), limit=args.limit)
@@ -142,7 +137,10 @@ def _cmd_sieve_verify(args) -> int:
                    [(r["y"], r["u"], r["exact"], r["predicted"], r["rel_error"])
                     for r in rows], args)
         return EXIT_OK
-    table = sieve.build_table(args.limit, allow_large=args.allow_large)
+    if args.limit is not None:
+        raise InvalidInputError("--limit bounds y^max(u) of the asymptotic "
+                                "report; checks mode takes none")
+    table = sieve.build_table(CHECKS_X_END - 1)
 
     rng = np.random.default_rng(args.seed)
     checks = []
@@ -160,7 +158,7 @@ def _cmd_sieve_verify(args) -> int:
         y = int(rng.integers(5, 200))
         chi0 = float(rng.integers(1, 4))
         chi1 = -float(rng.integers(1, 4))
-        x = float(rng.integers(10, min(table.limit, 5000)))
+        x = float(rng.integers(10, CHECKS_X_END))
         spec = sieve.MultFuncSpec.threshold(max(y, 2), chi0, chi1)
         m = int(x)
         vals = sieve.values_upto(spec, m, 1, table)[1:]
@@ -333,10 +331,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sieve-verify", help="run sieve cross-checks or the "
                                             "asymptotic report")
-    p.add_argument("--limit", type=int, default=10 ** 5,
-                   help="factorization table limit (integer)")
-    p.add_argument("--allow-large", action="store_true",
-                   help="permit table limits above 10^7 (up to 2*10^8)")
+    p.add_argument("--limit", type=int, default=None,
+                   help="largest y^u the asymptotic report accepts (integer; "
+                        "default: the hard cap 2*10^8)")
     p.add_argument("--report", choices=("checks", "asymptotic"),
                    default="checks", help="which report to produce")
     p.add_argument("--samples", type=int, default=100,

@@ -160,7 +160,8 @@ def exceptional_scan(family: FormFamily, X: int) -> DensityReport:
 
     Primes dividing any member's level are excluded.  Missing
     coefficients raise DataGapError listing the gaps, member by member
-    in increasing p.  At every exceptional prime the weight is checked
+    in increasing p, and then a NaN or infinite eigenvalue, naming its
+    member and prime.  At every exceptional prime the weight is checked
     against the (1 + 9m + 25)^2 threshold.
     """
     if X < 2:
@@ -170,17 +171,23 @@ def exceptional_scan(family: FormFamily, X: int) -> DensityReport:
     for mem in family.members:
         primes = primes[mem.level % primes != 0]
 
+    names = [mem.label or f"level-{mem.level}" for mem in family.members]
     rows = []
     gaps = []
-    for mem in family.members:
+    for name, mem in zip(names, family.members):
         idx, found = positions(mem.ps, primes)
-        gaps.extend((mem.label or f"level-{mem.level}", p)
-                    for p in primes[~found].tolist())
+        gaps.extend((name, p) for p in primes[~found].tolist())
         rows.append(mem.lams[idx[found]])
     if gaps:
         raise DataGapError(
             f"missing coefficients at {len(gaps)} primes "
             f"(first: {gaps[:5]})", gaps=gaps)
+    for name, lams in zip(names, rows):
+        bad = np.flatnonzero(~np.isfinite(lams))
+        if bad.size:
+            raise DataGapError(
+                f"{name}: eigenvalue at p = {int(primes[bad[0]])} is not "
+                f"finite ({float(lams[bad[0]])})")
 
     # A = lam^2 - 1, and A^2 = A4 + A + 1 gives A4 = lam^4 - 3 lam^2 + 1
     squares = [lams * lams for lams in rows]

@@ -34,7 +34,6 @@ from . import bounds, dde
 from .errors import (CrossCheckError, InvalidInputError, PreconditionError,
                      ResourceLimitError)
 
-LARGE_LIMIT = 10 ** 7      # table limits above this need allow_large=True
 HARD_LIMIT = 2 * 10 ** 8
 TRIAL_LIMIT = 10 ** 7      # largest trial divisor prime_factors tries
 C_TRUNCATION = 10 ** 6     # truncation of c(q) in asymptotic_report
@@ -139,29 +138,17 @@ class SieveTable:
         return int(np.searchsorted(self.primes, x, side="right"))
 
 
-def check_limit(limit: int, allow_large: bool = False) -> None:
-    """The range check of build_table: 2 <= limit <= HARD_LIMIT, and
-    limit <= LARGE_LIMIT unless allow_large."""
-    if limit < 2:
-        raise InvalidInputError(f"limit must be >= 2, got {limit}")
-    if limit > HARD_LIMIT:
-        raise ResourceLimitError(
-            f"limit {limit} exceeds the hard cap {HARD_LIMIT}")
-    if limit > LARGE_LIMIT and not allow_large:
-        raise ResourceLimitError(
-            f"limit {limit} exceeds {LARGE_LIMIT}; pass allow_large=True")
+def build_table(limit: int) -> SieveTable:
+    """Build the prime and squarefree tables up to limit, 2 <= limit.
 
-
-def build_table(limit: int, allow_large: bool = False) -> SieveTable:
-    """Build the prime and squarefree tables up to limit.
-
-    Limits above 10^7 need allow_large=True and are capped at 2*10^8.
     Nothing is segmented: the prime sieve's flags cover the odd numbers
     up to limit, (limit+1)/2 bytes, and the squarefree flags are a full
-    limit+1 array.  At 2*10^8 the table holds 289 MB (200 MB of flags,
-    89 MB of int64 primes) and building it peaks at 300 MB.
+    limit+1 array.  primes_upto caps limit at HARD_LIMIT = 2*10^8 before
+    anything is allocated; there the table holds 289 MB (200 MB of
+    flags, 89 MB of int64 primes) and building it peaks at 300 MB.
     """
-    check_limit(limit, allow_large)
+    if limit < 2:
+        raise InvalidInputError(f"limit must be >= 2, got {limit}")
     primes = primes_upto(limit)
     return SieveTable(limit=limit, squarefree=_squarefree_flags(limit, primes),
                       primes=primes)
@@ -450,12 +437,14 @@ def _prime_sums(spec: MultFuncSpec, ps: np.ndarray, q_primes: list[int],
     sum |x[:i]| (their Prop. 4.5), u = 2^-53.  It runs over _CHUNK
     primes at a time, carrying both running sums."""
     n = ps.size
+    q_arr = np.array(q_primes, dtype=np.int64)
     G = np.empty(n + 1)
     G[0] = s_last = c_last = 0.0
     for lo in range(0, n, _CHUNK):
         chunk = ps[lo:lo + _CHUNK]
         x = spec.prime_values(chunk)
-        x[np.isin(chunk, q_primes)] = 0.0
+        idx, found = bounds.positions(chunk, q_arr)
+        x[idx[found]] = 0.0
         if log_p:
             x *= np.log(chunk)
         bad = np.flatnonzero(~np.isfinite(x))
@@ -836,7 +825,7 @@ def asymptotic_report(y: int, u_grid: list[float], q: int,
     u_max = max(u_grid)
     if limit is not None and y ** u_max > limit:
         raise InvalidInputError(
-            f"y^max(u) = {y ** u_max:.0f} exceeds table limit {limit}")
+            f"y^max(u) = {y ** u_max:.0f} exceeds the limit {limit}")
     ts = [_checked_t(y ** u, None) for u in u_grid]
     spec = MultFuncSpec.threshold(y, chi0, chi1, q=q)
     c_q, _ = euler_constant_c(q, C_TRUNCATION)
@@ -1037,7 +1026,9 @@ def lower_bound_check(b: MultFuncSpec, h: MultFuncSpec, z: float, q: int,
         raise InvalidInputError(f"z must lie in [2, {table.limit}], got {z}")
     z_int = int(z)
     ps = table.primes[table.primes <= z_int]
-    ps = ps[~np.isin(ps, _coprimality_primes(q))]
+    idx, found = bounds.positions(
+        ps, np.array(_coprimality_primes(q), dtype=np.int64))
+    ps = np.delete(ps, idx[found])
     b_ps, h_ps = b.prime_values(ps), h.prime_values(ps)
     bad = np.flatnonzero(b_ps - h_ps < 0)
     if bad.size:

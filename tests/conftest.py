@@ -24,7 +24,7 @@ def table_medium():
 
 @pytest.fixture(scope="session")
 def table_large():
-    return sieve.build_table(2 * 10 ** 7, allow_large=True)
+    return sieve.build_table(2 * 10 ** 7)
 
 
 @pytest.fixture

@@ -1,5 +1,7 @@
 import math
+from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -101,8 +103,19 @@ def test_exponent_zero_matches_closed_form(m, weights):
 def test_exponent_times_u_is_valid_upper_bound():
     for m in (2, 3):
         det = bounds.exponent_detail(m)
-        assert det.exponent * det.u_used >= 1.0
+        assert Fraction(det.exponent) * Fraction(det.u_used) >= 1
         assert det.u_used <= det.zero
+
+
+def test_three_form_exponent_valid_at_exact_zero():
+    # u_used is the numeric zero, 2 ulp above U* = e^{1/4}: the guarantee
+    # is exponent * e^{1/4} >= 1 itself, here with a margin of about 2.8e-7
+    det = bounds.exponent_detail(3)
+    with mpmath.workdps(50):
+        u_star = mpmath.exp(mpmath.mpf(1) / 4)
+        margin = mpmath.mpf(det.exponent) * u_star - 1
+    assert det.u_used == math.nextafter(math.nextafter(float(u_star), 2), 2)
+    assert 2.7e-7 < margin < 2.9e-7
 
 
 def test_two_form_u_truncation():

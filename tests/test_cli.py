@@ -73,8 +73,8 @@ def test_identity_check_reports_pairs_swept(capsys):
 
 @pytest.mark.parametrize("argv", [
     ("identity-check", "--samples", "1"), ("identity-check", "--samples", "-4"),
-    ("sieve-verify", "--limit", "1000", "--samples", "0"),
-    ("sieve-verify", "--limit", "1000", "--samples", "-5"),
+    ("sieve-verify", "--samples", "0"),
+    ("sieve-verify", "--samples", "-5"),
 ])
 def test_sample_count_below_minimum_is_usage_error(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
@@ -147,8 +147,7 @@ def test_solve_dde_csv_output(capsys):
 
 
 def test_sieve_verify_checks(capsys):
-    code, out, _ = run_cli(capsys, "sieve-verify", "--limit", "10000",
-                           "--samples", "10", "--seed", "3")
+    code, out, _ = run_cli(capsys, "sieve-verify", "--samples", "10", "--seed", "3")
     assert code == 0
     doc = json.loads(out)
     assert doc["all_passed"]
@@ -296,6 +295,22 @@ def test_density_scan_data_gap_exit_code(tmp_path, capsys):
     assert "data-gap" in err
 
 
+def test_density_scan_non_finite_eigenvalue_exit_code(tmp_path, capsys, monkeypatch):
+    # cached remote copies of the mixed fixtures with lams[5] (p = 19) NaN:
+    # a data gap naming the first member and prime, and no NaN on stdout
+    monkeypatch.delenv("MAASSLAB_ENDPOINT", raising=False)
+    for fixture, label in (("fixture-mixed-1", "nan-a"), ("fixture-mixed-2", "nan-b")):
+        rec = ingest.generate_fixture(fixture, 10 ** 4)
+        lams = rec.lams.copy()
+        lams[5] = np.nan
+        ingest.write_cache(dataclasses.replace(rec, label=label, lams=lams,
+                                               source="remote"), tmp_path)
+    code, out, err = run_cli(capsys, "density-report", "--scan-labels", "nan-a,nan-b",
+                             "--x", "10000", "--cache-dir", str(tmp_path))
+    assert code == 3 and out == ""
+    assert err == "error: data-gap: nan-a: eigenvalue at p = 19 is not finite (nan)\n"
+
+
 def test_density_scan_finds_fixture_exceptional_primes(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "density-report",
                            "--scan-labels", "fixture-mixed-1,fixture-mixed-2",
@@ -386,9 +401,11 @@ def test_out_flag_writes_file(tmp_path, capsys):
 
 
 def test_resource_limit_exit_code(capsys):
-    code, _, err = run_cli(capsys, "sieve-verify", "--limit", "20000000")
-    assert code == 4
-    assert "resource-limit" in err
+    # t = 10000^2.1 = 2.5*10^8 is past the hard cap, with or without --limit
+    code, out, err = run_cli(capsys, "sieve-verify", "--report", "asymptotic",
+                             "--y", "10000", "--u-grid", "2.1")
+    assert code == 4 and out == ""
+    assert err.startswith("error: resource-limit: ") and "hard cap" in err
 
 
 def test_asymptotic_negative_u_names_u_and_grid(capsys):
@@ -444,7 +461,7 @@ def test_asymptotic_huge_q_exit_code(capsys):
 
 
 # sha256 of the same report with `--q 30`
-ASYMPTOTIC_Q30_SHA256 = "869dda3b5b7f92e8304ab3c406295398f22490af225cd61a77644b3b032cc1d4"
+ASYMPTOTIC_Q30_SHA256 = "ff13e9d8cd567e5c16e7c0bcf6761ae9f3eb2c99c87bbf425f42c55dd9c5f299"
 
 
 def test_asymptotic_q30_bytes_pinned(capsys):
@@ -556,13 +573,13 @@ def test_table_format_renders_payload(capsys):
 
 def test_csv_format_rejected_for_scalar_payloads(capsys):
     for argv in (["bound", "--levels", "1,2", "--spectral", "1,2"],
-                 ["sieve-verify", "--limit", "1000"],
+                 ["sieve-verify"],
                  ["first-zero", "--chi0", "1", "--chi1", "-3"],
                  ["density-report", "--m", "2"]):
         code, out, err = run_cli(capsys, *argv, "--format", "csv")
         assert code == 2 and out == ""
         assert "json" in err and "table" in err
-    code, out, _ = run_cli(capsys, "sieve-verify", "--limit", "1000",
+    code, out, _ = run_cli(capsys, "sieve-verify",
                            "--report", "asymptotic", "--y", "10",
                            "--u-grid", "1.0", "--format", "csv")
     assert code == 0
@@ -587,14 +604,68 @@ def test_os_error_is_one_io_line(tmp_path, capsys, monkeypatch, case):
     assert err.startswith("error: io: ") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("limit", ["10", "11", "198"])
-def test_sieve_verify_checks_limit_below_minimum_is_usage_error(capsys, limit):
-    # the Moebius round trip evaluates n up to 199 in the table
+@pytest.mark.parametrize("limit", ["10", "199", "100000"])
+def test_sieve_verify_checks_rejects_limit(capsys, limit):
+    # --limit bounds only the asymptotic report; checks mode sizes its own
+    # table, so a --limit there is never silently ignored
     code, out, err = run_cli(capsys, "sieve-verify", "--limit", limit)
     assert code == 2 and out == ""
-    assert err == f"error: invalid-input: --limit must be >= 199 in checks mode, got {limit}\n"
-    code, out, _ = run_cli(capsys, "sieve-verify", "--limit", "199", "--samples", "3")
+    assert err == ("error: invalid-input: --limit bounds y^max(u) of the "
+                   "asymptotic report; checks mode takes none\n")
+
+
+def test_sieve_verify_checks_builds_one_table_of_what_it_reads(capsys, monkeypatch):
+    # the x draw ends below cli.CHECKS_X_END = 5000 and the Moebius round
+    # trip reads n < 200: one table up to 4999, not one of 10^5
+    limits = []
+    real_build = sieve.build_table
+
+    def build_spy(limit):
+        limits.append(limit)
+        return real_build(limit)
+
+    monkeypatch.setattr(sieve, "build_table", build_spy)
+    code, out, _ = run_cli(capsys, "sieve-verify", "--samples", "5")
     assert code == 0 and json.loads(out)["all_passed"]
+    assert limits == [4999]
+
+
+# the checks payload with its config popped, at every seed below
+CHECKS_PAYLOAD = (
+    '{"all_passed": true, "checks": [{"name": "h_sum_y10_q1", "passed": true}, '
+    '{"name": "h_sum_y10_q6", "passed": true}, '
+    '{"name": "log_weighted_brute_force", "passed": true}, '
+    '{"name": "moebius_roundtrip", "passed": true}, '
+    '{"name": "local_factor_x1_cancellation", "passed": true}]}')
+# sha256 of repr([(y, chi0, chi1, x), ...]) over the 100 specs and points
+# the brute-force check draws, as drawn when the table held 10^5 entries
+CHECKS_DRAWS_SHA256 = {
+    "1729": "fef925e751eca1338abfb46dbe2ab3dc379baf7e3d4fdc84215dde158faf7e4e",
+    "7": "29e3c493cc0c0c6a8bf78ef29458fe2048f5d6d951a3fe4037384b81d80050d8",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(CHECKS_DRAWS_SHA256))
+def test_sieve_verify_checks_payload_and_draws_pinned(capsys, monkeypatch, seed):
+    draws = []
+    real_lws = sieve.log_weighted_sum
+
+    def lws_spy(spec, x, q, table):
+        draws.append((spec.y, spec.chi0, spec.chi1, x))
+        return real_lws(spec, x, q, table)
+
+    monkeypatch.setattr(sieve, "log_weighted_sum", lws_spy)
+    code, out, _ = run_cli(capsys, "sieve-verify", "--seed", seed)
+    assert code == 0
+    doc = json.loads(out)
+    config = doc.pop("config")
+    assert config == {"chi0": 2.0, "chi1": -2.0, "command": "sieve-verify",
+                      "format": None, "limit": None, "out": None, "q": 1,
+                      "report": "checks", "samples": 100, "seed": int(seed),
+                      "u_grid": "0.5,1.0,1.5", "y": 1000}
+    assert json.dumps(doc, sort_keys=True) == CHECKS_PAYLOAD
+    assert len(draws) == 100
+    assert hashlib.sha256(repr(draws).encode()).hexdigest() == CHECKS_DRAWS_SHA256[seed]
 
 
 def test_asymptotic_report_sieves_nothing_up_to_t(capsys, monkeypatch):

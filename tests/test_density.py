@@ -209,6 +209,28 @@ def test_exceptional_scan_reports_gaps():
     assert exc.value.gaps == [("m0", 13), ("m0", 997), ("m1", 997)]
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("member", [0, 1])
+def test_exceptional_scan_rejects_non_finite_eigenvalue(tmp_path, bad, member):
+    # the mixed fixtures with lams[5] (p = 19) non-finite in one member or
+    # both: the scan names the first such member and prime
+    recs = [ingest.fetch(lab, coverage=10 ** 4, cache_dir=tmp_path)
+            for lab in ("fixture-mixed-1", "fixture-mixed-2")]
+    metas = []
+    for i, rec in enumerate(recs):
+        lams = rec.lams.copy()
+        if i >= member:
+            lams[5] = bad
+        lams[-1] = math.nan      # p = 9973 lies past the scan limit
+        metas.append(FormMeta(level=rec.level, spectral_parameter=rec.spectral_parameter,
+                              ps=rec.ps, lams=lams, label=f"nan-{i}"))
+    assert [r.ps[5] for r in recs] == [19, 19] and recs[0].ps[-1] > 9000
+    with pytest.raises(DataGapError) as exc:
+        density.exceptional_scan(FormFamily(metas), 9000)
+    assert str(exc.value) == f"nan-{member}: eigenvalue at p = 19 is not finite ({bad})"
+    assert exc.value.gaps == []
+
+
 def test_exceptional_scan_levels_beyond_int64_product():
     # the product of these levels overflows int64; only 2 and 3 divide any
     ps = sieve.primes_upto(1000)

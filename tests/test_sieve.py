@@ -159,11 +159,11 @@ def test_factor_smallest_prime_matches_naive_division(table_small):
         assert all(n % d for d in range(2, p))
 
 
-def test_build_table_resource_limits():
-    with pytest.raises(ResourceLimitError):
-        sieve.build_table(10 ** 7 + 1)
-    with pytest.raises(ResourceLimitError):
-        sieve.build_table(3 * 10 ** 8, allow_large=True)
+def test_build_table_resource_limits(no_huge_ones):
+    # HARD_LIMIT is the one cap, met in primes_upto before any allocation
+    for limit in (sieve.HARD_LIMIT + 1, 3 * 10 ** 8):
+        with pytest.raises(ResourceLimitError, match="hard cap"):
+            sieve.build_table(limit)
     with pytest.raises(InvalidInputError):
         sieve.build_table(1)
 
@@ -1044,7 +1044,7 @@ def test_asymptotic_positive_increasing_below_one():
 
 
 def test_asymptotic_report_range_error():
-    with pytest.raises(InvalidInputError, match="exceeds table limit 10000$"):
+    with pytest.raises(InvalidInputError, match="exceeds the limit 10000$"):
         sieve.asymptotic_report(1000, [2.0], 1, (2.0, -2.0), limit=10 ** 4)
     with pytest.raises(ResourceLimitError, match="hard cap"):
         sieve.asymptotic_report(10 ** 4, [0.5, 2.1], 1, (2.0, -2.0))
