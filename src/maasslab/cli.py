@@ -27,6 +27,7 @@ DEFAULT_SEED = 1729   # fixed, documented; reproducibility over entropy
 # the x of sieve-verify's checks lie below this; their table ends at the
 # largest, past the n < 200 of the Moebius round trip
 CHECKS_X_END = 5000
+CHECKS_SAMPLES = 100    # random specs of the brute-force check
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -122,8 +123,7 @@ def _cmd_solve_dde(args) -> int:
 
 def _cmd_first_zero(args) -> int:
     spec = dde.DdeSpec(args.chi0, args.chi1)
-    zero = dde.first_zero(spec, tol=args.tol, u_cap=args.u_cap,
-                          initial_step=args.initial_step)
+    zero = dde.first_zero(spec, tol=args.tol, initial_step=args.initial_step)
     _emit_payload({"first_zero": zero}, args)
     return EXIT_OK
 
@@ -151,10 +151,8 @@ def _cmd_sieve_verify(args) -> int:
     checks.append(("h_sum_y10_q6",
                    sieve.h_sum(spec10, 10, 6) == 5.0))
 
-    if args.samples < 1:
-        raise InvalidInputError(f"--samples must be >= 1, got {args.samples}")
     ok_brute = True
-    for _ in range(args.samples):
+    for _ in range(CHECKS_SAMPLES):
         y = int(rng.integers(5, 200))
         chi0 = float(rng.integers(1, 4))
         chi1 = -float(rng.integers(1, 4))
@@ -192,7 +190,7 @@ def _cmd_sieve_verify(args) -> int:
     for _ in range(100):
         a1 = float(rng.normal()) * 3
         a2 = float(rng.normal()) * 3
-        coeffs = sieve.local_factor_coeffs(a1, a2, 101)
+        coeffs = sieve.local_factor_coeffs(a1, a2)
         if coeffs[1] != 0:
             ok_cancel = False
             break
@@ -250,8 +248,7 @@ def _cmd_identity_check(args) -> int:
     b2, _, b4 = satake.sample_coeff_triples(per_mode, "sato-tate", args.seed + 1)
     worst = np.zeros(3)           # np.maximum keeps a NaN residual
     for mode in ("sato-tate", "non-tempered"):
-        a2, a3sq, a4 = satake.sample_coeff_triples(per_mode, mode, args.seed,
-                                                   nu_max=args.nu_max)
+        a2, a3sq, a4 = satake.sample_coeff_triples(per_mode, mode, args.seed)
         residuals = (*satake.identity_residuals(a2, a3sq, a4),
                      density.weight_residual(a2, a3sq, a4, b2, b4))
         worst = np.maximum(worst, [np.max(r) for r in residuals])
@@ -322,8 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="weight beyond the cutoff (dimensionless, negative)")
     p.add_argument("--tol", type=float, default=1e-6,
                    help="zero-location tolerance (u-units, >= 1e-9)")
-    p.add_argument("--u-cap", type=float, default=10.0,
-                   help="give up if no sign change below this u (u-units)")
     p.add_argument("--initial-step", type=float, default=1e-3,
                    help="first integration step before refinement (u-units)")
     common(p)
@@ -336,8 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "default: the hard cap 2*10^8)")
     p.add_argument("--report", choices=("checks", "asymptotic"),
                    default="checks", help="which report to produce")
-    p.add_argument("--samples", type=int, default=100,
-                   help="random specs of the brute-force check (count)")
     p.add_argument("--y", type=int, default=1000,
                    help="threshold cutoff for the asymptotic report (integer)")
     p.add_argument("--u-grid", default="0.5,1.0,1.5",
@@ -379,8 +372,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("identity-check", help="bulk Hecke-identity sweep")
     p.add_argument("--samples", type=int, default=10 ** 5,
                    help="number of sampled local data (count)")
-    p.add_argument("--nu-max", type=float, default=satake.KIM_SARNAK_NU,
-                   help="largest non-tempered deviation (in (0, 7/64])")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED,
                    help="random seed (dimensionless integer)")
     common(p)

@@ -29,7 +29,7 @@ from .errors import (InvalidInputError, NotConvergedError, ResourceLimitError,
 STEP_MIN = 1e-7
 STEP_MAX = 1e-2
 DEFAULT_FIRST_ZERO_TOL = 1e-6
-DEFAULT_U_CAP = 10.0
+U_CAP = 10                   # first_zero's give-up point, far above the paper's zeros
 NODE_LIMIT = 2 * 10 ** 8     # grid nodes one call may hold: 1.6 GB of float64
 
 
@@ -218,7 +218,7 @@ def _zero_in_last(segments: list[np.ndarray], h: float) -> float | None:
 
 
 def first_zero(spec: DdeSpec, tol: float = DEFAULT_FIRST_ZERO_TOL,
-               u_cap: float = DEFAULT_U_CAP, initial_step: float = 1e-3) -> float:
+               initial_step: float = 1e-3) -> float:
     """Smallest u > 1 with sigma(u) = 0, to tolerance tol.
 
     Successive solves with halved integration steps are compared until
@@ -226,27 +226,30 @@ def first_zero(spec: DdeSpec, tol: float = DEFAULT_FIRST_ZERO_TOL,
     when the next halving would take the step below STEP_MIN first.
     Each solve integrates one unit segment at a time and stops at the
     first segment whose nodes change sign: the zero is, to the last bit,
-    the one a scan of the whole grid up to u_cap finds (the tests'
-    full-grid reference ladder).  The grid up to u_cap must still fit
-    NODE_LIMIT.
+    the one a scan of the whole grid up to U_CAP finds (the tests'
+    full-grid reference ladder).  SignChangeNotFoundError is raised when
+    sigma keeps its sign up to U_CAP.
+
+    The grid never passes NODE_LIMIT: every step is at least STEP_MIN =
+    1e-7, so a segment holds at most 10^7 + 1 nodes and U_CAP of them
+    10 * (10^7 + 1) = 100,000,010 < 2 * 10^8 nodes.
     """
     if not 1e-9 <= tol < math.inf:
         raise InvalidInputError(f"tol must be finite and >= 1e-9, got {tol}")
     n = _grid_size("initial_step", initial_step)
-    count = _checked_end("u_cap", u_cap)
     step = initial_step
     estimates = []
     while True:
         segments: list[np.ndarray] = []
         est = None
-        for seg in _segments(spec, n, count):
+        for seg in _segments(spec, n, U_CAP):
             segments.append(seg)
             est = _zero_in_last(segments, 1.0 / n)
             if est is not None:
                 break
-        if est is None or est > u_cap:
+        if est is None:
             raise SignChangeNotFoundError(
-                f"no sign change of sigma below u = {u_cap} at step {step}")
+                f"no sign change of sigma below u = {U_CAP} at step {step}")
         if estimates and abs(est - estimates[-1]) < tol:
             return est
         estimates.append(est)

@@ -28,8 +28,6 @@ from .satake import CoeffTriple
 # satisfying the Ramanujan bound in scans
 RAMANUJAN_GUARD = 1e-9
 
-TWO_FORM_THRESHOLD = 44 ** 2
-
 REMARK_VARIANT_NOTE = "conditional: rests on an unestablished zero-free region"
 # FormFamily's hypothesis, which every scan report records
 DISTINCT_RP_ASSUMPTION = ("pairwise distinct Ramanujan-exceptional prime sets "
@@ -158,7 +156,8 @@ def exceptional_scan(family: FormFamily, X: int) -> DensityReport:
     """Scan primes up to X, count those where every member violates the
     Ramanujan bound, and average the Chebyshev weight.
 
-    Primes dividing any member's level are excluded.  Missing
+    Primes dividing any member's level are excluded; when that leaves no
+    prime up to X, InvalidInputError names X and the levels.  Missing
     coefficients raise DataGapError listing the gaps, member by member
     in increasing p, and then a NaN or infinite eigenvalue, naming its
     member and prime.  At every exceptional prime the weight is checked
@@ -170,6 +169,10 @@ def exceptional_scan(family: FormFamily, X: int) -> DensityReport:
     # one mask per level: a product of the levels could overflow int64
     for mem in family.members:
         primes = primes[mem.level % primes != 0]
+    if not primes.size:
+        raise InvalidInputError(
+            f"every prime up to X = {X} divides one of the levels "
+            f"{[mem.level for mem in family.members]}; nothing to scan")
 
     names = [mem.label or f"level-{mem.level}" for mem in family.members]
     rows = []
@@ -209,8 +212,8 @@ def exceptional_scan(family: FormFamily, X: int) -> DensityReport:
     n = primes.size
     return DensityReport(
         X=X, pi_X=n, exceptional_count=exceptional.size,
-        running_mean_U=float(np.sum(u_vals)) / n if n else float("nan"),
-        implied_upper=exceptional.size / n if n else 0.0,
+        running_mean_U=float(np.sum(u_vals)) / n,
+        implied_upper=exceptional.size / n,
         theory_bound=1.0 / (26 + 9 * family.m),
         assumptions=[DISTINCT_RP_ASSUMPTION],
         exceptional_primes=primes[exceptional].tolist())
@@ -228,6 +231,8 @@ def pnt_trend(ps: np.ndarray, values: np.ndarray,
     not asserted.
     """
     ps, values = checked_coefficients(ps, values)
+    if not len(x_grid):
+        raise InvalidInputError("the X grid is empty")
     x_max = max(x_grid)
     primes = sieve.primes_upto(x_max)
     missing = primes[~positions(ps, primes)[1]]

@@ -214,51 +214,47 @@ def sato_tate_angles(rng: np.random.Generator, count: int) -> np.ndarray:
     return out
 
 
-def _sample_parameters(count: int, mode: str, seed: int,
-                       nu_max: float) -> tuple[np.ndarray, np.ndarray]:
+def _sample_parameters(count: int, mode: str,
+                       seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Draw the primes and the angles theta (tempered modes) or the
     deviations nu (non-tempered) for the requested mode."""
     if count < 1:
         raise InvalidInputError(f"count must be >= 1, got {count}")
     if mode not in SAMPLE_MODES:
         raise InvalidInputError(f"mode must be one of {SAMPLE_MODES}, got {mode!r}")
-    if not 0.0 < nu_max <= KIM_SARNAK_NU:
-        raise InvalidInputError(f"nu_max must lie in (0, 7/64], got {nu_max}")
     rng = np.random.default_rng(seed)
     ps = np.array(_SAMPLE_PRIMES, dtype=np.int64)[
         np.arange(count) % len(_SAMPLE_PRIMES)]
     if mode == "non-tempered":
-        # 1 - random() is in [2^-53, 1]; the product underflows to 0 only
-        # for nu_max <= 2^-1022, where the least positive float stands in
-        return ps, np.maximum(nu_max * (1.0 - rng.random(count)), math.ulp(0.0))
+        # 1 - random() lies in [2^-53, 1], so nu >= 7/64 * 2^-53 > 0
+        return ps, KIM_SARNAK_NU * (1.0 - rng.random(count))
     if mode == "sato-tate":
         return ps, sato_tate_angles(rng, count)
     return ps, rng.random(count) * math.pi
 
 
-def sample_satake(count: int, mode: str, seed: int,
-                  nu_max: float = KIM_SARNAK_NU) -> list[SatakeLocal]:
+def sample_satake(count: int, mode: str, seed: int) -> list[SatakeLocal]:
     """Deterministic sample of local data; see SAMPLE_MODES.
 
     sato-tate draws tempered angles with density (2/pi) sin^2(theta);
     uniform-angle draws theta uniformly on [0, pi]; non-tempered draws
-    nu uniformly on (0, nu_max].  The unit factor is 1 throughout.
+    nu uniformly on (0, 7/64], the Kim-Sarnak range.  The unit factor
+    is 1 throughout.
     """
-    ps, draws = _sample_parameters(count, mode, seed, nu_max)
+    ps, draws = _sample_parameters(count, mode, seed)
     make = (SatakeLocal.from_deviation if mode == "non-tempered"
             else SatakeLocal.from_angle)
     return [make(p, x) for p, x in zip(ps.tolist(), draws.tolist())]
 
 
-def sample_coeff_triples(count: int, mode: str, seed: int,
-                         nu_max: float = KIM_SARNAK_NU
+def sample_coeff_triples(count: int, mode: str, seed: int
                          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized (A, |A3|^2, A4) arrays from the literal parameter sums.
 
     Same draws as sample_satake; used for bulk identity sweeps where
     constructing objects would dominate runtime.
     """
-    ps, draws = _sample_parameters(count, mode, seed, nu_max)
+    ps, draws = _sample_parameters(count, mode, seed)
     if mode == "non-tempered":
         pf = ps.astype(np.float64)
         return _coeff_sums(pf ** draws + 0j, pf ** (-draws) + 0j)

@@ -1059,25 +1059,21 @@ def lower_bound_check(b: MultFuncSpec, h: MultFuncSpec, z: float, q: int,
     return lhs >= rhs - 1e-9 * max(1.0, abs(lhs), abs(rhs))
 
 
-def local_factor_coeffs(a1: float, a2: float, p: int, order: int = 6) -> list[Fraction]:
-    """Power-series coefficients of the auxiliary local Euler factor.
+def local_factor_coeffs(a1: float, a2: float) -> list[Fraction]:
+    """Power-series coefficients of x^0, ..., x^6 of the auxiliary local
+    Euler factor.
 
     Expands (1 - a1 x + a1 x^2 - x^3)(1 - a2 x + a2 x^2 - x^3)(1 + (a1+a2) x)
-    in x = p^{-s}, exactly.  The x^1 coefficient cancels identically and
-    the x^2 coefficient is a1*a2 + a1 + a2 - (a1+a2)^2.
+    in x = p^{-s}, exactly; the expansion is the same at every prime p.
+    The x^1 coefficient cancels identically and the x^2 coefficient is
+    a1*a2 + a1 + a2 - (a1+a2)^2.
     """
-    if order < 0 or order > 6:
-        raise InvalidInputError(f"order must lie in [0, 6], got {order}")
-    if p < 2:
-        raise InvalidInputError(f"p must be a prime >= 2, got {p}")
     f1 = Fraction(a1)
     f2 = Fraction(a2)
     poly1 = [Fraction(1), -f1, f1, Fraction(-1)]
     poly2 = [Fraction(1), -f2, f2, Fraction(-1)]
     poly3 = [Fraction(1), f1 + f2]
-    prod = _poly_mul(_poly_mul(poly1, poly2), poly3)
-    prod += [Fraction(0)] * (order + 1 - len(prod))
-    return prod[:order + 1]
+    return _poly_mul(_poly_mul(poly1, poly2), poly3)[:7]
 
 
 def _poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:

@@ -160,7 +160,7 @@ def test_criterion_08_local_factor_cancellation():
     for _ in range(1000):
         a1 = rng.uniform(-6, 6)
         a2 = rng.uniform(-6, 6)
-        if sieve.local_factor_coeffs(a1, a2, 101)[1] != 0:
+        if sieve.local_factor_coeffs(a1, a2)[1] != 0:
             ok = False
             break
     _report(8, "local-factor x^1 cancellation", ok,

@@ -54,7 +54,7 @@ def test_identity_check_passes(capsys):
 # sha256 of `identity-check` at its defaults (10^5 samples, seed 1729),
 # one line of compact JSON
 IDENTITY_CHECK_STDOUT_SHA256 = (
-    "2576cb71890c5c0caaa8425f78772e3b9104e385a7c5a4f19c506cf2a0b9b9b9")
+    "92b08bed652ff2318a1b7c8ec37a30fc0a078a50eae8abd5fbb199f4985f2746")
 
 
 def test_identity_check_stdout_bytes_pinned(capsys):
@@ -73,13 +73,24 @@ def test_identity_check_reports_pairs_swept(capsys):
 
 @pytest.mark.parametrize("argv", [
     ("identity-check", "--samples", "1"), ("identity-check", "--samples", "-4"),
-    ("sieve-verify", "--samples", "0"),
-    ("sieve-verify", "--samples", "-5"),
 ])
 def test_sample_count_below_minimum_is_usage_error(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     assert err.startswith("error: invalid-input: --samples must be >= ")
+
+
+@pytest.mark.parametrize("argv", [
+    ("first-zero", "--chi0", "2", "--chi1", "-2", "--u-cap", "5"),
+    ("identity-check", "--nu-max", "0.1"),
+    ("sieve-verify", "--samples", "5"),
+], ids=["first-zero-u-cap", "identity-check-nu-max", "sieve-verify-samples"])
+def test_fixed_settings_are_unrecognized_arguments(capsys, argv):
+    # the give-up cap 10, the Kim-Sarnak deviation 7/64 and the 100
+    # brute-force specs are constants
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert f"error: unrecognized arguments: {' '.join(argv[-2:])}" in err
 
 
 @pytest.mark.parametrize("module,name,broken", [
@@ -147,7 +158,7 @@ def test_solve_dde_csv_output(capsys):
 
 
 def test_sieve_verify_checks(capsys):
-    code, out, _ = run_cli(capsys, "sieve-verify", "--samples", "10", "--seed", "3")
+    code, out, _ = run_cli(capsys, "sieve-verify", "--seed", "3")
     assert code == 0
     doc = json.loads(out)
     assert doc["all_passed"]
@@ -311,6 +322,16 @@ def test_density_scan_non_finite_eigenvalue_exit_code(tmp_path, capsys, monkeypa
     assert err == "error: data-gap: nan-a: eigenvalue at p = 19 is not finite (nan)\n"
 
 
+def test_density_scan_with_no_prime_exit_code(tmp_path, capsys):
+    # the levels 6 and 10 of the mixed fixtures take every prime up to 6
+    code, out, err = run_cli(capsys, "density-report", "--scan-labels",
+                             "fixture-mixed-1,fixture-mixed-2", "--x", "3",
+                             "--coverage", "100", "--cache-dir", str(tmp_path))
+    assert code == 2 and out == ""
+    assert err == ("error: invalid-input: every prime up to X = 3 divides one "
+                   "of the levels [6, 10]; nothing to scan\n")
+
+
 def test_density_scan_finds_fixture_exceptional_primes(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "density-report",
                            "--scan-labels", "fixture-mixed-1,fixture-mixed-2",
@@ -461,7 +482,7 @@ def test_asymptotic_huge_q_exit_code(capsys):
 
 
 # sha256 of the same report with `--q 30`
-ASYMPTOTIC_Q30_SHA256 = "ff13e9d8cd567e5c16e7c0bcf6761ae9f3eb2c99c87bbf425f42c55dd9c5f299"
+ASYMPTOTIC_Q30_SHA256 = "1e3a77af20b99b25f0a9e2171dd7f9eb77046e9a485c22bbc534ccbe6ca92733"
 
 
 def test_asymptotic_q30_bytes_pinned(capsys):
@@ -531,8 +552,10 @@ def test_solve_dde_reads_only_emitted_nodes(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("argv,name", [
-    (["first-zero", "--chi0", "2", "--chi1", "-2", "--u-cap", "inf"], "u_cap"),
-    (["first-zero", "--chi0", "2", "--chi1", "-2", "--u-cap", "nan"], "u_cap"),
+    (["first-zero", "--chi0", "2", "--chi1", "-2", "--initial-step", "inf"],
+     "initial_step"),
+    (["first-zero", "--chi0", "2", "--chi1", "-2", "--initial-step", "nan"],
+     "initial_step"),
     (["first-zero", "--chi0", "2", "--chi1", "-2", "--tol", "nan"], "tol"),
     (["first-zero", "--chi0", "inf", "--chi1", "-2"], "weights"),
     (["solve-dde", "--chi0", "2", "--chi1", "-2", "--u-max", "inf"], "u_max"),
@@ -625,7 +648,7 @@ def test_sieve_verify_checks_builds_one_table_of_what_it_reads(capsys, monkeypat
         return real_build(limit)
 
     monkeypatch.setattr(sieve, "build_table", build_spy)
-    code, out, _ = run_cli(capsys, "sieve-verify", "--samples", "5")
+    code, out, _ = run_cli(capsys, "sieve-verify")
     assert code == 0 and json.loads(out)["all_passed"]
     assert limits == [4999]
 
@@ -661,7 +684,7 @@ def test_sieve_verify_checks_payload_and_draws_pinned(capsys, monkeypatch, seed)
     config = doc.pop("config")
     assert config == {"chi0": 2.0, "chi1": -2.0, "command": "sieve-verify",
                       "format": None, "limit": None, "out": None, "q": 1,
-                      "report": "checks", "samples": 100, "seed": int(seed),
+                      "report": "checks", "seed": int(seed),
                       "u_grid": "0.5,1.0,1.5", "y": 1000}
     assert json.dumps(doc, sort_keys=True) == CHECKS_PAYLOAD
     assert len(draws) == 100

@@ -181,8 +181,15 @@ def test_exponent_reciprocal_brackets():
 
 
 def test_first_zero_not_found_below_cap():
-    with pytest.raises(SignChangeNotFoundError):
-        dde.first_zero(TWO_FORM, tol=1e-6, u_cap=2.0)
+    # sigma of (10, -0.5) keeps its sign up to the cap u = 10
+    with pytest.raises(SignChangeNotFoundError,
+                       match=r"^no sign change of sigma below u = 10 at step 0\.001$"):
+        dde.first_zero(DdeSpec(10.0, -0.5), tol=1e-6)
+
+
+def test_first_zero_cap_is_fixed():
+    with pytest.raises(TypeError, match="u_cap"):
+        dde.first_zero(TWO_FORM, u_cap=20.0)
 
 
 def test_first_zero_rejects_tiny_tol():
@@ -219,7 +226,7 @@ def test_nodes_stream_monotone():
 
 
 # The full-grid route that first_zero and nodes() replaced, kept as the
-# oracle: integrate every segment up to u_cap, then scan all of them for
+# oracle: integrate every segment up to U_CAP, then scan all of them for
 # the first sign change; walk every node in order.
 
 def midpoints_reference(seg):
@@ -271,14 +278,14 @@ def locate_zero_reference(segments, h):
     return None
 
 
-def first_zero_reference(spec, tol, u_cap, initial_step):
+def first_zero_reference(spec, tol, initial_step):
     step = initial_step
     estimates = []
     while True:
-        est = locate_zero_reference(*solve_reference(spec, u_cap, step))
-        if est is None or est > u_cap:
+        est = locate_zero_reference(*solve_reference(spec, dde.U_CAP, step))
+        if est is None:
             raise SignChangeNotFoundError(
-                f"no sign change of sigma below u = {u_cap} at step {step}")
+                f"no sign change of sigma below u = {dde.U_CAP} at step {step}")
         if estimates and abs(est - estimates[-1]) < tol:
             return est
         estimates.append(est)
@@ -325,19 +332,17 @@ def test_solve_bytes_match_reference(spec, u_max, step):
 
 
 @settings(max_examples=60, deadline=None)
-@given(chi0=st.sampled_from([1.0, 1.5, 2.0, 3.0]),
+@given(chi0=st.sampled_from([1.0, 1.5, 2.0, 3.0, 10.0]),
        chi1=st.floats(-4.0, -0.25),
        tol=st.sampled_from([1e-9, 1e-8, 1e-7, 1e-6, 1e-5, 1e-3]),
-       initial_step=st.floats(1e-4, 1e-2),
-       u_cap=st.one_of(st.integers(1, 6).map(float), st.floats(1.0, 6.0)))
-def test_first_zero_bytes_match_full_grid_ladder(chi0, chi1, tol, initial_step,
-                                                 u_cap):
+       initial_step=st.floats(1e-4, 1e-2))
+def test_first_zero_bytes_match_full_grid_ladder(chi0, chi1, tol, initial_step):
     spec = DdeSpec(chi0, chi1)
     # a coarser floor keeps every grid small; small tols then end unconverged
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(dde, "STEP_MIN", 1e-5)
-        assert _outcome(dde.first_zero, spec, tol, u_cap, initial_step) == \
-            _outcome(first_zero_reference, spec, tol, u_cap, initial_step)
+        mp.setattr(dde, "STEP_MIN", 1e-4)
+        assert _outcome(dde.first_zero, spec, tol, initial_step) == \
+            _outcome(first_zero_reference, spec, tol, initial_step)
 
 
 def test_first_zero_stops_at_first_sign_change(monkeypatch):
@@ -352,13 +357,13 @@ def test_first_zero_stops_at_first_sign_change(monkeypatch):
     monkeypatch.setattr(dde, "_segments", counted)
     zero = dde.first_zero(TWO_FORM, tol=1e-6, initial_step=1e-5)
     assert float.hex(zero) == float.hex(
-        first_zero_reference(TWO_FORM, 1e-6, dde.DEFAULT_U_CAP, 1e-5))
+        first_zero_reference(TWO_FORM, 1e-6, 1e-5))
     assert len(taken) >= 2 and set(taken) == {3}   # sigma on [0, 3), not to 10
 
 
 @pytest.mark.parametrize("call,name", [
     (lambda v: dde.solve(TWO_FORM, v, 1e-3), "u_max"),
-    (lambda v: dde.first_zero(TWO_FORM, u_cap=v), "u_cap"),
+    (lambda v: dde.first_zero(TWO_FORM, initial_step=v), "initial_step"),
     (lambda v: dde.first_zero(TWO_FORM, tol=v), "tol"),
     (lambda v: DdeSpec(v, -2.0), "weights"),
     (lambda v: DdeSpec(2.0, -v), "weights"),
@@ -373,6 +378,11 @@ def test_grid_capped_before_allocating(no_dde_grid):
     with pytest.raises(ResourceLimitError,
                        match=r"= 1000000100000 nodes exceeds the cap 200000000"):
         dde.solve(TWO_FORM, 1e5, 1e-7)
-    with pytest.raises(ResourceLimitError,
-                       match=r"= 200000020 nodes exceeds the cap 200000000"):
-        dde.first_zero(TWO_FORM, u_cap=20.0, initial_step=1e-7)
+
+
+def test_first_zero_grid_fits_the_node_cap():
+    # first_zero holds at most U_CAP segments of 1/STEP_MIN + 1 nodes, so
+    # its solves never meet the ResourceLimitError of the cap
+    n = dde._grid_size("step", dde.STEP_MIN)
+    assert n == round(1 / dde.STEP_MIN) == 10 ** 7
+    assert dde.U_CAP * (n + 1) == 100_000_010 <= dde.NODE_LIMIT

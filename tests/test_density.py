@@ -172,6 +172,19 @@ def test_exceptional_scan_respects_levels():
     assert rep.pi_X == len([p for p in ps if int(p) not in excluded])
 
 
+@pytest.mark.parametrize("X", [2, 3, 6, 7])
+def test_exceptional_scan_rejects_a_scan_with_no_prime(X):
+    # levels 6 and 35 leave no prime up to X < 11: no mean to report
+    ps = sieve.primes_upto(1000)
+    fam = _family_from_eigenvalues(
+        [_tempered_stream(ps, 5), _tempered_stream(ps, 6)], levels=(6, 35))
+    with pytest.raises(InvalidInputError) as exc:
+        density.exceptional_scan(fam, X)
+    assert str(exc.value) == (f"every prime up to X = {X} divides one of the "
+                              "levels [6, 35]; nothing to scan")
+    assert density.exceptional_scan(fam, 11).pi_X == 1
+
+
 def test_exceptional_scan_mean_matches_quadrature_oracle():
     # E[U] under two independent tempered draws, by numerical integration
     st_density = lambda t: (2 / mpmath.pi) * mpmath.sin(t) ** 2
@@ -301,6 +314,8 @@ def test_pnt_trend_requires_coverage():
         density.pnt_trend([3, 2], [1.0, 1.0], [2])
     with pytest.raises(InvalidInputError, match="no primes <= 1"):
         density.pnt_trend([], [], [1])
+    with pytest.raises(InvalidInputError, match="the X grid is empty"):
+        density.pnt_trend([2, 3], [1.0, 1.0], [])
 
 
 def test_pnt_trend_rows_against_brute_force():

@@ -174,19 +174,19 @@ def test_sample_matches_vectorized_triples():
 
 @pytest.mark.parametrize("mode", satake.SAMPLE_MODES)
 def test_sample_satake_keeps_the_drawn_parameters(mode):
-    samples = satake.sample_satake(300, mode, 11, nu_max=0.1)
+    samples = satake.sample_satake(300, mode, 11)
     rng = np.random.default_rng(11)
     if mode == "sato-tate":
         drawn = satake.sato_tate_angles(rng, 300)
     elif mode == "uniform-angle":
         drawn = rng.random(300) * math.pi
     else:
-        drawn = 0.1 * (1.0 - rng.random(300))
+        drawn = KIM_SARNAK_NU * (1.0 - rng.random(300))
     assert [s.theta_or_nu for s in samples] == drawn.tolist()
     assert {s.tempered for s in samples} == {mode != "non-tempered"}
     pool = satake._SAMPLE_PRIMES
     assert [s.p for s in samples] == [pool[i % len(pool)] for i in range(300)]
-    a2, a3sq, a4 = satake.sample_coeff_triples(300, mode, 11, nu_max=0.1)
+    a2, a3sq, a4 = satake.sample_coeff_triples(300, mode, 11)
     for s, want in zip(samples, zip(a2, a3sq, a4)):
         t = satake.sym_coeffs(s)
         assert (t.a2, t.a3_abs_sq, t.a4) == pytest.approx(want, abs=1e-12)
@@ -206,8 +206,11 @@ def test_sample_rejects_bad_arguments():
         satake.sample_satake(0, "sato-tate", 1)
     with pytest.raises(InvalidInputError):
         satake.sample_satake(5, "bogus", 1)
-    with pytest.raises(InvalidInputError):
-        satake.sample_satake(5, "non-tempered", 1, nu_max=0.2)
+    # the deviations fill the Kim-Sarnak range (0, 7/64], whose end is fixed
+    with pytest.raises(TypeError, match="nu_max"):
+        satake.sample_satake(5, "non-tempered", 1, nu_max=0.1)
+    with pytest.raises(TypeError, match="nu_max"):
+        satake.sample_coeff_triples(5, "non-tempered", 1, nu_max=0.1)
 
 
 def test_bulk_identity_sweep():
@@ -292,19 +295,23 @@ def test_every_made_datum_passes_every_accessor(s):
 
 
 @given(st.integers(1, 40), st.sampled_from(satake.SAMPLE_MODES),
-       st.integers(0, 2 ** 32), st.floats(0.0, KIM_SARNAK_NU, exclude_min=True))
-def test_every_sampled_datum_passes_every_accessor(count, mode, seed, nu_max):
-    for s in satake.sample_satake(count, mode, seed, nu_max=nu_max):
+       st.integers(0, 2 ** 32))
+def test_every_sampled_datum_passes_every_accessor(count, mode, seed):
+    for s in satake.sample_satake(count, mode, seed):
         _assert_accessors_accept(s)
 
 
-@pytest.mark.parametrize("nu_max", [5e-324, 2.0 ** -1022, 2.0 ** -1021])
-def test_samplers_agree_at_a_tiny_nu_max(nu_max):
-    # nu_max * (1 - random()) can underflow to 0 here; neither sampler may
-    # raise or return nu = 0, and both take the same draws
-    samples = satake.sample_satake(200, "non-tempered", 0, nu_max=nu_max)
-    assert all(0.0 < s.theta_or_nu <= nu_max for s in samples)
-    a2, a3sq, a4 = satake.sample_coeff_triples(200, "non-tempered", 0, nu_max=nu_max)
+def test_samplers_agree_at_the_smallest_deviation(monkeypatch):
+    # random() < 1, so its largest value 1 - 2^-53 gives the least
+    # deviation 7/64 * 2^-53: positive, and valid for both samplers
+    class Largest:
+        def random(self, count):
+            return np.full(count, 1.0 - 2.0 ** -53)
+
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: Largest())
+    samples = satake.sample_satake(200, "non-tempered", 0)
+    assert {s.theta_or_nu for s in samples} == {KIM_SARNAK_NU * 2.0 ** -53}
+    a2, a3sq, a4 = satake.sample_coeff_triples(200, "non-tempered", 0)
     for s, want in zip(samples, zip(a2, a3sq, a4)):
         t = satake.sym_coeffs(s)
         assert (t.a2, t.a3_abs_sq, t.a4) == pytest.approx(want, abs=1e-12)

@@ -1353,11 +1353,16 @@ def test_non_finite_arguments_rejected(table_small):
 
 
 def test_local_factor_cancellation_examples():
-    coeffs = sieve.local_factor_coeffs(3.0, 3.0, 7)
+    coeffs = sieve.local_factor_coeffs(3.0, 3.0)
     assert coeffs[1] == 0
-    coeffs = sieve.local_factor_coeffs(3.0, -1.0, 7)
+    coeffs = sieve.local_factor_coeffs(3.0, -1.0)
     assert coeffs[1] == 0
     assert coeffs[2] == Fraction(-5)
+    # x^0..x^6 of the integer product, the same at every prime
+    want = np.convolve(np.convolve([1, -3, 3, -1], [1, 1, -1, -1]), [1, 2])
+    assert coeffs == want[:7].tolist()
+    with pytest.raises(TypeError):
+        sieve.local_factor_coeffs(3.0, -1.0, 101)
 
 
 def test_local_factor_cancellation_random():
@@ -1365,7 +1370,7 @@ def test_local_factor_cancellation_random():
     for _ in range(1000):
         a1 = rng.uniform(-5, 5)
         a2 = rng.uniform(-5, 5)
-        coeffs = sieve.local_factor_coeffs(a1, a2, 101)
+        coeffs = sieve.local_factor_coeffs(a1, a2)
         assert coeffs[1] == 0
         assert coeffs[2] == Fraction(a1) * Fraction(a2) + Fraction(a1) \
             + Fraction(a2) - (Fraction(a1) + Fraction(a2)) ** 2
@@ -1378,7 +1383,7 @@ def test_local_factor_envelope_bound():
     a_bound = p ** (7 / 32) + p ** (-7 / 32) + 1.0    # E(p), the bound on |A|
     for a1 in (a_bound, -a_bound):
         for a2 in (a_bound, -a_bound):
-            c2 = sieve.local_factor_coeffs(a1, a2, p)[2]
+            c2 = sieve.local_factor_coeffs(a1, a2)[2]
             assert abs(c2) <= 5 * Fraction(a_bound) ** 2
 
 
