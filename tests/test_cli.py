@@ -73,6 +73,8 @@ def test_identity_check_reports_pairs_swept(capsys):
 
 @pytest.mark.parametrize("argv", [
     ("identity-check", "--samples", "1"), ("identity-check", "--samples", "-4"),
+    ("identity-check", "--samples", "0"),
+    ("identity-check", "--seed", "3", "--samples", "-5"),
 ])
 def test_sample_count_below_minimum_is_usage_error(capsys, argv):
     code, out, err = run_cli(capsys, *argv)

@@ -301,6 +301,25 @@ def test_every_sampled_datum_passes_every_accessor(count, mode, seed):
         _assert_accessors_accept(s)
 
 
+@pytest.mark.parametrize("nu_max", [5e-324, 2.0 ** -1022, 2.0 ** -1021])
+def test_samplers_agree_at_a_tiny_nu_max(monkeypatch, nu_max):
+    # every deviation pinned at a tiny nu, down to the least subnormal float:
+    # p^nu + p^-nu rounds to 2, yet both samplers build valid data and agree
+    real = satake._sample_parameters
+
+    def tiny(count, mode, seed):
+        ps, draws = real(count, mode, seed)
+        return ps, np.full_like(draws, nu_max)
+
+    monkeypatch.setattr(satake, "_sample_parameters", tiny)
+    samples = satake.sample_satake(200, "non-tempered", 0)
+    assert {s.theta_or_nu for s in samples} == {nu_max}
+    a2, a3sq, a4 = satake.sample_coeff_triples(200, "non-tempered", 0)
+    for s, want in zip(samples, zip(a2, a3sq, a4)):
+        t = satake.sym_coeffs(s)
+        assert (t.a2, t.a3_abs_sq, t.a4) == pytest.approx(want, abs=1e-12)
+
+
 def test_samplers_agree_at_the_smallest_deviation(monkeypatch):
     # random() < 1, so its largest value 1 - 2^-53 gives the least
     # deviation 7/64 * 2^-53: positive, and valid for both samplers
