@@ -1,9 +1,11 @@
 """Command-line entry point wiring all modules.
 
 Subcommands: solve-dde, first-zero, sieve-verify, density-report, bound,
-identity-check, fetch.  JSON is the default output; CSV serves only the
-grid outputs (DDE tables and asymptotic reports).  Every run echoes its
-parsed configuration so output is reproducible from the header alone.
+identity-check, fetch.  Each result has one output form: a scalar result
+prints one line of sorted-key JSON, and a grid (a DDE table or an
+asymptotic report) prints a ``# config:`` line and then CSV.  Every run
+echoes its parsed configuration so output is reproducible from the header
+alone.
 
 Exit codes: 0 success, 1 check failure or file error, 2 usage error,
 3 data gap, 4 resource limit, 5 network unavailable.
@@ -41,36 +43,19 @@ def _config_dict(args: argparse.Namespace) -> dict:
     return {k: v for k, v in vars(args).items() if k != "func"}
 
 
-def _config_line(args) -> str:
-    return "# config: " + json.dumps(_config_dict(args), sort_keys=True)
-
-
 def _emit_payload(payload: dict, args) -> None:
-    """Scalar results: one line of JSON by default, aligned key/value in
-    table mode."""
-    if (getattr(args, "format", None) or "json") == "table":
-        width = max(len(k) for k in payload)
-        text = "\n".join([_config_line(args),
-                          *(f"{k:<{width}}  {v}" for k, v in payload.items())])
-    else:
-        text = json.dumps({"config": _config_dict(args), **payload}, sort_keys=True)
+    """Scalar results: one line of sorted-key JSON."""
+    text = json.dumps({"config": _config_dict(args), **payload}, sort_keys=True)
     _write_out(args, text + "\n")
 
 
 def _emit_grid(header: list[str], rows: list[tuple], args) -> None:
-    """Grid results: CSV by default, JSON rows or aligned table on request."""
-    fmt = getattr(args, "format", None) or "csv"
-    if fmt == "json":
-        _emit_payload({"columns": header,
-                       "rows": [list(r) for r in rows]}, args)
-        return
-    cells = [header] + [[_csv_cell(v) for v in row] for row in rows]
-    if fmt == "table":
-        widths = [max(len(c[i]) for c in cells) for i in range(len(header))]
-        lines = ["  ".join(v.ljust(w) for v, w in zip(c, widths)) for c in cells]
-    else:
-        lines = [",".join(c) for c in cells]
-    _write_out(args, "\n".join([_config_line(args), *lines]) + "\n")
+    """Grid results: the config line, then CSV (floats as their repr)."""
+    lines = ["# config: " + json.dumps(_config_dict(args), sort_keys=True),
+             ",".join(header)]
+    lines += [",".join(repr(v) if isinstance(v, float) else str(v) for v in row)
+              for row in rows]
+    _write_out(args, "\n".join(lines) + "\n")
 
 
 def _comma_list(text: str, kind, option: str) -> list:
@@ -88,12 +73,6 @@ def _comma_list(text: str, kind, option: str) -> list:
             raise InvalidInputError(
                 f"{option} takes comma-separated {noun}, got {item!r}") from None
     return out
-
-
-def _csv_cell(v) -> str:
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
 
 
 def _write_out(args, *parts: str) -> None:
@@ -209,6 +188,9 @@ def _cmd_density_report(args) -> int:
             if lab in labels[:i]:
                 raise InvalidInputError(
                     f"--scan-labels names {lab!r} twice; a family needs distinct forms")
+        if len(labels) < 2:
+            raise InvalidInputError(f"--scan-labels names only {labels[0]!r}; "
+                                    "a family needs at least 2 members")
         records = [ingest.fetch(lab, coverage=args.coverage,
                                 cache_dir=args.cache_dir) for lab in labels]
         family = density.FormFamily([r.to_form_meta() for r in records])
@@ -274,13 +256,10 @@ def _cmd_fetch(args) -> int:
     payload = {"findings": [{"severity": f.severity, "kind": f.kind,
                              "p": f.p, "message": f.message}
                             for f in findings]}
-    if args.format == "table":
-        _emit_payload({"record": record.to_json_dict(), **payload}, args)
-    else:
-        # "record" sorts after "config" and "findings": the record's text
-        # goes in last, in place of the closing brace
-        head = json.dumps({"config": _config_dict(args), **payload}, sort_keys=True)
-        _write_out(args, head[:-1], ', "record": ', *record.json_pieces(), "}\n")
+    # "record" sorts after "config" and "findings": the record's text goes
+    # in last, in place of the closing brace
+    head = json.dumps({"config": _config_dict(args), **payload}, sort_keys=True)
+    _write_out(args, head[:-1], ', "record": ', *record.json_pieces(), "}\n")
     return EXIT_OK if not errors else EXIT_FAIL
 
 
@@ -292,10 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--format", choices=("json", "csv", "table"),
-                       default=None,
-                       help="output format (scalars: json, the default, or table; "
-                            "grids: csv, the default, json or table)")
         p.add_argument("--out", help="write output to this path instead of stdout")
 
     p = sub.add_parser("solve-dde", help="integrate a delay differential equation")
@@ -396,12 +371,6 @@ def main(argv=None) -> int:
     except SystemExit as exc:     # argparse uses 2 for usage errors already
         return int(exc.code or 0)
     try:
-        grid = (args.command == "solve-dde"
-                or getattr(args, "report", "") == "asymptotic")
-        if args.format == "csv" and not grid:
-            raise InvalidInputError(
-                f"--format csv is for grid outputs; {args.command} prints "
-                "a scalar payload, use --format json or --format table")
         return args.func(args)
     except (InvalidInputError, UnsupportedRangeError) as exc:
         print(f"error: invalid-input: {exc}", file=sys.stderr)

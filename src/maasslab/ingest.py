@@ -111,6 +111,10 @@ class CoeffRecord:
                         ps=self.ps, lams=self.lams, label=self.label)
 
     def to_json_dict(self) -> dict:
+        """The record as a JSON object.  The library prints and writes
+        records through json_pieces alone; this is the reference that
+        json_pieces is tested against (to_json_text is json.dumps of it
+        with sorted keys)."""
         return {
             "schema": SCHEMA_VERSION,
             "label": self.label,

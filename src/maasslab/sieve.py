@@ -166,7 +166,7 @@ class MultFuncSpec:
     the value at squarefree n is the product of the values at its prime
     factors, and non-squarefree n gives 0.  q is the default coprimality
     modulus: values at n with (n, q) > 1 are dropped by the summation
-    operations.
+    operations.  Any other kind raises InvalidInputError at construction.
     """
 
     kind: str
@@ -180,6 +180,11 @@ class MultFuncSpec:
     q: int = 1
 
     __eq__ = bounds.fields_equal
+
+    def __post_init__(self):
+        if self.kind not in ("threshold-weight", "coefficient-table",
+                             "moebius-quotient"):
+            raise InvalidInputError(f"unknown spec kind {self.kind!r}")
 
     @classmethod
     def threshold(cls, y: int, chi0: float, chi1: float, q: int = 1) -> "MultFuncSpec":
@@ -211,9 +216,8 @@ class MultFuncSpec:
             out = np.zeros(ps.shape)
             out[found] = self.values[idx[found]]
             return out
-        if self.kind == "moebius-quotient":
-            return self.left.prime_values(ps) - self.right.prime_values(ps)
-        raise InvalidInputError(f"unknown spec kind {self.kind!r}")
+        # moebius-quotient: __post_init__ admits no other kind
+        return self.left.prime_values(ps) - self.right.prime_values(ps)
 
     def _steps(self) -> tuple[list[int], list[float]]:
         """(ys, cs), ys ascending: the value at a prime p that is no key of
@@ -223,14 +227,13 @@ class MultFuncSpec:
             return [self.y], [self.chi0, self.chi1]
         if self.kind == "coefficient-table":
             return [], [0.0]
-        if self.kind == "moebius-quotient":
-            (ly, lc), (ry, rc) = self.left._steps(), self.right._steps()
-            ys = sorted({*ly, *ry})
-            # a point of each interval: its right end, and one past the last y
-            ends = [*ys, ys[-1] + 1] if ys else [2]
-            return ys, [lc[bisect.bisect_left(ly, x)] - rc[bisect.bisect_left(ry, x)]
-                        for x in ends]
-        raise InvalidInputError(f"unknown spec kind {self.kind!r}")
+        # moebius-quotient
+        (ly, lc), (ry, rc) = self.left._steps(), self.right._steps()
+        ys = sorted({*ly, *ry})
+        # a point of each interval: its right end, and one past the last y
+        ends = [*ys, ys[-1] + 1] if ys else [2]
+        return ys, [lc[bisect.bisect_left(ly, x)] - rc[bisect.bisect_left(ry, x)]
+                    for x in ends]
 
     def _keys(self) -> np.ndarray:
         """The keys of the spec's coefficient tables, ascending (int64)."""

@@ -54,7 +54,7 @@ def test_identity_check_passes(capsys):
 # sha256 of `identity-check` at its defaults (10^5 samples, seed 1729),
 # one line of compact JSON
 IDENTITY_CHECK_STDOUT_SHA256 = (
-    "92b08bed652ff2318a1b7c8ec37a30fc0a078a50eae8abd5fbb199f4985f2746")
+    "25338d77b202e24a600ef1bd7f240368dc78f79674f53cd1d728b3bcb2f1ab76")
 
 
 def test_identity_check_stdout_bytes_pinned(capsys):
@@ -86,10 +86,21 @@ def test_sample_count_below_minimum_is_usage_error(capsys, argv):
     ("first-zero", "--chi0", "2", "--chi1", "-2", "--u-cap", "5"),
     ("identity-check", "--nu-max", "0.1"),
     ("sieve-verify", "--samples", "5"),
-], ids=["first-zero-u-cap", "identity-check-nu-max", "sieve-verify-samples"])
+    ("bound", "--levels", "1,1", "--spectral", "0,0", "--format", "json"),
+    ("solve-dde", "--chi0", "2", "--chi1", "-2", "--format", "csv"),
+    ("first-zero", "--chi0", "2", "--chi1", "-2", "--format", "table"),
+    ("sieve-verify", "--report", "asymptotic", "--format", "json"),
+    ("density-report", "--m", "2", "--format", "csv"),
+    ("identity-check", "--samples", "2", "--format", "table"),
+    ("fetch", "--label", "fixture-tempered-1", "--format", "table"),
+], ids=["first-zero-u-cap", "identity-check-nu-max", "sieve-verify-samples",
+        "bound-format-json", "solve-dde-format-csv", "first-zero-format-table",
+        "sieve-verify-format-json", "density-report-format-csv",
+        "identity-check-format-table", "fetch-format-table"])
 def test_fixed_settings_are_unrecognized_arguments(capsys, argv):
     # the give-up cap 10, the Kim-Sarnak deviation 7/64 and the 100
-    # brute-force specs are constants
+    # brute-force specs are constants; a scalar result prints JSON and a
+    # grid CSV, with no --format
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     assert f"error: unrecognized arguments: {' '.join(argv[-2:])}" in err
@@ -189,7 +200,7 @@ def test_fetch_fixture(tmp_path, capsys):
 
 # sha256 of `fetch --label fixture-mixed-1 --coverage 10000 --cache-dir cache`,
 # one line of compact JSON
-FETCH_STDOUT_SHA256 = "dfa89ba790589c5d454c2747928ded629aacc59c59543895092600d6c5d17003"
+FETCH_STDOUT_SHA256 = "56d511e71f46e4e01b7830c458caae3cfd3ccdfceb9c8514912c5c3c784a2172"
 
 
 def test_fetch_stdout_bytes_pinned(tmp_path, capsys, monkeypatch):
@@ -359,7 +370,9 @@ def test_fetch_remote_label_mismatch_exit_code(tmp_path, capsys, local_endpoint)
 @pytest.mark.parametrize("labels, item", [(",", "''"), ("a,,b", "''"),
                                           ("fixture-mixed-1,", "''"),
                                           ("fixture-mixed-1,fixture-mixed-1",
-                                           "'fixture-mixed-1'")])
+                                           "'fixture-mixed-1'"),
+                                          ("fixture-mixed-1", "'fixture-mixed-1'"),
+                                          ("nosuch", "'nosuch'")])
 def test_density_scan_bad_label_list_exit_code(tmp_path, capsys, labels, item):
     code, out, err = run_cli(capsys, "density-report", "--scan-labels", labels,
                              "--x", "1000", "--cache-dir", str(tmp_path))
@@ -390,7 +403,7 @@ def test_help_exists_for_every_subcommand(capsys):
         code = cli.main([sub, "--help"])
         out = capsys.readouterr().out
         assert code == 0
-        assert "--format" in out
+        assert "--out" in out
 
 
 def test_density_scan_output_independent_of_cpu_count(tmp_path, capsys,
@@ -450,7 +463,9 @@ def test_asymptotic_q_below_one_names_q(capsys):
 def test_bound_bad_list_item_exit_code(capsys):
     for argv, option, item in (
             (["--levels", "5,x", "--spectral", "1,2"], "--levels", "'x'"),
-            (["--levels", "5,7", "--spectral", "1,2y"], "--spectral", "'2y'")):
+            (["--levels", "5,7", "--spectral", "1,2y"], "--spectral", "'2y'"),
+            (["--levels", "5,7,9", "--spectral", "1,2"], "3 levels",
+             "2 spectral parameters")):
         code, out, err = run_cli(capsys, "bound", *argv)
         assert code == 2 and out == ""
         assert err.startswith("error: invalid-input: ")
@@ -484,7 +499,7 @@ def test_asymptotic_huge_q_exit_code(capsys):
 
 
 # sha256 of the same report with `--q 30`
-ASYMPTOTIC_Q30_SHA256 = "1e3a77af20b99b25f0a9e2171dd7f9eb77046e9a485c22bbc534ccbe6ca92733"
+ASYMPTOTIC_Q30_SHA256 = "61d0300d7c291faa69ab6370d33e7be4a577461bbaac1b2ef0fddb33693897fc"
 
 
 def test_asymptotic_q30_bytes_pinned(capsys):
@@ -525,15 +540,15 @@ def _solve_dde_full_walk(args):
     ["--chi0", "2", "--chi1", "-2", "--step", "1e-5", "--u-max", "3",
      "--stride", "100"],
     ["--chi0", "1", "--chi1", "-3", "--u-max", "3", "--step", "1e-4",
-     "--stride", "100", "--format", "json"],
+     "--stride", "100"],
     ["--chi0", "2", "--chi1", "-2", "--u-max", "2.5", "--step", "1e-3",
      "--stride", "7"],
     ["--chi0", "1.5", "--chi1", "-2.5", "--u-max", "1.37", "--step", "3e-3",
-     "--stride", "1", "--format", "json"],
+     "--stride", "1"],
     ["--chi0", "3", "--chi1", "-1", "--u-max", "4.2", "--step", "1e-2",
      "--stride", "100000"],
     ["--chi0", "2", "--chi1", "-2", "--u-max", "1", "--step", "1e-2",
-     "--stride", "25", "--format", "table"],
+     "--stride", "25"],
 ])
 def test_solve_dde_bytes_match_full_walk(capsys, monkeypatch, argv):
     code, out, _ = run_cli(capsys, "solve-dde", *argv)
@@ -577,38 +592,6 @@ def test_dde_grid_past_cap_exit_code(capsys, no_dde_grid):
     assert code == 4 and out == ""
     assert err.startswith("error: resource-limit: ")
     assert "1000000100000 nodes" in err and "cap 200000000" in err
-
-
-def test_table_format_renders_grid(capsys):
-    code, out, _ = run_cli(capsys, "solve-dde", "--chi0", "2", "--chi1", "-2",
-                           "--u-max", "1", "--step", "1e-2", "--stride", "25",
-                           "--format", "table")
-    assert code == 0
-    lines = out.splitlines()
-    assert lines[1].startswith("u")
-    assert "sigma" in lines[1]
-
-
-def test_table_format_renders_payload(capsys):
-    code, out, _ = run_cli(capsys, "density-report", "--m", "1",
-                           "--format", "table")
-    assert code == 0
-    assert "34/35" in out
-
-
-def test_csv_format_rejected_for_scalar_payloads(capsys):
-    for argv in (["bound", "--levels", "1,2", "--spectral", "1,2"],
-                 ["sieve-verify"],
-                 ["first-zero", "--chi0", "1", "--chi1", "-3"],
-                 ["density-report", "--m", "2"]):
-        code, out, err = run_cli(capsys, *argv, "--format", "csv")
-        assert code == 2 and out == ""
-        assert "json" in err and "table" in err
-    code, out, _ = run_cli(capsys, "sieve-verify",
-                           "--report", "asymptotic", "--y", "10",
-                           "--u-grid", "1.0", "--format", "csv")
-    assert code == 0
-    assert out.splitlines()[1] == "y,u,exact,predicted,rel_error"
 
 
 @pytest.mark.parametrize("case", ["cache-file-is-a-directory", "out-dir-missing",
@@ -685,7 +668,7 @@ def test_sieve_verify_checks_payload_and_draws_pinned(capsys, monkeypatch, seed)
     doc = json.loads(out)
     config = doc.pop("config")
     assert config == {"chi0": 2.0, "chi1": -2.0, "command": "sieve-verify",
-                      "format": None, "limit": None, "out": None, "q": 1,
+                      "limit": None, "out": None, "q": 1,
                       "report": "checks", "seed": int(seed),
                       "u_grid": "0.5,1.0,1.5", "y": 1000}
     assert json.dumps(doc, sort_keys=True) == CHECKS_PAYLOAD

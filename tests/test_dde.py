@@ -37,6 +37,9 @@ def test_initial_segment_value():
     sol = dde.solve(TWO_FORM, 2.0, 1e-3)
     assert sol.at(1.0) == pytest.approx(1.0, abs=1e-12)
     assert sol.at(0.5) == pytest.approx(0.5, abs=1e-12)
+    for u in (0.0, 2.5):        # the stored grid covers (0, 2]
+        with pytest.raises(InvalidInputError, match=rf"^u must lie in \(0, 2\], got {u}$"):
+            sol.at(u)
 
 
 def test_two_form_value_at_two():
@@ -56,6 +59,8 @@ def test_solve_rejects_bad_arguments():
         dde.solve(TWO_FORM, 2.0, 1e-8)
     with pytest.raises(InvalidInputError):
         dde.solve(TWO_FORM, 2.0, 0.5)
+    with pytest.raises(InvalidInputError, match="integrator requires chi0 >= 1"):
+        dde.solve(DdeSpec(0.5, -1.0), 2.0, 1e-3)
 
 
 def test_solve_bitwise_deterministic():
@@ -216,6 +221,10 @@ def test_closed_form_first_zero_values():
     z = dde.closed_form_first_zero(TWO_FORM)
     assert dde.analytic_segment(TWO_FORM, z) == pytest.approx(0.0, abs=1e-12)
     assert z == pytest.approx(2.2352795913785175, abs=1e-15)   # pinned bisection
+    # (2, -0.1) keeps its sign on (1, 3]
+    with pytest.raises(SignChangeNotFoundError,
+                       match=r"^no closed-form sign change on \(1, 3\]$"):
+        dde.closed_form_first_zero(DdeSpec(2.0, -0.1))
 
 
 def test_nodes_stream_monotone():

@@ -172,15 +172,17 @@ def test_exceptional_scan_respects_levels():
     assert rep.pi_X == len([p for p in ps if int(p) not in excluded])
 
 
-@pytest.mark.parametrize("X", [2, 3, 6, 7])
+@pytest.mark.parametrize("X", [1, 2, 3, 6, 7])
 def test_exceptional_scan_rejects_a_scan_with_no_prime(X):
-    # levels 6 and 35 leave no prime up to X < 11: no mean to report
+    # levels 6 and 35 leave no prime up to X < 11: no mean to report; below
+    # 2 there is no prime at all
     ps = sieve.primes_upto(1000)
     fam = _family_from_eigenvalues(
         [_tempered_stream(ps, 5), _tempered_stream(ps, 6)], levels=(6, 35))
     with pytest.raises(InvalidInputError) as exc:
         density.exceptional_scan(fam, X)
-    assert str(exc.value) == (f"every prime up to X = {X} divides one of the "
+    assert str(exc.value) == ("X must be >= 2, got 1" if X < 2 else
+                              f"every prime up to X = {X} divides one of the "
                               "levels [6, 35]; nothing to scan")
     assert density.exceptional_scan(fam, 11).pi_X == 1
 
@@ -337,6 +339,12 @@ def test_family_assumption_recorded():
     report = density.exceptional_scan(fam, 100)
     assert report.assumptions == [density.DISTINCT_RP_ASSUMPTION]
     assert "distinct" in density.DISTINCT_RP_ASSUMPTION
+
+
+def test_family_needs_two_members():
+    meta = ingest.generate_fixture("fixture-mixed-1", 1000).to_form_meta()
+    with pytest.raises(InvalidInputError, match="^a family needs at least 2 members$"):
+        FormFamily([meta])
 
 
 def test_family_rejects_members_sharing_a_label():

@@ -196,7 +196,12 @@ def test_json_values_rejected_with_their_field():
                        ({**base, "spectral_parameter": float("nan")},
                         "spectral_parameter"),
                        ({**base, "spectral_parameter": 10 ** 400},
-                        "spectral_parameter")):
+                        "spectral_parameter"),
+                       # the document's shape: not an object, a field
+                       # missing, another schema
+                       ([], None),
+                       ({k: v for k, v in base.items() if k != "label"}, "label"),
+                       ({**base, "schema": 2}, "schema")):
         with pytest.raises(CacheParseError) as exc:
             ingest._record_from_json_dict(doc)
         assert exc.value.field == field

@@ -106,6 +106,9 @@ def test_kim_sarnak_envelope_values():
     ps = np.array([2, 3, 101])
     assert satake.kim_sarnak_envelope(ps).tolist() == \
         [satake.kim_sarnak_envelope(p) for p in ps.tolist()]
+    for bad in (2.0, np.array([2, 1])):     # not an integer; an entry below 2
+        with pytest.raises(InvalidInputError, match="^p must be a prime >= 2, got "):
+            satake.kim_sarnak_envelope(bad)
 
 
 def test_kim_sarnak_envelope_monotone():

@@ -432,6 +432,18 @@ def test_h_sum_hand_examples():
     assert sieve.h_sum(spec, 10, 1) == 17.0
     assert sieve.h_sum(spec, 10, 6) == 5.0
     assert sieve.h_sum(spec, 1, 1) == 1.0
+    with pytest.raises(InvalidInputError, match="q must be >= 1, got 0$"):
+        sieve.h_sum(spec, 10, 0)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: MultFuncSpec(kind="foo"), "unknown spec kind 'foo'"),
+    (lambda: MultFuncSpec.threshold(1, 2, -2), "threshold y must be >= 2, got 1"),
+], ids=["unknown-kind", "threshold-y-below-2"])
+def test_multfuncspec_checked_at_construction(build, message):
+    # an unknown kind fails when built, not at its first use
+    with pytest.raises(InvalidInputError, match=f"^{message}$"):
+        build()
 
 
 def test_h_sum_against_recursive_oracle(table_small):
@@ -1051,6 +1063,8 @@ def test_asymptotic_report_range_error():
     # an empty grid is no bare ValueError from max()
     with pytest.raises(InvalidInputError, match="u grid is empty"):
         sieve.asymptotic_report(10, [], 1, (2, -2))
+    with pytest.raises(InvalidInputError, match="y must be >= 2, got 1$"):
+        sieve.asymptotic_report(1, [1.0], 1, (2, -2))
 
 
 def _exceptional_below_convolution(table, y, seed):
