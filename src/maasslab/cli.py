@@ -182,7 +182,7 @@ def _cmd_sieve_verify(args) -> int:
 
 
 def _cmd_density_report(args) -> int:
-    if args.scan_labels:
+    if args.scan_labels is not None:
         labels = _comma_list(args.scan_labels, str, "--scan-labels")
         for i, lab in enumerate(labels):
             if lab in labels[:i]:

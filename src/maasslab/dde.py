@@ -31,6 +31,7 @@ STEP_MAX = 1e-2
 DEFAULT_FIRST_ZERO_TOL = 1e-6
 U_CAP = 10                   # first_zero's give-up point, far above the paper's zeros
 NODE_LIMIT = 2 * 10 ** 8     # grid nodes one call may hold: 1.6 GB of float64
+_BLOCK = 2 ** 14             # intervals stepped at once: 128 KiB temporaries
 
 
 @dataclass(frozen=True)
@@ -106,14 +107,18 @@ def _eval_cubic(segments: list[np.ndarray], h: float, u: float) -> float:
     return float(w0 * seg[j] + w1 * seg[j + 1] + w2 * seg[j + 2] + w3 * seg[j + 3])
 
 
-def _midpoints(seg: np.ndarray) -> np.ndarray:
-    """Cubic interpolation at half-grid points of a uniform segment of at
-    least 4 nodes (_grid_size gives 101 or more)."""
-    mid = np.empty(seg.size - 1)
-    mid[1:-1] = (-seg[:-3] + 9.0 * seg[1:-2] + 9.0 * seg[2:-1] - seg[3:]) / 16.0
-    # one-sided cubics at the ends
-    mid[0] = (5.0 * seg[0] + 15.0 * seg[1] - 5.0 * seg[2] + seg[3]) / 16.0
-    mid[-1] = (seg[-4] - 5.0 * seg[-3] + 15.0 * seg[-2] + 5.0 * seg[-1]) / 16.0
+def _midpoints(seg: np.ndarray, a: int, b: int) -> np.ndarray:
+    """Cubic interpolation at the half-grid points a + 1/2, ..., b - 1/2
+    of a uniform segment of at least 4 nodes (_grid_size gives 101 or
+    more), one-sided at the first and last interval."""
+    lo, hi = max(a, 1), min(b, seg.size - 2)
+    mid = np.empty(b - a)
+    mid[lo - a:hi - a] = (-seg[lo - 1:hi - 1] + 9.0 * seg[lo:hi]
+                          + 9.0 * seg[lo + 1:hi + 1] - seg[lo + 2:hi + 2]) / 16.0
+    if a == 0:
+        mid[0] = (5.0 * seg[0] + 15.0 * seg[1] - 5.0 * seg[2] + seg[3]) / 16.0
+    if b == seg.size - 1:
+        mid[-1] = (seg[-4] - 5.0 * seg[-3] + 15.0 * seg[-2] + 5.0 * seg[-1]) / 16.0
     return mid
 
 
@@ -127,6 +132,12 @@ def _checked_end(name: str, u_end: float) -> int:
 def _segments(spec: DdeSpec, n: int, count: int):
     """Yield sigma on the grid k + j/n, j = 0..n, of the unit segments
     k = 0, 1, ..., count - 1, each computed from the one before.
+
+    Each segment is stepped in blocks of _BLOCK intervals, so that every
+    temporary is one block long, with the bytes of a whole-segment step:
+    each node meets the same float operations on the same operands, and
+    the running sum enters a block through its first increment, which is
+    the addition a sequential cumsum over the whole segment makes there.
 
     The caller may hold all count segments, so count * (n + 1) nodes
     above NODE_LIMIT raise ResourceLimitError before any is allocated.
@@ -142,20 +153,24 @@ def _segments(spec: DdeSpec, n: int, count: int):
     e0 = spec.initial_exponent
     kappa = spec.delay_coefficient
 
-    xs0 = np.arange(n + 1) * h
-    prev = xs0 ** e0 if e0 != 0.0 else np.ones(n + 1)
+    prev = (np.arange(n + 1) * h) ** e0 if e0 != 0.0 else np.ones(n + 1)
     yield prev
     for k in range(1, count):
-        us = k + np.arange(n + 1) * h
-        g_nodes = -kappa * prev / us ** (e0 + 1.0)
-        g_mid = -kappa * _midpoints(prev) / (us[:-1] + 0.5 * h) ** (e0 + 1.0)
         # f = u^{-e0} sigma;  f' = g known, so RK4 collapses to Simpson steps
-        incr = (h / 6.0) * (g_nodes[:-1] + 4.0 * g_mid + g_nodes[1:])
-        f = np.empty(n + 1)
-        f[0] = prev[-1] / float(k) ** e0
-        f[1:] = f[0] + np.cumsum(incr)
-        sigma = us ** e0 * f
+        f0 = prev[-1] / float(k) ** e0
+        sigma = np.empty(n + 1)
         sigma[0] = prev[-1]              # exact continuity at the breakpoint
+        for a in range(0, n, _BLOCK):
+            b = min(a + _BLOCK, n)
+            us = k + np.arange(a, b + 1) * h
+            g_nodes = -kappa * prev[a:b + 1] / us ** (e0 + 1.0)
+            g_mid = -kappa * _midpoints(prev, a, b) / (us[:-1] + 0.5 * h) ** (e0 + 1.0)
+            cs = (h / 6.0) * (g_nodes[:-1] + 4.0 * g_mid + g_nodes[1:])
+            if a:
+                cs[0] += carry
+            np.cumsum(cs, out=cs)
+            carry = cs[-1]
+            sigma[a + 1:b + 1] = us[1:] ** e0 * (f0 + cs)
         yield sigma
         prev = sigma
 
@@ -230,8 +245,10 @@ def first_zero(spec: DdeSpec, tol: float = DEFAULT_FIRST_ZERO_TOL,
     full-grid reference ladder).  SignChangeNotFoundError is raised when
     sigma keeps its sign up to U_CAP.
 
-    The grid never passes NODE_LIMIT: every step is at least STEP_MIN =
-    1e-7, so a segment holds at most 10^7 + 1 nodes and U_CAP of them
+    A solve holds its last two segments (the bisection reads the end of
+    the earlier one) and _segments' blocks.  Even all U_CAP segments
+    stay below NODE_LIMIT: every step is at least STEP_MIN = 1e-7, so a
+    segment holds at most 10^7 + 1 nodes and U_CAP of them
     10 * (10^7 + 1) = 100,000,010 < 2 * 10^8 nodes.
     """
     if not 1e-9 <= tol < math.inf:
@@ -240,13 +257,15 @@ def first_zero(spec: DdeSpec, tol: float = DEFAULT_FIRST_ZERO_TOL,
     step = initial_step
     estimates = []
     while True:
-        segments: list[np.ndarray] = []
+        segments: list[np.ndarray | None] = []
         est = None
         for seg in _segments(spec, n, U_CAP):
             segments.append(seg)
             est = _zero_in_last(segments, 1.0 / n)
             if est is not None:
                 break
+            if len(segments) > 1:
+                segments[-2] = None
         if est is None:
             raise SignChangeNotFoundError(
                 f"no sign change of sigma below u = {U_CAP} at step {step}")

@@ -46,6 +46,7 @@ EIGENVALUE_TOL = 1e-12
 UNIT_MODULUS_TOL = 1e-9
 
 SAMPLE_MODES = ("sato-tate", "uniform-angle", "non-tempered")
+_CHUNK = 2 ** 13             # samples per pass of sample_coeff_triples
 
 # prime pool cycled through by the samplers
 _SAMPLE_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
@@ -252,10 +253,18 @@ def sample_coeff_triples(count: int, mode: str, seed: int
     """Vectorized (A, |A3|^2, A4) arrays from the literal parameter sums.
 
     Same draws as sample_satake; used for bulk identity sweeps where
-    constructing objects would dominate runtime.
+    constructing objects would dominate runtime.  The sums fill the rows
+    of one (3, count) array _CHUNK samples at a time, so that besides the
+    draws it holds the complex temporaries of one chunk; each sample meets
+    the float operations of one whole-array pass, and gets its bytes.
     """
     ps, draws = _sample_parameters(count, mode, seed)
-    if mode == "non-tempered":
-        pf = ps.astype(np.float64)
-        return _coeff_sums(pf ** draws + 0j, pf ** (-draws) + 0j)
-    return _coeff_sums(np.exp(1j * draws), np.exp(-1j * draws))
+    out = np.empty((3, count))
+    for a in range(0, count, _CHUNK):
+        x = draws[a:a + _CHUNK]
+        if mode == "non-tempered":
+            pf = ps[a:a + _CHUNK].astype(np.float64)
+            out[:, a:a + _CHUNK] = _coeff_sums(pf ** x + 0j, pf ** (-x) + 0j)
+        else:
+            out[:, a:a + _CHUNK] = _coeff_sums(np.exp(1j * x), np.exp(-1j * x))
+    return tuple(out)

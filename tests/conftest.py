@@ -1,5 +1,6 @@
 import http.server
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -50,6 +51,22 @@ def no_dde_grid(monkeypatch):
         raise AssertionError("allocated before the cap check")
     for name in ("arange", "ones", "empty"):
         monkeypatch.setattr(np, name, refuse)
+
+
+@pytest.fixture
+def traced_peak():
+    """peak(fn, *args): the most bytes tracemalloc saw allocated at once
+    during fn(*args).  numpy reports its array buffers to tracemalloc, so
+    the reading is the same on every run."""
+    def peak(fn, *args):
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            fn(*args)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    return peak
 
 
 @pytest.fixture

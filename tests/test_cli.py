@@ -372,7 +372,7 @@ def test_fetch_remote_label_mismatch_exit_code(tmp_path, capsys, local_endpoint)
                                           ("fixture-mixed-1,fixture-mixed-1",
                                            "'fixture-mixed-1'"),
                                           ("fixture-mixed-1", "'fixture-mixed-1'"),
-                                          ("nosuch", "'nosuch'")])
+                                          ("nosuch", "'nosuch'"), ("", "''")])
 def test_density_scan_bad_label_list_exit_code(tmp_path, capsys, labels, item):
     code, out, err = run_cli(capsys, "density-report", "--scan-labels", labels,
                              "--x", "1000", "--cache-dir", str(tmp_path))

@@ -319,10 +319,20 @@ def _outcome(fn, *args):
         return type(exc).__name__, str(exc)
 
 
-@pytest.mark.parametrize("spec", [TWO_FORM, THREE_FORM, DdeSpec(1.5, -2.5),
-                                  DdeSpec(3.0, -1.0), DdeSpec(2.0, -0.5)])
-@pytest.mark.parametrize("u_max,step", [(1.0, 1e-2), (2.5, 1e-3), (3.0, 3e-3),
-                                        (4.2, 1e-3), (3.0, 1e-5)])
+_SPECS = [TWO_FORM, THREE_FORM, DdeSpec(1.5, -2.5), DdeSpec(3.0, -1.0),
+          DdeSpec(2.0, -0.5)]
+
+
+@pytest.mark.parametrize("spec,u_max,step", [
+    pytest.param(_SPECS[i], u_max, step, id=f"{u_max}-{step}-spec{i}")
+    for u_max, step in [(1.0, 1e-2), (2.5, 1e-3), (3.0, 3e-3), (4.2, 1e-3),
+                        (3.0, 1e-5)]
+    for i in range(len(_SPECS))] + [
+    # n nodes per unit step at the edges of _segments' blocks, for an
+    # integer and a non-integer initial exponent
+    pytest.param(_SPECS[i], 3.0, 1.0 / n, id=f"3.0-n{n}-spec{i}")
+    for i in (0, 2) for n in (dde._BLOCK - 1, dde._BLOCK, dde._BLOCK + 1,
+                              2 * dde._BLOCK + 1)])
 def test_solve_bytes_match_reference(spec, u_max, step):
     sol = dde.solve(spec, u_max, step)
     segments, h = solve_reference(spec, u_max, step)
@@ -368,6 +378,13 @@ def test_first_zero_stops_at_first_sign_change(monkeypatch):
     assert float.hex(zero) == float.hex(
         first_zero_reference(TWO_FORM, 1e-6, 1e-5))
     assert len(taken) >= 2 and set(taken) == {3}   # sigma on [0, 3), not to 10
+
+
+def test_first_zero_holds_two_segments(traced_peak):
+    # the last solve steps 1/200,000: its last two segments, plus 2 MiB
+    # for the blocks of _segments and the bisection
+    peak = traced_peak(dde.first_zero, TWO_FORM, 1e-6, 1e-5)
+    assert peak < 2 * 200_001 * 8 + 2 * 2 ** 20
 
 
 @pytest.mark.parametrize("call,name", [

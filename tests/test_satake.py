@@ -195,6 +195,28 @@ def test_sample_satake_keeps_the_drawn_parameters(mode):
         assert (t.a2, t.a3_abs_sq, t.a4) == pytest.approx(want, abs=1e-12)
 
 
+@pytest.mark.parametrize("mode", satake.SAMPLE_MODES)
+@pytest.mark.parametrize("count", [satake._CHUNK - 1, satake._CHUNK,
+                                   satake._CHUNK + 1, 50000])
+def test_coeff_triples_bytes_match_one_pass(mode, count):
+    # the chunked sums against _coeff_sums on all the draws at once
+    ps, draws = satake._sample_parameters(count, mode, 5)
+    if mode == "non-tempered":
+        pf = ps.astype(np.float64)
+        want = satake._coeff_sums(pf ** draws + 0j, pf ** (-draws) + 0j)
+    else:
+        want = satake._coeff_sums(np.exp(1j * draws), np.exp(-1j * draws))
+    got = satake.sample_coeff_triples(count, mode, 5)
+    assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+
+
+@pytest.mark.parametrize("mode", satake.SAMPLE_MODES)
+def test_coeff_triples_peak_memory(traced_peak, mode):
+    # the draws and the (3, count) result take 2 MiB; the complex
+    # temporaries of one pass over all 50000 samples took 5 MiB more
+    assert traced_peak(satake.sample_coeff_triples, 50000, mode, 1) < 4.5 * 2 ** 20
+
+
 def test_identity_residuals_take_floats_and_arrays():
     assert satake.identity_residuals(3.0, 16.0, 5.0) == (0.0, 0.0)
     assert satake.identity_residuals(0.0, 1.0, 0.0) == (1.0, 0.0)
