@@ -1,4 +1,5 @@
-"""Conductor and exponent bookkeeping for the least-prime bounds.
+"""Exponent bookkeeping for the least-prime bounds, and the one form of
+coefficient data.
 
 The least-prime exponents come from first zeros of the sieve delay
 differential equations: the two-form weight pair (2, -2) and the
@@ -13,6 +14,7 @@ import math
 import numbers
 import sys
 from dataclasses import dataclass, field, fields
+from fractions import Fraction
 
 import numpy as np
 
@@ -134,11 +136,6 @@ class FormMeta:
     __post_init__ = check_form_fields
 
 
-def conductor(meta: FormMeta) -> float:
-    """Analytic conductor N^2 (1 + |t|)^2."""
-    return meta.level ** 2 * (1.0 + abs(meta.spectral_parameter)) ** 2
-
-
 @dataclass(frozen=True)
 class ExponentDetail:
     """How a least-prime exponent was derived from a first zero."""
@@ -150,8 +147,10 @@ class ExponentDetail:
 
 
 def _round_up_6(x: float) -> float:
-    # tiny guard so values already on the grid are not bumped a notch
-    return math.ceil(x * 1e6 - 1e-9) / 1e6
+    """k / 10^6 for the smallest integer k with k / 10^6 >= x, where x is
+    taken exactly (as a Fraction); the double nearest k / 10^6 is then
+    >= x too, since x is a double."""
+    return math.ceil(Fraction(x) * 10 ** 6) / 1e6
 
 
 def exponent_detail(num_forms: int) -> ExponentDetail:

@@ -94,7 +94,7 @@ def _cmd_solve_dde(args) -> int:
     for i in range(0, sol._node_count(), args.stride):
         u, sig = sol._node(i)
         if u > args.u_max + 1e-12:
-            break                        # nodes() runs in increasing u
+            break                        # _node runs in increasing u
         rows.append((u, sig))
     _emit_grid(["u", "sigma"], rows, args)
     return EXIT_OK

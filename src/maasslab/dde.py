@@ -10,10 +10,17 @@ solution sigma satisfies
 The weight pair (2, -2) gives (u^{-1} sigma)' = -(4/u^2) sigma(u-1) with
 sigma(u) = u initially; (1, -3) gives sigma' = -(4/u) sigma(u-1) with
 sigma = 1 initially.  Within each unit interval the right-hand side
-depends only on the previous segment, so classical fourth-order stepping
-reduces to composite Simpson quadrature of a known function; the delayed
+depends only on the previous segment, so each step is composite Simpson
+quadrature of a known function (what RK4 reduces to here); the delayed
 value at half-grid points is obtained by cubic interpolation on the
 stored previous segment.  Breakpoints at integers are respected exactly.
+
+This is fourth order only where the integrand is smooth.  For a
+non-integer e0 it is not: the cubic interpolates u^e0 near u = 0, and
+Simpson meets (u - 1)^e0 near u = 1, so the error of the first zero
+falls only as h^(1 + e0) (measured against mpmath roots at e0 = 0.2,
+0.5 and 1.5 for steps 10^-3 to 10^-6).  The paper's pairs have e0 = 1
+and e0 = 0.
 """
 
 from __future__ import annotations
@@ -73,18 +80,13 @@ class PiecewiseSolution:
                 f"u must lie in (0, {len(self.segments)}], got {u}")
         return _eval_cubic(self.segments, self.grid_step, u)
 
-    def nodes(self):
-        """Yield (u, sigma(u)) grid pairs in increasing u, without duplicates."""
-        for i in range(self._node_count()):
-            yield self._node(i)
-
     def _node_count(self) -> int:
         return 1 + (self.segments[0].size - 1) * len(self.segments)
 
     def _node(self, i: int) -> tuple[float, float]:
-        """Pair number i of nodes(): node 0 of segment 0, then nodes 1..n
-        of each segment k (node 0 of segment k > 0 repeats the end of
-        segment k - 1)."""
+        """Grid pair (u, sigma(u)) number i in increasing u, without
+        duplicates: node 0 of segment 0, then nodes 1..n of each segment k
+        (node 0 of segment k > 0 repeats the end of segment k - 1)."""
         n = self.segments[0].size - 1
         k, j = divmod(i - 1, n) if i else (0, -1)
         return k + (j + 1) * self.grid_step, float(self.segments[k][j + 1])
@@ -239,6 +241,10 @@ def first_zero(spec: DdeSpec, tol: float = DEFAULT_FIRST_ZERO_TOL,
     Successive solves with halved integration steps are compared until
     two estimates differ by less than tol; NotConvergedError is raised
     when the next halving would take the step below STEP_MIN first.
+    This stop is a heuristic: two estimates within tol of each other do
+    not prove that the returned one is within tol of the true zero, and
+    for a non-integer e0, whose error falls only as h^(1 + e0) (see the
+    module docstring), nothing bounds the gap.
     Each solve integrates one unit segment at a time and stops at the
     first segment whose nodes change sign: the zero is, to the last bit,
     the one a scan of the whole grid up to U_CAP finds (the tests'

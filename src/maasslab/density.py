@@ -15,14 +15,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
 
 import numpy as np
 
 from . import sieve
-from .bounds import FormMeta, checked_coefficients, positions
+from .bounds import FormMeta, positions
 from .errors import CrossCheckError, DataGapError, InvalidInputError
-from .satake import CoeffTriple
 
 # primes with |lambda| within this guard of the closed boundary count as
 # satisfying the Ramanujan bound in scans
@@ -85,18 +83,9 @@ class DensityReport:
         }
 
 
-def chebyshev_weight(coeffs: Sequence[CoeffTriple], m: int) -> float:
-    """U = (1 + 3*sum_j A_j + 5*A4_1)^2 for a list of m coefficient triples."""
-    if m < 2:
-        raise InvalidInputError(f"m must be >= 2, got {m}")
-    if len(coeffs) != m:
-        raise InvalidInputError(
-            f"expected {m} coefficient triples, got {len(coeffs)}")
-    return _weight(sum(c.a2 for c in coeffs), coeffs[0].a4)
-
-
-def _weight(a_sum, a4_first):
-    """U from sum_j A_j and A4_1, given as floats or numpy arrays."""
+def chebyshev_weight(a_sum, a4_first):
+    """U = (1 + 3*sum_j A_j + 5*A4_1)^2 from sum_j A_j and A4_1, given as
+    floats or numpy arrays."""
     linear = 1.0 + 3.0 * a_sum + 5.0 * a4_first
     return linear * linear
 
@@ -113,20 +102,7 @@ def weight_residual(a2_1, a3_abs_sq_1, a4_1, a2_2, a4_2):
     expanded = (-11.0 + 15.0 * a2_1 + 15.0 * a2_2 + 19.0 * a4_1
                 + 9.0 * a4_2 + 18.0 * a2_1 * a2_2 + 30.0 * a4_1 * a2_2
                 + 30.0 * a3_abs_sq_1 + 25.0 * a4_1 ** 2)
-    return abs(_weight(a2_1 + a2_2, a4_1) - expanded)
-
-
-def expansion_residual(coeffs: tuple[CoeffTriple, CoeffTriple]) -> float:
-    """weight_residual of a pair of triples, each of which must satisfy
-    the Hecke identities to 1e-10."""
-    c1, c2 = coeffs
-    for c in (c1, c2):
-        r1, r2 = c.identity_residuals()
-        if max(r1, r2) > 1e-10:
-            raise InvalidInputError(
-                f"coefficient triple violates the Hecke identities: "
-                f"residuals ({r1}, {r2})")
-    return weight_residual(c1.a2, c1.a3_abs_sq, c1.a4, c2.a2, c2.a4)
+    return abs(chebyshev_weight(a2_1 + a2_2, a4_1) - expanded)
 
 
 def density_lower_bound(m: int, variant: str = "paper") -> Fraction:
@@ -196,7 +172,7 @@ def exceptional_scan(family: FormFamily, X: int) -> DensityReport:
     squares = [lams * lams for lams in rows]
     a_sum = sum(sq - 1.0 for sq in squares)
     a4_first = squares[0] * squares[0] - 3.0 * squares[0] + 1.0
-    u_vals = _weight(a_sum, a4_first)
+    u_vals = chebyshev_weight(a_sum, a4_first)
 
     non_rp_all = np.ones(primes.size, dtype=bool)
     for lams in rows:
@@ -218,33 +194,3 @@ def exceptional_scan(family: FormFamily, X: int) -> DensityReport:
         assumptions=[DISTINCT_RP_ASSUMPTION],
         exceptional_primes=primes[exceptional].tolist())
 
-
-def pnt_trend(ps: np.ndarray, values: np.ndarray,
-              x_grid: Sequence[int]) -> list[dict]:
-    """Running averages sum_{p <= X} a_p / pi(X) along a grid of X values.
-
-    ps and values are coefficient arrays (strictly increasing primes and
-    the values a_p at them, checked by bounds.checked_coefficients) that
-    must cover every prime up to max(x_grid).  Report-only: trends
-    toward 0 for first moments of the symmetric-power coefficients and
-    toward limits <= 1 for their normalized second moments are expected,
-    not asserted.
-    """
-    ps, values = checked_coefficients(ps, values)
-    if not len(x_grid):
-        raise InvalidInputError("the X grid is empty")
-    x_max = max(x_grid)
-    primes = sieve.primes_upto(x_max)
-    missing = primes[~positions(ps, primes)[1]]
-    if missing.size:
-        raise InvalidInputError(
-            f"stream must cover all primes <= {x_max}; missing "
-            f"{missing.size} (first: {missing[:5].tolist()})")
-    csum = np.cumsum(values)
-    rows = []
-    for X in x_grid:
-        k = int(np.searchsorted(ps, X, side="right"))
-        if k == 0:
-            raise InvalidInputError(f"no primes <= {X} in stream")
-        rows.append({"X": int(X), "pi_X": k, "ratio": float(csum[k - 1] / k)})
-    return rows

@@ -6,8 +6,9 @@ deterministic fixtures let every consumer run without network access;
 remote fetches hit an endpoint configured through the environment and
 fall back to the local cache when the network is down.
 
-A record's JSON text has one route, CoeffRecord.json_pieces (joined:
-to_json_text), byte for byte json.dumps of the reference to_json_dict.
+A record's JSON text has one route, CoeffRecord.json_pieces, whose
+pieces join to the sorted json.dumps of the record as a JSON object, byte
+for byte (the tests' reference, oracles.record_json_dict).
 The canonical cache is one such document per record, written piece by
 piece and atomically (temp file + rename) by _write_cache, the only
 writer of cache files.  It writes a derived `.npz` index beside it: ps,
@@ -110,32 +111,12 @@ class CoeffRecord:
                         spectral_parameter=self.spectral_parameter,
                         ps=self.ps, lams=self.lams, label=self.label)
 
-    def to_json_dict(self) -> dict:
-        """The record as a JSON object.  The library prints and writes
-        records through json_pieces alone; this is the reference that
-        json_pieces is tested against (to_json_text is json.dumps of it
-        with sorted keys)."""
-        return {
-            "schema": SCHEMA_VERSION,
-            "label": self.label,
-            "level": self.level,
-            "spectral_parameter": self.spectral_parameter,
-            "coefficients": [[p, a] for p, a in
-                             zip(self.ps.tolist(), self.lams.tolist())],
-            "fetched_at": self.fetched_at,
-            "source": self.source,
-        }
-
-    def to_json_text(self) -> str:
-        """json.dumps(self.to_json_dict(), sort_keys=True)."""
-        return "".join(self.json_pieces())
-
     def json_pieces(self):
-        """to_json_text in order: the head, the coefficient list in
-        pieces, then the rest as one piece ("coefficients" sorts first).
-        The list is copied from the cache file the record was read from
-        while that file is unchanged, and formatted from the arrays
-        otherwise."""
+        """The record as one sorted JSON document, in pieces: the head,
+        the coefficient list in pieces, then the rest as one piece
+        ("coefficients" sorts first).  The list is copied from the cache
+        file the record was read from while that file is unchanged, and
+        formatted from the arrays otherwise."""
         rest = json.dumps({"schema": SCHEMA_VERSION, **{
             name: getattr(self, name) for name in _INDEX_FIELDS}}, sort_keys=True)[1:]
         yield '{"coefficients": '

@@ -734,14 +734,6 @@ def dirichlet_convolve(left: MultFuncSpec, right: MultFuncSpec, n: int,
     return total
 
 
-def moebius_factor(b: MultFuncSpec, h: MultFuncSpec, n: int,
-                   table: SieveTable) -> Fraction:
-    """g(n) with b = h * g (Dirichlet); at primes g(p) = b(p) - h(p)."""
-    if not table.is_squarefree(n):
-        raise InvalidInputError(f"n must be squarefree, got {n}")
-    return MultFuncSpec.moebius_quotient(b, h).value_exact(n, table)
-
-
 def euler_constant_c(a: int, truncation: int) -> tuple[float, float]:
     """Truncated Euler product c(a) and a bound on its log tail.
 
@@ -774,22 +766,6 @@ def euler_constant_c(a: int, truncation: int) -> tuple[float, float]:
     psf = ps[mask].astype(np.float64)
     log_prod = float(np.sum(2.0 * np.log1p(-1.0 / psf) + np.log1p(2.0 / psf)))
     return val * math.exp(log_prod), 3.0 / truncation
-
-
-def euler_constant_c_exact(a: int, truncation: int) -> Fraction:
-    """c(a) as an exact rational of the truncated product (small truncations)."""
-    if a < 1:
-        raise InvalidInputError(f"a must be >= 1, got {a}")
-    a_primes = prime_factors(a)
-    ps = primes_upto(truncation)
-    val = Fraction(1)
-    for p in a_primes:
-        val *= Fraction(p - 1, p) ** 2
-    for p in ps.tolist():
-        if p in a_primes:
-            continue
-        val *= Fraction(p - 1, p) ** 2 * Fraction(p + 2, p)
-    return val
 
 
 def asymptotic_report(y: int, u_grid: list[float], q: int,
@@ -964,6 +940,13 @@ def _first_negative_modulus(base: np.ndarray, ps: np.ndarray, ws: np.ndarray,
 def lower_bound_check(b: MultFuncSpec, h: MultFuncSpec, z: float, q: int,
                       table: SieveTable) -> bool:
     """Check S(z) >= sum of h(n) log(z/n) after verifying the preconditions.
+
+    This is the sieve lower-bound inequality that the paper's least-prime
+    bounds rest on: for b = h * g (Dirichlet) with g(p) >= 0 and the
+    partial sums of h nonnegative, S(z) = sum_{n <= z} b(n) log(z/n) is at
+    least the same sum of h, whose mean value the delay equation's sigma
+    governs (dde).  Library only: no CLI command runs it; the benchmark's
+    positivity workload drives it.
 
     Preconditions (verified exactly, violations raise PreconditionError
     with a witness): g = b/h has g(p) >= 0 for all primes p <= z with p

@@ -12,8 +12,9 @@ import numpy as np
 
 from maasslab import bounds, dde, density, ingest, satake, sieve
 from maasslab.dde import DdeSpec
-from maasslab.satake import CoeffTriple
 from maasslab.sieve import MultFuncSpec
+from oracles import (SatakeLocal, euler_constant_c_exact, sample_satake,
+                     sym_coeffs)
 
 TWO_FORM = DdeSpec(2.0, -2.0)
 THREE_FORM = DdeSpec(1.0, -3.0)
@@ -67,13 +68,13 @@ def test_criterion_04_hecke_identity_suite():
     n_half = 50000
     worst = 0.0
     for mode in ("sato-tate", "non-tempered"):
-        samples = satake.sample_satake(n_half, mode, 42)
+        samples = sample_satake(n_half, mode, 42)
         a2, a3sq, a4 = satake.sample_coeff_triples(n_half, mode, 42)
         worst = max(worst,
                     float(np.max(np.abs(a2 * a2 - (a4 + a2 + 1)))),
                     float(np.max(np.abs(a2 * a4 - (a3sq - 1)))))
         for i in range(0, n_half, n_half // 100):
-            t = satake.sym_coeffs(samples[i])  # object path agrees
+            t = sym_coeffs(samples[i])  # object path agrees
             worst = max(worst, abs(t.a2 - float(a2[i])),
                         abs(t.a4 - float(a4[i])))
     elapsed = time.perf_counter() - t0
@@ -91,9 +92,9 @@ def test_criterion_05_weight_expansion():
         u_exp = (-11 + 15 * x2 + 15 * y2 + 19 * x4 + 9 * y4 + 18 * x2 * y2
                  + 30 * x4 * y2 + 30 * x3 + 25 * x4 ** 2)
         worst = max(worst, float(np.max(np.abs(u_sq - u_exp))))
-    boundary = CoeffTriple(3.0, 16.0, 5.0)
-    squared = density.chebyshev_weight([boundary, boundary], 2)
-    residual = density.expansion_residual((boundary, boundary))
+    # A = 3, |A3|^2 = 16, A4 = 5 for both members at the Ramanujan boundary
+    squared = density.chebyshev_weight(3.0 + 3.0, 5.0)
+    residual = density.weight_residual(3.0, 16.0, 5.0, 3.0, 5.0)
     ok = worst < 1e-9 and squared == 1936.0 and residual == 0.0
     _report(5, "weight expansion via Hecke identities", ok,
             f"max residual={worst:.2e}, boundary={squared}")
@@ -191,11 +192,11 @@ def test_criterion_10_exceptional_prime_logic(tmp_path):
         & set(ingest.FIXTURE_MANIFEST["fixture-mixed-2"]["nontempered"]))
     ok_mixed = rep.exceptional_primes == manifest_common
     for p in rep.exceptional_primes:
-        triples = [satake.sym_coeffs(
-            satake.SatakeLocal.from_eigenvalue(
-                p, float(r.lams[np.searchsorted(r.ps, p)])))
-            for r in recs]
-        ok_mixed = ok_mixed and density.chebyshev_weight(triples, 2) > 1936.0
+        triples = [sym_coeffs(SatakeLocal.from_eigenvalue(
+            p, float(r.lams[np.searchsorted(r.ps, p)]))) for r in recs]
+        weight = density.chebyshev_weight(sum(t.a2 for t in triples),
+                                          triples[0].a4)
+        ok_mixed = ok_mixed and weight > 1936.0
 
     temps = [ingest.fetch(lab, cache_dir=tmp_path)
              for lab in ("fixture-tempered-1", "fixture-tempered-2")]
@@ -208,9 +209,12 @@ def test_criterion_10_exceptional_prime_logic(tmp_path):
 
 
 def test_criterion_11_euler_constant_machinery():
-    exact1 = sieve.euler_constant_c_exact(1, 10 ** 3)
-    exact2 = sieve.euler_constant_c_exact(2, 10 ** 3)
+    exact1 = euler_constant_c_exact(1, 10 ** 3)
+    exact2 = euler_constant_c_exact(2, 10 ** 3)
     ok_half = exact2 / exact1 == Fraction(1, 2)
+
+    c3, _ = sieve.euler_constant_c(1, 10 ** 3)
+    ok_exact = abs(c3 - float(exact1)) <= 1e-12 * float(exact1)
 
     c5, _ = sieve.euler_constant_c(1, 10 ** 5)
     c6, _ = sieve.euler_constant_c(1, 10 ** 6)
@@ -223,9 +227,9 @@ def test_criterion_11_euler_constant_machinery():
         a = rng.randint(1, 200)
         while a % p == 0:
             a = rng.randint(1, 200)
-        ca = sieve.euler_constant_c_exact(a, 10 ** 3)
-        cap = sieve.euler_constant_c_exact(a * p, 10 ** 3)
+        ca = euler_constant_c_exact(a, 10 ** 3)
+        cap = euler_constant_c_exact(a * p, 10 ** 3)
         ok_ratio = ok_ratio and cap / ca == Fraction(p, p + 2)
-    ok = ok_half and ok_stable and ok_ratio
+    ok = ok_half and ok_exact and ok_stable and ok_ratio
     _report(11, "Euler product constant machinery", ok,
             f"c(2)/c(1)={exact2 / exact1}, |c@1e5 - c@1e6|={abs(c5 - c6):.2e}")

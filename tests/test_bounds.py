@@ -11,20 +11,28 @@ from maasslab.bounds import FormMeta
 from maasslab.errors import InvalidInputError
 
 
+def _conductor_product(*metas):
+    """The square of least_prime_bound's base: the product of the
+    analytic conductors N^2 (1 + |t|)^2 of the forms."""
+    return bounds.least_prime_bound(list(metas)).base ** 2
+
+
 def test_conductor_examples():
-    assert bounds.conductor(FormMeta(1, 0.0)) == 1.0
-    assert bounds.conductor(FormMeta(5, 0.0)) == 25.0
-    assert bounds.conductor(FormMeta(2, 3.0)) == 64.0
+    one = FormMeta(1, 0.0)
+    assert _conductor_product(one, FormMeta(1, 0.0)) == 1.0
+    assert _conductor_product(one, FormMeta(5, 0.0)) == 25.0
+    assert _conductor_product(one, FormMeta(2, 3.0)) == 64.0
 
 
 def test_conductor_scales_quadratically_in_level():
     t = 2.75
-    base = bounds.conductor(FormMeta(3, t))
-    assert bounds.conductor(FormMeta(9, t)) == pytest.approx(9 * base, rel=1e-14)
+    base = _conductor_product(FormMeta(1, 0.0), FormMeta(3, t))
+    assert _conductor_product(FormMeta(1, 0.0), FormMeta(9, t)) == \
+        pytest.approx(9 * base, rel=1e-14)
 
 
 def test_conductor_uses_absolute_spectral_parameter():
-    assert bounds.conductor(FormMeta(2, -3.0)) == 64.0
+    assert _conductor_product(FormMeta(1, 0.0), FormMeta(2, -3.0)) == 64.0
 
 
 def test_form_meta_rejects_bad_level():
@@ -124,6 +132,22 @@ def test_two_form_u_truncation():
     assert 2.23527 < det.zero < 2.23528
 
 
+def test_round_up_6_never_rounds_down():
+    # the first ulps above the double 0.447374, which lies below the
+    # decimal, are above the grid point k / 10^6 = 0.447374
+    x = 0.447374
+    for _ in range(8):
+        x = math.nextafter(x, 1.0)
+        assert bounds._round_up_6(x) == 0.447375 >= x
+    for on_grid in (0.447374, 0.778801, 0.5, 1.0):
+        assert bounds._round_up_6(on_grid) == on_grid
+    assert bounds._round_up_6(math.nextafter(0.447374, 0.0)) == 0.447374
+    for m in (2, 3):
+        det = bounds.exponent_detail(m)
+        assert det.exponent == (0.447374, 0.778801)[m - 2]
+        assert Fraction(det.exponent) * Fraction(det.u_used) >= 1
+
+
 def test_exponent_detail_rejects_bad_count():
     with pytest.raises(InvalidInputError):
         bounds.least_prime_exponent(4)
@@ -139,7 +163,8 @@ def test_least_prime_bound_trivial_forms():
 def test_least_prime_bound_conductor_identity():
     metas = [FormMeta(3, 1.5), FormMeta(7, 0.25)]
     res = bounds.least_prime_bound(metas)
-    q_product = bounds.conductor(metas[0]) * bounds.conductor(metas[1])
+    q_product = math.prod(m.level ** 2 * (1.0 + abs(m.spectral_parameter)) ** 2
+                          for m in metas)
     u = res.u_used
     assert q_product ** (1 / (2 * u)) == pytest.approx(res.base ** (1 / u),
                                                        rel=1e-12)

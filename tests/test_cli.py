@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from maasslab import cli, dde, ingest, sieve
+from oracles import grid_nodes, record_json_dict
 
 
 def run_cli(capsys, *argv):
@@ -227,7 +228,7 @@ def test_cold_fetch_formats_each_pair_once(tmp_path, capsys, monkeypatch,
     assert len(reprs) == len(json.loads(out)["record"]["coefficients"])
 
     url, bodies, _ = local_endpoint
-    doc = ingest.generate_fixture("fixture-mixed-2", 10000).to_json_dict()
+    doc = record_json_dict(ingest.generate_fixture("fixture-mixed-2", 10000))
     doc.update(label="remote-form-5", source="remote")
     bodies[0] = json.dumps(doc).encode()
     reprs.clear()
@@ -259,7 +260,7 @@ def test_fetch_output_is_the_payload_dump(tmp_path, capsys, monkeypatch):
         assert code == 0
         config = cli._config_dict(cli.build_parser().parse_args(argv))
         want = json.dumps({"config": config, "findings": findings,
-                           "record": rec.to_json_dict()}, sort_keys=True) + "\n"
+                           "record": record_json_dict(rec)}, sort_keys=True) + "\n"
         assert (out_file.read_text() if extra else out) == want
     assert out == ""
 
@@ -282,7 +283,7 @@ def test_fetch_cached_prime_past_int64_is_check_failure(tmp_path, capsys,
     # a cache file that does not parse is a check failure (exit 1), not a
     # usage error (exit 2)
     monkeypatch.delenv("MAASSLAB_ENDPOINT", raising=False)
-    doc = ingest.generate_fixture("fixture-tempered-1", 10).to_json_dict()
+    doc = record_json_dict(ingest.generate_fixture("fixture-tempered-1", 10))
     doc.update(label="remote-7", coefficients=[[2, 0.5], [2 ** 63, 0.1]])
     (tmp_path / "remote-7.json").write_text(json.dumps(doc))
     code, out, err = run_cli(capsys, "fetch", "--label", "remote-7",
@@ -357,7 +358,7 @@ def test_density_scan_finds_fixture_exceptional_primes(tmp_path, capsys):
 
 def test_fetch_remote_label_mismatch_exit_code(tmp_path, capsys, local_endpoint):
     url, bodies, _ = local_endpoint
-    doc = ingest.generate_fixture("fixture-mixed-2", 1000).to_json_dict()
+    doc = record_json_dict(ingest.generate_fixture("fixture-mixed-2", 1000))
     doc.update(label="other-form", source="remote")
     bodies[0] = json.dumps(doc).encode()
     code, out, err = run_cli(capsys, "fetch", "--label", "asked-form", "--coverage",
@@ -526,10 +527,10 @@ def test_prime_sieve_past_cap_exit_code(tmp_path, capsys, monkeypatch, no_huge_o
 
 
 def _solve_dde_full_walk(args):
-    """solve-dde as it walked every node of nodes(), kept as the oracle."""
+    """solve-dde as it walked every node of the grid, kept as the oracle."""
     sol = dde.solve(dde.DdeSpec(args.chi0, args.chi1), args.u_max, args.step)
     rows = []
-    for i, (u, sig) in enumerate(sol.nodes()):
+    for i, (u, sig) in enumerate(grid_nodes(sol)):
         if i % args.stride == 0 and u <= args.u_max + 1e-12:
             rows.append((u, sig))
     cli._emit_grid(["u", "sigma"], rows, args)

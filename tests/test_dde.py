@@ -14,6 +14,7 @@ from maasslab.dde import DdeSpec
 from maasslab.errors import (InvalidInputError, NotConvergedError,
                              ResourceLimitError, SignChangeNotFoundError,
                              UnsupportedRangeError)
+from oracles import grid_nodes
 
 TWO_FORM = DdeSpec(2.0, -2.0)
 THREE_FORM = DdeSpec(1.0, -3.0)
@@ -227,16 +228,21 @@ def test_closed_form_first_zero_values():
         dde.closed_form_first_zero(DdeSpec(2.0, -0.1))
 
 
+def _nodes(sol):
+    """The CLI's walk over the grid, every node."""
+    return [sol._node(i) for i in range(sol._node_count())]
+
+
 def test_nodes_stream_monotone():
     sol = dde.solve(TWO_FORM, 2.0, 1e-2)
-    us = [u for u, _ in sol.nodes()]
+    us = [u for u, _ in _nodes(sol)]
     assert us == sorted(us)
     assert len(us) == len(set(us))
 
 
-# The full-grid route that first_zero and nodes() replaced, kept as the
-# oracle: integrate every segment up to U_CAP, then scan all of them for
-# the first sign change; walk every node in order.
+# The full-grid route that first_zero replaced, kept as the oracle:
+# integrate every segment up to U_CAP, then scan all of them for the first
+# sign change (walking every node in order is oracles.grid_nodes).
 
 def midpoints_reference(seg):
     """Cubic interpolation at the half-grid points, one-sided at the ends;
@@ -306,12 +312,6 @@ def first_zero_reference(spec, tol, initial_step):
         step /= 2.0
 
 
-def nodes_reference(sol):
-    for k, seg in enumerate(sol.segments):
-        for j in range(1 if k > 0 else 0, seg.size):
-            yield k + j * sol.grid_step, float(seg[j])
-
-
 def _outcome(fn, *args):
     try:
         return float.hex(fn(*args))
@@ -346,8 +346,8 @@ def test_solve_bytes_match_reference(spec, u_max, step):
     want_zero = locate_zero_reference(segments, h)
     assert (got_zero is None and want_zero is None) or \
         float.hex(got_zero) == float.hex(want_zero)
-    assert [(float.hex(u), float.hex(v)) for u, v in sol.nodes()] == \
-        [(float.hex(u), float.hex(v)) for u, v in nodes_reference(sol)]
+    assert [(float.hex(u), float.hex(v)) for u, v in _nodes(sol)] == \
+        [(float.hex(u), float.hex(v)) for u, v in grid_nodes(sol)]
 
 
 @settings(max_examples=60, deadline=None)

@@ -9,50 +9,48 @@ from maasslab import density, ingest, satake, sieve
 from maasslab.bounds import FormMeta
 from maasslab.density import FormFamily
 from maasslab.errors import DataGapError, InvalidInputError
-from maasslab.satake import CoeffTriple
+from oracles import CoeffTriple, SatakeLocal, sym_coeffs
 
 BOUNDARY = CoeffTriple(3.0, 16.0, 5.0)
 ZERO_EIGENVALUE = CoeffTriple(-1.0, 0.0, 1.0)
 THIRD_PI = CoeffTriple(0.0, 1.0, -1.0)
 
 
+def _weight(*triples):
+    """chebyshev_weight of a family given by one triple per member."""
+    return density.chebyshev_weight(sum(t.a2 for t in triples), triples[0].a4)
+
+
+def _residual(t1, t2):
+    return density.weight_residual(t1.a2, t1.a3_abs_sq, t1.a4, t2.a2, t2.a4)
+
+
 def test_chebyshev_weight_boundary():
-    assert density.chebyshev_weight([BOUNDARY, BOUNDARY], 2) == 1936.0
+    assert _weight(BOUNDARY, BOUNDARY) == 1936.0
 
 
 def test_chebyshev_weight_zero_point():
-    assert density.chebyshev_weight([ZERO_EIGENVALUE, ZERO_EIGENVALUE], 2) == 0.0
+    assert _weight(ZERO_EIGENVALUE, ZERO_EIGENVALUE) == 0.0
 
 
 def test_chebyshev_weight_three_members():
-    w = density.chebyshev_weight([BOUNDARY, BOUNDARY, BOUNDARY], 3)
-    assert w == 53.0 ** 2
+    assert _weight(BOUNDARY, BOUNDARY, BOUNDARY) == 53.0 ** 2
 
 
 def test_chebyshev_weight_nonnegative_random():
     a2, _, a4 = satake.sample_coeff_triples(2000, "sato-tate", 4)
     b2, b3, b4 = satake.sample_coeff_triples(2000, "uniform-angle", 5)
-    tri_a = [CoeffTriple(float(x), 0.0, float(z)) for x, z in zip(a2, a4)]
-    tri_b = [CoeffTriple(float(x), 0.0, float(z)) for x, z in zip(b2, b4)]
-    for ta, tb in zip(tri_a[:200], tri_b[:200]):
-        assert density.chebyshev_weight([ta, tb], 2) >= 0.0
-
-
-def test_chebyshev_weight_length_mismatch():
-    with pytest.raises(InvalidInputError):
-        density.chebyshev_weight([BOUNDARY], 2)
-    with pytest.raises(InvalidInputError):
-        density.chebyshev_weight([BOUNDARY], 1)
+    weights = density.chebyshev_weight(a2 + b2, a4)
+    assert float(np.min(weights)) >= 0.0
+    # the array route and the scalar route give the same float
+    for i in range(0, 2000, 199):
+        assert density.chebyshev_weight(float(a2[i]) + float(b2[i]),
+                                        float(a4[i])) == weights[i]
 
 
 def test_expansion_residual_examples():
-    assert density.expansion_residual((THIRD_PI, THIRD_PI)) < 1e-12
-    assert density.expansion_residual((BOUNDARY, BOUNDARY)) == 0.0
-
-
-def test_expansion_residual_rejects_inconsistent_triple():
-    with pytest.raises(InvalidInputError):
-        density.expansion_residual((CoeffTriple(1.0, 1.0, 1.0), BOUNDARY))
+    assert _residual(THIRD_PI, THIRD_PI) < 1e-12
+    assert _residual(BOUNDARY, BOUNDARY) == 0.0
 
 
 def test_expansion_residual_bulk_sweep():
@@ -64,7 +62,7 @@ def test_expansion_residual_bulk_sweep():
     for i in range(0, 50000, 4999):
         pair = (CoeffTriple(float(a2[i]), float(a3[i]), float(a4[i])),
                 CoeffTriple(float(b2[i]), float(b3[i]), float(b4[i])))
-        assert density.expansion_residual(pair) == residual[i]
+        assert _residual(*pair) == residual[i]
 
 
 def test_weight_residual_off_the_identities():
@@ -126,7 +124,7 @@ def _parameter_route(ps, lams):
     """(A, A4) arrays through the per-prime parameter route
     sym_coeffs(SatakeLocal.from_eigenvalue(p, lam)), independent of the
     polynomial route of exceptional_scan."""
-    triples = [satake.sym_coeffs(satake.SatakeLocal.from_eigenvalue(p, lam))
+    triples = [sym_coeffs(SatakeLocal.from_eigenvalue(p, lam))
                for p, lam in zip(ps.tolist(), lams.tolist())]
     return (np.array([t.a2 for t in triples]),
             np.array([t.a4 for t in triples]))
@@ -157,9 +155,9 @@ def test_exceptional_scan_constructed_pair():
     # the scan itself verifies U > 44^2 at each; recompute independently
     for p in (11, 101):
         i = int(np.searchsorted(ps, p))
-        t1 = satake.sym_coeffs(satake.SatakeLocal.from_eigenvalue(p, l1[i]))
-        t2 = satake.sym_coeffs(satake.SatakeLocal.from_eigenvalue(p, l2[i]))
-        assert density.chebyshev_weight([t1, t2], 2) > 1936.0
+        t1 = sym_coeffs(SatakeLocal.from_eigenvalue(p, l1[i]))
+        t2 = sym_coeffs(SatakeLocal.from_eigenvalue(p, l2[i]))
+        assert _weight(t1, t2) > 1936.0
 
 
 def test_exceptional_scan_respects_levels():
@@ -281,55 +279,6 @@ def test_density_report_json_schema():
     doc = rep.to_json_dict()
     assert set(doc) == {"X", "pi_X", "exceptional_count", "running_mean_U",
                         "implied_upper", "theory_bound", "assumptions"}
-
-
-def test_pnt_trend_constant_stream():
-    ps = sieve.primes_upto(10 ** 3)
-    rows = density.pnt_trend(ps, np.ones(ps.size), [10, 100, 1000])
-    assert all(r["ratio"] == 1.0 for r in rows)
-
-
-def test_pnt_trend_adjoint_stream_decreasing():
-    ps = sieve.primes_upto(10 ** 5)
-    rng = np.random.default_rng(2024)
-    thetas = satake.sato_tate_angles(rng, len(ps))
-    a_vals = 4 * np.cos(thetas) ** 2 - 1
-    rows = density.pnt_trend(ps, a_vals, [10 ** 3, 10 ** 4, 10 ** 5])
-    ratios = [abs(r["ratio"]) for r in rows]
-    assert ratios[2] < ratios[0]
-    assert ratios[2] < 0.05
-
-
-def test_pnt_trend_cube_second_moment():
-    ps = sieve.primes_upto(10 ** 5)
-    rng = np.random.default_rng(77)
-    thetas = satake.sato_tate_angles(rng, len(ps))
-    c = np.cos(thetas)
-    rows = density.pnt_trend(ps, (8 * c ** 3 - 4 * c) ** 2, [10 ** 5])
-    assert abs(rows[0]["ratio"] - 1.0) < 0.1
-
-
-def test_pnt_trend_requires_coverage():
-    with pytest.raises(InvalidInputError, match=r"missing 23 \(first: \[5, 7, 11"):
-        density.pnt_trend([2, 3], [1.0, 1.0], [100])
-    with pytest.raises(InvalidInputError, match="strictly increasing"):
-        density.pnt_trend([3, 2], [1.0, 1.0], [2])
-    with pytest.raises(InvalidInputError, match="no primes <= 1"):
-        density.pnt_trend([], [], [1])
-    with pytest.raises(InvalidInputError, match="the X grid is empty"):
-        density.pnt_trend([2, 3], [1.0, 1.0], [])
-
-
-def test_pnt_trend_rows_against_brute_force():
-    # entries beyond the largest X are carried along and ignored
-    ps = sieve.primes_upto(2100)
-    values = np.random.default_rng(5).normal(size=ps.size)
-    rows = density.pnt_trend(ps, values, [2, 500, 2000])
-    for row in rows:
-        below = ps <= row["X"]
-        assert row["pi_X"] == np.count_nonzero(below)
-        assert row["ratio"] == pytest.approx(
-            sum(values[below].tolist()) / row["pi_X"], rel=1e-12)
 
 
 def test_family_assumption_recorded():

@@ -15,6 +15,7 @@ from maasslab.bounds import FormMeta
 from maasslab.errors import (CacheParseError, InvalidInputError,
                              RemoteUnavailableError)
 from maasslab.ingest import FIXTURE_MANIFEST, CoeffRecord
+from oracles import record_json_dict
 
 
 def test_tempered_fixture_all_within_bound(tmp_path):
@@ -57,7 +58,7 @@ def test_indented_cache_file_still_reads(tmp_path):
     # the indented bytes earlier versions wrote load into the same record
     rec = ingest.generate_fixture("fixture-mixed-2", 1000)
     (tmp_path / "fixture-mixed-2.json").write_text(
-        json.dumps(rec.to_json_dict(), sort_keys=True, indent=2))
+        json.dumps(record_json_dict(rec), sort_keys=True, indent=2))
     assert ingest.read_cache("fixture-mixed-2", tmp_path) == rec
 
 
@@ -171,7 +172,7 @@ def test_validate_flags_non_finite_values():
 
 
 def _document(coefficients):
-    doc = ingest.generate_fixture("fixture-tempered-1", 10).to_json_dict()
+    doc = record_json_dict(ingest.generate_fixture("fixture-tempered-1", 10))
     return {**doc, "coefficients": coefficients}
 
 
@@ -361,13 +362,13 @@ def test_fetch_malformed_remote_document_propagates(tmp_path, monkeypatch):
 
 def test_fetch_remote_over_http(tmp_path, local_endpoint):
     url, bodies, seen = local_endpoint
-    doc = ingest.generate_fixture("fixture-mixed-2", 1000).to_json_dict()
+    doc = record_json_dict(ingest.generate_fixture("fixture-mixed-2", 1000))
     doc.update(label="remote-form-3", source="remote")
     bodies[0] = json.dumps(doc).encode()
     rec = ingest.fetch("remote-form-3", coverage=1000, cache_dir=tmp_path,
                        endpoint=url)
     assert seen == ["/coeffs?label=remote-form-3&coverage=1000"]
-    assert rec.source == "remote" and rec.to_json_dict() == doc
+    assert rec.source == "remote" and record_json_dict(rec) == doc
     assert ingest.read_cache("remote-form-3", tmp_path) == rec
 
     bodies[0] = b"{not json"
@@ -378,7 +379,7 @@ def test_fetch_remote_over_http(tmp_path, local_endpoint):
 
 def test_fetch_remote_label_mismatch_not_cached(tmp_path, local_endpoint):
     url, bodies, _ = local_endpoint
-    doc = ingest.generate_fixture("fixture-mixed-2", 1000).to_json_dict()
+    doc = record_json_dict(ingest.generate_fixture("fixture-mixed-2", 1000))
     doc.update(label="other-form", source="remote")
     bodies[0] = json.dumps(doc).encode()
     with pytest.raises(CacheParseError, match="other-form") as exc:
@@ -419,7 +420,7 @@ def test_second_fixture_fetch_writes_nothing(tmp_path, monkeypatch):
 def _fixture_json(label="fixture-mixed-1", coverage=ingest.DEFAULT_COVERAGE):
     rec = dataclasses.replace(ingest.generate_fixture("fixture-mixed-1", coverage),
                               label=label)
-    return json.dumps(rec.to_json_dict()).encode()
+    return json.dumps(record_json_dict(rec)).encode()
 
 
 @pytest.mark.parametrize("content", [
@@ -489,7 +490,7 @@ def test_index_route_matches_json_route(tmp_path, monkeypatch, label, level, spe
 def _seed_json(rec, cache_dir):
     """The record's cache file as write_cache writes it, but with no index."""
     path = ingest._cache_path(rec.label, cache_dir)
-    path.write_text(json.dumps(rec.to_json_dict(), sort_keys=True))
+    path.write_text(json.dumps(record_json_dict(rec), sort_keys=True))
     return path
 
 
@@ -679,11 +680,11 @@ def test_json_text_matches_reference_dump(label, level, spectral, ps, values, so
     rec = CoeffRecord(label=label, level=level, spectral_parameter=spectral,
                       ps=np.array(ps, dtype=np.int64), lams=values[:len(ps)],
                       fetched_at=fetched_at, source=source)
-    want = json.dumps(rec.to_json_dict(), sort_keys=True)
-    assert rec.to_json_text() == want
+    want = json.dumps(record_json_dict(rec), sort_keys=True)
+    assert _json_text(rec) == want
     with pytest.MonkeyPatch.context() as patch:     # chunk boundaries in small records
         patch.setattr(ingest, "JSON_CHUNK", chunk)
-        assert rec.to_json_text() == want
+        assert _json_text(rec) == want
 
 
 def _float_reprs(monkeypatch):
@@ -706,13 +707,17 @@ def _span_record(values=()):
     return dataclasses.replace(rec, label="span-form", source="remote", lams=lams)
 
 
+def _json_text(rec):
+    return "".join(rec.json_pieces())
+
+
 def _dumped(doc, **kwargs):
     return lambda rec, cache_dir: ingest._cache_path(rec.label, cache_dir).write_text(
         json.dumps(doc(rec), **kwargs))
 
 
 def _with_integer_a_p(rec):
-    doc = rec.to_json_dict()
+    doc = record_json_dict(rec)
     doc["coefficients"][-1][1] = 2      # loads as int, formats as 2.0
     return doc
 
@@ -726,10 +731,10 @@ def _edit_digit(rec):
 
 @pytest.mark.parametrize("write, values", [
     (lambda rec, cache_dir: ingest.write_cache(rec, cache_dir), ()),
-    (_dumped(CoeffRecord.to_json_dict), ()),
-    (_dumped(CoeffRecord.to_json_dict, sort_keys=True, indent=2), ()),
+    (_dumped(record_json_dict), ()),
+    (_dumped(record_json_dict, sort_keys=True, indent=2), ()),
     (_dumped(_with_integer_a_p, sort_keys=True), ()),
-    (_dumped(CoeffRecord.to_json_dict, sort_keys=True),
+    (_dumped(record_json_dict, sort_keys=True),
      (1e16, -0.0, np.nan, np.inf, -np.inf)),
 ], ids=["canonical", "unsorted", "indented", "integer-a_p", "special-floats"])
 def test_span_route_output_is_the_reference_dump(tmp_path, monkeypatch, write, values):
@@ -740,13 +745,13 @@ def test_span_route_output_is_the_reference_dump(tmp_path, monkeypatch, write, v
     write(written, tmp_path)
     for route in ("json", "index"):
         rec = ingest.read_cache(written.label, tmp_path)
-        want = json.dumps(rec.to_json_dict(), sort_keys=True)
+        want = json.dumps(record_json_dict(rec), sort_keys=True)
         # the first read leaves the canonical file and an index with a span
         assert rec._json_span is not None, route
         assert rec._json_span.path.read_text() == want, route
         with monkeypatch.context() as patch:
             reprs = _float_reprs(patch)
-            assert rec.to_json_text() == want
+            assert _json_text(rec) == want
         assert reprs == [], route
 
 
@@ -757,8 +762,8 @@ def test_read_only_cache_reads_without_a_span(tmp_path, monkeypatch):
     written = _span_record()
     for cache_dir in (tmp_path / "rw", tmp_path / "ro"):
         cache_dir.mkdir()
-        _dumped(CoeffRecord.to_json_dict, indent=2)(written, cache_dir)
-    want = ingest.read_cache(written.label, tmp_path / "rw").to_json_text()
+        _dumped(record_json_dict, indent=2)(written, cache_dir)
+    want = _json_text(ingest.read_cache(written.label, tmp_path / "rw"))
     pinned = (tmp_path / "ro" / "span-form.json").read_bytes()
 
     def refuse(*_, **__):
@@ -767,9 +772,9 @@ def test_read_only_cache_reads_without_a_span(tmp_path, monkeypatch):
     for _ in range(2):
         rec = ingest.read_cache(written.label, tmp_path / "ro")
         assert rec == written and rec._json_span is None
-        assert rec.to_json_text() == want
+        assert _json_text(rec) == want
     fallback = ingest.fetch(written.label, cache_dir=tmp_path / "ro")
-    assert fallback.to_json_text() == want.replace('"remote"', '"cache-fallback"')
+    assert _json_text(fallback) == want.replace('"remote"', '"cache-fallback"')
     assert [p.name for p in (tmp_path / "ro").iterdir()] == ["span-form.json"]
     assert (tmp_path / "ro" / "span-form.json").read_bytes() == pinned
 
@@ -786,7 +791,7 @@ def test_span_route_formats_when_the_span_no_longer_fits(tmp_path, monkeypatch,
     assert rec._json_span is not None
     rec = disturb(rec) or rec
     reprs = _float_reprs(monkeypatch)
-    assert rec.to_json_text() == json.dumps(rec.to_json_dict(), sort_keys=True)
+    assert _json_text(rec) == json.dumps(record_json_dict(rec), sort_keys=True)
     assert len(reprs) == rec.lams.size
 
 
@@ -799,12 +804,12 @@ def test_index_hit_formats_no_floats(tmp_path, monkeypatch):
     reprs = _float_reprs(monkeypatch)
     fallback = ingest.fetch("span-form", cache_dir=tmp_path)
     assert fallback.source == "cache-fallback"
-    assert fallback.to_json_text() == json.dumps(fallback.to_json_dict(), sort_keys=True)
+    assert _json_text(fallback) == json.dumps(record_json_dict(fallback), sort_keys=True)
     fixture = ingest.fetch("fixture-mixed-1", coverage=1000, cache_dir=tmp_path)
-    assert fixture.to_json_text() == json.dumps(fixture.to_json_dict(), sort_keys=True)
+    assert _json_text(fixture) == json.dumps(record_json_dict(fixture), sort_keys=True)
     assert reprs == []
     # the spy sees formatting
-    assert written.to_json_text() == fallback.to_json_text().replace(
+    assert _json_text(written) == _json_text(fallback).replace(
         '"cache-fallback"', '"remote"')
     assert len(reprs) == written.lams.size
 
@@ -834,7 +839,7 @@ def test_span_route_matches_reference_dump(tmp_path, monkeypatch, ps, values, du
         path.write_text(json.dumps(doc, **dump))
         for _ in range(2):      # the JSON route, then the index route
             rec = ingest.read_cache("f", cache_dir)
-            want = json.dumps(rec.to_json_dict(), sort_keys=True)
+            want = json.dumps(record_json_dict(rec), sort_keys=True)
             # whatever the layout, the first read leaves the canonical file
             assert rec._json_span is not None and path.read_text() == want
-            assert rec.to_json_text() == want
+            assert _json_text(rec) == want

@@ -8,25 +8,32 @@ from hypothesis import given, strategies as st
 
 from maasslab import satake, sieve
 from maasslab.errors import InvalidInputError
-from maasslab.satake import (EIGENVALUE_TOL, KIM_SARNAK_NU, UNIT_MODULUS_TOL,
-                             CoeffTriple, SatakeLocal)
+from maasslab.satake import KIM_SARNAK_NU
+from oracles import (EIGENVALUE_TOL, UNIT_MODULUS_TOL, CoeffTriple, SatakeLocal,
+                     sample_satake, sym_coeffs)
+
+
+def _adjoint(s):
+    """A = |lambda|^2 - 1, read from the eigenvalue alone, as the scan
+    reads it; the parameter sum sym_coeffs(s).a2 is its oracle."""
+    return abs(s.lam) ** 2 - 1.0
 
 
 def test_adjoint_at_boundary_eigenvalue():
     s = SatakeLocal.from_angle(2, 0.0)
-    assert satake.adjoint_coeff(s) == pytest.approx(3.0, abs=1e-12)
+    assert _adjoint(s) == pytest.approx(3.0, abs=1e-12)
 
 
 def test_adjoint_at_zero_eigenvalue():
     s = SatakeLocal.from_angle(2, math.pi / 2)
-    assert satake.adjoint_coeff(s) == pytest.approx(-1.0, abs=1e-12)
+    assert _adjoint(s) == pytest.approx(-1.0, abs=1e-12)
 
 
 def test_adjoint_at_envelope_eigenvalue():
     # direct evaluation at p = 2: lambda = 2^{7/64} + 2^{-7/64}
     lam = 2 ** (7 / 64) + 2 ** (-7 / 64)
     s = SatakeLocal.from_eigenvalue(2, lam)
-    assert satake.adjoint_coeff(s) == pytest.approx(lam * lam - 1.0, abs=1e-12)
+    assert _adjoint(s) == pytest.approx(lam * lam - 1.0, abs=1e-12)
     assert lam == pytest.approx(2.005750, abs=1e-6)
 
 
@@ -47,30 +54,30 @@ def test_from_angle_accepts_exactly_the_primes():
 
 def test_adjoint_rejects_malformed_pair():
     with pytest.raises(InvalidInputError):
-        satake.adjoint_coeff(
+        _adjoint(
             SatakeLocal(p=5, lam=2.0, u=1.3 + 0j, tempered=True, theta_or_nu=0.0))
 
 
 def test_sym_coeffs_at_angle_zero():
-    t = satake.sym_coeffs(SatakeLocal.from_angle(3, 0.0))
+    t = sym_coeffs(SatakeLocal.from_angle(3, 0.0))
     assert (t.a2, t.a3_abs_sq, t.a4) == pytest.approx((3.0, 16.0, 5.0), abs=1e-12)
 
 
 def test_sym_coeffs_at_right_angle():
-    t = satake.sym_coeffs(SatakeLocal.from_angle(3, math.pi / 2))
+    t = sym_coeffs(SatakeLocal.from_angle(3, math.pi / 2))
     assert (t.a2, t.a3_abs_sq, t.a4) == pytest.approx((-1.0, 0.0, 1.0), abs=1e-12)
 
 
 def test_sym_coeffs_at_third_of_pi():
     # c = 1/2: closed forms give (4c^2-1, (8c^3-4c)^2, 16c^4-12c^2+1) = (0, 1, -1)
-    t = satake.sym_coeffs(SatakeLocal.from_angle(5, math.pi / 3))
+    t = sym_coeffs(SatakeLocal.from_angle(5, math.pi / 3))
     assert (t.a2, t.a3_abs_sq, t.a4) == pytest.approx((0.0, 1.0, -1.0), abs=1e-12)
 
 
 @pytest.mark.parametrize("theta", [0.0, math.pi / 3, math.pi / 2, 1.234, math.pi])
 def test_sym_coeffs_match_closed_forms_tempered(theta):
     c = math.cos(theta)
-    t = satake.sym_coeffs(SatakeLocal.from_angle(7, theta))
+    t = sym_coeffs(SatakeLocal.from_angle(7, theta))
     assert t.a2 == pytest.approx(4 * c * c - 1, abs=1e-10)
     assert t.a3_abs_sq == pytest.approx((8 * c ** 3 - 4 * c) ** 2, abs=1e-10)
     assert t.a4 == pytest.approx(16 * c ** 4 - 12 * c ** 2 + 1, abs=1e-10)
@@ -80,22 +87,23 @@ def test_hecke_identities_examples():
     for s in (SatakeLocal.from_angle(2, math.pi / 3),
               SatakeLocal.from_angle(2, 0.0),
               SatakeLocal.from_deviation(5, 7 / 64)):
-        r1, r2 = satake.check_hecke_identities(s)
+        r1, r2 = sym_coeffs(s).identity_residuals()
         assert r1 < 1e-10 and r2 < 1e-10
 
 
 def test_is_ramanujan_boundary_included():
-    assert satake.is_ramanujan_local(SatakeLocal.from_angle(11, 0.0))
-    assert satake.is_ramanujan_local(SatakeLocal.from_angle(11, math.pi / 2))
+    # theta = 0 gives |lambda| = 2 exactly, on the closed Ramanujan boundary
+    assert abs(SatakeLocal.from_angle(11, 0.0).lam) == 2.0
+    assert abs(SatakeLocal.from_angle(11, math.pi / 2).lam) <= 2.0
 
 
 def test_is_ramanujan_false_forces_large_coeffs():
     s = SatakeLocal.from_deviation(7, 1 / 32)
-    assert not satake.is_ramanujan_local(s)
-    a = satake.adjoint_coeff(s)
+    assert abs(s.lam) > 2.0
+    a = _adjoint(s)
     assert a > 3.0
     assert a == pytest.approx(1 + 7 ** (1 / 16) + 7 ** (-1 / 16), abs=1e-12)
-    assert satake.sym_coeffs(s).a4 > 5.0
+    assert sym_coeffs(s).a4 > 5.0
 
 
 def test_kim_sarnak_envelope_values():
@@ -144,9 +152,9 @@ def test_from_eigenvalue_rejects_envelope_violation():
 def test_nontrivial_character_keeps_identities():
     u = cmath.exp(0.7j)
     s = SatakeLocal.from_angle(5, 1.1, u=u)
-    r1, r2 = satake.check_hecke_identities(s)
+    r1, r2 = sym_coeffs(s).identity_residuals()
     assert r1 < 1e-10 and r2 < 1e-10
-    assert abs(s.chi - u * u) < 1e-14
+    assert abs(s.u * s.u - u * u) < 1e-14
 
 
 def test_sample_sato_tate_mean_adjoint():
@@ -155,21 +163,21 @@ def test_sample_sato_tate_mean_adjoint():
 
 
 def test_sample_non_tempered_all_exceptional():
-    samples = satake.sample_satake(10, "non-tempered", 1)
-    assert all(not satake.is_ramanujan_local(s) for s in samples)
+    samples = sample_satake(10, "non-tempered", 1)
+    assert all(abs(s.lam) > 2.0 for s in samples)
 
 
 def test_sample_uniform_angle_deterministic():
-    a = satake.sample_satake(5, "uniform-angle", 7)
-    b = satake.sample_satake(5, "uniform-angle", 7)
+    a = sample_satake(5, "uniform-angle", 7)
+    b = sample_satake(5, "uniform-angle", 7)
     assert a == b
 
 
 def test_sample_matches_vectorized_triples():
-    samples = satake.sample_satake(64, "sato-tate", 99)
+    samples = sample_satake(64, "sato-tate", 99)
     a2, a3sq, a4 = satake.sample_coeff_triples(64, "sato-tate", 99)
     for i in (0, 7, 31, 63):
-        t = satake.sym_coeffs(samples[i])
+        t = sym_coeffs(samples[i])
         assert t.a2 == pytest.approx(float(a2[i]), abs=1e-10)
         assert t.a3_abs_sq == pytest.approx(float(a3sq[i]), abs=1e-10)
         assert t.a4 == pytest.approx(float(a4[i]), abs=1e-10)
@@ -177,7 +185,7 @@ def test_sample_matches_vectorized_triples():
 
 @pytest.mark.parametrize("mode", satake.SAMPLE_MODES)
 def test_sample_satake_keeps_the_drawn_parameters(mode):
-    samples = satake.sample_satake(300, mode, 11)
+    samples = sample_satake(300, mode, 11)
     rng = np.random.default_rng(11)
     if mode == "sato-tate":
         drawn = satake.sato_tate_angles(rng, 300)
@@ -191,7 +199,7 @@ def test_sample_satake_keeps_the_drawn_parameters(mode):
     assert [s.p for s in samples] == [pool[i % len(pool)] for i in range(300)]
     a2, a3sq, a4 = satake.sample_coeff_triples(300, mode, 11)
     for s, want in zip(samples, zip(a2, a3sq, a4)):
-        t = satake.sym_coeffs(s)
+        t = sym_coeffs(s)
         assert (t.a2, t.a3_abs_sq, t.a4) == pytest.approx(want, abs=1e-12)
 
 
@@ -228,12 +236,12 @@ def test_identity_residuals_take_floats_and_arrays():
 
 def test_sample_rejects_bad_arguments():
     with pytest.raises(InvalidInputError):
-        satake.sample_satake(0, "sato-tate", 1)
+        sample_satake(0, "sato-tate", 1)
     with pytest.raises(InvalidInputError):
-        satake.sample_satake(5, "bogus", 1)
+        sample_satake(5, "bogus", 1)
     # the deviations fill the Kim-Sarnak range (0, 7/64], whose end is fixed
     with pytest.raises(TypeError, match="nu_max"):
-        satake.sample_satake(5, "non-tempered", 1, nu_max=0.1)
+        sample_satake(5, "non-tempered", 1, nu_max=0.1)
     with pytest.raises(TypeError, match="nu_max"):
         satake.sample_coeff_triples(5, "non-tempered", 1, nu_max=0.1)
 
@@ -257,7 +265,7 @@ def test_bulk_identity_sweep():
 @given(st.floats(min_value=0.0, max_value=math.pi))
 def test_identities_hold_for_any_angle(theta):
     s = SatakeLocal.from_angle(11, theta)
-    r1, r2 = satake.check_hecke_identities(s)
+    r1, r2 = sym_coeffs(s).identity_residuals()
     assert r1 < 1e-10 and r2 < 1e-10
 
 
@@ -265,10 +273,10 @@ def test_identities_hold_for_any_angle(theta):
        st.floats(min_value=1e-6, max_value=7 / 64))
 def test_identities_hold_for_any_deviation(p, nu):
     s = SatakeLocal.from_deviation(p, nu)
-    r1, r2 = satake.check_hecke_identities(s)
+    r1, r2 = sym_coeffs(s).identity_residuals()
     assert r1 < 1e-10 and r2 < 1e-10
-    assert satake.adjoint_coeff(s) > 3.0
-    assert satake.sym_coeffs(s).a4 > 5.0
+    assert _adjoint(s) > 3.0
+    assert sym_coeffs(s).a4 > 5.0
 
 
 def test_coeff_triple_residuals():
@@ -276,18 +284,17 @@ def test_coeff_triple_residuals():
 
 
 def _assert_accessors_accept(s):
-    """Every accessor takes s.  adjoint_coeff agrees with the parameter
+    """Every accessor takes s.  _adjoint agrees with the parameter
     route sym_coeffs().a2 as far as validate's tolerances allow: with
     |alpha*beta| = |u|^2 = m, |alpha + beta|^2 - 1 exceeds A by (m - 1)(A + 1),
     a lam off alpha + beta by d moves |lam|^2 by at most d(2|lam| + d), and
     |A3|^2 scales as m^3 while A*A4 does not."""
-    t = satake.sym_coeffs(s)
-    a = satake.adjoint_coeff(s)
+    t = sym_coeffs(s)
+    a = _adjoint(s)
     assert abs(a - t.a2) <= (UNIT_MODULUS_TOL * (t.a2 + 1.0)
                              + EIGENVALUE_TOL * (2.0 * abs(s.lam) + 1.0) + 1e-13)
-    r1, r2 = satake.check_hecke_identities(s)
+    r1, r2 = t.identity_residuals()
     assert r1 < 1e-10 and r2 <= 4.0 * UNIT_MODULUS_TOL * t.a3_abs_sq + 1e-10
-    assert satake.is_ramanujan_local(s) is (abs(s.lam) <= 2.0)
 
 
 _PRIMES = st.sampled_from([2, 3, 5, 7, 97, 10007, 999983])
@@ -322,7 +329,7 @@ def test_every_made_datum_passes_every_accessor(s):
 @given(st.integers(1, 40), st.sampled_from(satake.SAMPLE_MODES),
        st.integers(0, 2 ** 32))
 def test_every_sampled_datum_passes_every_accessor(count, mode, seed):
-    for s in satake.sample_satake(count, mode, seed):
+    for s in sample_satake(count, mode, seed):
         _assert_accessors_accept(s)
 
 
@@ -337,11 +344,11 @@ def test_samplers_agree_at_a_tiny_nu_max(monkeypatch, nu_max):
         return ps, np.full_like(draws, nu_max)
 
     monkeypatch.setattr(satake, "_sample_parameters", tiny)
-    samples = satake.sample_satake(200, "non-tempered", 0)
+    samples = sample_satake(200, "non-tempered", 0)
     assert {s.theta_or_nu for s in samples} == {nu_max}
     a2, a3sq, a4 = satake.sample_coeff_triples(200, "non-tempered", 0)
     for s, want in zip(samples, zip(a2, a3sq, a4)):
-        t = satake.sym_coeffs(s)
+        t = sym_coeffs(s)
         assert (t.a2, t.a3_abs_sq, t.a4) == pytest.approx(want, abs=1e-12)
 
 
@@ -353,11 +360,11 @@ def test_samplers_agree_at_the_smallest_deviation(monkeypatch):
             return np.full(count, 1.0 - 2.0 ** -53)
 
     monkeypatch.setattr(np.random, "default_rng", lambda seed: Largest())
-    samples = satake.sample_satake(200, "non-tempered", 0)
+    samples = sample_satake(200, "non-tempered", 0)
     assert {s.theta_or_nu for s in samples} == {KIM_SARNAK_NU * 2.0 ** -53}
     a2, a3sq, a4 = satake.sample_coeff_triples(200, "non-tempered", 0)
     for s, want in zip(samples, zip(a2, a3sq, a4)):
-        t = satake.sym_coeffs(s)
+        t = sym_coeffs(s)
         assert (t.a2, t.a3_abs_sq, t.a4) == pytest.approx(want, abs=1e-12)
 
 
@@ -443,8 +450,8 @@ def test_adjoint_reads_the_eigenvalue_alone():
     # lam is within EIGENVALUE_TOL of alpha + beta = 2, so the datum is
     # valid, and |lam|^2 - 1 is 4e-12 above the parameter route's 3
     s = SatakeLocal(p=7, lam=2.0 + 0.99e-12, u=1, tempered=True, theta_or_nu=0.0)
-    assert satake.adjoint_coeff(s) == abs(s.lam) ** 2 - 1.0 > 3.0
-    t = satake.sym_coeffs(s)
+    assert _adjoint(s) == abs(s.lam) ** 2 - 1.0 > 3.0
+    t = sym_coeffs(s)
     assert (t.a2, t.a3_abs_sq, t.a4) == (3.0, 16.0, 5.0)
 
 

@@ -18,6 +18,7 @@ from maasslab import satake, sieve
 from maasslab.errors import (CrossCheckError, InvalidInputError,
                              PreconditionError, ResourceLimitError)
 from maasslab.sieve import MultFuncSpec
+from oracles import SatakeLocal, euler_constant_c_exact
 
 
 def recursive_h_sum(primes, t, q, prime_value):
@@ -280,8 +281,8 @@ def test_every_factoring_caller_is_capped(table_small, monkeypatch):
                     (q, lambda: sieve.lower_bound_check(spec, spec, 100, q,
                                                         table_small)),
                     (q, lambda: sieve.euler_constant_c(q, 10 ** 3)),
-                    (q, lambda: sieve.euler_constant_c_exact(q, 10 ** 3)),
-                    (10211, lambda: satake.SatakeLocal.from_angle(10211, 1.0))):
+                    (q, lambda: euler_constant_c_exact(q, 10 ** 3)),
+                    (10211, lambda: SatakeLocal.from_angle(10211, 1.0))):
         with pytest.raises(ResourceLimitError, match=str(n)):
             call()
 
@@ -852,20 +853,21 @@ def test_dirichlet_convolve_multiplicative(table_small):
 
 
 def test_moebius_factor_examples(table_small):
-    b = MultFuncSpec.from_table({2: 5.0, 3: 1.0})
-    h = MultFuncSpec.threshold(10, 2, -2)
-    assert sieve.moebius_factor(b, h, 2, table_small) == 3
-    assert sieve.moebius_factor(b, h, 1, table_small) == 1
-    with pytest.raises(InvalidInputError):
-        sieve.moebius_factor(b, h, 4, table_small)
+    # g with b = h * g (Dirichlet): g(p) = b(p) - h(p), g(1) = 1, and g
+    # is supported on the squarefree n
+    g = MultFuncSpec.moebius_quotient(MultFuncSpec.from_table({2: 5.0, 3: 1.0}),
+                                      MultFuncSpec.threshold(10, 2, -2))
+    assert g.value_exact(2, table_small) == 3
+    assert g.value_exact(1, table_small) == 1
+    assert g.value_exact(4, table_small) == 0
 
 
 def test_moebius_roundtrip_small(table_small):
     b = MultFuncSpec.from_table({2: 5.0, 3: 1.0, 5: 0.75})
     h = MultFuncSpec.threshold(4, 2, -2)
-    g6 = sieve.moebius_factor(b, h, 6, table_small)
-    total = sum(h.value_exact(d, table_small)
-                * sieve.moebius_factor(b, h, 6 // d, table_small)
+    g = MultFuncSpec.moebius_quotient(b, h)
+    g6 = g.value_exact(6, table_small)
+    total = sum(h.value_exact(d, table_small) * g.value_exact(6 // d, table_small)
                 for d in (1, 2, 3, 6))
     assert total == b.value_exact(6, table_small)
     assert g6 == (b.prime_value_exact(2) - h.prime_value_exact(2)) * \
@@ -889,9 +891,17 @@ def test_moebius_roundtrip_all_squarefree(table_small):
 
 
 def test_euler_constant_ratio_c2_over_c1():
-    e1 = sieve.euler_constant_c_exact(1, 10 ** 3)
-    e2 = sieve.euler_constant_c_exact(2, 10 ** 3)
+    e1 = euler_constant_c_exact(1, 10 ** 3)
+    e2 = euler_constant_c_exact(2, 10 ** 3)
     assert e2 / e1 == Fraction(1, 2)
+
+
+def test_euler_constant_matches_exact_product():
+    # the float route (a sum of log1p terms) against the exact rational of
+    # the same truncated product; 6e-16 relative at worst here
+    for a in (1, 2, 30, 97, 210, 1001):
+        c, _ = sieve.euler_constant_c(a, 10 ** 3)
+        assert c == pytest.approx(float(euler_constant_c_exact(a, 10 ** 3)), rel=1e-12)
 
 
 def test_euler_constant_truncation_stability():
@@ -926,8 +936,8 @@ def test_euler_constant_exact_ratio_law():
         a = rng.randint(1, 100)
         while a % p == 0:
             a = rng.randint(1, 100)
-        ca = sieve.euler_constant_c_exact(a, 10 ** 3)
-        cap = sieve.euler_constant_c_exact(a * p, 10 ** 3)
+        ca = euler_constant_c_exact(a, 10 ** 3)
+        cap = euler_constant_c_exact(a * p, 10 ** 3)
         assert cap / ca == Fraction(p, p + 2)
 
 
@@ -1098,8 +1108,9 @@ def test_lower_bound_check_equality_when_h_is_b(table_small):
     h = MultFuncSpec.threshold(500, 2, -2)
     assert sieve.lower_bound_check(h, h, 10 ** 4, 1, table_small)
     # g = b/h is supported at 1 only, so the two sides coincide
+    g = MultFuncSpec.moebius_quotient(h, h)
     for p in (2, 3, 499, 503):
-        assert sieve.moebius_factor(h, h, p, table_small) == 0
+        assert g.value_exact(p, table_small) == 0
 
 
 def test_lower_bound_check_fills_h_once(table_small, monkeypatch):
