@@ -37,12 +37,15 @@ import math
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, ResourceLimitError
 
 KIM_SARNAK_NU = 7.0 / 64.0
 
-SAMPLE_MODES = ("sato-tate", "uniform-angle", "non-tempered")
+SAMPLE_MODES = ("sato-tate", "non-tempered")
 _CHUNK = 2 ** 13             # samples per pass of sample_coeff_triples
+MAX_SAMPLES = 5 * 10 ** 6    # samples per draw; at the cap one sato-tate call
+                             # peaks at 313 MiB RSS and identity-check --samples
+                             # 10^7 at 619 MiB (numpy 2.4, x86-64 Linux)
 
 # prime pool cycled through by the samplers
 _SAMPLE_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
@@ -92,10 +95,14 @@ def sato_tate_angles(rng: np.random.Generator, count: int) -> np.ndarray:
 
 def _sample_parameters(count: int, mode: str,
                        seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Draw the primes and the angles theta (tempered modes) or the
-    deviations nu (non-tempered) for the requested mode."""
+    """Draw the primes and the Sato-Tate angles theta (sato-tate) or the
+    deviations nu (non-tempered).  A count above MAX_SAMPLES raises
+    ResourceLimitError before anything is allocated."""
     if count < 1:
         raise InvalidInputError(f"count must be >= 1, got {count}")
+    if count > MAX_SAMPLES:
+        raise ResourceLimitError(
+            f"count {count} exceeds the cap of {MAX_SAMPLES} samples per draw")
     if mode not in SAMPLE_MODES:
         raise InvalidInputError(f"mode must be one of {SAMPLE_MODES}, got {mode!r}")
     rng = np.random.default_rng(seed)
@@ -104,9 +111,7 @@ def _sample_parameters(count: int, mode: str,
     if mode == "non-tempered":
         # 1 - random() lies in [2^-53, 1], so nu >= 7/64 * 2^-53 > 0
         return ps, KIM_SARNAK_NU * (1.0 - rng.random(count))
-    if mode == "sato-tate":
-        return ps, sato_tate_angles(rng, count)
-    return ps, rng.random(count) * math.pi
+    return ps, sato_tate_angles(rng, count)
 
 
 def sample_coeff_triples(count: int, mode: str, seed: int

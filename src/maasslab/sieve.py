@@ -9,19 +9,18 @@ The values, the log-weighted sums, the convolutions and the positivity
 check read a prime and squarefree table (SieveTable); H(t) reads none.
 
 Convolution identities are evaluated in exact rational arithmetic
-(Fraction).  values_upto enumerates the values in float64.  H(t) needs
-no table: the prime-counting recursion runs from sums over the primes,
-which come from prime counts at the points floor(t/k), themselves from
-the same recursion seeded with the primes up to sqrt(t), so nothing is
-sieved up to t; it is exact for the integer-valued weights and sizes
-handled here (h_sum states the bound).  The recursion carries the
-log-weighted sums from x = 5*10^4 on, from running sums over the
-table's primes (log_weighted_sum states their bound); below that they
-are read off the values."""
+(Fraction).  values_upto enumerates the values in float64.  H(t) of a
+threshold weight needs no table: the prime-counting recursion runs from
+its sums over the primes, which come from prime counts at the points
+floor(t/k), themselves from the same recursion seeded with the primes
+up to sqrt(t), so nothing is sieved up to t; it is exact for the
+integer-valued weights and sizes handled here (h_sum states the
+bound).  The recursion carries the log-weighted sums from x = 5*10^4
+on, from running sums over the table's primes (log_weighted_sum states
+their bound); below that they are read off the values."""
 
 from __future__ import annotations
 
-import bisect
 import heapq
 import math
 from dataclasses import dataclass, field
@@ -38,7 +37,7 @@ HARD_LIMIT = 2 * 10 ** 8
 TRIAL_LIMIT = 10 ** 7      # largest trial divisor prime_factors tries
 C_TRUNCATION = 10 ** 6     # truncation of c(q) in asymptotic_report
 _CHUNK = 2 ** 16           # primes per chunk of the running prime sums of
-                           # h_sum and log_weighted_sum
+                           # log_weighted_sum
 _LOG_RECURSION = 5 * 10 ** 4   # x from which log_weighted_sum takes the prime sums;
                                # below it the value array is faster
 
@@ -219,30 +218,6 @@ class MultFuncSpec:
         # moebius-quotient: __post_init__ admits no other kind
         return self.left.prime_values(ps) - self.right.prime_values(ps)
 
-    def _steps(self) -> tuple[list[int], list[float]]:
-        """(ys, cs), ys ascending: the value at a prime p that is no key of
-        a coefficient table is cs[j] for ys[j - 1] < p <= ys[j], and cs[-1]
-        above ys[-1], each as prime_values gives it."""
-        if self.kind == "threshold-weight":
-            return [self.y], [self.chi0, self.chi1]
-        if self.kind == "coefficient-table":
-            return [], [0.0]
-        # moebius-quotient
-        (ly, lc), (ry, rc) = self.left._steps(), self.right._steps()
-        ys = sorted({*ly, *ry})
-        # a point of each interval: its right end, and one past the last y
-        ends = [*ys, ys[-1] + 1] if ys else [2]
-        return ys, [lc[bisect.bisect_left(ly, x)] - rc[bisect.bisect_left(ry, x)]
-                    for x in ends]
-
-    def _keys(self) -> np.ndarray:
-        """The keys of the spec's coefficient tables, ascending (int64)."""
-        if self.kind == "coefficient-table":
-            return self.ps
-        if self.kind == "moebius-quotient":
-            return np.union1d(self.left._keys(), self.right._keys())
-        return np.empty(0, dtype=np.int64)
-
     def prime_value(self, p: int) -> float:
         return float(self.prime_values([p])[0])
 
@@ -377,51 +352,27 @@ def _prime_count(x: int, seed: np.ndarray) -> int:
     return int(_prime_counts(V, _sources(V, _upto_sqrt(seed, x)))[0])
 
 
-def _prime_mask(ns: np.ndarray, seed: np.ndarray) -> np.ndarray:
-    """Which of the ascending integers ns are prime, by trial division by
-    seed, the primes up to at least sqrt(max(ns))."""
-    mask = ns >= 2
-    for p in seed.tolist():
-        lo = int(np.searchsorted(ns, p * p))
-        if lo == ns.size:
-            break
-        mask[lo:] &= ns[lo:] % p != 0
-    return mask
-
-
 def _prime_value_sums(spec: MultFuncSpec, V: np.ndarray, pi: np.ndarray,
                       q_primes: list[int], seed: np.ndarray) -> np.ndarray | None:
-    """G(v) of h_sum at the points V = _points(t) from pi = pi(V): the sum
-    of value(p) over the primes p <= v not dividing q, or None if value(p)
-    is NaN or infinite at such a p <= t.  seed holds the primes up to at
-    least sqrt(t).  The prime keys' sum comes first, then each interval's
-    value times its count of the other primes (see h_sum)."""
+    """G(v) of h_sum at the points V = _points(t) from pi = pi(V), for a
+    threshold spec: chi0 n0(v) + chi1 n1(v), n0(v) the count of the
+    primes p <= min(v, y) not dividing q and n1(v) that of the others up
+    to v, or None if a weight is NaN or infinite and its count at t is
+    not 0.  seed holds the primes up to at least sqrt(t)."""
     t = int(V[0])
-    keys = spec._keys()
-    keys = keys[:int(np.searchsorted(keys, t, side="right"))]
-    keys = keys[_prime_mask(keys, seed)]
-    G_keys, first_bad = _prime_sums(spec, keys, q_primes)
-    if t >= first_bad:
-        return None
-    G = G_keys[np.searchsorted(keys, V, side="right")]
-    q_apart = [p for p in q_primes if p not in keys]
 
-    def others(x, pi_x):
-        """pi(x) less the prime keys and the primes of q up to x."""
-        return (pi_x - np.searchsorted(keys, x, side="right")
-                - np.searchsorted(q_apart, x, side="right"))
-    count = others(V, pi)
-    below = 0
-    ys, cs = spec._steps()
-    for y, c in zip([*ys, t], cs):
-        upto = count if y >= t else np.minimum(count, others(y, _prime_count(y, seed)))
-        n = upto - below
+    def coprime(x, pi_x):
+        """pi(x) less the primes of q up to x."""
+        return pi_x - np.searchsorted(q_primes, x, side="right")
+    n = coprime(V, pi)
+    n0 = n if spec.y >= t else np.minimum(n, coprime(spec.y, _prime_count(spec.y, seed)))
+    G = np.zeros(V.size)
+    for c, k in ((spec.chi0, n0), (spec.chi1, n - n0)):
         if not math.isfinite(c):
-            if n[0]:                    # a prime up to t takes c
+            if k[0]:                    # a prime up to t takes c
                 return None
         else:
-            G += c * n
-        below = upto
+            G += c * k
     return G
 
 
@@ -507,7 +458,8 @@ def _prime_recursion(V: np.ndarray, srcs: list[np.ndarray], ps: np.ndarray,
 
 
 def h_sum(spec: MultFuncSpec, t: float, q: int | None) -> float:
-    """H(t): the sum of spec values over squarefree n <= t with (n, q) = 1.
+    """H(t): the sum of spec values over squarefree n <= t with (n, q) = 1,
+    for a threshold-weight spec; any other kind raises InvalidInputError.
 
     No value at a composite n is formed, and nothing is sieved up to t.
     With G(v) the sum of value(p) over the primes p <= v not dividing q,
@@ -521,13 +473,11 @@ def h_sum(spec: MultFuncSpec, t: float, q: int | None) -> float:
     p, since such a composite is at least the square of its least prime;
     the step adds the n = p m with m a prime above p or such a composite,
     m <= v/p.  G on V comes from pi on V (_prime_counts, the same
-    recursion on counts, seeded with the primes up to sqrt(t)): on each
-    interval of spec._steps() every prime that is no table key takes one
-    value c_j, so G(v) is G_K(v), the compensated sum over the prime keys
-    up to v (_prime_sums), plus fl(c_j n_j(v)) for each interval in turn,
-    n_j(v) the count of its primes up to v that are no key and do not
-    divide q (_prime_value_sums).  Cost: about t^(3/4) / log t vectorised
-    updates for pi and as many for R, plus the keys' sum.
+    recursion on counts, seeded with the primes up to sqrt(t)) and pi(y):
+    G(v) = 0.0 + chi0 n0(v) + chi1 n1(v), added in that order, n0(v) the
+    count of the primes p <= min(v, y) not dividing q and n1(v) that of
+    the others up to v (_prime_value_sums).  Cost: about t^(3/4) / log t
+    vectorised updates for pi and as many for R.
 
     H~(t).  Both bounds below use H~(t), the same recursion run in exact
     arithmetic on |value(p)| with the subtraction made an addition.
@@ -543,10 +493,10 @@ def h_sum(spec: MultFuncSpec, t: float, q: int | None) -> float:
     m p <= t, both coprime to q.
 
     Exactness.  The counts are integers below t.  Every other exact
-    intermediate (a product c_j n_j(v) and each partial sum of a G(v), a
-    step of _prime_sums, an R[v], a difference, a product) is a signed
-    sum of some of the terms that H~(t) - 1 adds up in absolute value, so
-    it is at most H~(t) - 1 in magnitude.  For integer values with H~(t)
+    intermediate (a product chi0 n0(v) or chi1 n1(v), a G(v), an R[v], a
+    difference, a product) is a signed sum of some of the terms that
+    H~(t) - 1 adds up in absolute value, so it is at most H~(t) - 1 in
+    magnitude.  For integer values with H~(t)
     <= 2^53 they are all integers that float64 holds, so every operation
     is exact and the result is H(t) exactly: bit for bit the sum of
     values_upto(spec, t, q, table)[:t + 1] in any order.
@@ -554,21 +504,15 @@ def h_sum(spec: MultFuncSpec, t: float, q: int | None) -> float:
     Error.  For other values, if no product underflows and nothing
     overflows, |h_sum - H(t)| <= (e + (1 + e) gamma_D) H~(t), where H(t)
     is the exact sum of the exact products of the float values, u =
-    2^-53, gamma_n = n u / (1 - n u), e = gamma_(m+1) + 2 gamma_N^2 with
-    m the number of intervals of spec._steps() and N the number of prime
-    keys up to t, and D = 3 pi(sqrt(t)) + 1.  Proof.  Each float G(x) is
-    within e G~(x) of the exact one: its m + 1 terms are added in order
-    from G_K, so fl(c_j n_j) carries its own rounding and at most m
-    additions, and G_K, within u |G_K| + gamma_N^2 G~_K of its exact sum
-    (_prime_sums), at most m additions, which gives at most
-    gamma_(m+1) times the sum of the |c_j| n_j(x) plus (gamma_m + (1 +
-    gamma_m) (u + gamma_N^2)) G~_K <= (gamma_(m+1) + 2 gamma_N^2) G~_K
-    (Higham 2002, Lemmas 3.1 and 3.3).  With the float G as inputs, each
-    path of the computed R[t] carries its own factor prod (1 + delta),
-    |delta| <= u, one per rounding on it: three (subtract, multiply, add)
-    or one (add) per prime step, and one for 1 + R[t], so the factor is
-    1 + theta with |theta| <= gamma_D (Higham 2002, Lemma 3.1).  The
-    result is then within gamma_D times the sum of the paths'
+    2^-53, gamma_n = n u / (1 - n u), e = gamma_3 and D = 3 pi(sqrt(t))
+    + 1.  Proof.  Each float G(x) is within e G~(x) of the exact one:
+    each of its two terms carries the rounding of its product and at
+    most two additions (Higham 2002, Lemma 3.1).  With the float G as
+    inputs, each path of the computed R[t] carries its own factor prod
+    (1 + delta), |delta| <= u, one per rounding on it: three (subtract,
+    multiply, add) or one (add) per prime step, and one for 1 + R[t], so
+    the factor is 1 + theta with |theta| <= gamma_D (Higham 2002, Lemma
+    3.1).  The result is then within gamma_D times the sum of the paths'
     magnitudes, at most (1 + e) H~(t), of the exact arithmetic on the
     float G, and that is within e (H~(t) - 1) of H(t), each path moving
     by at most |value(p_1) ... value(p_j)| e G~(x).  This covers the
@@ -578,10 +522,11 @@ def h_sum(spec: MultFuncSpec, t: float, q: int | None) -> float:
 
     Non-finite values.  If value(p) is NaN or +-inf at some prime p <= t
     not dividing q, some products of H(t) are infinite or undefined, and
-    h_sum returns NaN.  Values at primes above t or dividing q, and at
-    table keys that are not prime, are never read.  t above HARD_LIMIT
-    raises ResourceLimitError.
+    h_sum returns NaN.  Values at primes above t or dividing q are never
+    read.  t above HARD_LIMIT raises ResourceLimitError.
     """
+    if spec.kind != "threshold-weight":
+        raise InvalidInputError(f"h_sum takes a threshold-weight spec, got {spec.kind!r}")
     t = _checked_t(t, None)
     q_primes = _coprimality_primes(spec.q if q is None else q)
     ps = primes_upto(math.isqrt(t))
@@ -663,9 +608,9 @@ def log_weighted_sum(spec: MultFuncSpec, x: float, q: int | None,
     below 1.6e-13 log(x) H~(m).
 
     Non-finite values.  If value(p) is NaN or +-inf at some prime p <= x
-    not dividing q, log_weighted_sum returns NaN, as h_sum(spec, m, q)
-    does.  Finite values whose products overflow raise CrossCheckError:
-    a value(p) log p that is infinite, or a result that is not finite.
+    not dividing q, log_weighted_sum returns NaN.  Finite values whose
+    products overflow raise CrossCheckError: a value(p) log p that is
+    infinite, or a result that is not finite.
     """
     if not (math.isfinite(x) and x >= 1.0):
         raise InvalidInputError(f"x must be finite and >= 1, got {x}")
@@ -775,17 +720,9 @@ def asymptotic_report(y: int, u_grid: list[float], q: int,
 
     Report-only: the error term of the asymptotic carries no rate, so the
     rows record the relative error without asserting a bound.  Each
-    exact H(y^u) is one call of h_sum at t = y^u: each row sieves the
-    primes up to sqrt(t), pi at the points {floor(t/k)} and at y by
-    Lucy's recursion gives the weights' prime sums G there, and the
-    recursion of h_sum runs from them.  So a row holds O(sqrt(t)) entries
-    and sieves nothing above sqrt(t).  For integer
-    weights every intermediate is an integer of magnitude below H~(t),
-    the recursion run on |chi0|, |chi1| with the subtraction made an
-    addition, so while H~(t) <= 2^53 the row is exact, and equal to the
-    sum of the values in any order.  For other weights the row is within
-    (e + (1 + e) gamma_D) H~(t) of the exact sum of the exact products,
-    e = gamma_3 and D = 3 pi(sqrt(t)) + 1; see h_sum for both proofs.
+    exact H(y^u) is one call of h_sum at t = y^u, which holds O(sqrt(t))
+    entries, sieves nothing above sqrt(t), and states when the row is
+    exact and how far from exact it can be otherwise.
     With limit (the CLI's --limit), y^max(u) above it raises
     InvalidInputError; t above HARD_LIMIT raises ResourceLimitError.
     c(q) is truncated at C_TRUNCATION (euler_constant_c).

@@ -142,9 +142,8 @@ def sample_satake(count: int, mode: str, seed: int) -> list[SatakeLocal]:
     satake.sample_coeff_triples (same count, mode and seed).
 
     sato-tate draws tempered angles with density (2/pi) sin^2(theta);
-    uniform-angle draws theta uniformly on [0, pi]; non-tempered draws
-    nu uniformly on (0, 7/64], the Kim-Sarnak range.  The unit factor
-    is 1 throughout.
+    non-tempered draws nu uniformly on (0, 7/64], the Kim-Sarnak range.
+    The unit factor is 1 throughout.
     """
     ps, draws = satake._sample_parameters(count, mode, seed)
     make = (SatakeLocal.from_deviation if mode == "non-tempered"

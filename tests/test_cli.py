@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from maasslab import cli, dde, ingest, sieve
+from maasslab import cli, dde, ingest, satake, sieve
 from oracles import grid_nodes, record_json_dict
 
 
@@ -81,6 +81,16 @@ def test_sample_count_below_minimum_is_usage_error(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     assert err.startswith("error: invalid-input: --samples must be >= ")
+
+
+def test_sample_count_above_the_cap_is_resource_limit(capsys):
+    # 10^20 is past the largest array numpy can make: the cap, not numpy,
+    # refuses it
+    for samples in (10 ** 20, 2 * satake.MAX_SAMPLES + 2):
+        code, out, err = run_cli(capsys, "identity-check", "--samples", str(samples))
+        assert code == 4 and out == ""
+        assert err == (f"error: resource-limit: count {samples // 2} exceeds the cap "
+                       f"of {satake.MAX_SAMPLES} samples per draw\n")
 
 
 @pytest.mark.parametrize("argv", [

@@ -39,7 +39,7 @@ def test_chebyshev_weight_three_members():
 
 def test_chebyshev_weight_nonnegative_random():
     a2, _, a4 = satake.sample_coeff_triples(2000, "sato-tate", 4)
-    b2, b3, b4 = satake.sample_coeff_triples(2000, "uniform-angle", 5)
+    b2, b3, b4 = satake.sample_coeff_triples(2000, "sato-tate", 5)
     weights = density.chebyshev_weight(a2 + b2, a4)
     assert float(np.min(weights)) >= 0.0
     # the array route and the scalar route give the same float

@@ -1,13 +1,14 @@
 import cmath
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from maasslab import satake, sieve
-from maasslab.errors import InvalidInputError
+from maasslab.errors import InvalidInputError, ResourceLimitError
 from maasslab.satake import KIM_SARNAK_NU
 from oracles import (EIGENVALUE_TOL, UNIT_MODULUS_TOL, CoeffTriple, SatakeLocal,
                      sample_satake, sym_coeffs)
@@ -167,12 +168,6 @@ def test_sample_non_tempered_all_exceptional():
     assert all(abs(s.lam) > 2.0 for s in samples)
 
 
-def test_sample_uniform_angle_deterministic():
-    a = sample_satake(5, "uniform-angle", 7)
-    b = sample_satake(5, "uniform-angle", 7)
-    assert a == b
-
-
 def test_sample_matches_vectorized_triples():
     samples = sample_satake(64, "sato-tate", 99)
     a2, a3sq, a4 = satake.sample_coeff_triples(64, "sato-tate", 99)
@@ -189,8 +184,6 @@ def test_sample_satake_keeps_the_drawn_parameters(mode):
     rng = np.random.default_rng(11)
     if mode == "sato-tate":
         drawn = satake.sato_tate_angles(rng, 300)
-    elif mode == "uniform-angle":
-        drawn = rng.random(300) * math.pi
     else:
         drawn = KIM_SARNAK_NU * (1.0 - rng.random(300))
     assert [s.theta_or_nu for s in samples] == drawn.tolist()
@@ -244,11 +237,29 @@ def test_sample_rejects_bad_arguments():
         sample_satake(5, "non-tempered", 1, nu_max=0.1)
     with pytest.raises(TypeError, match="nu_max"):
         satake.sample_coeff_triples(5, "non-tempered", 1, nu_max=0.1)
+    with pytest.raises(InvalidInputError, match="got 'uniform-angle'$"):
+        satake.sample_coeff_triples(5, "uniform-angle", 1)
+
+
+def test_sample_count_above_the_cap_raises_before_allocating():
+    # refused before any draw: 10^20 is past the largest array numpy can
+    # make, and the count just past the cap would take over 300 MiB
+    tracemalloc.start()
+    try:
+        for count in (satake.MAX_SAMPLES + 1, 10 ** 20):
+            for draw in (satake.sample_coeff_triples, sample_satake):
+                with pytest.raises(ResourceLimitError, match=(
+                        f"^count {count} exceeds the cap of 5000000 samples per draw$")):
+                    draw(count, "sato-tate", 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20, peak
 
 
 def test_bulk_identity_sweep():
     # >= 10^5 mixed samples; residual budget covers double roundoff only
-    for mode in ("sato-tate", "uniform-angle", "non-tempered"):
+    for mode in ("sato-tate", "non-tempered"):
         a2, a3sq, a4 = satake.sample_coeff_triples(50000, mode, 2024)
         assert float(np.max(np.abs(a2 * a2 - (a4 + a2 + 1)))) < 1e-10
         assert float(np.max(np.abs(a2 * a4 - (a3sq - 1)))) < 1e-10

@@ -78,11 +78,8 @@ def _gamma(n):
 
 def h_sum_error_bound(spec, t, q, table):
     """(e + (1 + e) gamma_D) H~(t), the proven bound of the h_sum docstring:
-    e = gamma_(m+1) + 2 gamma_N^2, m intervals of spec._steps() and N prime
-    table keys up to t."""
-    m = len(spec._steps()[1])
-    n = int(np.isin(spec._keys(), table.primes[:table.prime_count(t)]).sum())
-    e = _gamma(m + 1) + 2 * _gamma(n) ** 2
+    e = gamma_3 and D = 3 pi(sqrt(t)) + 1."""
+    e = _gamma(3)
     d = 3 * table.prime_count(math.isqrt(t)) + 1
     return (e + (1 + e) * _gamma(d)) * absolute_recursion(spec, t, q, table)
 
@@ -470,9 +467,7 @@ _h_sum_edge_ts = sorted({1, 2, 3, 4, *(p * p + d for p in (2, 3, 5, 7, 31, 997)
 def test_h_sum_edges_equal_array_sums(table_medium):
     # q: none, primes below sqrt(t), primes on both sides (997 and 1009
     # lie above sqrt(t) for t < 994009), and a prime beyond the table
-    specs = (MultFuncSpec.threshold(30, 2, -3), MultFuncSpec.threshold(1000, -1, 2),
-             MultFuncSpec.from_table({2: -1.0, 3: 2.0, 5: 0.0, 997: 3.0,
-                                      1009: -2.0, 65537: 1.0}))
+    specs = (MultFuncSpec.threshold(30, 2, -3), MultFuncSpec.threshold(1000, -1, 2))
     for q in (1, 6, 30 * 997, 3 * 1009, 7 * 1000003):
         for spec in specs:
             vals = sieve.values_upto(spec, max(_h_sum_edge_ts), q, table_medium)
@@ -484,13 +479,9 @@ def test_h_sum_edges_equal_array_sums(table_medium):
 
 _int_threshold_specs = st.builds(MultFuncSpec.threshold, st.integers(2, 10 ** 6),
                                  st.integers(-3, 3), st.integers(-3, 3))
-_int_table_specs = st.dictionaries(
-    st.sampled_from(sieve.primes_upto(2000).tolist() + [65537, 999983]),
-    st.integers(-3, 3).map(float), max_size=60).map(MultFuncSpec.from_table)
 
 
-@given(st.one_of(_int_threshold_specs, _int_table_specs),
-       st.sampled_from([1, 6, 30, 210, 30 * 997]),
+@given(_int_threshold_specs, st.sampled_from([1, 6, 30, 210, 30 * 997]),
        st.one_of(st.integers(1, 10 ** 4), st.integers(1, 10 ** 6),
                  st.sampled_from(_h_sum_edge_ts)))
 def test_h_sum_property_integer_values_equal_array_sum(table_medium, spec, q, t):
@@ -499,9 +490,18 @@ def test_h_sum_property_integer_values_equal_array_sum(table_medium, spec, q, t)
         float(np.sum(sieve.values_upto(spec, t, q, table_medium)[:t + 1]))
 
 
-@given(_quotient_specs, st.sampled_from([1, 6, 30, 210]), st.integers(1, 3000))
-def test_h_sum_property_quotient_matches_recursive_oracle(table_small, spec_oracle,
-                                                         q, t):
+# weights off the integers, no product of up to 11 of them underflowing
+_weights = st.floats(-4.0, 4.0).filter(lambda c: abs(c) >= 2.0 ** -20
+                                       and not c.is_integer())
+_float_threshold_specs = st.builds(
+    lambda y, chi0, chi1: (MultFuncSpec.threshold(y, chi0, chi1),
+                           lambda p: chi0 if p <= y else chi1),
+    st.integers(2, 3000), _weights, _weights)
+
+
+@given(_float_threshold_specs, st.sampled_from([1, 6, 30, 210]), st.integers(1, 3000))
+def test_h_sum_property_threshold_matches_recursive_oracle(table_small, spec_oracle,
+                                                          q, t):
     # the oracle multiplies each term out and adds them in turn: at most
     # t + bit_length(t) roundings of each term
     spec, oracle = spec_oracle
@@ -514,7 +514,6 @@ def test_h_sum_property_quotient_matches_recursive_oracle(table_small, spec_orac
 
 
 def test_h_sum_non_finite_prime_values():
-    ok = MultFuncSpec.from_table({2: -1.0, 3: 2.0})
     for bad in (math.nan, math.inf, -math.inf):
         # bad above y = 10: NaN once t reaches 11, even where no 0 * inf
         # arises (the values_upto sum gives +-inf there)
@@ -522,32 +521,26 @@ def test_h_sum_non_finite_prime_values():
         assert sieve.h_sum(spec, 10, 1) == 17.0
         for t in (11, 12, 43, 44, 1000):
             assert math.isnan(sieve.h_sum(spec, t, 1)), (bad, t)
-        assert math.isnan(sieve.h_sum(MultFuncSpec.threshold(10, bad, -1), 2, 1)), bad
-        # bad at p = 29: read from t = 29 on, never when 29 divides q
-        spec = MultFuncSpec.from_table({2: -1.0, 3: 2.0, 29: bad})
-        assert sieve.h_sum(spec, 28, 1) == sieve.h_sum(ok, 28, 1)
-        for t in (29, 57, 58, 1000):
-            assert math.isnan(sieve.h_sum(spec, t, 1)), (bad, t)
-        for q in (29, 2 * 29):
-            assert sieve.h_sum(spec, 1000, q) == \
-                sieve.h_sum(ok, 1000, q)
+        # never read when every prime that takes it divides q
+        assert sieve.h_sum(spec, 12, 11) == 17.0
+        spec = MultFuncSpec.threshold(10, bad, -1)
+        assert math.isnan(sieve.h_sum(spec, 2, 1)), bad
+        assert sieve.h_sum(spec, 2, 2) == 1.0
 
 
-def test_h_sum_table_keys_not_read():
-    # checked_coefficients tests no primality: composite keys, NaN ones
-    # too, are never read, nor a NaN at a prime above t or dividing q
-    ok = MultFuncSpec.from_table({2: -1.0, 3: 2.0, 7: 1.0})
-    odd = MultFuncSpec.from_table({1: math.nan, 2: -1.0, 3: 2.0, 4: 5.0, 7: 1.0,
-                                   9: math.nan, 91: 3.0, 29: math.nan,
-                                   10 ** 9 + 7: math.nan})
-    for t in (1, 4, 9, 28):
-        assert sieve.h_sum(odd, t, 1) == sieve.h_sum(ok, t, 1), t
-    for t in (29, 91, 1000):
-        assert math.isnan(sieve.h_sum(odd, t, 1)), t
-        assert sieve.h_sum(odd, t, 29 * 6) == sieve.h_sum(ok, t, 29 * 6), t
-    quotient = MultFuncSpec.moebius_quotient(odd, MultFuncSpec.threshold(5, 1, -1))
-    ref = MultFuncSpec.moebius_quotient(ok, MultFuncSpec.threshold(5, 1, -1))
-    assert sieve.h_sum(quotient, 28, 1) == sieve.h_sum(ref, 28, 1)
+def test_h_sum_rejects_table_and_quotient_specs(monkeypatch):
+    # the kind is checked first: before the hard cap on t, and before
+    # anything is sieved
+    def refuse(*args):
+        raise AssertionError("sieved before the kind check")
+    monkeypatch.setattr(sieve, "primes_upto", refuse)
+    table = MultFuncSpec.from_table({2: -1.0, 3: 2.0})
+    quotient = MultFuncSpec.moebius_quotient(table, MultFuncSpec.threshold(5, 1, -1))
+    for spec in (table, quotient):
+        for t in (28, sieve.HARD_LIMIT + 1):
+            with pytest.raises(InvalidInputError, match=(
+                    f"^h_sum takes a threshold-weight spec, got '{spec.kind}'$")):
+                sieve.h_sum(spec, t, 1)
 
 
 # pi(10^k), k = 0..9 (OEIS A006880)
@@ -816,7 +809,6 @@ def test_log_weighted_sum_non_finite_prime_values(table_small, table_medium):
                     sieve.log_weighted_sum(ok, x, 1, table_medium), (bad, x)
             for x in (50021, 50021.5, 10 ** 6):
                 assert math.isnan(sieve.log_weighted_sum(spec, x, 1, table_medium)), (bad, x)
-                assert math.isnan(sieve.h_sum(spec, x, 1)), (bad, x)
                 assert sieve.log_weighted_sum(spec, x, 50021, table_medium) == \
                     sieve.log_weighted_sum(ok, x, 50021, table_medium), (bad, x)
         # finite values whose products overflow are no NaN: the result's
