@@ -87,27 +87,41 @@ def positions(ps: np.ndarray, query: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return idx, found
 
 
-# the scalar fields FormMeta and CoeffRecord share: name -> (test, requirement);
-# the level meets int64 prime arrays in the scans' level masks
+# the scalar fields FormMeta and CoeffRecord share: name -> (type, test,
+# requirement); the level meets int64 prime arrays in the scans' level masks
 _FIELD_CHECKS = {
-    "level": (lambda n: 1 <= n <= np.iinfo(np.int64).max, "lie in [1, 2^63 - 1]"),
-    "spectral_parameter": (lambda t: abs(t) <= sys.float_info.max, "be finite"),
+    "level": (int, lambda n: 1 <= n <= np.iinfo(np.int64).max, "lie in [1, 2^63 - 1]"),
+    "spectral_parameter": (float, lambda t: abs(t) <= sys.float_info.max, "be finite"),
 }
 
 
-def check_field(name: str, value) -> None:
-    """InvalidInputError unless value is valid as the named field of a form."""
-    test, requirement = _FIELD_CHECKS[name]
-    if not test(value):
+def check_field(name: str, value):
+    """value as the named field of a form stores it, an int level or a
+    float spectral parameter.  InvalidInputError unless it is valid: a
+    bool, or a level that is not integral (2.5, 3.0), is refused rather
+    than converted."""
+    kind, test, requirement = _FIELD_CHECKS[name]
+    abstract = numbers.Integral if kind is int else numbers.Real
+    if not isinstance(value, abstract) or isinstance(value, (bool, np.bool_)):
+        raise InvalidInputError(
+            f"{name} must be {'an integer' if kind is int else 'a real number'}, "
+            f"got {value!r} of type {type(value).__name__}")
+    try:
+        stored = kind(value)
+    except OverflowError:       # an int past the float range
+        stored = math.inf
+    if not test(stored):
         raise InvalidInputError(f"{name} must {requirement}, got {value}")
+    return stored
 
 
 def check_form_fields(obj) -> None:
     """__post_init__ of FormMeta and CoeffRecord: check the level and the
-    spectral parameter, then check and freeze ps/lams; a record and the
-    FormMeta built from it share their data."""
+    spectral parameter and store them as int and float, then check and
+    freeze ps/lams; a record and the FormMeta built from it share their
+    data."""
     for name in _FIELD_CHECKS:
-        check_field(name, getattr(obj, name))
+        object.__setattr__(obj, name, check_field(name, getattr(obj, name)))
     ps, lams = checked_coefficients(obj.ps, obj.lams)
     object.__setattr__(obj, "ps", ps)
     object.__setattr__(obj, "lams", lams)
@@ -206,13 +220,19 @@ class BoundResult:
 
 
 def least_prime_bound(metas: list[FormMeta]) -> BoundResult:
-    """Bound pair for 2 or 3 forms: base = prod N_i (1 + |t_i|)."""
+    """Bound pair for 2 or 3 forms: base = prod N_i (1 + |t_i|), which
+    must be finite in float64."""
     if len(metas) not in _WEIGHTS:
         raise InvalidInputError(
             f"expected 2 or 3 forms, got {len(metas)}")
     base = 1.0
     for m in metas:
         base *= m.level * (1.0 + abs(m.spectral_parameter))
+    if not math.isfinite(base):
+        raise InvalidInputError(
+            f"the base prod N_i (1 + |t_i|) overflows float64 for the levels "
+            f"{[m.level for m in metas]} and spectral parameters "
+            f"{[m.spectral_parameter for m in metas]}")
     det = exponent_detail(len(metas))
     return BoundResult(base=base, exponent=det.exponent,
                        source_zero=det.zero, u_used=det.u_used)

@@ -119,6 +119,8 @@ def _cmd_sieve_verify(args) -> int:
     if args.limit is not None:
         raise InvalidInputError("--limit bounds y^max(u) of the asymptotic "
                                 "report; checks mode takes none")
+    if args.seed < 0:
+        raise InvalidInputError(f"--seed must be >= 0, got {args.seed}")
     table = sieve.build_table(CHECKS_X_END - 1)
 
     rng = np.random.default_rng(args.seed)
@@ -162,7 +164,7 @@ def _cmd_sieve_verify(args) -> int:
     g = sieve.MultFuncSpec.moebius_quotient(b, h)
     ok_round = all(
         sieve.dirichlet_convolve(h, g, n, table) == b.value_exact(n, table)
-        for n in range(1, 200) if table.is_squarefree(n))
+        for n in range(1, 200) if max(table.factor(n).values(), default=1) == 1)
     checks.append(("moebius_roundtrip", ok_round))
 
     ok_cancel = True
@@ -226,6 +228,8 @@ def _cmd_bound(args) -> int:
 def _cmd_identity_check(args) -> int:
     if args.samples < 2:
         raise InvalidInputError(f"--samples must be >= 2, got {args.samples}")
+    if args.seed < 0:       # before the draw at seed + 1
+        raise InvalidInputError(f"--seed must be >= 0, got {args.seed}")
     per_mode = args.samples // 2
     b2, _, b4 = satake.sample_coeff_triples(per_mode, "sato-tate", args.seed + 1)
     worst = np.zeros(3)           # np.maximum keeps a NaN residual

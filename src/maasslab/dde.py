@@ -26,6 +26,7 @@ and e0 = 0.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -143,6 +144,11 @@ def _segments(spec: DdeSpec, n: int, count: int):
 
     The caller may hold all count segments, so count * (n + 1) nodes
     above NODE_LIMIT raise ResourceLimitError before any is allocated.
+    The grid ends at u = count, where u^(e0 + 1) overflows float64 if
+    (e0 + 1) ln(count) >= ln(DBL_MAX): such weights raise
+    InvalidInputError before anything is integrated, and a segment whose
+    sigma leaves float64 (a huge delay coefficient) raises it instead of
+    being yielded, so no non-finite sigma is returned.
     """
     if spec.chi0 < 1.0:
         raise InvalidInputError(
@@ -153,6 +159,10 @@ def _segments(spec: DdeSpec, n: int, count: int):
             f"nodes exceeds the cap {NODE_LIMIT}")
     h = 1.0 / n
     e0 = spec.initial_exponent
+    if (e0 + 1.0) * math.log(count) >= math.log(sys.float_info.max):
+        raise InvalidInputError(
+            f"u^(e0 + 1) overflows float64 on the grid up to u = {count} at "
+            f"chi0 = {spec.chi0}: (e0 + 1) ln({count}) >= ln(DBL_MAX)")
     kappa = spec.delay_coefficient
 
     prev = (np.arange(n + 1) * h) ** e0 if e0 != 0.0 else np.ones(n + 1)
@@ -173,6 +183,10 @@ def _segments(spec: DdeSpec, n: int, count: int):
             np.cumsum(cs, out=cs)
             carry = cs[-1]
             sigma[a + 1:b + 1] = us[1:] ** e0 * (f0 + cs)
+        if not np.isfinite(sigma).all():
+            raise InvalidInputError(
+                f"sigma leaves float64 on [{k}, {k + 1}] at the weights "
+                f"({spec.chi0}, {spec.chi1})")
         yield sigma
         prev = sigma
 
@@ -190,7 +204,9 @@ def solve(spec: DdeSpec, u_max: float, step: float) -> PiecewiseSolution:
     """Integrate sigma up to u_max with the given grid step.
 
     The step is snapped to 1/n so that integer breakpoints are grid
-    nodes.  Output is reproducible bit-for-bit for a fixed step.
+    nodes.  Output is reproducible bit-for-bit for a fixed step.  Weights
+    with (e0 + 1) ln(max(2, ceil(u_max))) >= ln(DBL_MAX) raise
+    InvalidInputError (see _segments).
     """
     count = _checked_end("u_max", u_max)
     n = _grid_size("step", step)
@@ -249,7 +265,9 @@ def first_zero(spec: DdeSpec, tol: float = DEFAULT_FIRST_ZERO_TOL,
     first segment whose nodes change sign: the zero is, to the last bit,
     the one a scan of the whole grid up to U_CAP finds (the tests'
     full-grid reference ladder).  SignChangeNotFoundError is raised when
-    sigma keeps its sign up to U_CAP.
+    sigma keeps its sign up to U_CAP.  Weights with (e0 + 1) ln(U_CAP) >=
+    ln(DBL_MAX), chi0 above 308.254, raise InvalidInputError (see
+    _segments).
 
     A solve holds its last two segments (the bisection reads the end of
     the earlier one) and _segments' blocks.  Even all U_CAP segments

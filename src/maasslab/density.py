@@ -13,6 +13,7 @@ that pointwise largeness into the density bounds 1 - 1/(26 + 9m).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -136,8 +137,12 @@ def exceptional_scan(family: FormFamily, X: int) -> DensityReport:
     prime up to X, InvalidInputError names X and the levels.  Missing
     coefficients raise DataGapError listing the gaps, member by member
     in increasing p, and then a NaN or infinite eigenvalue, naming its
-    member and prime.  At every exceptional prime the weight is checked
-    against the (1 + 9m + 25)^2 threshold.
+    member and prime.  Finite eigenvalues whose weights overflow (U is
+    about 25 lambda^8, so from |lambda| near 2e38) raise CrossCheckError
+    naming the prime of the first weight that is not finite (or of the
+    largest, if only their sum overflows) and the member with the
+    largest |lambda| there.  At every exceptional prime the weight is
+    checked against the (1 + 9m + 25)^2 threshold.
     """
     if X < 2:
         raise InvalidInputError(f"X must be >= 2, got {X}")
@@ -168,11 +173,21 @@ def exceptional_scan(family: FormFamily, X: int) -> DensityReport:
                 f"{name}: eigenvalue at p = {int(primes[bad[0]])} is not "
                 f"finite ({float(lams[bad[0]])})")
 
-    # A = lam^2 - 1, and A^2 = A4 + A + 1 gives A4 = lam^4 - 3 lam^2 + 1
-    squares = [lams * lams for lams in rows]
-    a_sum = sum(sq - 1.0 for sq in squares)
-    a4_first = squares[0] * squares[0] - 3.0 * squares[0] + 1.0
-    u_vals = chebyshev_weight(a_sum, a4_first)
+    # A = lam^2 - 1, and A^2 = A4 + A + 1 gives A4 = lam^4 - 3 lam^2 + 1;
+    # an overflow leaves inf or NaN in U and in its sum, checked below
+    with np.errstate(over="ignore", invalid="ignore"):
+        squares = [lams * lams for lams in rows]
+        a_sum = sum(sq - 1.0 for sq in squares)
+        a4_first = squares[0] * squares[0] - 3.0 * squares[0] + 1.0
+        u_vals = chebyshev_weight(a_sum, a4_first)
+        total = float(np.sum(u_vals))
+    if not math.isfinite(total):
+        # the first weight that is not finite, or the largest
+        i = int(np.argmax(np.where(np.isfinite(u_vals), u_vals, np.inf)))
+        j = int(np.argmax([abs(lams[i]) for lams in rows]))
+        raise CrossCheckError(
+            f"{names[j]}: eigenvalue {float(rows[j][i])} at p = {int(primes[i])} "
+            f"makes the Chebyshev weights overflow (U = {float(u_vals[i])})")
 
     non_rp_all = np.ones(primes.size, dtype=bool)
     for lams in rows:
@@ -188,7 +203,7 @@ def exceptional_scan(family: FormFamily, X: int) -> DensityReport:
     n = primes.size
     return DensityReport(
         X=X, pi_X=n, exceptional_count=exceptional.size,
-        running_mean_U=float(np.sum(u_vals)) / n,
+        running_mean_U=total / n,
         implied_upper=exceptional.size / n,
         theory_bound=1.0 / (26 + 9 * family.m),
         assumptions=[DISTINCT_RP_ASSUMPTION],

@@ -93,25 +93,25 @@ def sato_tate_angles(rng: np.random.Generator, count: int) -> np.ndarray:
     return out
 
 
-def _sample_parameters(count: int, mode: str,
-                       seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Draw the primes and the Sato-Tate angles theta (sato-tate) or the
-    deviations nu (non-tempered).  A count above MAX_SAMPLES raises
-    ResourceLimitError before anything is allocated."""
+def _sample_parameters(count: int, mode: str, seed: int) -> np.ndarray:
+    """Draw the Sato-Tate angles theta (sato-tate) or the deviations nu
+    (non-tempered); sample i is at the prime _SAMPLE_PRIMES[i % 25].  A
+    count above MAX_SAMPLES raises ResourceLimitError, and a negative
+    seed InvalidInputError, before anything is allocated."""
     if count < 1:
         raise InvalidInputError(f"count must be >= 1, got {count}")
     if count > MAX_SAMPLES:
         raise ResourceLimitError(
             f"count {count} exceeds the cap of {MAX_SAMPLES} samples per draw")
+    if seed < 0:
+        raise InvalidInputError(f"seed must be >= 0, got {seed}")
     if mode not in SAMPLE_MODES:
         raise InvalidInputError(f"mode must be one of {SAMPLE_MODES}, got {mode!r}")
     rng = np.random.default_rng(seed)
-    ps = np.array(_SAMPLE_PRIMES, dtype=np.int64)[
-        np.arange(count) % len(_SAMPLE_PRIMES)]
     if mode == "non-tempered":
         # 1 - random() lies in [2^-53, 1], so nu >= 7/64 * 2^-53 > 0
-        return ps, KIM_SARNAK_NU * (1.0 - rng.random(count))
-    return ps, sato_tate_angles(rng, count)
+        return KIM_SARNAK_NU * (1.0 - rng.random(count))
+    return sato_tate_angles(rng, count)
 
 
 def sample_coeff_triples(count: int, mode: str, seed: int
@@ -123,13 +123,15 @@ def sample_coeff_triples(count: int, mode: str, seed: int
     of one (3, count) array _CHUNK samples at a time, so that besides the
     draws it holds the complex temporaries of one chunk; each sample meets
     the float operations of one whole-array pass, and gets its bytes.
+    Only the non-tempered sums read the primes, one chunk at a time.
     """
-    ps, draws = _sample_parameters(count, mode, seed)
+    draws = _sample_parameters(count, mode, seed)
     out = np.empty((3, count))
+    pool = np.array(_SAMPLE_PRIMES, dtype=np.float64)
     for a in range(0, count, _CHUNK):
         x = draws[a:a + _CHUNK]
         if mode == "non-tempered":
-            pf = ps[a:a + _CHUNK].astype(np.float64)
+            pf = pool[np.arange(a, a + x.size) % pool.size]
             out[:, a:a + _CHUNK] = _coeff_sums(pf ** x + 0j, pf ** (-x) + 0j)
         else:
             out[:, a:a + _CHUNK] = _coeff_sums(np.exp(1j * x), np.exp(-1j * x))

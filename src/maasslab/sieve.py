@@ -6,7 +6,7 @@ inversions, the values up to t, the partial sums H(t), the log-weighted
 sums, the Euler product constant c(a), and the local factor of the
 auxiliary Euler product whose x^1 coefficient cancels identically.
 The values, the log-weighted sums, the convolutions and the positivity
-check read a prime and squarefree table (SieveTable); H(t) reads none.
+check read a table of the primes (SieveTable); H(t) reads none.
 
 Convolution identities are evaluated in exact rational arithmetic
 (Fraction).  values_upto enumerates the values in float64.  H(t) of a
@@ -96,27 +96,27 @@ def prime_factors(n: int) -> dict[int, int]:
 
 
 def _squarefree_flags(limit: int, primes: np.ndarray) -> np.ndarray:
+    """flags[n] true for the squarefree n in [1, limit], flags[0] false;
+    primes holds the primes up to sqrt(limit)."""
     flags = np.ones(limit + 1, dtype=bool)
     flags[0] = False
-    for p in primes[primes <= math.isqrt(limit)]:
+    for p in primes.tolist():
         flags[p * p::p * p] = False
     return flags
 
 
 @dataclass(frozen=True, eq=False)
 class SieveTable:
-    """Immutable prime and squarefree tables up to a limit.
+    """Immutable table of the primes up to a limit.
 
-    primes and squarefree are read-only arrays.  factor(n) is
-    prime_factors(n) for n in [1, limit].
+    primes is a read-only array.  factor(n) is prime_factors(n) for n in
+    [1, limit].
     """
 
     limit: int
-    squarefree: np.ndarray
     primes: np.ndarray
 
     def __post_init__(self):
-        self.squarefree.flags.writeable = False
         self.primes.flags.writeable = False
 
     def _in_range(self, n: int) -> int:
@@ -129,28 +129,22 @@ class SieveTable:
         """Prime factorization {p: e}, primes ascending."""
         return prime_factors(self._in_range(n))
 
-    def is_squarefree(self, n: int) -> bool:
-        return bool(self.squarefree[self._in_range(n)])
-
     def prime_count(self, x: float) -> int:
         """pi(x) over the stored primes."""
         return int(np.searchsorted(self.primes, x, side="right"))
 
 
 def build_table(limit: int) -> SieveTable:
-    """Build the prime and squarefree tables up to limit, 2 <= limit.
+    """Build the table of the primes up to limit, 2 <= limit.
 
     Nothing is segmented: the prime sieve's flags cover the odd numbers
-    up to limit, (limit+1)/2 bytes, and the squarefree flags are a full
-    limit+1 array.  primes_upto caps limit at HARD_LIMIT = 2*10^8 before
-    anything is allocated; there the table holds 289 MB (200 MB of
-    flags, 89 MB of int64 primes) and building it peaks at 300 MB.
+    up to limit, (limit+1)/2 bytes.  primes_upto caps limit at
+    HARD_LIMIT = 2*10^8 before anything is allocated; there the table
+    holds 89 MB of int64 primes and building it peaks at 189 MB.
     """
     if limit < 2:
         raise InvalidInputError(f"limit must be >= 2, got {limit}")
-    primes = primes_upto(limit)
-    return SieveTable(limit=limit, squarefree=_squarefree_flags(limit, primes),
-                      primes=primes)
+    return SieveTable(limit=limit, primes=primes_upto(limit))
 
 
 @dataclass(frozen=True)
@@ -230,16 +224,17 @@ class MultFuncSpec:
 
     def value(self, n: int, table: SieveTable) -> float:
         """Multiplicative value at n; 0 off the squarefree support."""
-        if not table.is_squarefree(n):
+        factors = table.factor(n)
+        if max(factors.values(), default=1) > 1:
             return 0.0
-        factors = np.fromiter(table.factor(n), dtype=np.int64)
-        return math.prod(self.prime_values(factors).tolist(), start=1.0)
+        ps = np.fromiter(factors, dtype=np.int64)
+        return math.prod(self.prime_values(ps).tolist(), start=1.0)
 
     def value_exact(self, n: int, table: SieveTable) -> Fraction:
-        if not table.is_squarefree(n):
+        factors = table.factor(n)
+        if max(factors.values(), default=1) > 1:
             return Fraction(0)
-        return math.prod(map(self.prime_value_exact, table.factor(n)),
-                         start=Fraction(1))
+        return math.prod(map(self.prime_value_exact, factors), start=Fraction(1))
 
 
 def _coprimality_primes(q: int) -> list[int]:
@@ -285,7 +280,7 @@ def values_upto(spec: MultFuncSpec, t: float, q: int | None,
     ps = table.primes[:table.prime_count(t)]
     ws = spec.prime_values(ps)
     k = table.prime_count(math.isqrt(t))
-    vals = table.squarefree[:t + 1].astype(np.float64)
+    vals = _squarefree_flags(t, ps[:k]).astype(np.float64)
     for p, w in zip(ps[:k].tolist(), ws[:k].tolist()):
         if p not in q_primes:       # (4) zeroes the multiples of p
             vals[p::p] *= w

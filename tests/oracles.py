@@ -10,6 +10,9 @@ maasslab), so CI's runtime-only job can build references with it too.
   route of density.exceptional_scan are checked.
 - euler_constant_c_exact: the truncated Euler product c(a) as an exact
   rational, the reference for sieve.euler_constant_c.
+- squarefree_flags: the squarefree n up to a limit, struck out by every
+  square k^2 rather than by the squares of the primes, the reference
+  for the squarefree support of the sieve's values.
 - record_json_dict: a CoeffRecord as a JSON object, the reference whose
   sorted json.dumps CoeffRecord.json_pieces must equal byte for byte.
 - grid_nodes: every (u, sigma(u)) node of a dde.PiecewiseSolution in
@@ -145,10 +148,11 @@ def sample_satake(count: int, mode: str, seed: int) -> list[SatakeLocal]:
     non-tempered draws nu uniformly on (0, 7/64], the Kim-Sarnak range.
     The unit factor is 1 throughout.
     """
-    ps, draws = satake._sample_parameters(count, mode, seed)
+    draws = satake._sample_parameters(count, mode, seed)
+    pool = satake._SAMPLE_PRIMES
     make = (SatakeLocal.from_deviation if mode == "non-tempered"
             else SatakeLocal.from_angle)
-    return [make(p, x) for p, x in zip(ps.tolist(), draws.tolist())]
+    return [make(pool[i % len(pool)], x) for i, x in enumerate(draws.tolist())]
 
 
 def euler_constant_c_exact(a: int, truncation: int) -> Fraction:
@@ -165,6 +169,17 @@ def euler_constant_c_exact(a: int, truncation: int) -> Fraction:
             continue
         val *= Fraction(p - 1, p) ** 2 * Fraction(p + 2, p)
     return val
+
+
+def squarefree_flags(limit: int) -> np.ndarray:
+    """flags[n] true for the squarefree n in [1, limit], flags[0] false:
+    the multiples of k^2 struck out for every k in [2, sqrt(limit)],
+    composite k included, so no list of primes is read."""
+    flags = np.ones(limit + 1, dtype=bool)
+    flags[0] = False
+    for k in range(2, math.isqrt(limit) + 1):
+        flags[k * k::k * k] = False
+    return flags
 
 
 def record_json_dict(record: CoeffRecord) -> dict:

@@ -178,6 +178,14 @@ def test_least_prime_bound_three_forms():
     assert 0.0 < res.exponent < 1.0
 
 
+def test_least_prime_bound_rejects_a_base_past_float_range():
+    # 5 (1 + 1e308) overflows: the base was inf, printed as Infinity
+    with pytest.raises(InvalidInputError, match=r"^the base prod N_i \(1 \+ \|t_i\|\) "
+                       r"overflows float64 for the levels \[5, 7\]"):
+        bounds.least_prime_bound([FormMeta(5, 1e308), FormMeta(7, 1e308)])
+    assert bounds.least_prime_bound([FormMeta(1, 1e308), FormMeta(1, 0.0)]).base == 1e308
+
+
 def test_least_prime_bound_rejects_wrong_count():
     with pytest.raises(InvalidInputError):
         bounds.least_prime_bound([FormMeta(1, 0.0)])

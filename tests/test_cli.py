@@ -476,7 +476,10 @@ def test_bound_bad_list_item_exit_code(capsys):
             (["--levels", "5,x", "--spectral", "1,2"], "--levels", "'x'"),
             (["--levels", "5,7", "--spectral", "1,2y"], "--spectral", "'2y'"),
             (["--levels", "5,7,9", "--spectral", "1,2"], "3 levels",
-             "2 spectral parameters")):
+             "2 spectral parameters"),
+            # the base 5 (1 + 1e308) 7 (1 + 1e308) printed as Infinity
+            (["--levels", "5,7", "--spectral", "1e308,1e308"],
+             "base prod N_i (1 + |t_i|) overflows float64", "[5, 7]")):
         code, out, err = run_cli(capsys, "bound", *argv)
         assert code == 2 and out == ""
         assert err.startswith("error: invalid-input: ")
@@ -590,6 +593,11 @@ def test_solve_dde_reads_only_emitted_nodes(capsys, monkeypatch):
     (["solve-dde", "--chi0", "2", "--chi1", "-2", "--u-max", "nan"], "u_max"),
     (["solve-dde", "--chi0", "2", "--chi1", "-2", "--stride", "0"], "--stride"),
     (["solve-dde", "--chi0", "2", "--chi1", "-2", "--stride", "-3"], "--stride"),
+    # u^(e0 + 1) overflows on the grid: an OverflowError traceback, or inf rows
+    (["first-zero", "--chi0", "1e300", "--chi1", "-1"], "u^(e0 + 1) overflows float64"),
+    (["first-zero", "--chi0", "700", "--chi1", "-1"], "u^(e0 + 1) overflows float64"),
+    (["solve-dde", "--chi0", "1e300", "--chi1", "-1", "--u-max", "2", "--step", "1e-2"],
+     "u^(e0 + 1) overflows float64"),
 ])
 def test_dde_bad_arguments_exit_code(capsys, argv, name):
     code, out, err = run_cli(capsys, *argv)
@@ -720,3 +728,15 @@ def test_asymptotic_report_sieves_nothing_up_to_t(capsys, monkeypatch):
     outside = [n for n, c in calls if not c]
     assert outside and max(outside) <= math.isqrt(t_max), outside
     assert [n for n, c in calls if c] == [10 ** 6]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["identity-check", "--samples", "10", "--seed", "-1"], "--seed must be >= 0, got -1"),
+    (["sieve-verify", "--seed", "-5"], "--seed must be >= 0, got -5"),
+])
+def test_negative_seed_is_invalid_input(capsys, argv, message):
+    # numpy's default_rng refused it with a bare ValueError traceback
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: invalid-input: {message}\n"
+

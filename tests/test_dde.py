@@ -193,6 +193,38 @@ def test_first_zero_not_found_below_cap():
         dde.first_zero(DdeSpec(10.0, -0.5), tol=1e-6)
 
 
+@pytest.mark.parametrize("chi0", [1e300, 700.0])
+def test_grid_power_overflow_raises_before_integrating(no_dde_grid, chi0):
+    # (e0 + 1) ln(U_CAP) >= ln(DBL_MAX): u^(e0 + 1) would overflow on the
+    # grid, an OverflowError from float(k) ** e0 or inf rows before
+    spec = DdeSpec(chi0, -1.0)
+    match = r"^u\^\(e0 \+ 1\) overflows float64 on the grid up to u = "
+    with pytest.raises(InvalidInputError, match=match + "10 "):
+        dde.first_zero(spec)
+    with pytest.raises(InvalidInputError, match=match + "3 "):
+        dde.solve(spec, 2.5, 1e-2)
+
+
+def test_grid_power_just_inside_float_range_runs():
+    # 10^300 is finite: the solve runs to the cap, sigma finite throughout
+    spec = DdeSpec(300.0, -1.0)
+    with pytest.raises(SignChangeNotFoundError):
+        dde.first_zero(spec)
+    sol = dde.solve(spec, 10.0, 1e-2)
+    assert len(sol.segments) == 10
+    assert all(np.isfinite(seg).all() for seg in sol.segments)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_sigma_leaving_float64_raises():
+    # a delay coefficient of 1e300 takes sigma past DBL_MAX on [2, 3]
+    spec = DdeSpec(2.0, -1e300)
+    with pytest.raises(InvalidInputError,
+                       match=r"^sigma leaves float64 on \[2, 3\] at the weights"):
+        dde.solve(spec, 3.0, 1e-2)
+    assert np.isfinite(dde.solve(spec, 2.0, 1e-2).segments[1]).all()
+
+
 def test_first_zero_cap_is_fixed():
     with pytest.raises(TypeError, match="u_cap"):
         dde.first_zero(TWO_FORM, u_cap=20.0)

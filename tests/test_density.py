@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import mpmath
@@ -8,7 +9,7 @@ import pytest
 from maasslab import density, ingest, satake, sieve
 from maasslab.bounds import FormMeta
 from maasslab.density import FormFamily
-from maasslab.errors import DataGapError, InvalidInputError
+from maasslab.errors import CrossCheckError, DataGapError, InvalidInputError
 from oracles import CoeffTriple, SatakeLocal, sym_coeffs
 
 BOUNDARY = CoeffTriple(3.0, 16.0, 5.0)
@@ -242,6 +243,22 @@ def test_exceptional_scan_rejects_non_finite_eigenvalue(tmp_path, bad, member):
         density.exceptional_scan(FormFamily(metas), 9000)
     assert str(exc.value) == f"nan-{member}: eigenvalue at p = 19 is not finite ({bad})"
     assert exc.value.gaps == []
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("member, lam, u", [(0, 1e80, "inf"), (0, 1e200, "nan"),
+                                            (1, 1e200, "inf")])
+def test_exceptional_scan_rejects_weights_that_overflow(member, lam, u):
+    # a finite eigenvalue at p = 2 whose U overflows: the mean printed as
+    # Infinity or NaN, and a NaN U skipped the lemma's check there
+    ps = sieve.primes_upto(1000)
+    streams = [_tempered_stream(ps, 11), _tempered_stream(ps, 12)]
+    for j, (_, lams) in enumerate(streams):
+        lams[0] = lam if j == member else 2.5        # p = 2 exceptional
+    with pytest.raises(CrossCheckError, match=(
+            rf"^m{member}: eigenvalue {re.escape(str(lam))} at p = 2 makes the Chebyshev "
+            rf"weights overflow \(U = {u}\)$")):
+        density.exceptional_scan(_family_from_eigenvalues(streams), 1000)
 
 
 def test_exceptional_scan_levels_beyond_int64_product():

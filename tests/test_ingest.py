@@ -220,6 +220,26 @@ def test_record_rejects_bad_level():
         with pytest.raises(InvalidInputError, match="level must lie"):
             CoeffRecord(label="x", level=level, spectral_parameter=1.0, ps=[2],
                         lams=[0.1], fetched_at="x", source="fixture")
+    # 2.5, True and 3.0 constructed, wrote, and then failed read_cache
+    for level in (2.5, True, np.float64(3.0), np.bool_(True), "5"):
+        with pytest.raises(InvalidInputError, match="^level must be an integer, got "):
+            CoeffRecord(label="x", level=level, spectral_parameter=1.0, ps=[2],
+                        lams=[0.1], fetched_at="x", source="fixture")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_record_with_numpy_scalars_round_trips_through_the_cache(tmp_path):
+    # np.int64 was not JSON serializable, and the finiteness check of
+    # np.float32 overflowed in float32
+    rec = CoeffRecord(label="np-typed", level=np.int64(5),
+                      spectral_parameter=np.float32(1.5), ps=[2, 3],
+                      lams=[0.25, -1.0], fetched_at="x", source="fixture")
+    assert type(rec.level) is int and type(rec.spectral_parameter) is float
+    assert (rec.level, rec.spectral_parameter) == (5, 1.5)
+    meta = FormMeta(level=np.uint8(7), spectral_parameter=np.float16(2.5))
+    assert (type(meta.level), type(meta.spectral_parameter)) == (int, float)
+    ingest.write_cache(rec, tmp_path)
+    assert ingest.read_cache("np-typed", tmp_path) == rec
 
 
 def test_validate_reports_non_prime_entries():

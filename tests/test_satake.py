@@ -201,9 +201,9 @@ def test_sample_satake_keeps_the_drawn_parameters(mode):
                                    satake._CHUNK + 1, 50000])
 def test_coeff_triples_bytes_match_one_pass(mode, count):
     # the chunked sums against _coeff_sums on all the draws at once
-    ps, draws = satake._sample_parameters(count, mode, 5)
+    draws = satake._sample_parameters(count, mode, 5)
     if mode == "non-tempered":
-        pf = ps.astype(np.float64)
+        pf = np.resize(np.array(satake._SAMPLE_PRIMES, dtype=np.float64), count)
         want = satake._coeff_sums(pf ** draws + 0j, pf ** (-draws) + 0j)
     else:
         want = satake._coeff_sums(np.exp(1j * draws), np.exp(-1j * draws))
@@ -213,9 +213,15 @@ def test_coeff_triples_bytes_match_one_pass(mode, count):
 
 @pytest.mark.parametrize("mode", satake.SAMPLE_MODES)
 def test_coeff_triples_peak_memory(traced_peak, mode):
-    # the draws and the (3, count) result take 2 MiB; the complex
-    # temporaries of one pass over all 50000 samples took 5 MiB more
-    assert traced_peak(satake.sample_coeff_triples, 50000, mode, 1) < 4.5 * 2 ** 20
+    # the draws and the (3, count) result take 1.5 MiB, and the sato-tate
+    # rejection sampler's candidates about 1.2 MiB more (2.77 and 2.59 MiB
+    # traced); the complex temporaries of one pass over all 50000 samples
+    # took 5 MiB more, and a whole-length int64 prime array 0.38 MiB.  The
+    # first draw in a process imports what numpy.random loads lazily (0.7
+    # MiB), so a small draw comes first
+    satake.sample_coeff_triples(1, mode, 1)
+    mib = {"sato-tate": 3.0, "non-tempered": 2.8}[mode]
+    assert traced_peak(satake.sample_coeff_triples, 50000, mode, 1) < mib * 2 ** 20
 
 
 def test_identity_residuals_take_floats_and_arrays():
@@ -239,6 +245,15 @@ def test_sample_rejects_bad_arguments():
         satake.sample_coeff_triples(5, "non-tempered", 1, nu_max=0.1)
     with pytest.raises(InvalidInputError, match="got 'uniform-angle'$"):
         satake.sample_coeff_triples(5, "uniform-angle", 1)
+
+
+def test_negative_seed_raises_before_any_draw():
+    # numpy's default_rng refuses it with a bare ValueError
+    for draw in (satake.sample_coeff_triples, sample_satake):
+        for mode in satake.SAMPLE_MODES:
+            with pytest.raises(InvalidInputError, match="^seed must be >= 0, got -1$"):
+                draw(10, mode, -1)
+    assert len(sample_satake(3, "sato-tate", 0)) == 3
 
 
 def test_sample_count_above_the_cap_raises_before_allocating():
@@ -351,8 +366,7 @@ def test_samplers_agree_at_a_tiny_nu_max(monkeypatch, nu_max):
     real = satake._sample_parameters
 
     def tiny(count, mode, seed):
-        ps, draws = real(count, mode, seed)
-        return ps, np.full_like(draws, nu_max)
+        return np.full_like(real(count, mode, seed), nu_max)
 
     monkeypatch.setattr(satake, "_sample_parameters", tiny)
     samples = sample_satake(200, "non-tempered", 0)

@@ -1,4 +1,5 @@
 import bisect
+import dataclasses
 import itertools
 import math
 import os
@@ -18,7 +19,7 @@ from maasslab import satake, sieve
 from maasslab.errors import (CrossCheckError, InvalidInputError,
                              PreconditionError, ResourceLimitError)
 from maasslab.sieve import MultFuncSpec
-from oracles import SatakeLocal, euler_constant_c_exact
+from oracles import SatakeLocal, euler_constant_c_exact, squarefree_flags
 
 
 def recursive_h_sum(primes, t, q, prime_value):
@@ -87,7 +88,7 @@ def h_sum_error_bound(spec, t, q, table):
 def values_upto_reference(spec, t, q, table):
     """The per-prime loop values_upto replaced: every multiple of each
     prime p <= t multiplied by the value at p, primes ascending."""
-    vals = np.where(table.squarefree[:t + 1], 1.0, 0.0)
+    vals = np.where(squarefree_flags(t), 1.0, 0.0)
     ps = table.primes[table.primes <= t]
     for p, w in zip(ps.tolist(), spec.prime_values(ps).tolist()):
         vals[p::p] *= w
@@ -144,8 +145,10 @@ def test_prime_count_against_trial_division(table_small):
 def test_factor_and_squarefree_flags(table_small):
     assert table_small.factor(90) == {2: 1, 3: 2, 5: 1}
     assert min(table_small.factor(90)) == 2
-    assert not table_small.is_squarefree(90)
-    assert table_small.is_squarefree(30)
+    # the value at n is 0 off the squarefree support, read from factor(n)
+    spec = MultFuncSpec.threshold(10, 2, -2)
+    assert spec.value(90, table_small) == 0.0 and spec.value_exact(90, table_small) == 0
+    assert spec.value(30, table_small) == 8.0 and spec.value_exact(30, table_small) == 8
 
 
 def test_factor_smallest_prime_matches_naive_division(table_small):
@@ -203,7 +206,8 @@ def test_primes_upto_matches_plain_eratosthenes_1e6():
 def test_large_table_beyond_1e7(table_large):
     t = table_large
     assert t.prime_count(10 ** 6) == 78498
-    assert t.factor(2 * 10 ** 7 - 1) and not t.is_squarefree(18 * 10 ** 6)
+    assert t.factor(2 * 10 ** 7 - 1)
+    assert MultFuncSpec.threshold(10, 2, -2).value(18 * 10 ** 6, t) == 0.0
     big = 19999999  # prime above 10^7
     assert t.factor(big) == {big: 1}
 
@@ -220,9 +224,9 @@ def test_coprimality_primes_beyond_table(table_small):
 def test_table_arrays_read_only(table_small):
     with pytest.raises(ValueError):
         table_small.primes[0] = 4
-    with pytest.raises(ValueError):
-        table_small.squarefree[4] = True
-    assert table_small.primes[0] == 2 and not table_small.squarefree[4]
+    assert table_small.primes[0] == 2
+    # the table holds its primes and nothing else
+    assert [f.name for f in dataclasses.fields(table_small)] == ["limit", "primes"]
 
 
 @given(st.one_of(st.integers(1, 10 ** 7), st.integers(10 ** 7 + 1, 2 * 10 ** 7)))
@@ -284,14 +288,17 @@ def test_every_factoring_caller_is_capped(table_small, monkeypatch):
             call()
 
 
-def test_is_squarefree_range_checked():
+def test_squarefree_reads_range_checked():
+    # value and value_exact read squarefreeness from factor(n), which
+    # checks n against the table's limit
     table = sieve.build_table(10)
-    assert table.is_squarefree(10) and table.is_squarefree(1)
+    spec = MultFuncSpec.threshold(5, 2, -2)
+    assert spec.value(10, table) == 4.0 and spec.value_exact(1, table) == 1
     for n in (-1, 0, 11):
-        with pytest.raises(InvalidInputError, match=rf"\[1, 10\], got {n}$"):
-            table.is_squarefree(n)
-    with pytest.raises(InvalidInputError):
-        MultFuncSpec.threshold(5, 2, -2).value(-2, table)
+        for read in (table.factor, lambda n: spec.value(n, table),
+                     lambda n: spec.value_exact(n, table)):
+            with pytest.raises(InvalidInputError, match=rf"\[1, 10\], got {n}$"):
+                read(n)
 
 
 # small specs of every kind, each with an independent prime-value oracle
@@ -641,8 +648,7 @@ def test_log_weighted_sum_hand_enumeration(table_small):
 def test_log_weighted_sum_unit_table(table_small):
     ones = MultFuncSpec.from_table(
         {int(p): 1.0 for p in table_small.primes[table_small.primes <= 30]})
-    expected = sum(math.log(30 / n) for n in range(1, 31)
-                   if table_small.is_squarefree(n))
+    expected = sum(math.log(30 / n) for n in np.flatnonzero(squarefree_flags(30)).tolist())
     assert sieve.log_weighted_sum(ones, 30.0, 1, table_small) == pytest.approx(
         expected, rel=1e-12)
 
@@ -875,9 +881,7 @@ def test_moebius_roundtrip_all_squarefree(table_small):
         {p: float(x + y) for p, x, y in zip(ps, a_stream, b_stream)})
     h = MultFuncSpec.threshold(50, 2, -2)
     g = MultFuncSpec.moebius_quotient(b, h)
-    for n in range(1, 10 ** 4 + 1):
-        if not table_small.is_squarefree(n):
-            continue
+    for n in np.flatnonzero(squarefree_flags(10 ** 4)).tolist():
         assert sieve.dirichlet_convolve(h, g, n, table_small) == \
             b.value_exact(n, table_small)
 
@@ -1191,7 +1195,7 @@ def positivity_sweep_reference(h, z, q, table):
     primes zeroed.  Returns the first (t, r) witness with its message, or
     None."""
     base = sieve.values_upto(h, z, q, table)
-    for r in np.flatnonzero(table.squarefree[:z + 1]).tolist():
+    for r in np.flatnonzero(squarefree_flags(z)).tolist():
         vals = base.copy()
         for p in table.factor(r):
             if q % p != 0:
@@ -1335,8 +1339,8 @@ def test_positivity_sweep_margin_fallback(table_small, monkeypatch):
         got = sweep_outcome(h, 400, q, table_small)
         assert got == positivity_sweep_reference(h, 400, q, table_small)
         below = got[0][1] if got else 401
-        assert set(full) >= {r for r in range(1, below) if math.gcd(r, q) == 1
-                             and table_small.is_squarefree(r)}
+        assert set(full) >= {r for r in np.flatnonzero(squarefree_flags(below - 1)).tolist()
+                             if math.gcd(r, q) == 1}
     # a NaN at p = 29 > sqrt(z) makes H_s NaN at the multiples of 29, but
     # H_29 is finite with minimum -4: the NaN estimate is no proof
     h = MultFuncSpec.from_table({2: -5.0, 29: math.nan})
