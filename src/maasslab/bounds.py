@@ -128,12 +128,11 @@ def check_form_fields(obj) -> None:
 
 
 def fields_equal(a, b):
-    """Dataclass value equality that compares array fields elementwise;
-    a private field (leading underscore) is no part of the value."""
+    """Dataclass value equality that compares array fields elementwise."""
     if type(a) is not type(b):
         return NotImplemented
     return all(np.array_equal(getattr(a, f.name), getattr(b, f.name))
-               for f in fields(a) if not f.name.startswith("_"))
+               for f in fields(a))
 
 
 @dataclass(frozen=True)

@@ -263,7 +263,8 @@ def _cmd_fetch(args) -> int:
     # "record" sorts after "config" and "findings": the record's text goes
     # in last, in place of the closing brace
     head = json.dumps({"config": _config_dict(args), **payload}, sort_keys=True)
-    _write_out(args, head[:-1], ', "record": ', *record.json_pieces(), "}\n")
+    _write_out(args, head[:-1], ', "record": ',
+               *ingest.cached_json_pieces(record, args.cache_dir), "}\n")
     return EXIT_OK if not errors else EXIT_FAIL
 
 

@@ -172,17 +172,20 @@ def _segments(spec: DdeSpec, n: int, count: int):
         f0 = prev[-1] / float(k) ** e0
         sigma = np.empty(n + 1)
         sigma[0] = prev[-1]              # exact continuity at the breakpoint
-        for a in range(0, n, _BLOCK):
-            b = min(a + _BLOCK, n)
-            us = k + np.arange(a, b + 1) * h
-            g_nodes = -kappa * prev[a:b + 1] / us ** (e0 + 1.0)
-            g_mid = -kappa * _midpoints(prev, a, b) / (us[:-1] + 0.5 * h) ** (e0 + 1.0)
-            cs = (h / 6.0) * (g_nodes[:-1] + 4.0 * g_mid + g_nodes[1:])
-            if a:
-                cs[0] += carry
-            np.cumsum(cs, out=cs)
-            carry = cs[-1]
-            sigma[a + 1:b + 1] = us[1:] ** e0 * (f0 + cs)
+        # a sigma that leaves float64 is refused below, not warned about
+        with np.errstate(over="ignore", invalid="ignore"):
+            for a in range(0, n, _BLOCK):
+                b = min(a + _BLOCK, n)
+                us = k + np.arange(a, b + 1) * h
+                g_nodes = -kappa * prev[a:b + 1] / us ** (e0 + 1.0)
+                g_mid = (-kappa * _midpoints(prev, a, b)
+                         / (us[:-1] + 0.5 * h) ** (e0 + 1.0))
+                cs = (h / 6.0) * (g_nodes[:-1] + 4.0 * g_mid + g_nodes[1:])
+                if a:
+                    cs[0] += carry
+                np.cumsum(cs, out=cs)
+                carry = cs[-1]
+                sigma[a + 1:b + 1] = us[1:] ** e0 * (f0 + cs)
         if not np.isfinite(sigma).all():
             raise InvalidInputError(
                 f"sigma leaves float64 on [{k}, {k + 1}] at the weights "

@@ -8,28 +8,25 @@ fall back to the local cache when the network is down.
 
 A record's JSON text has one route, CoeffRecord.json_pieces, whose
 pieces join to the sorted json.dumps of the record as a JSON object, byte
-for byte (the tests' reference, oracles.record_json_dict).
-The canonical cache is one such document per record, written piece by
-piece and atomically (temp file + rename) by _write_cache, the only
-writer of cache files.  It writes a derived `.npz` index beside it: ps,
-lams, a metadata header, the sha256 of the JSON bytes and the span
-[start, stop) of the bytes that are the canonical text of the
-coefficient list, known from the pieces it wrote.  read_cache loads the
-index with allow_pickle=False when that hash matches and the span lies
-within the file.  Otherwise (no index, or a stale, malformed or
-span-less one) it parses and checks the JSON file and, when the file
-holds the label asked for, rewrites it through _write_cache: an
+for byte (the tests' reference, oracles.record_json_dict).  The canonical
+cache is one such document per record, written piece by piece and
+atomically (temp file + rename) by write_cache, the only writer of cache
+files, with a derived `.npz` index beside it: ps, lams, a metadata header
+and the sha256 of the JSON bytes.  read_cache loads the index with
+allow_pickle=False when that hash matches.  Otherwise (no index, or a
+stale or malformed one) it parses and checks the JSON file and, when the
+file holds the label asked for, rewrites it through write_cache: an
 unsorted, indented, integer-text or older file becomes the canonical
 document of the same record, unknown keys dropped, and the next read
-takes the index.  Where the cache cannot be written (a read-only
-directory), the record is returned without a span and formats the same
-bytes.  A record read from the cache remembers its file, digest and
-span: json_pieces copies the span from the file when the file still has
-that digest and the record still has the arrays it was read with, and
-formats the arrays otherwise.  fetch leaves a fixture's cache file alone
-when it already holds the generated record, and returns a record it
-writes with the span of the file just written, so that its coefficient
-text is formatted once.
+takes the index.  A read-only cache is left as it is.
+
+A canonical file fixes where the coefficient list is: after the head
+'{"coefficients": ', up to two bytes before the next '"' (that of
+"fetched_at"; the list holds none).  cached_json_pieces, the text that
+`maasslab fetch` prints, copies the list when the file's index matches
+and holds the record's arrays byte for byte, and formats it otherwise.
+fetch leaves a fixture's cache file alone when it already holds the
+generated record, so a warm fetch formats no float.
 """
 
 from __future__ import annotations
@@ -59,6 +56,8 @@ DEFAULT_COVERAGE = 10 ** 4
 # alive at once; on the density-scan benchmark 2^14 gave a peak RSS 1.2 MiB
 # above that of 2^11 or 2^12
 JSON_CHUNK = 1 << 12
+# the start of every record's JSON text, and so of every canonical cache file
+_JSON_HEAD = '{"coefficients": '
 # json's names for the non-finite floats, keyed by float.__repr__
 _NON_FINITE_JSON = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
@@ -72,20 +71,6 @@ class Finding:
 
 
 @dataclass(frozen=True)
-class _JsonSpan:
-    """While the file at path has this sha256, its bytes [start, stop)
-    are the canonical text of the coefficient list of the arrays ps and
-    lams (held for their identity)."""
-
-    path: Path
-    digest: str
-    start: int
-    stop: int
-    ps: np.ndarray
-    lams: np.ndarray
-
-
-@dataclass(frozen=True)
 class CoeffRecord:
     """One form's coefficient data: eigenvalues lams at the primes ps."""
 
@@ -96,9 +81,6 @@ class CoeffRecord:
     lams: np.ndarray = field(compare=False)
     fetched_at: str
     source: str             # "fixture" | "remote" | "cache-fallback"
-    # where read_cache found the coefficient text; replace() carries it
-    # over, and json_pieces checks that it still fits
-    _json_span: _JsonSpan | None = field(default=None, repr=False, compare=False)
 
     __eq__ = fields_equal
     __post_init__ = check_form_fields
@@ -113,32 +95,17 @@ class CoeffRecord:
 
     def json_pieces(self):
         """The record as one sorted JSON document, in pieces: the head,
-        the coefficient list in pieces, then the rest as one piece
-        ("coefficients" sorts first).  The list is copied from the cache
-        file the record was read from while that file is unchanged, and
-        formatted from the arrays otherwise."""
-        rest = json.dumps({"schema": SCHEMA_VERSION, **{
-            name: getattr(self, name) for name in _INDEX_FIELDS}}, sort_keys=True)[1:]
-        yield '{"coefficients": '
-        yield from self._copied_coefficients() or _coefficient_pieces(self.ps, self.lams)
-        yield ", " + rest
+        the coefficient list in pieces, then the rest as one piece."""
+        return _json_pieces(self, _coefficient_pieces(self.ps, self.lams))
 
-    def _copied_coefficients(self):
-        """The coefficient text from the span of the cache file, as one
-        piece, or None unless the record still has the arrays of the span
-        and the file still has its sha256."""
-        span = self._json_span
-        if span is None or span.ps is not self.ps or span.lams is not self.lams:
-            return None
-        import hashlib      # here, so that `import maasslab` does not pay for it
-        try:
-            raw = span.path.read_bytes()
-        except OSError:
-            return None
-        if hashlib.sha256(raw).hexdigest() != span.digest:
-            return None
-        # decoded from a view, without copying the span's bytes first
-        return (str(memoryview(raw)[span.start:span.stop], "ascii"),)
+
+def _json_pieces(record: CoeffRecord, coefficients):
+    # "coefficients" sorts first
+    rest = json.dumps({"schema": SCHEMA_VERSION, **{
+        name: getattr(record, name) for name in _INDEX_FIELDS}}, sort_keys=True)[1:]
+    yield _JSON_HEAD
+    yield from coefficients
+    yield ", " + rest
 
 
 def _coefficient_pieces(ps: np.ndarray, lams: np.ndarray):
@@ -159,12 +126,6 @@ def _coefficient_pieces(ps: np.ndarray, lams: np.ndarray):
     yield "]]"
 
 
-def _with_span(record: CoeffRecord, path: Path, digest: str,
-               span: tuple[int, int]) -> CoeffRecord:
-    return replace(record, _json_span=_JsonSpan(path, digest, *span,
-                                                 record.ps, record.lams))
-
-
 # label -> generation parameters; "nontempered" maps prime -> deviation nu
 FIXTURE_MANIFEST = {
     "fixture-tempered-1": {
@@ -180,10 +141,6 @@ FIXTURE_MANIFEST = {
 }
 
 
-def _fixture_seed(label: str) -> int:
-    return zlib.crc32(label.encode("utf-8"))
-
-
 def generate_fixture(label: str, coverage: int = DEFAULT_COVERAGE) -> CoeffRecord:
     """Deterministic synthetic record for a manifest label.
 
@@ -197,7 +154,7 @@ def generate_fixture(label: str, coverage: int = DEFAULT_COVERAGE) -> CoeffRecor
     level = entry["level"]
     ps = sieve.primes_upto(coverage)
     ps = ps[level % ps != 0]
-    rng = np.random.default_rng(_fixture_seed(label))
+    rng = np.random.default_rng(zlib.crc32(label.encode("utf-8")))
     lams = 2.0 * np.cos(satake.sato_tate_angles(rng, ps.size))
     for p, nu in entry["nontempered"].items():
         lams[ps == p] = p ** nu + p ** (-nu)
@@ -275,29 +232,19 @@ def _index_path(path: Path) -> Path:
 
 def write_cache(record: CoeffRecord, cache_dir=None) -> Path:
     """Atomic write of the record's JSON document, then of its index."""
-    return _write_cache(record, cache_dir)._json_span.path
-
-
-def _write_cache(record: CoeffRecord, cache_dir) -> CoeffRecord:
-    """write_cache, returning the record with the span of the file it
-    wrote, as read_cache would read it back."""
     import hashlib      # here, so that `import maasslab` does not pay for it
 
     path = _cache_path(record.label, cache_dir)
     digest = hashlib.sha256()
-    lengths = []
 
     def write(fh):
         for piece in record.json_pieces():
             data = piece.encode()       # ASCII: json escapes the rest
             digest.update(data)
             fh.write(data)
-            lengths.append(len(data))
     _replace_atomically(path, "wb", write)
-    # the coefficient text lies between the head and the rest
-    span = (lengths[0], sum(lengths) - lengths[-1])
-    _write_index(_index_path(path), digest.hexdigest(), record, span)
-    return _with_span(record, path, digest.hexdigest(), span)
+    _write_index(_index_path(path), digest.hexdigest(), record)
+    return path
 
 
 def _record_from_json_dict(doc: dict) -> CoeffRecord:
@@ -340,40 +287,30 @@ _INDEX_FIELDS = ("label", "level", "spectral_parameter", "fetched_at", "source")
 
 
 def _read_index(path: Path, digest: str) -> CoeffRecord | None:
-    """The record in the index at path, with the span of the JSON file
-    beside it, or None unless the index exists, was made from the JSON
-    bytes with this sha256 and is well formed (an index without a span,
-    as earlier versions wrote, is not, nor is one whose span does not lie
-    within the JSON file)."""
-    json_path = path.with_name(path.name.removesuffix(".npz") + ".json")
+    """The record in the index at path, or None unless the index exists,
+    was made from the JSON bytes with this sha256 and is well formed.
+    Members it does not read, such as earlier versions' span, are ignored."""
     try:
         with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as npz:
             if str(npz["json_sha256"]) != digest:
                 return None
             ps, lams, header = npz["ps"], npz["lams"], str(npz["header"])
-            span = npz["span"]
-        if (ps.dtype != np.int64 or lams.dtype != np.float64
-                or span.dtype != np.int64 or span.shape != (2,)):
+        if ps.dtype != np.int64 or lams.dtype != np.float64:
             return None
-        span = tuple(span.tolist())
-        if not 0 <= span[0] <= span[1] <= json_path.stat().st_size:
-            return None
+        ps.flags.writeable = lams.flags.writeable = False   # frozen without a copy
         # the header passes the JSON route's own field checks
         doc = {**json.loads(header), "schema": SCHEMA_VERSION, "coefficients": []}
-        record = replace(_record_from_json_dict(doc), ps=ps, lams=lams)
+        return replace(_record_from_json_dict(doc), ps=ps, lams=lams)
     except (OSError, ValueError, LookupError, TypeError, AttributeError,
             EOFError, zipfile.BadZipFile, CacheParseError):
         return None
-    return _with_span(record, json_path, digest, span)
 
 
-def _write_index(path: Path, digest: str, record: CoeffRecord,
-                 span: tuple[int, int]) -> None:
+def _write_index(path: Path, digest: str, record: CoeffRecord) -> None:
     header = json.dumps({name: getattr(record, name) for name in _INDEX_FIELDS})
     with contextlib.suppress(OSError):     # no index: the next read rebuilds it
         _replace_atomically(path, "wb", lambda fh: np.savez(
-            fh, json_sha256=digest, header=header, ps=record.ps, lams=record.lams,
-            span=np.array(span, dtype=np.int64)))
+            fh, json_sha256=digest, header=header, ps=record.ps, lams=record.lams))
 
 
 def read_cache(label: str, cache_dir=None) -> CoeffRecord | None:
@@ -393,10 +330,9 @@ def read_cache(label: str, cache_dir=None) -> CoeffRecord | None:
         record = _record_from_json_dict(doc)
         del doc, raw    # the parsed pairs and the bytes go before the write
         if record.label == label:
-            try:        # the canonical file and its index, so the next read copies
-                return _write_cache(record, cache_dir)
-            except OSError:     # a read-only cache: the record formats the same bytes
-                return record
+            # the canonical file and its index, so the next read takes the index
+            with contextlib.suppress(OSError):      # a read-only cache
+                write_cache(record, cache_dir)
     if record.label != label:
         raise CacheParseError(f"cache file {path.name} holds label "
                               f"{record.label!r}, not {label!r}", field="label")
@@ -449,10 +385,9 @@ def fetch(label: str, coverage: int = DEFAULT_COVERAGE, cache_dir=None,
             cached = read_cache(label, cache_dir)
         except (CacheParseError, OSError):
             cached = None
-        # == holds -0.0 equal to 0.0; the JSON bytes do not
-        if cached == record and cached.lams.tobytes() == record.lams.tobytes():
-            return cached       # the generated record, with its cache file's span
-        return _write_cache(record, cache_dir)
+        if not (cached == record and _same_bytes(cached, record)):
+            write_cache(record, cache_dir)
+        return record
     endpoint = endpoint or os.environ.get(ENDPOINT_ENV)
     reason = f"no endpoint configured ({ENDPOINT_ENV} unset)"
     if endpoint:
@@ -461,9 +396,34 @@ def fetch(label: str, coverage: int = DEFAULT_COVERAGE, cache_dir=None,
         except OSError as exc:      # network failure: fall back to the cache
             reason = f"endpoint {endpoint!r} unreachable ({exc})"
         else:
-            return _write_cache(record, cache_dir)
+            write_cache(record, cache_dir)
+            return record
     cached = read_cache(label, cache_dir)
     if cached is not None:
         return replace(cached, source="cache-fallback")
     raise RemoteUnavailableError(
         f"{reason} and no cached record for {label!r}")
+
+
+def _same_bytes(a: CoeffRecord, b: CoeffRecord) -> bool:
+    # == holds -0.0 equal to 0.0; the JSON text does not
+    return (np.array_equal(a.ps, b.ps)
+            and np.array_equal(a.lams.view(np.int64), b.lams.view(np.int64)))
+
+
+def cached_json_pieces(record: CoeffRecord, cache_dir=None):
+    """record.json_pieces(), the coefficient list copied from the label's
+    cache file when its index matches and holds the record's arrays."""
+    import hashlib      # here, so that `import maasslab` does not pay for it
+
+    path = _cache_path(record.label, cache_dir)
+    try:
+        raw = path.read_bytes()
+    except OSError:
+        return record.json_pieces()
+    indexed = _read_index(_index_path(path), hashlib.sha256(raw).hexdigest())
+    if indexed is None or not _same_bytes(indexed, record):
+        return record.json_pieces()
+    start = len(_JSON_HEAD)     # decoded from a view, without copying the bytes
+    text = str(memoryview(raw)[start:raw.index(b'"', start) - 2], "ascii")
+    return _json_pieces(record, (text,))

@@ -708,6 +708,14 @@ def euler_constant_c(a: int, truncation: int) -> tuple[float, float]:
     return val * math.exp(log_prod), 3.0 / truncation
 
 
+def _power(y: int, u: float) -> float:
+    """y^u, or inf where that overflows float64."""
+    try:
+        return y ** u
+    except OverflowError:
+        return math.inf
+
+
 def asymptotic_report(y: int, u_grid: list[float], q: int,
                       weights: tuple[float, float],
                       limit: int | None = None) -> list[dict]:
@@ -734,10 +742,15 @@ def asymptotic_report(y: int, u_grid: list[float], q: int,
             f"u must be >= 0, got u = {bad_u[0]} in the grid {u_grid}")
     chi0, chi1 = weights
     u_max = max(u_grid)
-    if limit is not None and y ** u_max > limit:
-        raise InvalidInputError(
-            f"y^max(u) = {y ** u_max:.0f} exceeds the limit {limit}")
-    ts = [_checked_t(y ** u, None) for u in u_grid]
+    top = _power(y, u_max)
+    if limit is not None and top > limit:
+        raise InvalidInputError(f"y^max(u) = {top:.0f} exceeds the limit {limit}")
+    ts = []
+    for u in u_grid:
+        t = _power(y, u)
+        if t == math.inf:   # past float64 is past the cap; _checked_t refuses inf
+            raise ResourceLimitError(f"t = {t} exceeds the hard cap {HARD_LIMIT}")
+        ts.append(_checked_t(t, None))
     spec = MultFuncSpec.threshold(y, chi0, chi1, q=q)
     c_q, _ = euler_constant_c(q, C_TRUNCATION)
     sol = dde.solve(dde.DdeSpec(chi0, chi1), max(u_max, 1.0), 1e-4)

@@ -183,9 +183,9 @@ def squarefree_flags(limit: int) -> np.ndarray:
 
 
 def record_json_dict(record: CoeffRecord) -> dict:
-    """The record as a JSON object.  The library prints and writes
-    records through json_pieces alone, whose pieces join to json.dumps
-    of this with sorted keys."""
+    """The record as a JSON object.  The library writes records through
+    json_pieces alone, whose pieces join to json.dumps of this with
+    sorted keys, and prints them through it or a copy of what it wrote."""
     return {
         "schema": SCHEMA_VERSION,
         "label": record.label,

@@ -447,12 +447,24 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert abs(doc["first_zero"] - 1.2840254) < 1e-5
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_resource_limit_exit_code(capsys):
     # t = 10000^2.1 = 2.5*10^8 is past the hard cap, with or without --limit
     code, out, err = run_cli(capsys, "sieve-verify", "--report", "asymptotic",
                              "--y", "10000", "--u-grid", "2.1")
     assert code == 4 and out == ""
     assert err.startswith("error: resource-limit: ") and "hard cap" in err
+    # 10^400 overflows float64: refused as 10^100 is, with one line and no
+    # OverflowError traceback
+    for u_grid, t in (("100", "1e+100"), ("400", "inf"), ("1,400", "inf")):
+        argv = ["sieve-verify", "--report", "asymptotic", "--y", "10", "--u-grid", u_grid]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (4, "")
+        assert err == f"error: resource-limit: t = {t} exceeds the hard cap 200000000\n"
+        code, out, err = run_cli(capsys, *argv, "--limit", "1000")
+        assert (code, out) == (2, "") and err.count("\n") == 1
+        top = "inf" if t == "inf" else f"{10.0 ** 100:.0f}"
+        assert err == f"error: invalid-input: y^max(u) = {top} exceeds the limit 1000\n"
 
 
 def test_asymptotic_negative_u_names_u_and_grid(capsys):
@@ -598,11 +610,16 @@ def test_solve_dde_reads_only_emitted_nodes(capsys, monkeypatch):
     (["first-zero", "--chi0", "700", "--chi1", "-1"], "u^(e0 + 1) overflows float64"),
     (["solve-dde", "--chi0", "1e300", "--chi1", "-1", "--u-max", "2", "--step", "1e-2"],
      "u^(e0 + 1) overflows float64"),
+    # sigma past DBL_MAX on [2, 3]: the refusal, and no overflow warning
+    (["solve-dde", "--chi0", "2", "--chi1=-1e300", "--u-max", "3"],
+     "sigma leaves float64 on [2, 3]"),
 ])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_dde_bad_arguments_exit_code(capsys, argv, name):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     assert err.startswith("error: invalid-input: ") and name in err
+    assert err.count("\n") == 1
 
 
 def test_dde_grid_past_cap_exit_code(capsys, no_dde_grid):

@@ -215,7 +215,7 @@ def test_grid_power_just_inside_float_range_runs():
     assert all(np.isfinite(seg).all() for seg in sol.segments)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_sigma_leaving_float64_raises():
     # a delay coefficient of 1e300 takes sigma past DBL_MAX on [2, 3]
     spec = DdeSpec(2.0, -1e300)

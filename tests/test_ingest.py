@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from maasslab import density, ingest
+from maasslab import cli, density, ingest
 from maasslab.bounds import FormMeta
 from maasslab.errors import (CacheParseError, InvalidInputError,
                              RemoteUnavailableError)
@@ -426,7 +426,7 @@ def _spy_on(monkeypatch, name):
 
 
 def test_second_fixture_fetch_writes_nothing(tmp_path, monkeypatch):
-    writes = _spy_on(monkeypatch, "_write_cache")
+    writes = _spy_on(monkeypatch, "write_cache")
     first = ingest.fetch("fixture-mixed-1", cache_dir=tmp_path)
     path = tmp_path / "fixture-mixed-1.json"
     pinned = path.read_bytes()
@@ -541,14 +541,8 @@ def _saved(save, *args, **kwargs):
 
 def _index(digest, header, **arrays):
     # well formed but for what arrays overrides, so each case meets its own check
-    arrays = {"ps": np.array([2, 3]), "lams": np.array([0.1, 0.2]),
-              "span": np.array([0, 4]), **arrays}
+    arrays = {"ps": np.array([2, 3]), "lams": np.array([0.1, 0.2]), **arrays}
     return _saved(np.savez, json_sha256=digest, header=header, **arrays)
-
-
-def _span(*bounds, dtype=np.int64):
-    return lambda good, digest, header: _index(digest, header,
-                                               span=np.array(bounds, dtype))
 
 
 @pytest.mark.parametrize("corrupt", [
@@ -567,18 +561,8 @@ def _span(*bounds, dtype=np.int64):
         digest, header.replace('"level": 5', '"level": true')),
     lambda good, digest, header: _saved(np.savez, json_sha256=digest, header=header),
     lambda good, digest, header: _saved(np.save, np.array([2, 3])),
-    lambda good, digest, header: _saved(np.savez, json_sha256=digest, header=header,
-                                        ps=np.array([2, 3]), lams=np.array([0.1, 0.2])),
-    _span(),
-    _span(0.0, 4.0, dtype=np.float64),
-    _span(0, 4, 8),
-    _span(-1, 4),
-    _span(8, 4),
-    _span(0, 10 ** 6),
 ], ids=["garbage", "empty", "half", "last-byte", "crc", "object-dtype", "int32",
-        "unordered", "header-list", "header-bool", "no-arrays", "npy",
-        "no-span", "span-less", "span-float", "span-3", "span-negative", "span-reversed",
-        "span-past-end"])
+        "unordered", "header-list", "header-bool", "no-arrays", "npy"])
 def test_bad_index_falls_back_to_json(tmp_path, monkeypatch, corrupt):
     rec, _, index = _indexed_fixture(tmp_path, monkeypatch)
     with np.load(index) as npz:
@@ -596,16 +580,42 @@ def test_bad_index_falls_back_to_json(tmp_path, monkeypatch, corrupt):
     assert ingest._read_index(index, digest) == rec      # rebuilt
 
 
-@pytest.mark.parametrize("past_end", [0, 1])
-def test_index_span_ends_within_the_json_file(tmp_path, monkeypatch, past_end):
+def _parent_span(text):
+    # the [start, stop) of the coefficient list that earlier versions stored
+    start = len('{"coefficients": ')
+    return np.array([start, text.index('"', start) - 2])
+
+
+@pytest.mark.parametrize("span", [
+    None, _parent_span, lambda text: np.array([len(text) - 1, len(text) + 1]),
+    np.array([], dtype=np.int64), np.array([0.0, 4.0]), np.array([0, 4, 8]),
+    np.array([-1, 4]), np.array([8, 4]), np.array([0, 10 ** 6]),
+], ids=["no-span", "parent", "parent-past-end", "span-less", "span-float", "span-3",
+        "span-negative", "span-reversed", "span-past-end"])
+def test_index_with_a_span_takes_the_index_route(tmp_path, monkeypatch, span):
+    # earlier versions wrote a span member and refused an index without
+    # one; a span, whatever its value, is now no part of the index
     rec, path, index = _indexed_fixture(tmp_path, monkeypatch)
     with np.load(index) as npz:
         arrays = dict(npz)
-    size = path.stat().st_size
-    arrays["span"] = np.array([size - 1, size + past_end])
+    assert sorted(arrays) == ["header", "json_sha256", "lams", "ps"]
+    if span is not None:
+        arrays["span"] = span(path.read_text()) if callable(span) else span
     index.write_bytes(_saved(np.savez, **arrays))
-    loaded = ingest._read_index(index, str(arrays["json_sha256"]))
-    assert (loaded is None) == bool(past_end)
+    pinned = path.read_bytes(), index.read_bytes()
+    parsed, real_loads = [], json.loads
+    with monkeypatch.context() as patch:
+        patch.setattr(ingest.json, "loads", lambda s, **k: parsed.append(s)
+                      or real_loads(s, **k))
+        writes, index_writes = _spy_on(patch, "write_cache"), _spy_on(patch, "_write_index")
+        _assert_identical(ingest.read_cache(rec.label, tmp_path), rec)
+        reprs = _float_reprs(patch)
+        assert _fetch_text(rec, tmp_path) == path.read_text()
+    # the index header is parsed, the JSON file is not
+    assert parsed and all(isinstance(text, str) and "coefficients" not in text
+                          for text in parsed)
+    assert writes == index_writes == reprs == []
+    assert (path.read_bytes(), index.read_bytes()) == pinned
 
 
 def test_labels_get_distinct_index_files(tmp_path, monkeypatch):
@@ -731,6 +741,11 @@ def _json_text(rec):
     return "".join(rec.json_pieces())
 
 
+def _fetch_text(rec, cache_dir):
+    """The record's text as fetch prints it, copied or formatted."""
+    return "".join(ingest.cached_json_pieces(rec, cache_dir))
+
+
 def _dumped(doc, **kwargs):
     return lambda rec, cache_dir: ingest._cache_path(rec.label, cache_dir).write_text(
         json.dumps(doc(rec), **kwargs))
@@ -742,8 +757,7 @@ def _with_integer_a_p(rec):
     return doc
 
 
-def _edit_digit(rec):
-    path = rec._json_span.path
+def _edit_digit(rec, path):
     text = path.read_text()
     i = text.index('"level": 5,') + len('"level": ')
     path.write_text(text[:i] + "7" + text[i + 1:])
@@ -758,20 +772,20 @@ def _edit_digit(rec):
      (1e16, -0.0, np.nan, np.inf, -np.inf)),
 ], ids=["canonical", "unsorted", "indented", "integer-a_p", "special-floats"])
 def test_span_route_output_is_the_reference_dump(tmp_path, monkeypatch, write, values):
-    # several pieces, so that the span is the sum of their lengths; the
-    # unsorted file is the benchmark's layout
+    # the span is the bytes of the coefficient list, which the canonical
+    # file's layout fixes; the unsorted file is the benchmark's layout
     monkeypatch.setattr(ingest, "JSON_CHUNK", 16)
     written = _span_record(values)
     write(written, tmp_path)
+    path = ingest._cache_path(written.label, tmp_path)
     for route in ("json", "index"):
         rec = ingest.read_cache(written.label, tmp_path)
         want = json.dumps(record_json_dict(rec), sort_keys=True)
-        # the first read leaves the canonical file and an index with a span
-        assert rec._json_span is not None, route
-        assert rec._json_span.path.read_text() == want, route
+        # the first read leaves the canonical file and its index
+        assert path.read_text() == want, route
         with monkeypatch.context() as patch:
             reprs = _float_reprs(patch)
-            assert _json_text(rec) == want
+            assert _fetch_text(rec, tmp_path) == want
         assert reprs == [], route
 
 
@@ -789,57 +803,82 @@ def test_read_only_cache_reads_without_a_span(tmp_path, monkeypatch):
     def refuse(*_, **__):
         raise PermissionError(13, "Permission denied")
     monkeypatch.setattr(ingest.tempfile, "mkstemp", refuse)
-    for _ in range(2):
+    for _ in range(2):      # no index: the text is formatted
         rec = ingest.read_cache(written.label, tmp_path / "ro")
-        assert rec == written and rec._json_span is None
-        assert _json_text(rec) == want
+        assert rec == written
+        with monkeypatch.context() as patch:
+            reprs = _float_reprs(patch)
+            assert _fetch_text(rec, tmp_path / "ro") == want
+        assert len(reprs) == rec.lams.size
     fallback = ingest.fetch(written.label, cache_dir=tmp_path / "ro")
-    assert _json_text(fallback) == want.replace('"remote"', '"cache-fallback"')
+    assert _fetch_text(fallback, tmp_path / "ro") == want.replace(
+        '"remote"', '"cache-fallback"')
     assert [p.name for p in (tmp_path / "ro").iterdir()] == ["span-form.json"]
     assert (tmp_path / "ro" / "span-form.json").read_bytes() == pinned
 
 
 @pytest.mark.parametrize("disturb", [
     _edit_digit,
-    lambda rec: rec._json_span.path.unlink(),
-    lambda rec: dataclasses.replace(rec, lams=-rec.lams),
-], ids=["same-length-edit", "deleted", "new-lams"])
+    lambda rec, path: path.unlink(),
+    lambda rec, path: dataclasses.replace(rec, lams=-rec.lams),
+    # == holds the two equal; their texts differ
+    lambda rec, path: dataclasses.replace(rec, lams=np.where(rec.lams == 0, -0.0,
+                                                             rec.lams)),
+], ids=["same-length-edit", "deleted", "new-lams", "zero-sign"])
 def test_span_route_formats_when_the_span_no_longer_fits(tmp_path, monkeypatch,
                                                          disturb):
-    ingest.write_cache(_span_record(), tmp_path)
+    # the text is copied only while the file's index holds the record's
+    # arrays byte for byte
+    path = ingest.write_cache(_span_record((0.0,)), tmp_path)
     rec = ingest.read_cache("span-form", tmp_path)
-    assert rec._json_span is not None
-    rec = disturb(rec) or rec
+    with monkeypatch.context() as patch:
+        reprs = _float_reprs(patch)
+        assert _fetch_text(rec, tmp_path) == path.read_text()
+    assert reprs == []
+    rec = disturb(rec, path) or rec
     reprs = _float_reprs(monkeypatch)
-    assert _json_text(rec) == json.dumps(record_json_dict(rec), sort_keys=True)
+    assert _fetch_text(rec, tmp_path) == json.dumps(record_json_dict(rec), sort_keys=True)
     assert len(reprs) == rec.lams.size
 
 
-def test_index_hit_formats_no_floats(tmp_path, monkeypatch):
-    # fetch's cache-fallback record and a fixture's cached record keep the span
+def test_index_hit_formats_no_floats(tmp_path, monkeypatch, capsys):
+    # a warm fetch command copies the text: of a label seeded as a plain
+    # dump, of a record write_cache wrote, and of a fixture
     monkeypatch.delenv(ingest.ENDPOINT_ENV, raising=False)
     written = _span_record()
-    ingest.write_cache(written, tmp_path)
-    ingest.fetch("fixture-mixed-1", coverage=1000, cache_dir=tmp_path)
+    _dumped(record_json_dict)(written, tmp_path)
+    ingest.write_cache(dataclasses.replace(written, label="written"), tmp_path)
+    argvs = [["fetch", "--label", label, "--cache-dir", str(tmp_path)]
+             for label in ("span-form", "written")]
+    argvs.append(["fetch", "--label", "fixture-mixed-1", "--coverage", "1000",
+                  "--cache-dir", str(tmp_path)])
+    cold = []
+    for argv in argvs:
+        assert cli.main(argv) == 0
+        cold.append(capsys.readouterr().out)
     reprs = _float_reprs(monkeypatch)
-    fallback = ingest.fetch("span-form", cache_dir=tmp_path)
-    assert fallback.source == "cache-fallback"
-    assert _json_text(fallback) == json.dumps(record_json_dict(fallback), sort_keys=True)
-    fixture = ingest.fetch("fixture-mixed-1", coverage=1000, cache_dir=tmp_path)
-    assert _json_text(fixture) == json.dumps(record_json_dict(fixture), sort_keys=True)
+    for argv, out in zip(argvs, cold):
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == out
     assert reprs == []
+    fallback = dataclasses.replace(written, source="cache-fallback")
+    assert json.loads(cold[0])["record"] == record_json_dict(fallback)
     # the spy sees formatting
-    assert _json_text(written) == _json_text(fallback).replace(
+    assert _json_text(written) == _fetch_text(fallback, tmp_path).replace(
         '"cache-fallback"', '"remote"')
     assert len(reprs) == written.lams.size
 
 
 def test_span_state_is_no_part_of_the_value(tmp_path):
+    # the cache file, not the record, says where the coefficient text is
     rec = ingest.generate_fixture("fixture-mixed-2", 1000)
-    ingest.write_cache(rec, tmp_path)
+    path = ingest.write_cache(rec, tmp_path)
     cached = ingest.read_cache(rec.label, tmp_path)
-    assert cached._json_span is not None and rec._json_span is None
-    assert cached == rec and "_json_span" not in repr(cached)
+    assert [f.name for f in dataclasses.fields(CoeffRecord)] == [
+        "label", "level", "spectral_parameter", "ps", "lams", "fetched_at", "source"]
+    assert cached == rec and repr(cached) == repr(rec)
+    with np.load(path.with_suffix(".npz")) as npz:
+        assert sorted(npz) == ["header", "json_sha256", "lams", "ps"]
 
 
 @settings(max_examples=50, suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -861,5 +900,8 @@ def test_span_route_matches_reference_dump(tmp_path, monkeypatch, ps, values, du
             rec = ingest.read_cache("f", cache_dir)
             want = json.dumps(record_json_dict(rec), sort_keys=True)
             # whatever the layout, the first read leaves the canonical file
-            assert rec._json_span is not None and path.read_text() == want
-            assert _json_text(rec) == want
+            assert path.read_text() == want
+            with monkeypatch.context() as patch:
+                reprs = _float_reprs(patch)
+                assert _fetch_text(rec, cache_dir) == want
+            assert reprs == []
