@@ -11,22 +11,20 @@ pieces join to the sorted json.dumps of the record as a JSON object, byte
 for byte (the tests' reference, oracles.record_json_dict).  The canonical
 cache is one such document per record, written piece by piece and
 atomically (temp file + rename) by write_cache, the only writer of cache
-files, with a derived `.npz` index beside it: ps, lams, a metadata header
-and the sha256 of the JSON bytes.  read_cache loads the index with
-allow_pickle=False when that hash matches.  Otherwise (no index, or a
-stale or malformed one) it parses and checks the JSON file and, when the
-file holds the label asked for, rewrites it through write_cache: an
-unsorted, indented, integer-text or older file becomes the canonical
-document of the same record, unknown keys dropped, and the next read
-takes the index.  A read-only cache is left as it is.
+files, with a derived `.npz` index beside it: ps, lams, a header (the
+document without its coefficients) and the sha256 of the JSON bytes.
+read_cache loads the index with allow_pickle=False when that hash
+matches and write_cache made it.  Otherwise (no index, or a stale,
+malformed or older one) it parses and checks the JSON file and, when the
+file holds the label asked for, rewrites it through write_cache as the
+canonical document of the same record, unknown keys dropped, so the next
+read takes the index.  A read-only cache is left as it is.
 
-A canonical file fixes where the coefficient list is: after the head
-'{"coefficients": ', up to two bytes before the next '"' (that of
-"fetched_at"; the list holds none).  cached_json_pieces, the text that
-`maasslab fetch` prints, copies the list when the file's index matches
-and holds the record's arrays byte for byte, and formats it otherwise.
-fetch leaves a fixture's cache file alone when it already holds the
-generated record, so a warm fetch formats no float.
+In a canonical file the coefficient list follows '{"coefficients": ' and
+ends two bytes before the next '"' (it holds none).  cached_json_pieces,
+which `maasslab fetch` prints, copies it when read_cache would take the
+index and that holds the record's arrays byte for byte; fetch keeps a
+fixture's file holding the generated record: warm fetches format no float.
 """
 
 from __future__ import annotations
@@ -100,12 +98,14 @@ class CoeffRecord:
 
 
 def _json_pieces(record: CoeffRecord, coefficients):
-    # "coefficients" sorts first
-    rest = json.dumps({"schema": SCHEMA_VERSION, **{
-        name: getattr(record, name) for name in _INDEX_FIELDS}}, sort_keys=True)[1:]
     yield _JSON_HEAD
     yield from coefficients
-    yield ", " + rest
+    yield ", " + _header(record)[1:]    # "coefficients" sorts first
+
+
+def _header(record: CoeffRecord) -> str:      # the document but its coefficients
+    return json.dumps({"schema": SCHEMA_VERSION, **{
+        name: getattr(record, name) for name in _INDEX_FIELDS}}, sort_keys=True)
 
 
 def _coefficient_pieces(ps: np.ndarray, lams: np.ndarray):
@@ -287,19 +287,22 @@ _INDEX_FIELDS = ("label", "level", "spectral_parameter", "fetched_at", "source")
 
 
 def _read_index(path: Path, digest: str) -> CoeffRecord | None:
-    """The record in the index at path, or None unless the index exists,
-    was made from the JSON bytes with this sha256 and is well formed.
-    Members it does not read, such as earlier versions' span, are ignored."""
+    """The record in the index at path, or None unless it is well formed and
+    a write_cache (header with the schema, or the version before: a span)
+    made it from the JSON bytes with this sha256, not an older read_cache."""
     try:
         with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as npz:
             if str(npz["json_sha256"]) != digest:
                 return None
-            ps, lams, header = npz["ps"], npz["lams"], str(npz["header"])
+            header = json.loads(str(npz["header"]))
+            if "schema" not in header and not len(npz.get("span", ())):
+                return None
+            ps, lams = npz["ps"], npz["lams"]
         if ps.dtype != np.int64 or lams.dtype != np.float64:
             return None
         ps.flags.writeable = lams.flags.writeable = False   # frozen without a copy
         # the header passes the JSON route's own field checks
-        doc = {**json.loads(header), "schema": SCHEMA_VERSION, "coefficients": []}
+        doc = {"schema": SCHEMA_VERSION, **header, "coefficients": []}
         return replace(_record_from_json_dict(doc), ps=ps, lams=lams)
     except (OSError, ValueError, LookupError, TypeError, AttributeError,
             EOFError, zipfile.BadZipFile, CacheParseError):
@@ -307,10 +310,9 @@ def _read_index(path: Path, digest: str) -> CoeffRecord | None:
 
 
 def _write_index(path: Path, digest: str, record: CoeffRecord) -> None:
-    header = json.dumps({name: getattr(record, name) for name in _INDEX_FIELDS})
     with contextlib.suppress(OSError):     # no index: the next read rebuilds it
         _replace_atomically(path, "wb", lambda fh: np.savez(
-            fh, json_sha256=digest, header=header, ps=record.ps, lams=record.lams))
+            fh, json_sha256=digest, header=_header(record), ps=record.ps, lams=record.lams))
 
 
 def read_cache(label: str, cache_dir=None) -> CoeffRecord | None:
@@ -417,13 +419,11 @@ def cached_json_pieces(record: CoeffRecord, cache_dir=None):
     import hashlib      # here, so that `import maasslab` does not pay for it
 
     path = _cache_path(record.label, cache_dir)
-    try:
+    with contextlib.suppress(OSError):
         raw = path.read_bytes()
-    except OSError:
-        return record.json_pieces()
-    indexed = _read_index(_index_path(path), hashlib.sha256(raw).hexdigest())
-    if indexed is None or not _same_bytes(indexed, record):
-        return record.json_pieces()
-    start = len(_JSON_HEAD)     # decoded from a view, without copying the bytes
-    text = str(memoryview(raw)[start:raw.index(b'"', start) - 2], "ascii")
-    return _json_pieces(record, (text,))
+        indexed = _read_index(_index_path(path), hashlib.sha256(raw).hexdigest())
+        if indexed is not None and _same_bytes(indexed, record):
+            start = len(_JSON_HEAD)     # decoded from a view, without copying the bytes
+            text = str(memoryview(raw)[start:raw.index(b'"', start) - 2], "ascii")
+            return _json_pieces(record, (text,))
+    return record.json_pieces()

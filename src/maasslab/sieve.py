@@ -246,8 +246,8 @@ def _coprimality_primes(q: int) -> list[int]:
 
 def _checked_t(t: float, table: SieveTable | None) -> int:
     """int(t) for t in [1, the table's limit]; with no table, t above
-    HARD_LIMIT raises ResourceLimitError."""
-    if table is None and math.isfinite(t) and int(t) > HARD_LIMIT:
+    HARD_LIMIT, inf included, raises ResourceLimitError."""
+    if table is None and t >= HARD_LIMIT + 1:
         raise ResourceLimitError(f"t = {t} exceeds the hard cap {HARD_LIMIT}")
     limit = HARD_LIMIT if table is None else table.limit
     if not (math.isfinite(t) and 1 <= int(t) <= limit):
@@ -745,12 +745,7 @@ def asymptotic_report(y: int, u_grid: list[float], q: int,
     top = _power(y, u_max)
     if limit is not None and top > limit:
         raise InvalidInputError(f"y^max(u) = {top:.0f} exceeds the limit {limit}")
-    ts = []
-    for u in u_grid:
-        t = _power(y, u)
-        if t == math.inf:   # past float64 is past the cap; _checked_t refuses inf
-            raise ResourceLimitError(f"t = {t} exceeds the hard cap {HARD_LIMIT}")
-        ts.append(_checked_t(t, None))
+    ts = [_checked_t(_power(y, u), None) for u in u_grid]
     spec = MultFuncSpec.threshold(y, chi0, chi1, q=q)
     c_q, _ = euler_constant_c(q, C_TRUNCATION)
     sol = dde.solve(dde.DdeSpec(chi0, chi1), max(u_max, 1.0), 1e-4)

@@ -586,6 +586,11 @@ def _parent_span(text):
     return np.array([start, text.index('"', start) - 2])
 
 
+def _older_header(rec):
+    # the index header of the versions before this one, without the schema
+    return json.dumps({name: getattr(rec, name) for name in ingest._INDEX_FIELDS})
+
+
 @pytest.mark.parametrize("span", [
     None, _parent_span, lambda text: np.array([len(text) - 1, len(text) + 1]),
     np.array([], dtype=np.int64), np.array([0.0, 4.0]), np.array([0, 4, 8]),
@@ -593,14 +598,17 @@ def _parent_span(text):
 ], ids=["no-span", "parent", "parent-past-end", "span-less", "span-float", "span-3",
         "span-negative", "span-reversed", "span-past-end"])
 def test_index_with_a_span_takes_the_index_route(tmp_path, monkeypatch, span):
-    # earlier versions wrote a span member and refused an index without
-    # one; a span, whatever its value, is now no part of the index
+    # the version before wrote a span member and refused an index without
+    # one; a span beside a header with the schema is no part of the index
     rec, path, index = _indexed_fixture(tmp_path, monkeypatch)
     with np.load(index) as npz:
         arrays = dict(npz)
     assert sorted(arrays) == ["header", "json_sha256", "lams", "ps"]
+    assert json.loads(str(arrays["header"]))["schema"] == 1
     if span is not None:
         arrays["span"] = span(path.read_text()) if callable(span) else span
+    if span is _parent_span:    # the index exactly as the version before wrote it
+        arrays["header"] = _older_header(rec)
     index.write_bytes(_saved(np.savez, **arrays))
     pinned = path.read_bytes(), index.read_bytes()
     parsed, real_loads = [], json.loads
@@ -839,6 +847,40 @@ def test_span_route_formats_when_the_span_no_longer_fits(tmp_path, monkeypatch,
     reprs = _float_reprs(monkeypatch)
     assert _fetch_text(rec, tmp_path) == json.dumps(record_json_dict(rec), sort_keys=True)
     assert len(reprs) == rec.lams.size
+
+
+@pytest.mark.parametrize("span", [None, np.array([], dtype=np.int64)],
+                         ids=["no-span", "empty-span"])
+@pytest.mark.parametrize("write", [
+    _dumped(record_json_dict, sort_keys=True),
+    _dumped(record_json_dict),
+    _dumped(record_json_dict, sort_keys=True, indent=2),
+    _dumped(_with_integer_a_p, sort_keys=True),
+], ids=["canonical", "unsorted", "indented", "integer-a_p"])
+def test_older_index_is_neither_read_nor_copied(tmp_path, monkeypatch, write, span):
+    # older versions indexed files they parsed and never rewrote, with no
+    # span or an empty one, so the bytes behind such an index need not be
+    # canonical: fetch formats the text, and read_cache rebuilds both files
+    written = _span_record()
+    write(written, tmp_path)
+    path = ingest._cache_path(written.label, tmp_path)
+    rec = ingest._record_from_json_dict(json.loads(path.read_text()))
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    arrays = {"json_sha256": digest, "header": _older_header(rec), "ps": rec.ps,
+              "lams": rec.lams, **({} if span is None else {"span": span})}
+    index = path.with_suffix(".npz")
+    index.write_bytes(_saved(np.savez, **arrays))
+    assert ingest._read_index(index, digest) is None
+    want = json.dumps(record_json_dict(rec), sort_keys=True)
+    with monkeypatch.context() as patch:
+        reprs = _float_reprs(patch)
+        assert _fetch_text(rec, tmp_path) == want
+    assert len(reprs) == rec.lams.size
+    assert ingest.read_cache(rec.label, tmp_path) == rec
+    assert path.read_text() == want
+    with np.load(index) as npz:
+        assert sorted(npz) == ["header", "json_sha256", "lams", "ps"]
+    assert _fetch_text(rec, tmp_path) == want
 
 
 def test_index_hit_formats_no_floats(tmp_path, monkeypatch, capsys):

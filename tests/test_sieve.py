@@ -1355,7 +1355,10 @@ def test_non_finite_arguments_rejected(table_small):
             sieve.lower_bound_check(h, h, bad, 1, table_small)
         with pytest.raises(InvalidInputError, match="x must be finite"):
             sieve.log_weighted_sum(h, bad, 1, table_small)
-        with pytest.raises(InvalidInputError, match="t must lie"):
+        # h_sum reads no table: inf is past the hard cap, like any t above it
+        exc, match = ((ResourceLimitError, "hard cap") if bad == math.inf
+                      else (InvalidInputError, "t must lie"))
+        with pytest.raises(exc, match=match):
             sieve.h_sum(h, bad, 1)
         with pytest.raises(InvalidInputError, match="t must lie"):
             sieve.values_upto(h, bad, 1, table_small)
