@@ -200,18 +200,13 @@ def validate(record: CoeffRecord) -> list[Finding]:
     return findings
 
 
-def _cache_dir(cache_dir: str | os.PathLike | None) -> Path:
-    d = Path(cache_dir if cache_dir is not None else os.environ.get(
-        CACHE_DIR_ENV, Path.home() / ".cache" / "maasslab"))
-    d.mkdir(parents=True, exist_ok=True)
-    return d
-
-
-def _cache_path(label: str, cache_dir) -> Path:
+def _cache_path(label: str, cache_dir: str | os.PathLike | None) -> Path:
+    if cache_dir is None:
+        cache_dir = os.environ.get(CACHE_DIR_ENV, Path.home() / ".cache" / "maasslab")
     # percent-escape every character outside [A-Za-z0-9._-], "%" included,
     # so that distinct labels get distinct files ("a/b" -> a%2Fb, "a_b" -> a_b)
     safe = urllib.parse.quote(label, safe="", errors="surrogatepass")
-    return _cache_dir(cache_dir) / f"{safe.replace('~', '%7E')}.json"
+    return Path(cache_dir) / f"{safe.replace('~', '%7E')}.json"
 
 
 def _replace_atomically(path: Path, mode: str, write) -> None:
@@ -242,6 +237,7 @@ def write_cache(record: CoeffRecord, cache_dir=None) -> Path:
             data = piece.encode()       # ASCII: json escapes the rest
             digest.update(data)
             fh.write(data)
+    path.parent.mkdir(parents=True, exist_ok=True)   # a write, and no read, makes it
     _replace_atomically(path, "wb", write)
     _write_index(_index_path(path), digest.hexdigest(), record)
     return path
@@ -319,9 +315,10 @@ def read_cache(label: str, cache_dir=None) -> CoeffRecord | None:
     import hashlib      # here, so that `import maasslab` does not pay for it
 
     path = _cache_path(label, cache_dir)
-    if not path.exists():
+    try:
+        raw = path.read_bytes()
+    except FileNotFoundError:   # a cache directory that is a file stays an OSError
         return None
-    raw = path.read_bytes()
     digest = hashlib.sha256(raw).hexdigest()
     record = _read_index(_index_path(path), digest)
     if record is None:

@@ -1,20 +1,41 @@
+import argparse
 import dataclasses
 import hashlib
 import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
 
+import cli_contract
 from maasslab import cli, dde, ingest, satake, sieve
 from oracles import grid_nodes, record_json_dict
+
+CASES = {case.name: case for case in cli_contract.cases()}
 
 
 def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("case", CASES.values(), ids=CASES)
+def test_contract(case):
+    assert cli_contract.run_case(case) == []
+
+
+def test_contract_covers_every_subcommand_and_exit_code():
+    commands = {argv[0] for case in CASES.values() for argv in case.argvs}
+    subparsers = next(a for a in cli.build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    assert commands >= set(subparsers.choices)
+    # "Exit codes: 0 success, 1 check failure or file error, 2 usage error, ..."
+    documented = re.findall(r"(\d) [a-z]", cli.__doc__.split("Exit codes:")[1])
+    assert documented == list("012345")
+    assert {case.code for case in CASES.values()} >= set(map(int, documented))
 
 
 def test_first_zero_two_form(capsys):
@@ -50,18 +71,6 @@ def test_identity_check_passes(capsys):
     doc = json.loads(out)
     assert doc["max_square_identity_residual"] < 1e-10
     assert doc["max_expansion_residual"] < 1e-9
-
-
-# sha256 of `identity-check` at its defaults (10^5 samples, seed 1729),
-# one line of compact JSON
-IDENTITY_CHECK_STDOUT_SHA256 = (
-    "25338d77b202e24a600ef1bd7f240368dc78f79674f53cd1d728b3bcb2f1ab76")
-
-
-def test_identity_check_stdout_bytes_pinned(capsys):
-    code, out, _ = run_cli(capsys, "identity-check")
-    assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == IDENTITY_CHECK_STDOUT_SHA256
 
 
 def test_identity_check_reports_pairs_swept(capsys):
@@ -209,20 +218,6 @@ def test_fetch_fixture(tmp_path, capsys):
     assert (tmp_path / "fixture-tempered-1.json").exists()
 
 
-# sha256 of `fetch --label fixture-mixed-1 --coverage 10000 --cache-dir cache`,
-# one line of compact JSON
-FETCH_STDOUT_SHA256 = "56d511e71f46e4e01b7830c458caae3cfd3ccdfceb9c8514912c5c3c784a2172"
-
-
-def test_fetch_stdout_bytes_pinned(tmp_path, capsys, monkeypatch):
-    monkeypatch.chdir(tmp_path)     # the config echo shows cache_dir as given
-    code, out, _ = run_cli(capsys, "fetch", "--label", "fixture-mixed-1",
-                           "--coverage", "10000", "--cache-dir", "cache")
-    assert code == 0
-    assert out == json.dumps(json.loads(out), sort_keys=True) + "\n"
-    assert hashlib.sha256(out.encode()).hexdigest() == FETCH_STDOUT_SHA256
-
-
 def test_cold_fetch_formats_each_pair_once(tmp_path, capsys, monkeypatch,
                                           local_endpoint):
     # write_cache formats the pairs; the printed record copies them from
@@ -234,7 +229,7 @@ def test_cold_fetch_formats_each_pair_once(tmp_path, capsys, monkeypatch,
     code, out, _ = run_cli(capsys, "fetch", "--label", "fixture-mixed-1",
                            "--coverage", "10000", "--cache-dir", "cache")
     assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == FETCH_STDOUT_SHA256
+    assert hashlib.sha256(out.encode()).hexdigest() == CASES["fetch"].sha256
     assert len(reprs) == len(json.loads(out)["record"]["coefficients"])
 
     url, bodies, _ = local_endpoint
@@ -300,24 +295,6 @@ def test_fetch_cached_prime_past_int64_is_check_failure(tmp_path, capsys,
                              "--cache-dir", str(tmp_path))
     assert code == 1 and out == ""
     assert err.startswith("error: CacheParseError: ")
-
-
-def test_fetch_non_utf8_cache_file_is_check_failure(tmp_path, capsys,
-                                                    monkeypatch):
-    monkeypatch.delenv("MAASSLAB_ENDPOINT", raising=False)
-    (tmp_path / "bad.json").write_bytes(b"\xff\xfe{")
-    code, out, err = run_cli(capsys, "fetch", "--label", "bad",
-                             "--cache-dir", str(tmp_path))
-    assert code == 1 and out == ""
-    assert err.startswith("error: CacheParseError: cache file is not valid JSON")
-
-
-def test_fetch_unknown_label_exit_code(tmp_path, capsys, monkeypatch):
-    monkeypatch.delenv("MAASSLAB_ENDPOINT", raising=False)
-    code, _, err = run_cli(capsys, "fetch", "--label", "nope",
-                           "--cache-dir", str(tmp_path))
-    assert code == 5
-    assert "network-unavailable" in err
 
 
 def test_density_scan_data_gap_exit_code(tmp_path, capsys):
@@ -522,18 +499,6 @@ def test_asymptotic_huge_q_exit_code(capsys):
     assert code == 4 and out == ""
     assert err.startswith("error: resource-limit:")
     assert "1000000000000000003" in err
-
-
-# sha256 of the same report with `--q 30`
-ASYMPTOTIC_Q30_SHA256 = "61d0300d7c291faa69ab6370d33e7be4a577461bbaac1b2ef0fddb33693897fc"
-
-
-def test_asymptotic_q30_bytes_pinned(capsys):
-    code, out, _ = run_cli(capsys, "sieve-verify", "--report", "asymptotic",
-                           "--limit", "1000", "--y", "10", "--u-grid", "0.5,1.0",
-                           "--q", "30")
-    assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == ASYMPTOTIC_Q30_SHA256
 
 
 def test_prime_sieve_past_cap_exit_code(tmp_path, capsys, monkeypatch, no_huge_ones):

@@ -475,13 +475,16 @@ def test_h_sum_edges_equal_array_sums(table_medium):
     # q: none, primes below sqrt(t), primes on both sides (997 and 1009
     # lie above sqrt(t) for t < 994009), and a prime beyond the table
     specs = (MultFuncSpec.threshold(30, 2, -3), MultFuncSpec.threshold(1000, -1, 2))
-    for q in (1, 6, 30 * 997, 3 * 1009, 7 * 1000003):
-        for spec in specs:
-            vals = sieve.values_upto(spec, max(_h_sum_edge_ts), q, table_medium)
-            for t in _h_sum_edge_ts:
-                assert sieve.h_sum(spec, t, q) == \
-                    float(np.sum(vals[:t + 1])), (spec, q, t)
-            assert sieve.h_sum(spec, 1, q) == 1.0
+    inputs = [(spec, q, _h_sum_edge_ts) for q in (1, 6, 30 * 997, 3 * 1009, 7 * 1000003)
+              for spec in specs]
+    # the t = 1000^u of `sieve-verify --report asymptotic --limit 1000000 --y
+    # 1000 --u-grid 0.5,1.0,2.0 --q 30`, whose rows are h_sum at t
+    inputs.append((MultFuncSpec.threshold(1000, 2, -2), 30, (31, 1000, 10 ** 6)))
+    for spec, q, ts in inputs:
+        vals = sieve.values_upto(spec, max(ts), q, table_medium)
+        for t in ts:
+            assert sieve.h_sum(spec, t, q) == float(np.sum(vals[:t + 1])), (spec, q, t)
+        assert sieve.h_sum(spec, 1, q) == 1.0
 
 
 _int_threshold_specs = st.builds(MultFuncSpec.threshold, st.integers(2, 10 ** 6),
@@ -758,11 +761,12 @@ def test_log_weighted_sum_recursion_within_bound(table_medium, spec, q, x):
 
 
 def test_log_weighted_sum_recursion_edges(table_medium, monkeypatch):
-    # the crossover and one either side of it, both sides of the squares
-    # of 227 (the first prime whose square is past the crossover) and of
-    # 997 (the largest prime below 1000), and x = 10^6
+    # x = 24000 below the crossover, the crossover and one either side of
+    # it, both sides of the squares of 227 (the first prime whose square is
+    # past the crossover) and of 997 (the largest prime below 1000), and
+    # x = 10^6
     c = sieve._LOG_RECURSION
-    xs = [c - 1, c - 0.5, c, c + 0.5, c + 1,
+    xs = [24000, c - 1, c - 0.5, c, c + 0.5, c + 1,
           *(p * p + d for p in (227, 997) for d in (-1, 0, 1)), 10 ** 6]
     specs = (MultFuncSpec.threshold(17609, 3, -2), MultFuncSpec.threshold(500, 1.3, -0.7),
              MultFuncSpec.from_table({2: -1.0, 3: 2.5, 227: 3.0, 997: -1.5, 50021: 2.0}))
